@@ -270,6 +270,18 @@ type LiveStats struct {
 	// enabled).
 	SketchAccepted uint64 `json:"sketch_accepted,omitempty"`
 	SketchPinned   uint64 `json:"sketch_pinned,omitempty"`
+	// Windowed recomputes by the estimator path that answered: stateless
+	// (first-seen window, estimated from a view, nothing retained), seeded
+	// (repeated window, delta-maintained state built) and delta (state
+	// resumed, only new records folded). WindowStates / WindowStateBytes
+	// are the states retained and the bytes they hold; ScratchPoolBytes is
+	// what the idle recompute scratch retains.
+	WindowStateless  uint64 `json:"window_stateless_total,omitempty"`
+	WindowSeeded     uint64 `json:"window_seeded_total,omitempty"`
+	WindowDelta      uint64 `json:"window_delta_total,omitempty"`
+	WindowStates     int    `json:"window_states,omitempty"`
+	WindowStateBytes int    `json:"window_state_bytes,omitempty"`
+	ScratchPoolBytes int    `json:"scratch_pool_bytes,omitempty"`
 }
 
 // WatchStats is the watcher's operational snapshot, embedded in GET

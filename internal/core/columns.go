@@ -83,6 +83,18 @@ func (sc *Scratch) unbiased(e *Estimator) *histogram.Histogram {
 	return sc.u
 }
 
+// RetainedBytes is the heap the scratch holds between estimations.
+func (sc *Scratch) RetainedBytes() int {
+	n := 8 * cap(sc.sweep.keys)
+	if sc.b != nil {
+		n += 8 * sc.b.Bins()
+	}
+	if sc.u != nil {
+		n += 8 * sc.u.Bins()
+	}
+	return n
+}
+
 // EstimateColumns computes the plain pooled NLP curve (Sections 2.2–2.3)
 // directly from time-sorted columns of usable records. It is bit-identical
 // to Estimate over records with the same times and latencies. sc may be

@@ -457,3 +457,26 @@ func slices32Sort(a []int32) {
 		a[j+1] = v
 	}
 }
+
+// RetainedBytes approximates the heap the state holds between estimates:
+// the folded columns (with their retired merge buffers), the draw-key
+// schedule, the sweep bookkeeping and, once a CI was asked for, the
+// retained replicate inputs. The live engine bounds its windowed states by
+// this figure; fixed-size histograms are counted by bin.
+func (inc *Incremental) RetainedBytes() int {
+	s := &inc.sum
+	n := 8 * (cap(s.Times) + cap(s.Lats) + cap(s.Seqs) +
+		cap(s.spareTimes) + cap(s.spareLats) + cap(s.spareSeqs))
+	n += inc.plan.RetainedBytes() + inc.sc.RetainedBytes()
+	n += 4*(cap(inc.auxDep)+cap(inc.survivors)) + 16*cap(inc.intervals)
+	n += 8 * 3 * inc.u.Bins() // B, u, uOut
+	if st := inc.CI; st != nil {
+		n += st.plan.RetainedBytes() + 16*cap(st.ranges) + 8*len(st.hists)*inc.u.Bins()
+		for _, sc := range st.scs {
+			if sc != nil {
+				n += 8*(cap(sc.times)+cap(sc.lats)+cap(sc.sweep.keys)) + 8*2*inc.u.Bins()
+			}
+		}
+	}
+	return n
+}

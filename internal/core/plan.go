@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"autosens/internal/rng"
@@ -77,6 +78,11 @@ func (p *UnbiasedPlan) update(seed uint64, span uint64, draws int) {
 		return
 	}
 	p.regenerate(seed, span, draws)
+}
+
+// RetainedBytes is the heap the plan's key buffers hold between updates.
+func (p *UnbiasedPlan) RetainedBytes() int {
+	return 8 * (cap(p.sorted) + cap(p.tail) + cap(p.scratch))
 }
 
 // regenerate rebuilds the full schedule from a fresh stream.
@@ -167,41 +173,53 @@ func (p *UnbiasedPlan) commitExtend() {
 	p.draws = draws
 }
 
-// radixSortUint64 sorts a ascending with an LSD byte-radix counting sort,
-// ping-ponging through scratch (len(scratch) must equal len(a)). Passes
-// whose byte is constant across the slice are skipped, so keys bounded by a
+// radixSortUint64 sorts a ascending with an LSD radix counting sort,
+// ping-ponging through scratch (len(scratch) must equal len(a)). One read
+// pass ORs the keys to find how many bits are in use — keys bounded by a
 // small span (the common case: spans are observation windows in
-// milliseconds) cost only the low passes.
+// milliseconds) need only the low digits — and a second counts every
+// digit's histogram at once, so each remaining pass is a single scatter.
+// Digits are 11 bits: a week in milliseconds is three passes.
 func radixSortUint64(a, scratch []uint64) {
-	if len(a) < 128 {
+	if len(a) < 128 || len(a) > math.MaxUint32 {
 		slices.Sort(a)
 		return
 	}
+	const (
+		digit = 11
+		mask  = 1<<digit - 1
+	)
+	var or uint64
+	for _, v := range a {
+		or |= v
+	}
+	passes := (bits.Len64(or) + digit - 1) / digit
+	var counts [(64 + digit - 1) / digit][1 << digit]uint32
+	for _, v := range a {
+		for p := 0; p < passes; p++ {
+			counts[p][v&mask]++
+			v >>= digit
+		}
+	}
 	src, dst := a, scratch
-	swapped := false
-	for shift := uint(0); shift < 64; shift += 8 {
-		var counts [256]int
-		for _, v := range src {
-			counts[(v>>shift)&0xff]++
+	for p := 0; p < passes; p++ {
+		c, shift := &counts[p], uint(p*digit)
+		if int(c[src[0]>>shift&mask]) == len(src) {
+			continue // all keys share this digit
 		}
-		if counts[src[0]>>shift&0xff] == len(src) {
-			continue // all keys share this byte
-		}
-		pos := 0
-		for b := 0; b < 256; b++ {
-			c := counts[b]
-			counts[b] = pos
-			pos += c
+		pos := uint32(0)
+		for b, n := range c {
+			c[b] = pos
+			pos += n
 		}
 		for _, v := range src {
-			b := (v >> shift) & 0xff
-			dst[counts[b]] = v
-			counts[b]++
+			b := v >> shift & mask
+			dst[c[b]] = v
+			c[b]++
 		}
 		src, dst = dst, src
-		swapped = !swapped
 	}
-	if swapped {
+	if &src[0] != &a[0] {
 		copy(a, src)
 	}
 }

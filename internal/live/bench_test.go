@@ -1,6 +1,7 @@
 package live
 
 import (
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -142,4 +143,94 @@ func BenchmarkLiveIngestConcurrentQuery(b *testing.B) {
 	<-done
 	b.ReportMetric(float64(batch), "records/op")
 	b.ReportMetric(float64(queries.Load())/float64(b.N), "queries/op")
+}
+
+// benchCold is a fake cold tier for the windowed benchmarks: sorted columns
+// clipped by binary search without copying, like the store's block cache.
+type benchCold struct{ cols deltaCols }
+
+func (c *benchCold) ScanWindow(_ SliceKey, win Window) ([]timeutil.Millis, []float64, []uint64, error) {
+	lo, hi := windowBounds(c.cols.times, win)
+	return c.cols.times[lo:hi], c.cols.lats[lo:hi], c.cols.seqs[lo:hi], nil
+}
+func (c *benchCold) OldestRetained() (timeutil.Millis, bool) { return c.cols.times[0], true }
+func (c *benchCold) Generation() uint64                      { return 1 }
+
+// benchTieredEngine splits the benchmark stream at the middle of its time
+// range: the older half is served by a fake cold tier, the newer half —
+// in arrival order, so out of time order — is the hot store, minus a tail
+// the loop appends record by record.
+func benchTieredEngine(b *testing.B) (e *Engine, tail []telemetry.Record, horizon timeutil.Millis) {
+	b.Helper()
+	horizon = 2 * timeutil.MillisPerDay
+	var hot []telemetry.Record
+	cold := &benchCold{}
+	for _, r := range telemetry.Successful(benchStream(100000)) {
+		if r.Time >= horizon/2 {
+			hot = append(hot, r)
+			continue
+		}
+		cold.cols.times = append(cold.cols.times, r.Time)
+		cold.cols.lats = append(cold.cols.lats, r.LatencyMS)
+		cold.cols.seqs = append(cold.cols.seqs, uint64(len(cold.cols.seqs)))
+	}
+	sort.Sort(&cold.cols)
+	e, err := New(Config{Options: testOptions()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.SetBaseSeq(uint64(cold.cols.Len()))
+	e.AttachCold(cold)
+	e.Append(hot[:len(hot)-1000])
+	return e, hot[len(hot)-1000:], horizon
+}
+
+// BenchmarkLiveWindowSliding is the trailing-window dashboard: a record
+// lands, then a never-seen window spanning the cutover is asked for — the
+// stateless view path, whose cost and allocations must follow the window,
+// not the hot store, and which must retain nothing.
+func BenchmarkLiveWindowSliding(b *testing.B) {
+	e, tail, horizon := benchTieredEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Append(tail[i%len(tail) : i%len(tail)+1])
+		win := Window{From: horizon/4 + timeutil.Millis(i), To: horizon + 1 + timeutil.Millis(i)}
+		res, err := e.QueryWindow(AllSlices, ModePlain, false, win)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Cached {
+			b.Fatal("sliding window served from cache")
+		}
+	}
+	if st := e.LiveStats(); st.WindowStates != 0 {
+		b.Fatalf("sliding windows retained %d states", st.WindowStates)
+	}
+}
+
+// BenchmarkLiveWindowPinned is the pinned dashboard: the same window asked
+// again after every arrival — promoted to delta-maintained state on its
+// second recompute, O(delta) from then on.
+func BenchmarkLiveWindowPinned(b *testing.B) {
+	e, tail, horizon := benchTieredEngine(b)
+	win := Window{From: horizon / 4, To: horizon + 1}
+	for i := 0; i < 2; i++ { // stateless, then seeded
+		e.Append(tail[i : i+1])
+		if _, err := e.QueryWindow(AllSlices, ModePlain, false, win); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Append(tail[(i+2)%len(tail) : (i+2)%len(tail)+1])
+		res, err := e.QueryWindow(AllSlices, ModePlain, false, win)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Cached {
+			b.Fatal("dirty pinned window served from cache")
+		}
+	}
 }

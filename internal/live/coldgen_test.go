@@ -16,6 +16,7 @@ type fakeCold struct {
 	times []timeutil.Millis
 	lats  []float64
 	seqs  []uint64
+	tags  []uint8 // per-row dictionary bytes; nil means every row matches every slice
 	gen   atomic.Uint64
 	scans atomic.Int64
 }
@@ -26,7 +27,7 @@ func (f *fakeCold) ScanWindow(key SliceKey, win Window) ([]timeutil.Millis, []fl
 	var ls []float64
 	var sq []uint64
 	for i, t := range f.times {
-		if win.IsZero() || win.Contains(t) {
+		if (win.IsZero() || win.Contains(t)) && (f.tags == nil || key.MatchesTag(f.tags[i])) {
 			ts = append(ts, t)
 			ls = append(ls, f.lats[i])
 			sq = append(sq, f.seqs[i])
@@ -44,11 +45,12 @@ func (f *fakeCold) OldestRetained() (timeutil.Millis, bool) {
 
 func (f *fakeCold) Generation() uint64 { return f.gen.Load() }
 
-// TestWindowStateReseedsOnGeneration drives the incremental windowed
-// query through a fake tier: the cold scan is paid exactly once per
-// (combo, window) while the generation holds — hot appends fold as
-// deltas without touching the tier — and a generation bump forces the
-// next recompute to discard the seeded columns and rescan.
+// TestWindowStateReseedsOnGeneration drives the windowed query lifecycle
+// through a fake tier: a first-seen window is answered statelessly (one
+// scan, nothing retained), its second recompute seeds a state from a
+// second scan, and from then on hot appends fold as deltas without
+// touching the tier while the generation holds — until a generation bump
+// forces the next recompute to discard the seeded columns and rescan.
 func TestWindowStateReseedsOnGeneration(t *testing.T) {
 	horizon := 2 * timeutil.MillisPerDay
 	e := newTestEngine(t)
@@ -104,24 +106,32 @@ func TestWindowStateReseedsOnGeneration(t *testing.T) {
 		t.Fatalf("repeat query not served from cache (err=%v)", err)
 	}
 
-	// Hot append dirties the combo; the recompute folds only the delta —
-	// the tier must not be rescanned while its generation holds.
+	// Hot appends dirty the combo. The second recompute promotes the window
+	// to delta-maintained state, seeded from one more scan; the third folds
+	// only the delta — the tier must not be rescanned while its generation
+	// holds.
 	r := hot[0]
-	r.Time = horizon - 1
 	r.Failed = false
-	e.Append([]telemetry.Record{r})
-	res, err = e.QueryWindow(AllSlices, ModePlain, false, win)
-	if err != nil {
-		t.Fatal(err)
+	for i, wantScans := range []int64{2, 2, 2} {
+		r.Time = horizon - 10 + timeutil.Millis(i)
+		e.Append([]telemetry.Record{r})
+		res, err = e.QueryWindow(AllSlices, ModePlain, false, win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached {
+			t.Fatal("post-append query served stale cache")
+		}
+		if want := coldInWin + hotUsable + 1 + i; res.Records != want {
+			t.Fatalf("dirty query %d: %d records, want %d", i, res.Records, want)
+		}
+		if n := cold.scans.Load(); n != wantScans {
+			t.Fatalf("dirty query %d: %d tier scans, want %d (seed once, then delta-only)", i, n, wantScans)
+		}
 	}
-	if res.Cached {
-		t.Fatal("post-append query served stale cache")
-	}
-	if want := coldInWin + hotUsable + 1; res.Records != want {
-		t.Fatalf("dirty query: %d records, want %d", res.Records, want)
-	}
-	if n := cold.scans.Load(); n != 1 {
-		t.Fatalf("dirty query rescanned the tier (%d scans), want delta-only", n)
+	if st := e.LiveStats(); st.WindowStateless != 1 || st.WindowSeeded != 1 || st.WindowDelta != 2 || st.WindowStates != 1 {
+		t.Fatalf("window paths stateless=%d seeded=%d delta=%d states=%d, want 1/1/2/1",
+			st.WindowStateless, st.WindowSeeded, st.WindowDelta, st.WindowStates)
 	}
 
 	// Retention-style change: the tier drops its older half and advances
@@ -158,10 +168,13 @@ func TestWindowStateReseedsOnGeneration(t *testing.T) {
 	if coldInWin2 >= coldInWin {
 		t.Fatalf("drop did not shrink the windowed cold set: %d -> %d", coldInWin, coldInWin2)
 	}
-	if want := coldInWin2 + hotUsable + 2; res.Records != want {
+	if want := coldInWin2 + hotUsable + 4; res.Records != want {
 		t.Fatalf("post-GC query: %d records, want %d (reseed not applied)", res.Records, want)
 	}
-	if n := cold.scans.Load(); n != 2 {
-		t.Fatalf("post-GC query scanned the tier %d times, want exactly 2 (one reseed)", n)
+	if n := cold.scans.Load(); n != 3 {
+		t.Fatalf("post-GC query scanned the tier %d times, want exactly 3 (one reseed)", n)
+	}
+	if st := e.LiveStats(); st.WindowSeeded != 2 {
+		t.Fatalf("reseed counted %d seeded recomputes, want 2", st.WindowSeeded)
 	}
 }

@@ -94,25 +94,34 @@ type Engine struct {
 
 	epoch atomic.Uint64 // recomputes performed; stamps cache entries
 
-	cmu   sync.Mutex
-	cache map[queryKey]*comboCache
+	// cache holds the unwindowed query slots, one per (combo, mode, ci);
+	// wcache/wprev are the two generations of the windowed ones, bounded
+	// because window bounds are caller-chosen (see cacheFor).
+	cmu           sync.Mutex
+	cache         map[queryKey]*comboCache
+	wcache, wprev map[queryKey]*comboCache
 
 	// cold is the optional cold tier serving records compacted out of the
-	// WAL before this incarnation's cutover; nil means hot-only. Windowed
-	// cache entries live in wcache, coarsely capped because window bounds
-	// are caller-chosen (see windowCacheFor).
-	cold   ColdTier
-	wmu    sync.Mutex
-	wcache map[queryKey]*comboCache
+	// WAL before this incarnation's cutover; nil means hot-only.
+	cold ColdTier
 
 	smu    sync.Mutex
 	states map[int]*comboState
 
 	// wstates are the windowed delta-maintained estimation states, keyed
-	// by (combo, window) and coarsely capped like wcache (see
-	// windowStateFor).
-	wsmu    sync.Mutex
-	wstates map[winStateKey]*windowState
+	// by (combo, window) and evicted least-recently-used once their
+	// retained bytes pass wsBudget (see retainWindowState).
+	wsmu     sync.Mutex
+	wstates  map[winStateKey]*windowState
+	wsBytes  int
+	wsBudget int
+	wsClock  uint64
+
+	// pool holds idle recompute scratch (see scratch); poolBytes is what
+	// the idle entries retain.
+	pmu       sync.Mutex
+	pool      []*scratch
+	poolBytes int
 
 	skipped atomic.Uint64 // failed/out-of-range records not stored
 
@@ -128,6 +137,8 @@ type Engine struct {
 	// Sketch-CI gate outcomes (combos accepted / pinned to exact).
 	nSketchOK     atomic.Uint64
 	nSketchPinned atomic.Uint64
+	// Windowed recomputes by the path that answered (see recomputeWindow).
+	nWinPath [numWinPaths]atomic.Uint64
 
 	m *metrics
 }
@@ -160,7 +171,10 @@ func New(cfg Config) (*Engine, error) {
 		est:    est,
 		shards: make([]*shard, cfg.Shards),
 		cache:  make(map[queryKey]*comboCache),
+		wcache: make(map[queryKey]*comboCache),
 		states: make(map[int]*comboState),
+
+		wsBudget: maxWindowStateBytes,
 	}
 	for i := range e.shards {
 		e.shards[i] = &shard{}

@@ -44,5 +44,16 @@ func newMetrics(reg *obs.Registry, e *Engine) *metrics {
 		func() float64 { return float64(e.cachedCurves()) })
 	reg.GaugeFunc("autosens_live_epoch", "curve recomputes performed",
 		func() float64 { return float64(e.Epoch()) })
+	for path, name := range [numWinPaths]string{winStateless: "stateless", winSeeded: "seeded", winDelta: "delta"} {
+		reg.GaugeFunc("autosens_live_window_recomputes_"+name,
+			"windowed recomputes answered by the "+name+" path",
+			func() float64 { return float64(e.nWinPath[path].Load()) })
+	}
+	reg.GaugeFunc("autosens_live_window_states", "windowed estimation states retained",
+		func() float64 { n, _ := e.windowStates(); return float64(n) })
+	reg.GaugeFunc("autosens_live_window_state_bytes", "bytes retained by windowed estimation states",
+		func() float64 { _, b := e.windowStates(); return float64(b) })
+	reg.GaugeFunc("autosens_live_window_scratch_pool_bytes", "bytes retained by idle recompute scratch",
+		func() float64 { return float64(e.scratchPoolBytes()) })
 	return m
 }

@@ -1,104 +1,18 @@
 package live
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
-	"runtime/pprof"
 	"strconv"
 	"sync"
 
 	"autosens/internal/collector/api"
-	"autosens/internal/core"
 	"autosens/internal/timeutil"
 )
 
-// Partial materializes one slice's mergeable curve partial: the slice's
-// records as (time, seq)-sorted columns plus their biased histogram,
-// stamped with the slice version read before gathering. It reuses the
-// per-shard view cache — a clean slice serves cached views with no store
-// decode, a dirty one rebuilds only the shard views whose combo version
-// moved — so exporting a partial costs the same as the local half of a
-// recompute, never a full decode.
-//
-// A slice with no records yields an empty partial (with the engine's
-// histogram binning), not an error: a scatter-gather coordinator must be
-// able to merge nodes that simply hold none of the slice's users.
+// Partial is PartialWindow over the full history the engine holds.
 func (e *Engine) Partial(key SliceKey) (*api.Partial, error) {
-	combo := key.combo()
-	// Stamp before gathering, as Query does: racing appends may or may not
-	// be included, and the understated stamp keeps staleness detectable at
-	// the coordinator exactly as it is locally.
-	v0 := e.comboVersion(combo)
-	views := make([]*shardView, len(e.shards))
-	pprof.Do(context.Background(), pprof.Labels(
-		"live", "partial_export", "slice", key.String(),
-	), func(context.Context) {
-		core.ForEachIndex(e.cfg.Workers, len(e.shards), func(i int) {
-			views[i], _ = e.shards[i].viewFor(combo, key, e.newHist)
-		})
-	})
-
-	n := 0
-	for _, v := range views {
-		n += len(v.times)
-	}
-	p := &api.Partial{Version: v0, Hist: e.newHist()}
-	if n > 0 {
-		mv := &shardView{}
-		mergeViewColumns(views, mv)
-		p.Times, p.Lats, p.Seqs = mv.times, mv.lats, mv.seqs
-	}
-	// Per-shard histograms are weight-1 adds under one binning, so the sum
-	// is bit-identical to a single-pass build over the merged columns.
-	for _, v := range views {
-		if err := p.Hist.AddHistogram(v.b); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// mergeViewColumns k-way merges per-shard (time, seq)-sorted views into
-// dst's columns, keeping the seq column (mergeViews drops it — queries
-// don't need it, but a wire partial does: downstream coordinators break
-// time ties with it).
-func mergeViewColumns(views []*shardView, dst *shardView) {
-	n := 0
-	for _, v := range views {
-		n += len(v.times)
-	}
-	dst.times = make([]timeutil.Millis, 0, n)
-	dst.lats = make([]float64, 0, n)
-	dst.seqs = make([]uint64, 0, n)
-	cursors := make([]int, len(views))
-	for {
-		best := -1
-		for i, v := range views {
-			c := cursors[i]
-			if c >= len(v.times) {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			b := views[best]
-			bc := cursors[best]
-			if v.times[c] < b.times[bc] ||
-				(v.times[c] == b.times[bc] && v.seqs[c] < b.seqs[bc]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		c := cursors[best]
-		dst.times = append(dst.times, views[best].times[c])
-		dst.lats = append(dst.lats, views[best].lats[c])
-		dst.seqs = append(dst.seqs, views[best].seqs[c])
-		cursors[best]++
-	}
+	return e.PartialWindow(key, Window{})
 }
 
 // parseMillisParam parses an optional integer query parameter; empty is 0.

@@ -180,28 +180,62 @@ type Result struct {
 	CI json.RawMessage
 }
 
+// maxWindowedCache bounds the windowed query cache: window bounds are
+// caller-chosen (a dashboard defaulting at=now mints a fresh window every
+// request), so unlike the combo-keyed unwindowed cache this one would
+// otherwise grow without bound. It is kept as two generations of half the
+// bound each: a lookup checks the current one, then the previous (promoting
+// on a hit), and a full current generation rotates — so sliding traffic
+// ages out one-shot windows while a window asked for again within the
+// bound (a pinned dashboard) keeps its slot and its still-valid result.
+const maxWindowedCache = 512
+
 // cacheFor returns (creating if needed) the cache slot for a query.
 func (e *Engine) cacheFor(qk queryKey) *comboCache {
 	e.cmu.Lock()
 	defer e.cmu.Unlock()
-	cc, ok := e.cache[qk]
-	if !ok {
-		cc = &comboCache{}
-		e.cache[qk] = cc
+	if qk.win.IsZero() {
+		cc, ok := e.cache[qk]
+		if !ok {
+			cc = &comboCache{}
+			e.cache[qk] = cc
+		}
+		return cc
 	}
+	cc, ok := e.wcache[qk]
+	if ok {
+		return cc
+	}
+	if cc, ok = e.wprev[qk]; ok {
+		delete(e.wprev, qk)
+	} else {
+		cc = &comboCache{}
+	}
+	if len(e.wcache) >= maxWindowedCache/2 {
+		e.wprev, e.wcache = e.wcache, make(map[queryKey]*comboCache, maxWindowedCache/2)
+	}
+	e.wcache[qk] = cc
 	return cc
 }
 
-// Query answers one curve query. Clean slices are a cache lookup; dirty
-// slices rebuild only the shard views whose combo version moved, merge,
-// and re-finish the curve on the engine's worker pool.
+// Query answers one curve query over the full history the engine holds:
+// the window (−∞, +∞) of QueryWindow.
 func (e *Engine) Query(key SliceKey, mode Mode, ci bool) (*Result, error) {
-	start := time.Now()
-	combo := key.combo()
-	qk := queryKey{combo: combo, mode: mode, ci: ci}
-	cc := e.cacheFor(qk)
+	return e.QueryWindow(key, mode, ci, Window{})
+}
 
-	res, err := e.queryCached(cc, combo, key, mode, ci)
+// QueryWindow answers one curve query restricted to win (the zero Window
+// is unwindowed). Clean slices are a cache lookup; a dirty one folds only
+// what arrived since the last recompute and re-finishes the curve on the
+// engine's worker pool. A windowed query merges the hot store's rows inside
+// win with the cold tier's (when attached) at the cutover watermark. Either
+// way the estimated columns are exactly the stable by-time sort of the
+// acked stream's window, so the finished curve is byte-identical to the
+// batch estimator run over the same records.
+func (e *Engine) QueryWindow(key SliceKey, mode Mode, ci bool, win Window) (*Result, error) {
+	start := time.Now()
+	qk := queryKey{combo: key.combo(), mode: mode, ci: ci, win: win}
+	res, err := e.queryCached(e.cacheFor(qk), key, qk)
 	e.nQueries.Add(1)
 	if err == nil {
 		if res.Cached {
@@ -224,8 +258,13 @@ func (e *Engine) Query(key SliceKey, mode Mode, ci bool) (*Result, error) {
 	return res, err
 }
 
-func (e *Engine) queryCached(cc *comboCache, combo int, key SliceKey, mode Mode, ci bool) (*Result, error) {
-	if r := cc.val.Load(); r != nil && r.Version == e.comboVersion(combo) {
+// queryCached serves a version-checked cache hit, else a single-flight
+// recompute. The combo version covers hot appends; the cold tier below the
+// cutover is immutable for the life of the process (retention only removes
+// data the handler already clamps windows away from), so the hot version
+// alone decides staleness for windowed slots too.
+func (e *Engine) queryCached(cc *comboCache, key SliceKey, qk queryKey) (*Result, error) {
+	if r := cc.val.Load(); r != nil && r.Version == e.comboVersion(qk.combo) {
 		hit := *r
 		hit.Cached = true
 		return &hit, nil
@@ -233,16 +272,17 @@ func (e *Engine) queryCached(cc *comboCache, combo int, key SliceKey, mode Mode,
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	// Another query may have recomputed while this one waited.
-	if r := cc.val.Load(); r != nil && r.Version == e.comboVersion(combo) {
-		hit := *r
+	prev := cc.val.Load()
+	if prev != nil && prev.Version == e.comboVersion(qk.combo) {
+		hit := *prev
 		hit.Cached = true
 		return &hit, nil
 	}
 	// Stamp the version before gathering: appends racing with the
 	// recompute below may or may not be included, and the understated
 	// stamp guarantees the next query notices and recomputes.
-	v0 := e.comboVersion(combo)
-	res, err := e.recompute(combo, key, mode, ci)
+	v0 := e.comboVersion(qk.combo)
+	res, err := e.recompute(key, qk, prev != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -251,29 +291,80 @@ func (e *Engine) queryCached(cc *comboCache, combo int, key SliceKey, mode Mode,
 	return res, nil
 }
 
-// comboState is one combo's delta-maintained estimation state, shared by
-// every (mode, ci) query slot over that combo. A recompute decodes only
-// the store suffix each shard appended since the combo's last recompute,
-// folds it into a core.Incremental — which delta-maintains the columns,
-// the biased histogram AND the unbiased sweep — and re-finishes the curve,
-// so a dirty query costs O(records since the last epoch), not O(store).
+// comboState is one delta-maintained estimation state: a combo's, shared
+// by every (mode, ci) query slot over it, or — embedded in a windowState —
+// one (combo, window)'s. A recompute decodes only the store suffix each
+// shard appended since the state's last recompute, folds it into a
+// core.Incremental — which delta-maintains the columns, the biased
+// histogram AND the unbiased sweep — and re-finishes the curve, so a dirty
+// query costs O(records since the last epoch), not O(store). Decode and
+// merge buffers are not part of the state: they come from the engine's
+// scratch pool for the duration of one recompute.
 type comboState struct {
 	mu  sync.Mutex
 	inc *core.Incremental
 	cps []checkpoint // per-shard resumable decode positions
 
-	// Pooled recompute scratch: per-shard decoded delta columns and block
-	// snapshots, the merged delta, and the merge cursors. Retained across
-	// recomputes behind cc.mu's single flight, so the steady-state dirty
-	// path allocates nothing here.
-	sh    []deltaCols
-	snaps [][]blockSnap
-	all   deltaCols
-	cur   []int
-
 	// sketchGate is the combo's KS-gate decision for sketch-CI engines:
 	// 0 undecided, 1 sketch accepted, 2 pinned to the exact bootstrap.
 	sketchGate int
+}
+
+// scratch is one recompute's reusable buffers: per-shard decoded delta
+// columns and block snapshots, the merge cursors, the merged delta (or a
+// window's merged view), and — for stateless windows — the draw-key plan and
+// histograms the columns kernel estimates with. Scratch is pooled on the
+// engine, not kept per state, so what a state retains is its folded
+// columns only and the steady-state dirty path still allocates nothing
+// here.
+type scratch struct {
+	sh       []deltaCols
+	snaps    [][]blockSnap
+	cur, end []int
+	all      deltaCols
+	plan     core.UnbiasedPlan
+	est      core.Scratch
+	size     int // bytes accounted to poolBytes while idle
+}
+
+// maxPooledScratch bounds the idle scratch kept; concurrent recomputes past
+// it allocate their own and drop it afterwards.
+const maxPooledScratch = 4
+
+func (e *Engine) getScratch() *scratch {
+	e.pmu.Lock()
+	defer e.pmu.Unlock()
+	if n := len(e.pool); n > 0 {
+		sc := e.pool[n-1]
+		e.pool = e.pool[:n-1]
+		e.poolBytes -= sc.size
+		return sc
+	}
+	n := len(e.shards)
+	return &scratch{
+		sh: make([]deltaCols, n), snaps: make([][]blockSnap, n),
+		cur: make([]int, n), end: make([]int, n),
+	}
+}
+
+func (e *Engine) putScratch(sc *scratch) {
+	sc.size = 24*cap(sc.all.times) + sc.plan.RetainedBytes() + sc.est.RetainedBytes()
+	for i := range sc.sh {
+		sc.size += 24 * cap(sc.sh[i].times)
+	}
+	e.pmu.Lock()
+	defer e.pmu.Unlock()
+	if len(e.pool) < maxPooledScratch {
+		e.pool = append(e.pool, sc)
+		e.poolBytes += sc.size
+	}
+}
+
+// scratchPoolBytes reports what the idle pooled scratch retains.
+func (e *Engine) scratchPoolBytes() int {
+	e.pmu.Lock()
+	defer e.pmu.Unlock()
+	return e.poolBytes
 }
 
 // stateFor returns (creating if needed) the combo's estimation state.
@@ -283,11 +374,8 @@ func (e *Engine) stateFor(combo int) *comboState {
 	cs, ok := e.states[combo]
 	if !ok {
 		cs = &comboState{
-			inc:   e.est.NewIncremental(),
-			cps:   make([]checkpoint, len(e.shards)),
-			sh:    make([]deltaCols, len(e.shards)),
-			snaps: make([][]blockSnap, len(e.shards)),
-			cur:   make([]int, len(e.shards)),
+			inc: e.est.NewIncremental(),
+			cps: make([]checkpoint, len(e.shards)),
 		}
 		if e.cfg.SketchCI {
 			// Attached before the first fold so the sweep rebuild keeps the
@@ -299,22 +387,33 @@ func (e *Engine) stateFor(combo int) *comboState {
 	return cs
 }
 
-// recompute folds the store delta since the combo's last recompute and
-// re-finishes the curve for one (mode, ci) slot.
-func (e *Engine) recompute(combo int, key SliceKey, mode Mode, ci bool) (res *Result, err error) {
+// recompute brings the estimation state behind one query slot up to date
+// and re-finishes its curve. repeated reports whether the slot was
+// answered before (its result merely went stale) — what decides whether a
+// window is worth keeping state for.
+func (e *Engine) recompute(key SliceKey, qk queryKey, repeated bool) (res *Result, err error) {
 	start := time.Now()
-	cs := e.stateFor(combo)
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
+	sc := e.getScratch()
+	defer e.putScratch(sc)
+	label := "combo_recompute"
+	if !qk.win.IsZero() {
+		label = "window_recompute"
+	}
 	var dirty, folded int
 	// The fold and estimate run tagged so profiles attribute recompute CPU
 	// to the slice being answered.
 	pprof.Do(context.Background(), pprof.Labels(
-		"live", "combo_recompute", "slice", key.String(), "mode", mode.String(),
+		"live", label, "slice", key.String(), "mode", qk.mode.String(),
 	), func(context.Context) {
-		dirty, folded, err = e.foldDelta(cs, key)
-		if err == nil {
-			res, err = e.finish(cs, key, mode, ci)
+		if !qk.win.IsZero() {
+			res, dirty, folded, err = e.recomputeWindow(key, qk, repeated, sc)
+			return
+		}
+		cs := e.stateFor(qk.combo)
+		cs.mu.Lock()
+		defer cs.mu.Unlock()
+		if dirty, folded, err = e.foldDelta(cs, key, Window{}, sc); err == nil {
+			res, err = e.finish(cs, deltaCols{}, sc, key, qk.mode, qk.ci)
 		}
 	})
 	e.nDirty.Add(1)
@@ -332,23 +431,29 @@ func (e *Engine) recompute(combo int, key SliceKey, mode Mode, ci bool) (res *Re
 	return res, nil
 }
 
-// foldDelta decodes each shard's store suffix since the combo's last
-// recompute (in parallel on the worker pool), merges the sorted per-shard
-// deltas into one (time, seq)-sorted delta, and folds it into the combo's
-// Incremental. Returns how many shards were dirty and how many records
-// were folded.
-func (e *Engine) foldDelta(cs *comboState, key SliceKey) (dirty, folded int, err error) {
+// foldDelta decodes each shard's store suffix since st's last recompute
+// (in parallel on the worker pool), keeps win's share of it (everything,
+// for the zero Window), merges the sorted per-shard deltas into one
+// (time, seq)-sorted delta, and folds it into st's Incremental. Returns how
+// many shards were dirty and how many records were folded.
+func (e *Engine) foldDelta(st *comboState, key SliceKey, win Window, sc *scratch) (dirty, folded int, err error) {
 	core.ForEachIndex(e.cfg.Workers, len(e.shards), func(i int) {
-		cs.sh[i].reset()
-		if e.shards[i].deltaSince(&cs.cps[i], key, &cs.sh[i], &cs.snaps[i]) > 0 {
+		d := &sc.sh[i]
+		d.reset()
+		if e.shards[i].deltaSince(&st.cps[i], key, d, &sc.snaps[i]) > 0 {
 			// Each shard's suffix arrives in ack (seq) order; sort it by
 			// (time, seq) so the k-way merge below yields exactly the
-			// stable by-time sort of the acked stream.
-			sort.Sort(&cs.sh[i])
+			// stable by-time sort of the acked stream. Sorted, the window's
+			// share is a contiguous run found by binary search.
+			sort.Sort(d)
+		}
+		sc.cur[i], sc.end[i] = 0, d.Len()
+		if !win.IsZero() {
+			sc.cur[i], sc.end[i] = windowBounds(d.times, win)
 		}
 	})
-	for i := range cs.sh {
-		if n := cs.sh[i].Len(); n > 0 {
+	for i := range sc.sh {
+		if n := sc.end[i] - sc.cur[i]; n > 0 {
 			dirty++
 			folded += n
 		}
@@ -356,23 +461,20 @@ func (e *Engine) foldDelta(cs *comboState, key SliceKey) (dirty, folded int, err
 	if folded == 0 {
 		return 0, 0, nil
 	}
-	mergeDeltas(cs.sh, cs.cur, &cs.all)
-	return dirty, folded, cs.inc.Fold(cs.all.times, cs.all.lats, cs.all.seqs)
+	mergeDeltas(sc.sh, sc.cur, sc.end, &sc.all)
+	return dirty, folded, st.inc.Fold(sc.all.times, sc.all.lats, sc.all.seqs)
 }
 
-// mergeDeltas k-way merges per-shard (time, seq)-sorted delta columns into
-// dst. Shard counts are small, so a linear scan over the cursors beats a
-// heap.
-func mergeDeltas(sh []deltaCols, cur []int, dst *deltaCols) {
+// mergeDeltas k-way merges the runs sh[i][cur[i]:end[i]] of per-shard
+// (time, seq)-sorted delta columns into dst, advancing cur. Shard counts
+// are small, so a linear scan over the cursors beats a heap.
+func mergeDeltas(sh []deltaCols, cur, end []int, dst *deltaCols) {
 	dst.reset()
-	for i := range cur {
-		cur[i] = 0
-	}
 	for {
 		best := -1
 		for i := range sh {
 			c := cur[i]
-			if c >= sh[i].Len() {
+			if c >= end[i] {
 				continue
 			}
 			if best < 0 {
@@ -396,47 +498,53 @@ func mergeDeltas(sh []deltaCols, cur []int, dst *deltaCols) {
 	}
 }
 
-// finish estimates over the combo's folded state for one (mode, ci) slot.
-func (e *Engine) finish(cs *comboState, key SliceKey, mode Mode, ci bool) (*Result, error) {
-	n := cs.inc.Len()
-	if n == 0 {
+// finish estimates one (mode, ci) slot: over cs's folded state through the
+// delta-maintained entry points, or — cs nil, a stateless window — over the
+// view v through the columns kernel with sc's pooled plan and histograms.
+// Both produce the bytes the batch estimator would over the same columns.
+func (e *Engine) finish(cs *comboState, v deltaCols, sc *scratch, key SliceKey, mode Mode, ci bool) (*Result, error) {
+	if cs != nil {
+		v.times, v.lats = cs.inc.Columns()
+	}
+	if len(v.times) == 0 {
 		return nil, ErrNoRecords
 	}
-	res := &Result{Slice: key.String(), Mode: mode.String(), Records: n}
+	res := &Result{Slice: key.String(), Mode: mode.String(), Records: len(v.times)}
+	var curve *core.Curve
+	var err error
 	switch {
 	case ci:
-		band, err := e.estimateCI(cs, mode)
-		if err != nil {
-			return nil, err
+		var band *core.CurveCI
+		if cs != nil {
+			band, err = e.estimateCI(cs, mode)
+		} else {
+			opts := e.cfg.CI
+			opts.TimeNormalized = mode == ModeNormalized
+			band, err = e.est.EstimateCIColumns(v.times, v.lats, opts)
 		}
-		if res.Curve, err = band.Curve.MarshalJSON(); err != nil {
+		if err != nil {
 			return nil, err
 		}
 		if res.CI, err = band.MarshalBoundsJSON(); err != nil {
 			return nil, err
 		}
+		curve = band.Curve
 	case mode == ModeNormalized:
 		// The time-normalized estimator has no delta-maintained path; it
 		// re-estimates over the maintained columns (O(n) finishing, but
 		// still no store rescan or re-sort).
-		times, lats := cs.inc.Columns()
-		curve, err := e.est.EstimateTimeNormalizedColumns(times, lats)
-		if err != nil {
-			return nil, err
-		}
-		if res.Curve, err = curve.MarshalJSON(); err != nil {
-			return nil, err
-		}
+		curve, err = e.est.EstimateTimeNormalizedColumns(v.times, v.lats)
+	case cs != nil:
+		curve, err = cs.inc.EstimatePlain()
 	default:
-		curve, err := cs.inc.EstimatePlain()
-		if err != nil {
-			return nil, err
-		}
-		if res.Curve, err = curve.MarshalJSON(); err != nil {
-			return nil, err
-		}
+		curve, err = e.est.EstimateSummary(
+			&core.Summary{Times: v.times, Lats: v.lats, Seqs: v.seqs}, &sc.plan, &sc.est)
 	}
-	return res, nil
+	if err != nil {
+		return nil, err
+	}
+	res.Curve, err = curve.MarshalJSON()
+	return res, err
 }
 
 // estimateCI produces bootstrap bounds for a ci=1 slot. Plain-mode engines
@@ -520,38 +628,4 @@ func (e *Engine) QueryMany(keys []SliceKey, mode Mode, ci bool) (results []*Resu
 		results[i], errs[i] = e.Query(keys[i], mode, ci)
 	})
 	return results, errs
-}
-
-// mergeViews k-way merges per-shard (time, seq)-sorted columns into one
-// global (time, seq)-sorted column pair — exactly the stable by-time sort
-// of the ack-ordered stream. Shard counts are small, so a linear scan
-// over the cursors beats a heap.
-func mergeViews(views []*shardView, times *[]timeutil.Millis, lats *[]float64) {
-	cursors := make([]int, len(views))
-	for {
-		best := -1
-		for i, v := range views {
-			c := cursors[i]
-			if c >= len(v.times) {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			b := views[best]
-			bc := cursors[best]
-			if v.times[c] < b.times[bc] ||
-				(v.times[c] == b.times[bc] && v.seqs[c] < b.seqs[bc]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		c := cursors[best]
-		*times = append(*times, views[best].times[c])
-		*lats = append(*lats, views[best].lats[c])
-		cursors[best]++
-	}
 }

@@ -130,11 +130,9 @@ type shard struct {
 // Views are immutable once installed: an incremental update builds a fresh
 // view, so concurrent readers of the old one are never disturbed.
 type shardView struct {
-	ver   uint64
-	times []timeutil.Millis
-	lats  []float64
-	seqs  []uint64
-	b     *histogram.Histogram
+	deltaCols
+	ver uint64
+	b   *histogram.Histogram
 
 	// cp is the store position this view's decode ended at; the next
 	// rebuild resumes there and touches only records appended since.
@@ -227,13 +225,14 @@ func (s *shard) viewFor(combo int, key SliceKey, newHist func() *histogram.Histo
 		s.mu.Unlock()
 		return old, false
 	}
-	snap := make([]blockSnap, len(s.blocks))
-	for i, blk := range s.blocks {
-		snap[i] = blockSnap{n: blk.n, tbuf: blk.tbuf, sbuf: blk.sbuf, lats: blk.lats, tags: blk.tags}
+	cp := checkpoint{}
+	if old != nil {
+		cp = old.cp
 	}
+	snap := s.snapLocked(cp.blk, nil)
 	s.mu.Unlock()
 
-	v = buildView(old, snap, cur, key, newHist)
+	v = buildView(old, cp, snap, cur, key, newHist)
 
 	s.mu.Lock()
 	if s.views == nil {
@@ -249,21 +248,28 @@ func (s *shard) viewFor(combo int, key SliceKey, newHist func() *histogram.Histo
 	return v, true
 }
 
-// buildView extends old (which may be nil) with every snapshot record past
-// its checkpoint, returning a fresh sorted view at version cur.
-func buildView(old *shardView, snap []blockSnap, cur uint64, key SliceKey, newHist func() *histogram.Histogram) *shardView {
-	cp := checkpoint{}
-	if old != nil {
-		cp = old.cp
+// snapLocked captures blocks[from:] as immutable prefixes, appending to
+// sn[:0]. Only the suffix a resumed decode will read is captured, so the
+// time under the shard lock — which ingest contends on — is proportional to
+// the blocks appended since the checkpoint, not to the store. Caller holds
+// s.mu.
+func (s *shard) snapLocked(from int, sn []blockSnap) []blockSnap {
+	sn = sn[:0]
+	for _, blk := range s.blocks[from:] {
+		sn = append(sn, blockSnap{n: blk.n, tbuf: blk.tbuf, sbuf: blk.sbuf, lats: blk.lats, tags: blk.tags})
 	}
-	// Decode only the suffix since the checkpoint, gathering matches. The
-	// suffix arrives in ack (seq) order; new records interleave with old
-	// ones by time, so the delta is sorted and merged below.
-	delta := &shardView{}
-	for bi := cp.blk; bi < len(snap); bi++ {
-		blk := &snap[bi]
+	return sn
+}
+
+// decodeSuffix decodes every record past *cp that matches key into dst and
+// advances the checkpoint. sn is a snapLocked capture starting at block
+// cp.blk; the varint decode runs on it outside the shard lock.
+func decodeSuffix(cp *checkpoint, sn []blockSnap, key SliceKey, dst *deltaCols) {
+	base := cp.blk
+	for i := range sn {
+		blk := &sn[i]
 		rec, toff, soff := 0, 0, 0
-		if bi == cp.blk {
+		if i == 0 {
 			rec, toff, soff = cp.rec, cp.toff, cp.soff
 		}
 		for ; rec < blk.n; rec++ {
@@ -276,25 +282,32 @@ func buildView(old *shardView, snap []blockSnap, cur uint64, key SliceKey, newHi
 			if !key.matchesTag(blk.tags[rec]) {
 				continue
 			}
-			delta.times = append(delta.times, timeutil.Millis(cp.t))
-			delta.lats = append(delta.lats, blk.lats[rec])
-			delta.seqs = append(delta.seqs, cp.seq)
+			dst.times = append(dst.times, timeutil.Millis(cp.t))
+			dst.lats = append(dst.lats, blk.lats[rec])
+			dst.seqs = append(dst.seqs, cp.seq)
 		}
-		cp.blk, cp.rec, cp.toff, cp.soff = bi, blk.n, toff, soff
+		cp.blk, cp.rec, cp.toff, cp.soff = base+i, blk.n, toff, soff
 	}
+}
+
+// buildView extends old (which may be nil) with every record of snap (a
+// capture starting at cp, old's checkpoint), returning a fresh sorted view
+// at version cur.
+func buildView(old *shardView, cp checkpoint, snap []blockSnap, cur uint64, key SliceKey, newHist func() *histogram.Histogram) *shardView {
+	// Decode only the suffix since the checkpoint, gathering matches. The
+	// suffix arrives in ack (seq) order; new records interleave with old
+	// ones by time, so the delta is sorted and merged below.
+	var dc deltaCols
+	decodeSuffix(&cp, snap, key, &dc)
 	// Ack order already breaks time ties by seq (seqs increase in ack
 	// order), so sorting by (time, seq) reproduces exactly the stable
 	// by-time sort the batch estimator applies to the ack-ordered stream.
-	sort.Sort(viewSorter{delta})
+	sort.Sort(&dc)
 
-	v := &shardView{ver: cur, b: newHist(), cp: cp}
-	if old == nil || len(old.times) == 0 {
-		v.times, v.lats, v.seqs = delta.times, delta.lats, delta.seqs
-	} else {
-		v.times = make([]timeutil.Millis, 0, len(old.times)+len(delta.times))
-		v.lats = make([]float64, 0, len(old.lats)+len(delta.lats))
-		v.seqs = make([]uint64, 0, len(old.seqs)+len(delta.seqs))
-		mergeColumns(v, old, delta)
+	v := &shardView{deltaCols: dc, ver: cur, b: newHist(), cp: cp}
+	if old != nil && old.Len() > 0 {
+		v.deltaCols = deltaCols{}
+		mergeInto(&v.deltaCols, old.deltaCols, dc)
 	}
 	// The biased histogram is pure weight-1 adds (exact integer arithmetic
 	// in float64), so summing the old view's histogram with the delta's
@@ -305,7 +318,7 @@ func buildView(old *shardView, snap []blockSnap, cur uint64, key SliceKey, newHi
 			panic("live: view histogram binning mismatch: " + err.Error())
 		}
 	}
-	for _, lat := range delta.lats {
+	for _, lat := range dc.lats {
 		v.b.Add(lat)
 	}
 	return v
@@ -324,18 +337,9 @@ func (d *deltaCols) reset() {
 	d.times, d.lats, d.seqs = d.times[:0], d.lats[:0], d.seqs[:0]
 }
 
-// filterWindow drops, in place, every record outside win. Windowed
-// recomputes apply it to a shard's decoded suffix before merging, so the
-// delta folded into a window's state is exactly the window's share.
-func (d *deltaCols) filterWindow(win Window) {
-	k := 0
-	for i, t := range d.times {
-		if win.Contains(t) {
-			d.times[k], d.lats[k], d.seqs[k] = t, d.lats[i], d.seqs[i]
-			k++
-		}
-	}
-	d.times, d.lats, d.seqs = d.times[:k], d.lats[:k], d.seqs[:k]
+// slice returns rows [lo, hi) without copying.
+func (d deltaCols) slice(lo, hi int) deltaCols {
+	return deltaCols{times: d.times[lo:hi], lats: d.lats[lo:hi], seqs: d.seqs[lo:hi]}
 }
 
 func (d *deltaCols) Len() int { return len(d.times) }
@@ -365,77 +369,12 @@ func (s *shard) deltaSince(cp *checkpoint, key SliceKey, dst *deltaCols, snap *[
 		s.mu.Unlock()
 		return 0
 	}
-	sn := (*snap)[:0]
-	for _, blk := range s.blocks {
-		sn = append(sn, blockSnap{n: blk.n, tbuf: blk.tbuf, sbuf: blk.sbuf, lats: blk.lats, tags: blk.tags})
-	}
-	*snap = sn
+	*snap = s.snapLocked(cp.blk, *snap)
 	s.mu.Unlock()
 
 	before := len(dst.times)
-	for bi := cp.blk; bi < len(sn); bi++ {
-		blk := &sn[bi]
-		rec, toff, soff := 0, 0, 0
-		if bi == cp.blk {
-			rec, toff, soff = cp.rec, cp.toff, cp.soff
-		}
-		for ; rec < blk.n; rec++ {
-			dt, nt := binary.Varint(blk.tbuf[toff:])
-			ds, ns := binary.Uvarint(blk.sbuf[soff:])
-			toff += nt
-			soff += ns
-			cp.t += dt
-			cp.seq += ds
-			if !key.matchesTag(blk.tags[rec]) {
-				continue
-			}
-			dst.times = append(dst.times, timeutil.Millis(cp.t))
-			dst.lats = append(dst.lats, blk.lats[rec])
-			dst.seqs = append(dst.seqs, cp.seq)
-		}
-		cp.blk, cp.rec, cp.toff, cp.soff = bi, blk.n, toff, soff
-	}
+	decodeSuffix(cp, *snap, key, dst)
 	return len(dst.times) - before
-}
-
-// mergeColumns merges two (time, seq)-sorted views into dst.
-func mergeColumns(dst, a, b *shardView) {
-	i, j := 0, 0
-	for i < len(a.times) && j < len(b.times) {
-		if a.times[i] < b.times[j] ||
-			(a.times[i] == b.times[j] && a.seqs[i] < b.seqs[j]) {
-			dst.times = append(dst.times, a.times[i])
-			dst.lats = append(dst.lats, a.lats[i])
-			dst.seqs = append(dst.seqs, a.seqs[i])
-			i++
-		} else {
-			dst.times = append(dst.times, b.times[j])
-			dst.lats = append(dst.lats, b.lats[j])
-			dst.seqs = append(dst.seqs, b.seqs[j])
-			j++
-		}
-	}
-	dst.times = append(append(dst.times, a.times[i:]...), b.times[j:]...)
-	dst.lats = append(append(dst.lats, a.lats[i:]...), b.lats[j:]...)
-	dst.seqs = append(append(dst.seqs, a.seqs[i:]...), b.seqs[j:]...)
-}
-
-// viewSorter sorts a view's parallel columns by (time, seq).
-type viewSorter struct{ v *shardView }
-
-func (o viewSorter) Len() int { return len(o.v.times) }
-func (o viewSorter) Less(i, j int) bool {
-	v := o.v
-	if v.times[i] != v.times[j] {
-		return v.times[i] < v.times[j]
-	}
-	return v.seqs[i] < v.seqs[j]
-}
-func (o viewSorter) Swap(i, j int) {
-	v := o.v
-	v.times[i], v.times[j] = v.times[j], v.times[i]
-	v.lats[i], v.lats[j] = v.lats[j], v.lats[i]
-	v.seqs[i], v.seqs[j] = v.seqs[j], v.seqs[i]
 }
 
 // bytes reports the shard's approximate store footprint.

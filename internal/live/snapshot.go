@@ -1,9 +1,6 @@
 package live
 
 import (
-	"context"
-	"runtime/pprof"
-
 	"autosens/internal/collector/api"
 	"autosens/internal/core"
 	"autosens/internal/timeutil"
@@ -50,39 +47,10 @@ func (e *Engine) SliceVersion(key SliceKey) uint64 {
 	return e.comboVersion(key.combo())
 }
 
-// SnapshotSlice materializes the slice's columns, rebuilding only shard
-// views whose combo version moved since the last build (queries and
-// snapshots share the per-shard view cache). On an unchanged slice no
-// decode work happens — every shard serves its cached view — so callers
-// that skip on SliceVersion equality pay nothing and callers that don't
-// still pay only the merge.
+// SnapshotSlice is SnapshotSliceWindow over the full history the engine
+// holds.
 func (e *Engine) SnapshotSlice(key SliceKey) (*SliceSnapshot, error) {
-	combo := key.combo()
-	// Stamp before gathering, as Query does: racing appends may or may not
-	// be included, and the understated stamp keeps staleness detectable.
-	v0 := e.comboVersion(combo)
-	views := make([]*shardView, len(e.shards))
-	pprof.Do(context.Background(), pprof.Labels(
-		"live", "slice_snapshot", "slice", key.String(),
-	), func(context.Context) {
-		core.ForEachIndex(e.cfg.Workers, len(e.shards), func(i int) {
-			views[i], _ = e.shards[i].viewFor(combo, key, e.newHist)
-		})
-	})
-
-	snap := &SliceSnapshot{Version: v0, Shards: make([]ShardColumns, len(views))}
-	n := 0
-	for i, v := range views {
-		snap.Shards[i] = ShardColumns{Times: v.times, Lats: v.lats, Seqs: v.seqs}
-		n += len(v.times)
-	}
-	if n == 0 {
-		return nil, ErrNoRecords
-	}
-	snap.Times = make([]timeutil.Millis, 0, n)
-	snap.Lats = make([]float64, 0, n)
-	mergeViews(views, &snap.Times, &snap.Lats)
-	return snap, nil
+	return e.SnapshotSliceWindow(key, Window{})
 }
 
 // LiveStats snapshots the engine's operational counters for /v1/status —
@@ -90,6 +58,7 @@ func (e *Engine) SnapshotSlice(key SliceKey) (*SliceSnapshot, error) {
 // maintained by the engine itself, so they are present with or without a
 // metrics registry.
 func (e *Engine) LiveStats() api.LiveStats {
+	states, stateBytes := e.windowStates()
 	return api.LiveStats{
 		Shards:         len(e.shards),
 		Records:        e.Records(),
@@ -103,5 +72,12 @@ func (e *Engine) LiveStats() api.LiveStats {
 		DeltaRecords:   e.nDeltaRecords.Load(),
 		SketchAccepted: e.nSketchOK.Load(),
 		SketchPinned:   e.nSketchPinned.Load(),
+
+		WindowStateless:  e.nWinPath[winStateless].Load(),
+		WindowSeeded:     e.nWinPath[winSeeded].Load(),
+		WindowDelta:      e.nWinPath[winDelta].Load(),
+		WindowStates:     states,
+		WindowStateBytes: stateBytes,
+		ScratchPoolBytes: e.scratchPoolBytes(),
 	}
 }

@@ -3,8 +3,8 @@ package live
 import (
 	"context"
 	"runtime/pprof"
+	"slices"
 	"sort"
-	"time"
 
 	"autosens/internal/collector/api"
 	"autosens/internal/core"
@@ -74,97 +74,13 @@ func TagOf(r telemetry.Record) uint8 { return tagOf(r) }
 // MatchesTag reports whether a stored dictionary byte falls in the slice.
 func (k SliceKey) MatchesTag(tag uint8) bool { return k.matchesTag(tag) }
 
-// maxWindowedCache bounds the windowed query cache: window bounds are
-// caller-chosen (a dashboard defaulting at=now mints a fresh window every
-// request), so unlike the combo-keyed unwindowed cache this map would
-// otherwise grow without bound. Eviction is a coarse full reset — windowed
-// entries are cheap to recompute relative to tracking recency.
-const maxWindowedCache = 512
-
-// windowCacheFor returns (creating if needed) the windowed cache slot.
-func (e *Engine) windowCacheFor(qk queryKey) *comboCache {
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	if e.wcache == nil {
-		e.wcache = make(map[queryKey]*comboCache)
-	}
-	cc, ok := e.wcache[qk]
-	if !ok {
-		if len(e.wcache) >= maxWindowedCache {
-			e.wcache = make(map[queryKey]*comboCache)
-		}
-		cc = &comboCache{}
-		e.wcache[qk] = cc
-	}
-	return cc
-}
-
-// QueryWindow answers one curve query restricted to win, merging the hot
-// store's windowed columns with the cold tier's (when attached) at the
-// cutover watermark. The merged columns are exactly the stable by-time
-// sort of the acked stream's window, so the finished curve is
-// byte-identical to the batch estimator run over the same records. A zero
-// win is exactly Query.
-func (e *Engine) QueryWindow(key SliceKey, mode Mode, ci bool, win Window) (*Result, error) {
-	if win.IsZero() {
-		return e.Query(key, mode, ci)
-	}
-	start := time.Now()
-	combo := key.combo()
-	qk := queryKey{combo: combo, mode: mode, ci: ci, win: win}
-	cc := e.windowCacheFor(qk)
-
-	res, err := e.queryWindowCached(cc, combo, key, mode, ci, win)
-	e.nQueries.Add(1)
-	if err == nil {
-		if res.Cached {
-			e.nHits.Add(1)
-		} else {
-			e.nMisses.Add(1)
-		}
-	}
-	if e.m != nil {
-		e.m.queries.Inc()
-		e.m.queryDur.ObserveSince(start)
-		if err == nil {
-			if res.Cached {
-				e.m.cacheHits.Inc()
-			} else {
-				e.m.cacheMisses.Inc()
-			}
-		}
-	}
-	return res, err
-}
-
-// queryWindowCached mirrors queryCached: version-checked cache hit, else
-// a single-flight recompute stamped with the version read before
-// gathering. The combo version covers hot appends; the cold tier below
-// the cutover is immutable for the life of the process (retention only
-// removes data the handler already clamps windows away from), so the hot
-// version alone decides staleness.
-func (e *Engine) queryWindowCached(cc *comboCache, combo int, key SliceKey, mode Mode, ci bool, win Window) (*Result, error) {
-	if r := cc.val.Load(); r != nil && r.Version == e.comboVersion(combo) {
-		hit := *r
-		hit.Cached = true
-		return &hit, nil
-	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if r := cc.val.Load(); r != nil && r.Version == e.comboVersion(combo) {
-		hit := *r
-		hit.Cached = true
-		return &hit, nil
-	}
-	v0 := e.comboVersion(combo)
-	res, err := e.recomputeWindow(key, mode, ci, win)
-	if err != nil {
-		return nil, err
-	}
-	res.Version = v0
-	cc.val.Store(res)
-	return res, nil
-}
+// The paths a windowed recompute can take, counted in nWinPath.
+const (
+	winStateless = iota // first-seen window: estimated from a view, nothing retained
+	winSeeded           // repeated window: state built from a view
+	winDelta            // state resumed: only the hot delta folded
+	numWinPaths
+)
 
 // winStateKey identifies one windowed combo's delta-maintained state:
 // the combo plus the exact window bounds (distinct windows hold distinct
@@ -174,140 +90,164 @@ type winStateKey struct {
 	win   Window
 }
 
-// maxWindowStates bounds the windowed estimation states. Window bounds
-// are caller-chosen, and each state retains its window's folded columns,
-// so unlike the per-combo map this one is memory-heavy per entry.
-// Eviction is the same coarse full reset the windowed result cache uses:
-// steady repeated windows (the watcher, a pinned dashboard) re-enter the
-// fresh map immediately, and one-shot windows stop costing anything.
-const maxWindowStates = 128
+// maxWindowStateBytes bounds what the windowed estimation states retain
+// between recomputes, by core.Incremental.RetainedBytes. Window bounds are
+// caller-chosen and each state holds its window's folded columns, so the
+// bound is on bytes, not entries; past it the least recently recomputed
+// states go, and the one just used always stays.
+const maxWindowStateBytes = 256 << 20
 
-// windowState is one (combo, window)'s delta-maintained estimation
-// state: the shared comboState machinery folding only records inside the
-// window, seeded once from the cold tier. coldGen remembers the tier
-// generation the seed reflects — if retention GC advances it, the next
-// recompute reseeds from a fresh scan instead of trusting stale columns.
+// windowState is one (combo, window)'s delta-maintained estimation state:
+// the shared comboState machinery holding only the window's rows — O(window)
+// memory. It exists only for windows that are recomputed again (a pinned
+// dashboard); a first-seen window is answered statelessly from a view.
+// coldGen remembers the tier generation the seed reflects — if retention
+// GC advances it, the next recompute reseeds instead of trusting stale
+// cold rows. bytes and used are the engine's eviction bookkeeping, guarded
+// by wsmu.
 type windowState struct {
 	comboState
-	coldGen    uint64
-	coldSeeded bool
+	coldGen uint64
+	bytes   int
+	used    uint64
 }
 
-// windowStateFor returns (creating if needed) the delta-maintained
-// estimation state for one (combo, window).
-func (e *Engine) windowStateFor(combo int, win Window) *windowState {
+// windowStateFor returns the (combo, window)'s state, creating an unseeded
+// one when create is set; nil means the window has none.
+func (e *Engine) windowStateFor(k winStateKey, create bool) *windowState {
 	e.wsmu.Lock()
 	defer e.wsmu.Unlock()
-	if e.wstates == nil {
-		e.wstates = make(map[winStateKey]*windowState)
-	}
-	k := winStateKey{combo: combo, win: win}
-	ws, ok := e.wstates[k]
-	if !ok {
-		if len(e.wstates) >= maxWindowStates {
+	ws := e.wstates[k]
+	if ws == nil && create {
+		if e.wstates == nil {
 			e.wstates = make(map[winStateKey]*windowState)
 		}
+		// Windowed CI is always the exact bootstrap: the sketch is
+		// maintained against full-history folds, and a gate pinned to 2
+		// makes estimateCI never consult it (no Sketch is attached).
 		ws = &windowState{comboState: comboState{
-			inc:   e.est.NewIncremental(),
-			cps:   make([]checkpoint, len(e.shards)),
-			sh:    make([]deltaCols, len(e.shards)),
-			snaps: make([][]blockSnap, len(e.shards)),
-			cur:   make([]int, len(e.shards)),
-			// Windowed CI is always the exact bootstrap: the sketch is
-			// maintained against full-history folds, and a gate pinned to 2
-			// makes estimateCI never consult it (no Sketch is attached).
-			sketchGate: 2,
+			cps: make([]checkpoint, len(e.shards)), sketchGate: 2,
 		}}
 		e.wstates[k] = ws
 	}
 	return ws
 }
 
-// recomputeWindow folds what changed since this (combo, window) was last
-// estimated and re-finishes the curve. The cold portion is paid once:
-// the first recompute seeds the state with the cold tier's windowed scan
-// (a block-cache hit when the watcher or a pinned dashboard asks
-// repeatedly), and every later recompute folds only the hot records
-// appended since the last one, clipped to the window — O(delta), not
-// O(window). The folded columns are identical to windowColumns' gather
-// (same rows, same (time, seq) order), so the finished curve remains
-// byte-identical to the batch estimator over the window's records.
-func (e *Engine) recomputeWindow(key SliceKey, mode Mode, ci bool, win Window) (res *Result, err error) {
-	start := time.Now()
-	ws := e.windowStateFor(key.combo(), win)
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	var dirty, folded int
-	pprof.Do(context.Background(), pprof.Labels(
-		"live", "window_recompute", "slice", key.String(), "mode", mode.String(),
-	), func(context.Context) {
-		dirty, folded, err = e.foldDeltaWindow(ws, key, win)
-		if err == nil {
-			res, err = e.finish(&ws.comboState, key, mode, ci)
-		}
-	})
-	e.nDirty.Add(1)
-	e.nDeltaRecords.Add(uint64(folded))
-	if e.m != nil {
-		e.m.dirtyCombos.Inc()
-		e.m.deltaRecords.Add(uint64(folded))
-		e.m.dirtyShards.Observe(float64(dirty))
-		e.m.recomputeDur.ObserveSince(start)
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Epoch = e.epoch.Add(1)
-	return res, nil
+// windowStates reports how many windowed states are retained and the
+// bytes they hold.
+func (e *Engine) windowStates() (n, bytes int) {
+	e.wsmu.Lock()
+	defer e.wsmu.Unlock()
+	return len(e.wstates), e.wsBytes
 }
 
-// foldDeltaWindow brings ws up to date with the store: (re)seed the cold
-// columns when the tier's generation moved, then fold the window's share
-// of each shard's hot suffix. The generation is read BEFORE the scan, so
-// a concurrent retention GC can only make the recorded generation
-// understate — the next recompute notices and reseeds.
-func (e *Engine) foldDeltaWindow(ws *windowState, key SliceKey, win Window) (dirty, folded int, err error) {
+// retainWindowState re-measures ws after a recompute, marks it most
+// recently used, and evicts least recently used states while the total is
+// over budget. A state evicted while another goroutine still computes on
+// it is simply garbage once that recompute returns.
+func (e *Engine) retainWindowState(k winStateKey, ws *windowState, size int) {
+	e.wsmu.Lock()
+	defer e.wsmu.Unlock()
+	if e.wstates[k] != ws {
+		return
+	}
+	e.wsClock++
+	ws.used = e.wsClock
+	e.wsBytes += size - ws.bytes
+	ws.bytes = size
+	for e.wsBytes > e.wsBudget && len(e.wstates) > 1 {
+		var victim winStateKey
+		oldest := ws.used
+		for vk, v := range e.wstates {
+			if v.used < oldest {
+				victim, oldest = vk, v.used
+			}
+		}
+		e.wsBytes -= e.wstates[victim].bytes
+		delete(e.wstates, victim)
+	}
+}
+
+// windowView materializes win's (time, seq)-sorted rows for key: the combo's
+// delta-maintained columns are brought up to date (O(delta), shared with
+// unwindowed queries and every other window on the combo), the window's hot
+// rows are their binary-searched subslice, and the cold tier's scan is
+// merged in front. The returned columns alias the cold scan when no hot row
+// qualifies and sc.all otherwise — read-only either way, and valid until sc
+// is reused. When cps is non-nil it receives the combo's decode
+// checkpoints the view reflects, so a state seeded from the view resumes
+// exactly past it. gen is the cold generation read BEFORE the scan: a
+// concurrent retention GC can only make it understate, which the next
+// recompute of a seeded state notices.
+func (e *Engine) windowView(key SliceKey, win Window, sc *scratch, cps []checkpoint) (v deltaCols, gen uint64, dirty, folded int, err error) {
+	var cold deltaCols
 	if e.cold != nil {
-		gen := e.cold.Generation()
-		if !ws.coldSeeded || ws.coldGen != gen {
+		gen = e.cold.Generation()
+		if cold.times, cold.lats, cold.seqs, err = e.cold.ScanWindow(key, win); err != nil {
+			return v, 0, 0, 0, err
+		}
+	}
+	cs := e.stateFor(key.combo())
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if dirty, folded, err = e.foldDelta(cs, key, Window{}, sc); err != nil {
+		return v, 0, 0, 0, err
+	}
+	copy(cps, cs.cps)
+	sum := cs.inc.Summary()
+	lo, hi := windowBounds(sum.Times, win)
+	if lo == hi {
+		return cold, gen, dirty, folded, nil
+	}
+	// The hot rows must be copied out before cs.mu is released (the next
+	// fold may move them); the copy is the merge with the cold rows.
+	sc.all.reset()
+	mergeInto(&sc.all, cold, deltaCols{times: sum.Times, lats: sum.Lats, seqs: sum.Seqs}.slice(lo, hi))
+	return sc.all, gen, dirty, folded, nil
+}
+
+// recomputeWindow answers one windowed recompute by the cheapest path that
+// is exact: a window never recomputed before is estimated statelessly from
+// its view and retains nothing but its Result; the second recompute
+// (repeated: the slot's previous result went stale) seeds a windowState from
+// the same view; every later one folds only the hot delta into that state
+// — O(delta), not O(window) — until retention GC moves the cold generation
+// and forces a reseed. Every path estimates over the same rows in the same
+// (time, seq) order, so all three are byte-identical to the batch estimator
+// over the window's records.
+func (e *Engine) recomputeWindow(key SliceKey, qk queryKey, repeated bool, sc *scratch) (res *Result, dirty, folded int, err error) {
+	k := winStateKey{combo: qk.combo, win: qk.win}
+	ws := e.windowStateFor(k, repeated)
+	if ws == nil {
+		e.nWinPath[winStateless].Add(1)
+		var v deltaCols
+		if v, _, dirty, folded, err = e.windowView(key, qk.win, sc, nil); err == nil {
+			res, err = e.finish(nil, v, sc, key, qk.mode, qk.ci)
+		}
+		return res, dirty, folded, err
+	}
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if ws.inc != nil && (e.cold == nil || e.cold.Generation() == ws.coldGen) {
+		e.nWinPath[winDelta].Add(1)
+		dirty, folded, err = e.foldDelta(&ws.comboState, key, qk.win, sc)
+	} else {
+		e.nWinPath[winSeeded].Add(1)
+		var v deltaCols
+		if v, ws.coldGen, dirty, folded, err = e.windowView(key, qk.win, sc, ws.cps); err == nil {
 			ws.inc = e.est.NewIncremental()
-			for i := range ws.cps {
-				ws.cps[i] = checkpoint{}
-			}
-			ct, cl, cs, err := e.cold.ScanWindow(key, win)
-			if err != nil {
-				return 0, 0, err
-			}
-			if len(ct) > 0 {
-				if err := ws.inc.Fold(ct, cl, cs); err != nil {
-					return 0, 0, err
-				}
-			}
-			ws.coldGen, ws.coldSeeded = gen, true
+			err = ws.inc.Fold(v.times, v.lats, v.seqs)
 		}
 	}
-	core.ForEachIndex(e.cfg.Workers, len(e.shards), func(i int) {
-		ws.sh[i].reset()
-		if e.shards[i].deltaSince(&ws.cps[i], key, &ws.sh[i], &ws.snaps[i]) > 0 {
-			// Keep only the window's records, then sort the survivors by
-			// (time, seq) so the merge yields the stable by-time order.
-			ws.sh[i].filterWindow(win)
-			if ws.sh[i].Len() > 1 {
-				sort.Sort(&ws.sh[i])
-			}
-		}
-	})
-	for i := range ws.sh {
-		if n := ws.sh[i].Len(); n > 0 {
-			dirty++
-			folded += n
-		}
+	if err != nil {
+		// Half-built state must not be resumed: reseed on the next try.
+		ws.inc = nil
+		e.retainWindowState(k, ws, 0)
+		return nil, dirty, folded, err
 	}
-	if folded == 0 {
-		return 0, 0, nil
-	}
-	mergeDeltas(ws.sh, ws.cur, &ws.all)
-	return dirty, folded, ws.inc.Fold(ws.all.times, ws.all.lats, ws.all.seqs)
+	res, err = e.finish(&ws.comboState, deltaCols{}, sc, key, qk.mode, qk.ci)
+	e.retainWindowState(k, ws, ws.inc.RetainedBytes())
+	return res, dirty, folded, err
 }
 
 // windowBounds locates win's half-open index range inside a time-sorted
@@ -321,156 +261,179 @@ func windowBounds(times []timeutil.Millis, win Window) (lo, hi int) {
 	return lo, hi
 }
 
-// windowColumns gathers the slice's (time, seq)-sorted columns inside
-// win: each shard's cached view clipped to the window by binary search,
-// k-way merged, then two-way merged with the cold tier's scan. Views are
-// sorted by (time, seq) and windows are contiguous time ranges, so a
-// clipped view is a subslice — no per-record filtering, no copying before
-// the merge.
-func (e *Engine) windowColumns(key SliceKey, win Window) ([]timeutil.Millis, []float64, []uint64, error) {
+// runsFor gathers the slice's hot (time, seq)-sorted runs inside win, one
+// per shard: the shard's cached view — rebuilt only if its combo version
+// moved — clipped to the window by binary search. Views are sorted and
+// windows are contiguous time ranges, so a clipped view is a subslice: no
+// per-record filtering, nothing copied. A windowed gather over an attached
+// cold tier also returns the tier's scan; the zero Window is the whole of
+// every view and never consults the tier.
+func (e *Engine) runsFor(label string, key SliceKey, win Window) (views []*shardView, runs []deltaCols, cold deltaCols, err error) {
 	combo := key.combo()
-	views := make([]*shardView, len(e.shards))
-	core.ForEachIndex(e.cfg.Workers, len(e.shards), func(i int) {
-		views[i], _ = e.shards[i].viewFor(combo, key, e.newHist)
-	})
-	clipped := make([]*shardView, 0, len(views))
-	for _, v := range views {
-		lo, hi := windowBounds(v.times, win)
-		if lo < hi {
-			clipped = append(clipped, &shardView{
-				times: v.times[lo:hi], lats: v.lats[lo:hi], seqs: v.seqs[lo:hi],
-			})
-		}
-	}
-	mv := &shardView{}
-	mergeViewColumns(clipped, mv)
-	if e.cold == nil {
-		return mv.times, mv.lats, mv.seqs, nil
-	}
-	ct, cl, cs, err := e.cold.ScanWindow(key, win)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if len(ct) == 0 {
-		return mv.times, mv.lats, mv.seqs, nil
-	}
-	if len(mv.times) == 0 {
-		return ct, cl, cs, nil
-	}
-	return mergeTriples(ct, cl, cs, mv.times, mv.lats, mv.seqs)
-}
-
-// mergeTriples two-way merges (time, seq)-sorted column triples.
-func mergeTriples(at []timeutil.Millis, al []float64, as []uint64,
-	bt []timeutil.Millis, bl []float64, bs []uint64,
-) ([]timeutil.Millis, []float64, []uint64, error) {
-	n := len(at) + len(bt)
-	times := make([]timeutil.Millis, 0, n)
-	lats := make([]float64, 0, n)
-	seqs := make([]uint64, 0, n)
-	i, j := 0, 0
-	for i < len(at) && j < len(bt) {
-		if at[i] < bt[j] || (at[i] == bt[j] && as[i] < bs[j]) {
-			times, lats, seqs = append(times, at[i]), append(lats, al[i]), append(seqs, as[i])
-			i++
-		} else {
-			times, lats, seqs = append(times, bt[j]), append(lats, bl[j]), append(seqs, bs[j])
-			j++
-		}
-	}
-	times = append(append(times, at[i:]...), bt[j:]...)
-	lats = append(append(lats, al[i:]...), bl[j:]...)
-	seqs = append(append(seqs, as[i:]...), bs[j:]...)
-	return times, lats, seqs, nil
-}
-
-// PartialWindow is Partial restricted to win: the slice's windowed
-// hot+cold columns with a fresh biased histogram over them, marked
-// Windowed so the wire encoding carries the bounds (version 2). A zero
-// win is exactly Partial — wire version 1, byte-identical to unwindowed
-// builds.
-func (e *Engine) PartialWindow(key SliceKey, win Window) (*api.Partial, error) {
-	if win.IsZero() {
-		return e.Partial(key)
-	}
-	// Stamp before gathering, as every version in the system is.
-	v0 := e.comboVersion(key.combo())
-	var times []timeutil.Millis
-	var lats []float64
-	var seqs []uint64
-	var err error
+	views = make([]*shardView, len(e.shards))
 	pprof.Do(context.Background(), pprof.Labels(
-		"live", "partial_window", "slice", key.String(),
-	), func(context.Context) {
-		times, lats, seqs, err = e.windowColumns(key, win)
-	})
-	if err != nil {
-		return nil, err
-	}
-	p := &api.Partial{
-		Version: v0, Hist: e.newHist(),
-		Windowed: true, WindowFrom: win.From, WindowTo: win.To,
-	}
-	p.Times, p.Lats, p.Seqs = times, lats, seqs
-	// The windowed histogram cannot be summed from per-shard view
-	// histograms (those cover full history); weight-1 adds over the
-	// windowed latencies are still bit-identical to any other build order.
-	for _, l := range lats {
-		p.Hist.Add(l)
-	}
-	return p, nil
-}
-
-// SnapshotSliceWindow is SnapshotSlice restricted to win: per-shard
-// columns are the cached views' window subslices, the cold tier's scan
-// (when attached and non-empty) rides along as one extra ShardColumns
-// entry past the engine's shard count, and the merged columns cover
-// hot+cold. A zero win is exactly SnapshotSlice.
-func (e *Engine) SnapshotSliceWindow(key SliceKey, win Window) (*SliceSnapshot, error) {
-	if win.IsZero() {
-		return e.SnapshotSlice(key)
-	}
-	combo := key.combo()
-	v0 := e.comboVersion(combo)
-	views := make([]*shardView, len(e.shards))
-	pprof.Do(context.Background(), pprof.Labels(
-		"live", "slice_snapshot_window", "slice", key.String(),
+		"live", label, "slice", key.String(),
 	), func(context.Context) {
 		core.ForEachIndex(e.cfg.Workers, len(e.shards), func(i int) {
 			views[i], _ = e.shards[i].viewFor(combo, key, e.newHist)
 		})
 	})
-
-	snap := &SliceSnapshot{Version: v0, Shards: make([]ShardColumns, len(views))}
-	clipped := make([]*shardView, 0, len(views)+1)
+	runs = make([]deltaCols, len(views))
 	for i, v := range views {
-		lo, hi := windowBounds(v.times, win)
-		if lo < hi {
-			snap.Shards[i] = ShardColumns{Times: v.times[lo:hi], Lats: v.lats[lo:hi], Seqs: v.seqs[lo:hi]}
-			clipped = append(clipped, &shardView{
-				times: v.times[lo:hi], lats: v.lats[lo:hi], seqs: v.seqs[lo:hi],
-			})
+		runs[i] = v.deltaCols
+		if !win.IsZero() {
+			runs[i] = v.slice(windowBounds(v.times, win))
 		}
 	}
-	if e.cold != nil {
-		ct, cl, cs, err := e.cold.ScanWindow(key, win)
-		if err != nil {
-			return nil, err
-		}
-		if len(ct) > 0 {
-			snap.Shards = append(snap.Shards, ShardColumns{Times: ct, Lats: cl, Seqs: cs})
-			clipped = append(clipped, &shardView{times: ct, lats: cl, seqs: cs})
-		}
+	if !win.IsZero() && e.cold != nil {
+		cold.times, cold.lats, cold.seqs, err = e.cold.ScanWindow(key, win)
 	}
+	return views, runs, cold, err
+}
+
+// mergeRuns k-way merges (time, seq)-sorted runs into fresh columns —
+// exactly the stable by-time sort of the ack-ordered stream.
+func mergeRuns(runs []deltaCols) deltaCols {
+	cur, end := make([]int, len(runs)), make([]int, len(runs))
 	n := 0
-	for _, v := range clipped {
-		n += len(v.times)
+	for i := range runs {
+		end[i] = runs[i].Len()
+		n += end[i]
 	}
-	if n == 0 {
+	dst := deltaCols{
+		times: make([]timeutil.Millis, 0, n), lats: make([]float64, 0, n), seqs: make([]uint64, 0, n),
+	}
+	mergeDeltas(runs, cur, end, &dst)
+	return dst
+}
+
+// mergeCold puts the cold tier's rows in front of the merged hot ones;
+// whichever side is empty costs nothing.
+func mergeCold(cold, hot deltaCols) deltaCols {
+	if cold.Len() == 0 {
+		return hot
+	}
+	if hot.Len() > 0 {
+		var out deltaCols
+		mergeInto(&out, cold, hot)
+		return out
+	}
+	return cold
+}
+
+// mergeInto appends the two-way (time, seq) merge of a and b to dst. When a
+// ends before b begins — cold rows in front of hot ones, the usual shape
+// of a window across the cutover — it is two bulk copies.
+func mergeInto(dst *deltaCols, a, b deltaCols) {
+	n := a.Len() + b.Len()
+	dst.times, dst.lats, dst.seqs = slices.Grow(dst.times, n), slices.Grow(dst.lats, n), slices.Grow(dst.seqs, n)
+	i, j := 0, 0
+	if na := a.Len(); na > 0 && b.Len() > 0 &&
+		(a.times[na-1] < b.times[0] || (a.times[na-1] == b.times[0] && a.seqs[na-1] < b.seqs[0])) {
+		i = na // nothing interleaves: skip the element-wise loop
+		dst.times = append(dst.times, a.times...)
+		dst.lats = append(dst.lats, a.lats...)
+		dst.seqs = append(dst.seqs, a.seqs...)
+	}
+	for i < a.Len() && j < b.Len() {
+		if a.times[i] < b.times[j] || (a.times[i] == b.times[j] && a.seqs[i] < b.seqs[j]) {
+			dst.times, dst.lats, dst.seqs = append(dst.times, a.times[i]), append(dst.lats, a.lats[i]), append(dst.seqs, a.seqs[i])
+			i++
+		} else {
+			dst.times, dst.lats, dst.seqs = append(dst.times, b.times[j]), append(dst.lats, b.lats[j]), append(dst.seqs, b.seqs[j])
+			j++
+		}
+	}
+	dst.times = append(append(dst.times, a.times[i:]...), b.times[j:]...)
+	dst.lats = append(append(dst.lats, a.lats[i:]...), b.lats[j:]...)
+	dst.seqs = append(append(dst.seqs, a.seqs[i:]...), b.seqs[j:]...)
+}
+
+// PartialWindow materializes one slice's mergeable curve partial over win:
+// the slice's records as (time, seq)-sorted columns plus their biased
+// histogram, stamped with the slice version read before gathering. It
+// reuses the per-shard view cache — a clean slice serves cached views with
+// no store decode, a dirty one rebuilds only the shard views whose combo
+// version moved — so exporting a partial costs the same as the local half
+// of a recompute, never a full decode. A windowed partial adds the cold
+// tier's rows and is marked Windowed so the wire encoding carries the
+// bounds (version 2); the zero win is wire version 1, byte-identical to
+// unwindowed builds.
+//
+// A slice with no records yields an empty partial (with the engine's
+// histogram binning), not an error: a scatter-gather coordinator must be
+// able to merge nodes that simply hold none of the slice's users.
+func (e *Engine) PartialWindow(key SliceKey, win Window) (*api.Partial, error) {
+	// Stamp before gathering, as Query does: racing appends may or may not
+	// be included, and the understated stamp keeps staleness detectable at
+	// the coordinator exactly as it is locally.
+	v0 := e.comboVersion(key.combo())
+	label := "partial_export"
+	if !win.IsZero() {
+		label = "partial_window"
+	}
+	views, runs, cold, err := e.runsFor(label, key, win)
+	if err != nil {
+		return nil, err
+	}
+	p := &api.Partial{Version: v0, Hist: e.newHist()}
+	if mv := mergeCold(cold, mergeRuns(runs)); mv.Len() > 0 {
+		p.Times, p.Lats, p.Seqs = mv.times, mv.lats, mv.seqs
+	}
+	if win.IsZero() {
+		// Per-shard histograms are weight-1 adds under one binning, so the
+		// sum is bit-identical to a single-pass build over the merged columns.
+		for _, v := range views {
+			if err := p.Hist.AddHistogram(v.b); err != nil {
+				return nil, err
+			}
+		}
+		return p, nil
+	}
+	// The windowed histogram cannot be summed from per-shard view
+	// histograms (those cover full history); weight-1 adds over the
+	// windowed latencies are still bit-identical to any other build order.
+	p.Windowed, p.WindowFrom, p.WindowTo = true, win.From, win.To
+	for _, l := range p.Lats {
+		p.Hist.Add(l)
+	}
+	return p, nil
+}
+
+// SnapshotSliceWindow materializes the slice's columns inside win,
+// rebuilding only shard views whose combo version moved since the last
+// build (queries and snapshots share the per-shard view cache). Per-shard
+// columns are the cached views' window subslices; the cold tier's scan
+// (when attached and non-empty) rides along as one extra ShardColumns
+// entry past the engine's shard count, and the merged columns cover
+// hot+cold. On an unchanged slice no decode work happens — every shard
+// serves its cached view — so callers that skip on SliceVersion equality
+// pay nothing and callers that don't still pay only the merge.
+func (e *Engine) SnapshotSliceWindow(key SliceKey, win Window) (*SliceSnapshot, error) {
+	// Stamp before gathering, as Query does: racing appends may or may not
+	// be included, and the understated stamp keeps staleness detectable.
+	v0 := e.comboVersion(key.combo())
+	label := "slice_snapshot"
+	if !win.IsZero() {
+		label = "slice_snapshot_window"
+	}
+	_, runs, cold, err := e.runsFor(label, key, win)
+	if err != nil {
+		return nil, err
+	}
+	snap := &SliceSnapshot{Version: v0, Shards: make([]ShardColumns, len(runs), len(runs)+1)}
+	for i, r := range runs {
+		if r.Len() > 0 {
+			snap.Shards[i] = ShardColumns{Times: r.times, Lats: r.lats, Seqs: r.seqs}
+		}
+	}
+	if cold.Len() > 0 {
+		snap.Shards = append(snap.Shards, ShardColumns{Times: cold.times, Lats: cold.lats, Seqs: cold.seqs})
+	}
+	mv := mergeCold(cold, mergeRuns(runs))
+	if mv.Len() == 0 {
 		return nil, ErrNoRecords
 	}
-	mv := &shardView{}
-	mergeViewColumns(clipped, mv)
 	snap.Times, snap.Lats = mv.times, mv.lats
 	return snap, nil
 }

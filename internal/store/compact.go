@@ -85,6 +85,8 @@ func (s *Store) CompactOnce() (int, error) {
 	// Warm consumes one sequence slot per record.
 	segs := make([]segRows, len(pending))
 	errs := make([]error, len(pending))
+	walBytes := s.takeRowBufs(pending, segs)
+	defer s.keepRowBufs(segs)
 	core.ForEachIndex(s.cfg.ScanWorkers, len(pending), func(i int) {
 		sg := &segs[i]
 		errs[i] = wal.ReplaySegment(s.fs, s.cfg.WALDir, pending[i], func(r telemetry.Record) error {
@@ -109,6 +111,10 @@ func (s *Store) CompactOnce() (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("store: fold segment %s: %w", pending[i], err)
 		}
+	}
+
+	if replayed := rowsIn(segs); replayed > 0 && walBytes > 0 {
+		s.rowBytes = float64(walBytes) / float64(replayed)
 	}
 
 	// Rebase each segment onto the global sequence space (segments are
@@ -249,6 +255,60 @@ func (s *Store) CompactOnce() (int, error) {
 	return stored, nil
 }
 
+// maxKeptRows caps the replay buffers kept between compactions (40 MB of
+// rows each): a node with default 64 MiB TBIN segments replays millions of
+// rows per segment and should not pin that between ticks.
+const maxKeptRows = 1 << 20
+
+// takeRowBufs hands every pending segment a replay buffer: one kept from
+// the previous compaction when there is one, presized — when the
+// filesystem can report sizes and a previous replay measured the WAL
+// bytes a stored row takes — from the segment's byte size, so the replay
+// appends into place instead of growing from zero. It returns the
+// segments' total size (0 when unknown). Caller holds cmu.
+func (s *Store) takeRowBufs(pending []string, segs []segRows) (walBytes int64) {
+	sizer, _ := s.fs.(interface{ Size(string) (int64, error) })
+	for i, name := range pending {
+		if n := len(s.rowBufs); n > 0 {
+			segs[i].rows, s.rowBufs = s.rowBufs[n-1], s.rowBufs[:n-1]
+		}
+		if sizer == nil {
+			continue
+		}
+		size, err := sizer.Size(filepath.Join(s.cfg.WALDir, name))
+		if err != nil {
+			continue // the replay will report it
+		}
+		walBytes += size
+		if s.rowBytes > 0 {
+			if want := int(float64(size)/s.rowBytes) + 64; cap(segs[i].rows) < want {
+				segs[i].rows = make([]row, 0, want)
+			}
+		}
+	}
+	return walBytes
+}
+
+// keepRowBufs returns the replay buffers for the next compaction. Nothing
+// refers to their rows by then: blocks are encoded before CompactOnce
+// returns.
+func (s *Store) keepRowBufs(segs []segRows) {
+	s.rowBufs = s.rowBufs[:0]
+	for i := range segs {
+		if c := cap(segs[i].rows); c > 0 && c <= maxKeptRows {
+			s.rowBufs = append(s.rowBufs, segs[i].rows[:0])
+		}
+	}
+}
+
+// rowsIn counts the rows the segments replayed.
+func rowsIn(segs []segRows) (n int) {
+	for i := range segs {
+		n += len(segs[i].rows)
+	}
+	return n
+}
+
 // mergeSegRows k-way merges the per-segment sorted runs into one flat
 // (time, seq)-sorted slice. Runs from distinct segments interleave in
 // time (segments are consecutive slices of the stream), so unlike the
@@ -257,11 +317,10 @@ func (s *Store) CompactOnce() (int, error) {
 // cadence) still take the two-cursor path.
 func mergeSegRows(segs []segRows) []row {
 	runs := make([][]row, 0, len(segs))
-	n := 0
+	n := rowsIn(segs)
 	for i := range segs {
 		if len(segs[i].rows) > 0 {
 			runs = append(runs, segs[i].rows)
-			n += len(segs[i].rows)
 		}
 	}
 	switch len(runs) {

@@ -97,6 +97,13 @@ type Store struct {
 	mu  sync.Mutex
 	man manifest
 
+	// rowBufs are segment replay buffers kept from one compaction to the
+	// next, and rowBytes the WAL bytes one stored row took in the last one
+	// — the presizing hint for a buffer that has to grow. Both are guarded
+	// by cmu.
+	rowBufs  [][]row
+	rowBytes float64
+
 	// cache holds decoded blocks (nil when disabled); gen is the cache /
 	// cold-state generation, bumped only when retention GC shrinks the
 	// visible block set (the sole mid-process visibility change — see the

@@ -351,3 +351,61 @@ func TestRetentionDropsAgedBlocks(t *testing.T) {
 		t.Fatalf("OldestRetained = (%d, %v) nonsensical", oldest, ok)
 	}
 }
+
+// sizeFS is a wal.FS that only knows file sizes — all takeRowBufs asks of it.
+type sizeFS struct {
+	wal.FS
+	sizes map[string]int64
+}
+
+func (f sizeFS) Size(name string) (int64, error) { return f.sizes[name], nil }
+
+// TestCompactionRowBuffers pins the replay-buffer lifecycle: nothing is
+// presized before a replay has measured the WAL bytes a stored row takes;
+// afterwards a kept buffer that is large enough is reused as is, one that
+// is not is replaced by one sized from the segment's bytes, and buffers
+// past the retention cap are not kept.
+func TestCompactionRowBuffers(t *testing.T) {
+	s := &Store{
+		cfg: Config{WALDir: "w"},
+		fs:  sizeFS{sizes: map[string]int64{"w/a": 2000, "w/b": 1000, "w/c": 8000}},
+	}
+	segs := make([]segRows, 2)
+	if got := s.takeRowBufs([]string{"a", "b"}, segs); got != 3000 {
+		t.Fatalf("segment bytes %d, want 3000", got)
+	}
+	if segs[0].rows != nil || segs[1].rows != nil {
+		t.Fatal("buffers presized without a measured bytes-per-row")
+	}
+	segs[0].rows, segs[1].rows = make([]row, 100), make([]row, 50) // the replay
+	s.rowBytes = 3000.0 / 150
+	s.keepRowBufs(segs)
+	if len(s.rowBufs) != 2 {
+		t.Fatalf("kept %d buffers, want 2", len(s.rowBufs))
+	}
+
+	// "b" (1000 B → 50 rows + slack) does not fit the kept 50-row buffer it
+	// pops, "c" (8000 B → 400 rows) does not fit the 100-row one.
+	segs = make([]segRows, 2)
+	s.takeRowBufs([]string{"b", "c"}, segs)
+	if c := cap(segs[0].rows); c < 50+64 || c > 200 {
+		t.Fatalf("buffer for a 1000-byte segment holds %d rows", c)
+	}
+	if c := cap(segs[1].rows); c < 400+64 || c > 600 {
+		t.Fatalf("buffer for an 8000-byte segment holds %d rows", c)
+	}
+	// Same segments again: both buffers are reused in place.
+	s.keepRowBufs(segs)
+	first := [2]*row{&s.rowBufs[0][:1][0], &s.rowBufs[1][:1][0]}
+	again := make([]segRows, 2)
+	s.takeRowBufs([]string{"c", "b"}, again) // buffers pop last-kept first
+	if &again[0].rows[:1][0] != first[1] || &again[1].rows[:1][0] != first[0] {
+		t.Fatal("fitting kept buffers were reallocated")
+	}
+
+	again[0].rows = make([]row, 0, maxKeptRows+1)
+	s.keepRowBufs(again)
+	if len(s.rowBufs) != 1 {
+		t.Fatalf("kept %d buffers, want the oversized one dropped", len(s.rowBufs))
+	}
+}

@@ -69,6 +69,17 @@ func (osFS) ReadDir(dir string) ([]string, error) {
 
 func (osFS) Truncate(name string, size int64) error { return os.Truncate(name, size) }
 
+// Size reports name's length in bytes. It is not part of FS — decorators
+// and fakes need not provide it — so callers assert for it and treat its
+// absence as "unknown" (the cold tier only uses it as a presizing hint).
+func (osFS) Size(name string) (int64, error) {
+	fi, err := os.Stat(name)
+	if err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
+}
+
 func (osFS) Remove(name string) error { return os.Remove(name) }
 
 func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
