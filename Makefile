@@ -73,7 +73,8 @@ bench-ingest-json:
 	mv BENCH_ingest.json.tmp BENCH_ingest.json
 
 # bench-live appends a labelled live query-engine benchmark run to
-# BENCH_live.json: cached vs dirty vs full-batch recompute, the sliding
+# BENCH_live.json: cached vs dirty vs full-batch recompute, the dirty
+# mode=normalized query under advancing and backfill arrivals, the sliding
 # (never-seen, stateless view) and pinned (delta-maintained) windowed
 # queries over a fake cold tier, engine append with and without concurrent
 # query load, and collector-level ingest with the live fan-in attached
@@ -86,13 +87,13 @@ bench-live:
 	mv BENCH_live.json.tmp BENCH_live.json
 
 # bench-live-gate is the regression gate on the committed live trajectory:
-# rerun the dirty-query and sliding-window benchmarks and fail if either's
-# ns/op regressed more than 25% against the last run recorded in
-# BENCH_live.json. CI runs this.
+# rerun the dirty-query (plain, and normalized under advancing arrivals) and
+# sliding-window benchmarks and fail if any one's ns/op regressed more than
+# 25% against the last run recorded in BENCH_live.json. CI runs this.
 bench-live-gate:
 	$(GO) test -bench='BenchmarkLiveQuery|BenchmarkLiveWindowSliding' -benchmem -run=^$$ ./internal/live/ | \
 		$(GO) run ./cmd/benchjson -against BENCH_live.json \
-			-names BenchmarkLiveQueryDirty,BenchmarkLiveWindowSliding -require-baseline
+			-names BenchmarkLiveQueryDirty,BenchmarkLiveQueryDirtyNormalized/advancing,BenchmarkLiveWindowSliding -require-baseline
 
 # bench-soak runs the sustained-load SLO harness: a real sensd with the
 # live engine on a loopback port, loadgen soak mode driving 1M simulated

@@ -77,6 +77,11 @@ const (
 	// the slice (degenerate data, e.g. a window shorter than the bootstrap
 	// block length). Not retryable until more data arrives.
 	CodeEstimateFailed = "estimate_failed"
+	// CodeUnderIdentified: the slice's records cannot identify the
+	// time-normalized estimate — no hourly slot holds enough actions, or no
+	// reference slot is usable. The request is well-formed and the server
+	// healthy; ask again over a longer window or once more data arrived.
+	CodeUnderIdentified = "under_identified"
 	// CodeInvalidWindow: the window/at query parameters were malformed —
 	// an unparseable or non-positive window duration, an unparseable at
 	// timestamp, or at without window.
@@ -282,6 +287,20 @@ type LiveStats struct {
 	WindowStates     int    `json:"window_states,omitempty"`
 	WindowStateBytes int    `json:"window_state_bytes,omitempty"`
 	ScratchPoolBytes int    `json:"scratch_pool_bytes,omitempty"`
+	// Delta-maintained mode=normalized recomputes, and the retained hourly
+	// slots they went over by what each slot cost: reused (keys and
+	// adoptions kept; at most re-filtered for a new draw quota), reswept
+	// (the slot received records: keys kept, adoptions redone), regenerated
+	// (keys redrawn and sorted: the slot's bounds or stream index moved, or
+	// its quota outgrew the table) and fallback (no table possible; filled
+	// by the batch kernel). NormalizedTableBytes is what the draw tables
+	// retain.
+	NormalizedRecomputes  uint64 `json:"normalized_recomputes_total,omitempty"`
+	NormalizedReused      uint64 `json:"normalized_slots_reused_total,omitempty"`
+	NormalizedReswept     uint64 `json:"normalized_slots_reswept_total,omitempty"`
+	NormalizedRegenerated uint64 `json:"normalized_slots_regenerated_total,omitempty"`
+	NormalizedFallback    uint64 `json:"normalized_slots_fallback_total,omitempty"`
+	NormalizedTableBytes  int    `json:"normalized_table_bytes,omitempty"`
 }
 
 // WatchStats is the watcher's operational snapshot, embedded in GET

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"autosens/internal/histogram"
@@ -69,12 +70,25 @@ func (e *Estimator) estimateTimeNormalizedColumns(sp *obs.Span, times []timeutil
 	return e.poolNormalized(sp, slots, len(times))
 }
 
+// ErrUnderIdentified matches (errors.Is) the time-normalized estimator's
+// refusals of input that cannot identify the per-slot activity factors: no
+// slot reaches MinSlotActions, or no reference slot has a usable bin. More
+// data — a longer window, coarser slots — is the remedy, not a retry.
+var ErrUnderIdentified = errors.New("core: input under-identifies the time-normalized estimate")
+
+// underIdentified is a refusal matching ErrUnderIdentified that keeps its
+// own message.
+type underIdentified string
+
+func (u underIdentified) Error() string        { return string(u) }
+func (u underIdentified) Is(target error) bool { return target == ErrUnderIdentified }
+
 // poolNormalized runs the per-reference α pooling over prepared slots and
 // averages the resulting curves. totalN is reported as the curve's biased
 // sample count. Stage spans are recorded under sp (which may be nil).
 func (e *Estimator) poolNormalized(sp *obs.Span, slots []*slotData, totalN int) (*Curve, error) {
 	if len(slots) == 0 {
-		return nil, fmt.Errorf("core: no slot reaches %d actions; use a longer window or coarser slots", e.opts.MinSlotActions)
+		return nil, underIdentified(fmt.Sprintf("core: no slot reaches %d actions; use a longer window or coarser slots", e.opts.MinSlotActions))
 	}
 
 	// Busiest slots first for the rotating reference.
@@ -112,7 +126,7 @@ func (e *Estimator) poolNormalized(sp *obs.Span, slots []*slotData, totalN int) 
 		if firstErr != nil {
 			return nil, firstErr
 		}
-		return nil, errors.New("core: no usable reference slot for time normalization")
+		return nil, underIdentified("core: no usable reference slot for time normalization")
 	}
 	avgSp := sp.StartChild("average_curves")
 	avgSp.SetAttr("references", len(curves))
@@ -229,10 +243,20 @@ func (e *Estimator) buildSlots(sp *obs.Span, times []timeutil.Millis, lats []flo
 	return slots
 }
 
+// resetHist zeroes *h, allocating it over [0, MaxLatencyMS) at the given bin
+// width on first use.
+func (e *Estimator) resetHist(h **histogram.Histogram, width float64) {
+	if *h == nil {
+		*h = histogram.MustNew(0, e.opts.MaxLatencyMS, width)
+	} else {
+		(*h).Reset()
+	}
+}
+
 // fillSlotBiased populates a slot's fine/coarse biased histograms.
 func (e *Estimator) fillSlotBiased(sd *slotData) {
-	sd.fine = e.newHist()
-	sd.coarse = histogram.MustNew(0, e.opts.MaxLatencyMS, e.opts.AlphaBinWidthMS)
+	e.resetHist(&sd.fine, e.opts.BinWidthMS)
+	e.resetHist(&sd.coarse, e.opts.AlphaBinWidthMS)
 	for _, v := range sd.lats {
 		sd.fine.Add(v)
 		sd.coarse.Add(v)
@@ -243,10 +267,17 @@ func (e *Estimator) fillSlotBiased(sd *slotData) {
 // time range, batch-sweeping them into the fine and coarse histograms at
 // once.
 func (e *Estimator) fillSlotUnbiased(sd *slotData, draws int, src *rng.Source) {
-	sd.fineU = e.newHist()
-	sd.coarseU = histogram.MustNew(0, e.opts.MaxLatencyMS, e.opts.AlphaBinWidthMS)
-	fillUnbiasedSweep(sd.times, sd.lats, sd.lo, sd.hi, draws, src, nil, sd.fineU, sd.coarseU)
+	e.resetHist(&sd.fineU, e.opts.BinWidthMS)
+	e.resetHist(&sd.coarseU, e.opts.AlphaBinWidthMS)
+	sc := slotSweepPool.Get().(*sweepScratch)
+	fillUnbiasedSweep(sd.times, sd.lats, sd.lo, sd.hi, draws, src, sc, sd.fineU, sd.coarseU)
+	slotSweepPool.Put(sc)
 }
+
+// slotSweepPool recycles per-slot key buffers: slot fills fan out across
+// the worker pool, a hundred to an estimate, each needing its keys only
+// until its sweep is done.
+var slotSweepPool = sync.Pool{New: func() any { return new(sweepScratch) }}
 
 // alphaAgainst estimates each slot's α relative to the reference slot,
 // using the coarse histograms: α_T = mean over latency bins L of

@@ -103,6 +103,46 @@ func BenchmarkEstimateTimeNormalized(b *testing.B) {
 	}
 }
 
+// BenchmarkIncrementalNormalized is the delta-maintained counterpart of
+// BenchmarkEstimateTimeNormalized over the same workload: fold the next
+// five records past the data clock (the advancing arrival order — the last
+// slot's bounds and every slot's quota move) and re-estimate from the
+// retained slot tables.
+func BenchmarkIncrementalNormalized(b *testing.B) {
+	records := benchRecords(b)
+	e := benchEstimator(b)
+	times, lats := columnsOf(records)
+	seqs := make([]uint64, len(times))
+	for i := range seqs {
+		seqs[i] = uint64(i + 1)
+	}
+	inc := e.NewIncremental()
+	if err := inc.Fold(times, lats, seqs); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := inc.EstimateTimeNormalized(); err != nil {
+		b.Fatal(err)
+	}
+	const batch = 5
+	now, seq := times[len(times)-1], uint64(len(times))
+	dt, dl, ds := make([]timeutil.Millis, batch), make([]float64, batch), make([]uint64, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range dt {
+			now += 3000
+			seq++
+			dt[k], dl[k], ds[k] = now, lats[(i*batch+k)%len(lats)], seq
+		}
+		if err := inc.Fold(dt, dl, ds); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := inc.EstimateTimeNormalized(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEstimateCI measures the bootstrap confidence-interval path (16
 // replicates of 6 h blocks, plain estimator per replicate) at the default
 // worker count (GOMAXPROCS).

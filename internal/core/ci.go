@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -172,27 +171,20 @@ func (e *Estimator) buildBootBlocks(times []timeutil.Millis, lats []float64, blo
 		}
 		// Draw instants are uniform over the block-partition span (every
 		// replicate's resampled series occupies exactly this window).
-		draws := int(math.Ceil(float64(len(times)) * e.opts.UnbiasedPerSample))
 		span := uint64(timeutil.Millis(numBlocks) * blockLen)
-		src := rng.New(e.opts.Seed)
-		bb.sweepKeys = make([]uint64, draws)
-		for i := range bb.sweepKeys {
-			bb.sweepKeys[i] = src.Uint64n(span)
-		}
-		bb.auxSeed = src.Uint64()
-		slices.Sort(bb.sweepKeys)
+		bb.sweepKeys = make([]uint64, drawCount(len(times), e.opts.UnbiasedPerSample))
+		bb.auxSeed = drawKeys(rng.New(e.opts.Seed), span, bb.sweepKeys, nil, false)
 	}
 	return bb, nil
 }
 
 // ciScratch is one worker's reusable replicate state: resampled series
-// buffers, histograms, and the sweep sampler's key buffer all survive
-// across the replicates the worker processes.
+// buffers and histograms survive across the replicates the worker
+// processes.
 type ciScratch struct {
 	times []timeutil.Millis
 	lats  []float64
 	b, u  *histogram.Histogram
-	sweep sweepScratch
 }
 
 // runPlainReplicate estimates one bootstrap replicate with the pooled

@@ -121,8 +121,9 @@ func (st *CIState) refresh(e *Estimator, times []timeutil.Millis, lats []float64
 // bit-identical to EstimateCIColumns over the same columns, reusing the
 // retained CIState (attached to inc on first use) across epochs.
 //
-// The time-normalized estimator has no delta-maintained path; normalized
-// requests fall through to the batch bootstrap.
+// Normalized replicates re-partition their resampled series into slots, so
+// there is no retained input to reuse: normalized requests run the batch
+// bootstrap over the maintained columns.
 func (e *Estimator) EstimateCIIncremental(inc *Incremental, opts CIOptions) (*CurveCI, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

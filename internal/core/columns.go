@@ -65,27 +65,19 @@ type Scratch struct {
 // biased returns the scratch biased histogram, reset, allocating it on
 // first use against e's binning.
 func (sc *Scratch) biased(e *Estimator) *histogram.Histogram {
-	if sc.b == nil {
-		sc.b = e.newHist()
-	} else {
-		sc.b.Reset()
-	}
+	e.resetHist(&sc.b, e.opts.BinWidthMS)
 	return sc.b
 }
 
 // unbiased returns the scratch unbiased histogram, reset.
 func (sc *Scratch) unbiased(e *Estimator) *histogram.Histogram {
-	if sc.u == nil {
-		sc.u = e.newHist()
-	} else {
-		sc.u.Reset()
-	}
+	e.resetHist(&sc.u, e.opts.BinWidthMS)
 	return sc.u
 }
 
 // RetainedBytes is the heap the scratch holds between estimations.
 func (sc *Scratch) RetainedBytes() int {
-	n := 8 * cap(sc.sweep.keys)
+	n := 8 * (cap(sc.sweep.keys) + cap(sc.sweep.tmp))
 	if sc.b != nil {
 		n += 8 * sc.b.Bins()
 	}

@@ -58,6 +58,10 @@ type Incremental struct {
 	survivors []int32
 	uOut      *histogram.Histogram
 
+	// norm is the time-normalized estimator's per-slot state, built by the
+	// first EstimateTimeNormalized (see normState).
+	norm *normState
+
 	// Sketch, when non-nil, is a mergeable Poisson-bootstrap CI sketch
 	// maintained in lockstep with the stable sweep state (see BootSketch).
 	Sketch *BootSketch
@@ -80,7 +84,7 @@ func (e *Estimator) NewIncremental() *Incremental {
 func (inc *Incremental) Len() int { return inc.sum.Len() }
 
 // Columns exposes the maintained (time, seq)-sorted columns read-only, for
-// estimator paths that are not delta-maintained (time-normalized mode).
+// estimator paths that are not delta-maintained (the normalized bootstrap).
 func (inc *Incremental) Columns() ([]timeutil.Millis, []float64) {
 	return inc.sum.Times, inc.sum.Lats
 }
@@ -154,12 +158,12 @@ func (inc *Incremental) foldIncremental(dTimes []timeutil.Millis, dLats []float6
 		for ; dep < len(inc.auxDep) && int(inc.auxDep[dep]) < i2; dep++ {
 		}
 		classifyKeys(inc.sum.Times, lo, inc.plan.sorted, i1, i2,
-			func(_, j int, isDep bool) {
-				if !isDep {
+			func(_, j, m int) {
+				if j >= 0 {
 					v := inc.sum.Lats[j]
-					inc.u.Sub(v)
+					inc.u.SubWeighted(v, float64(m))
 					if inc.Sketch != nil {
-						inc.Sketch.retractDraw(v, inc.sum.Seqs[j], 1)
+						inc.Sketch.retractDraw(v, inc.sum.Seqs[j], m)
 					}
 				}
 			})
@@ -195,14 +199,14 @@ func (inc *Incremental) foldIncremental(dTimes []timeutil.Millis, dLats []float6
 	for _, iv := range inc.intervals {
 		i1, i2 := keyRange(inc.plan.sorted, iv[0], iv[1])
 		classifyKeys(inc.sum.Times, lo, inc.plan.sorted, i1, i2,
-			func(rank, j int, isDep bool) {
-				if isDep {
+			func(rank, j, m int) {
+				if j < 0 {
 					inc.auxDep = append(inc.auxDep, int32(rank))
 				} else {
 					v := inc.sum.Lats[j]
-					inc.u.Add(v)
+					inc.u.AddWeighted(v, float64(m))
 					if inc.Sketch != nil {
-						inc.Sketch.addDraw(v, inc.sum.Seqs[j], 1)
+						inc.Sketch.addDraw(v, inc.sum.Seqs[j], m)
 					}
 				}
 			})
@@ -230,8 +234,8 @@ func (inc *Incremental) foldIncremental(dTimes []timeutil.Millis, dLats []float6
 		eqAll := sort.Search(len(inc.plan.sorted)-first, func(j int) bool { return inc.plan.sorted[first+j] > v })
 		start := first + eqAll - m // staged duplicates sort last
 		classifyKeys(inc.sum.Times, lo, inc.plan.sorted, first, first+1,
-			func(_, j int, isDep bool) {
-				if isDep {
+			func(_, j, _ int) {
+				if j < 0 {
 					for r := 0; r < m; r++ {
 						inc.auxDep = append(inc.auxDep, int32(start+r))
 					}
@@ -316,11 +320,11 @@ func (inc *Incremental) rebuildSweep() {
 	inc.auxDep = inc.auxDep[:0]
 	lo := inc.sum.Times[0]
 	classifyKeys(inc.sum.Times, lo, inc.plan.sorted, 0, len(inc.plan.sorted),
-		func(rank, j int, isDep bool) {
-			if isDep {
+		func(rank, j, m int) {
+			if j < 0 {
 				inc.auxDep = append(inc.auxDep, int32(rank))
 			} else {
-				inc.u.Add(inc.sum.Lats[j])
+				inc.u.AddWeighted(inc.sum.Lats[j], float64(m))
 			}
 		})
 	inc.stValid = true
@@ -357,91 +361,53 @@ func keyRange(keys []uint64, a, b uint64) (int, int) {
 }
 
 // classifyKeys evaluates sorted draw keys[i1:i2) against time-sorted
-// columns, reporting each draw's adopted record index and whether its
-// adoption consumes tie-break randomness (exact midpoint, or an
-// equal-timestamp run longer than one). For dependent draws j is -1 — the
-// caller re-evaluates them with drawKeyIndex when the aux seed is known.
-func classifyKeys(times []timeutil.Millis, lo timeutil.Millis, keys []uint64, i1, i2 int, fn func(rank, j int, dep bool)) {
+// columns. A draw whose adoption consumes tie-break randomness (exact
+// midpoint, or an equal-timestamp run longer than one) is reported alone as
+// fn(rank, -1, 1) — the caller re-evaluates it with drawKeyIndex when the aux
+// seed is known. Every other draw adopts one record for certain; sorted keys
+// adopt records in non-decreasing order, so consecutive such draws landing
+// on record j are reported once, as fn(first rank, j, how many).
+func classifyKeys(times []timeutil.Millis, lo timeutil.Millis, keys []uint64, i1, i2 int, fn func(rank, j, m int)) {
 	if i1 >= i2 || len(times) == 0 {
 		return
 	}
 	nRec := len(times)
 	t0 := lo + timeutil.Millis(keys[i1])
 	idx := sort.Search(nRec, func(i int) bool { return times[i] >= t0 })
+	run, m := 0, 0 // m pending draws, the first at rank k-m, adopting record run
 	for k := i1; k < i2; k++ {
 		t := lo + timeutil.Millis(keys[k])
 		for idx < nRec && times[idx] < t {
 			idx++
 		}
-		var j int
-		switch {
-		case idx == 0:
-			j = 0
-		case idx == nRec:
-			j = nRec - 1
-		default:
-			dLeft := t - times[idx-1]
-			dRight := times[idx] - t
-			switch {
-			case dLeft < dRight:
-				j = idx - 1
-			case dRight < dLeft:
-				j = idx
-			default:
-				fn(k, -1, true) // exact midpoint: side choice needs aux
-				continue
+		j, mid := nearestAt(times, idx, t)
+		if mid || tied(times, j) {
+			if m > 0 {
+				fn(k-m, run, m)
+				m = 0
 			}
-		}
-		tj := times[j]
-		if (j > 0 && times[j-1] == tj) || (j+1 < nRec && times[j+1] == tj) {
-			fn(k, -1, true) // run pick needs aux
+			fn(k, -1, 1)
 			continue
 		}
-		fn(k, j, false)
+		if j != run && m > 0 {
+			fn(k-m, run, m)
+			m = 0
+		}
+		run = j
+		m++
+	}
+	if m > 0 {
+		fn(i2-m, run, m)
 	}
 }
 
 // drawKeyIndex evaluates one draw key with an explicit aux word, reproducing
-// sweepSortedKeys' record choice bit for bit: the aux's top bit breaks exact
-// midpoints, and aux mod the run size picks within an equal-timestamp run.
+// sweepSortedKeys' record choice bit for bit.
 func drawKeyIndex(times []timeutil.Millis, lo timeutil.Millis, key uint64, aux uint64) int {
-	nRec := len(times)
 	t := lo + timeutil.Millis(key)
-	idx := sort.Search(nRec, func(i int) bool { return times[i] >= t })
-	var j int
-	switch {
-	case idx == 0:
-		j = 0
-	case idx == nRec:
-		j = nRec - 1
-	default:
-		dLeft := t - times[idx-1]
-		dRight := times[idx] - t
-		switch {
-		case dLeft < dRight:
-			j = idx - 1
-		case dRight < dLeft:
-			j = idx
-		default:
-			if aux>>63 == 0 {
-				j = idx - 1
-			} else {
-				j = idx
-			}
-		}
-	}
-	tj := times[j]
-	rLo, rHi := j, j
-	for rLo > 0 && times[rLo-1] == tj {
-		rLo--
-	}
-	for rHi+1 < nRec && times[rHi+1] == tj {
-		rHi++
-	}
-	if rHi == rLo {
-		return rLo
-	}
-	return rLo + int(aux%uint64(rHi-rLo+1))
+	idx := sort.Search(len(times), func(i int) bool { return times[i] >= t })
+	j, mid := nearestAt(times, idx, t)
+	return pickTied(times, j, mid, aux)
 }
 
 // slices32Sort sorts ranks ascending (insertion sort: the slice is the
@@ -460,8 +426,8 @@ func slices32Sort(a []int32) {
 
 // RetainedBytes approximates the heap the state holds between estimates:
 // the folded columns (with their retired merge buffers), the draw-key
-// schedule, the sweep bookkeeping and, once a CI was asked for, the
-// retained replicate inputs. The live engine bounds its windowed states by
+// schedule, the sweep bookkeeping and, once asked for, the time-normalized
+// slot tables and the retained CI replicate inputs. The live engine bounds its windowed states by
 // this figure; fixed-size histograms are counted by bin.
 func (inc *Incremental) RetainedBytes() int {
 	s := &inc.sum
@@ -470,11 +436,14 @@ func (inc *Incremental) RetainedBytes() int {
 	n += inc.plan.RetainedBytes() + inc.sc.RetainedBytes()
 	n += 4*(cap(inc.auxDep)+cap(inc.survivors)) + 16*cap(inc.intervals)
 	n += 8 * 3 * inc.u.Bins() // B, u, uOut
+	if inc.norm != nil {
+		n += inc.norm.retainedBytes()
+	}
 	if st := inc.CI; st != nil {
 		n += st.plan.RetainedBytes() + 16*cap(st.ranges) + 8*len(st.hists)*inc.u.Bins()
 		for _, sc := range st.scs {
 			if sc != nil {
-				n += 8*(cap(sc.times)+cap(sc.lats)+cap(sc.sweep.keys)) + 8*2*inc.u.Bins()
+				n += 8*(cap(sc.times)+cap(sc.lats)) + 8*2*inc.u.Bins()
 			}
 		}
 	}

@@ -268,11 +268,25 @@ func TestRadixSortUint64(t *testing.T) {
 					a[i] = src.Uint64n(span)
 				}
 			}
+			tagged := slices.Clone(a)
 			want := slices.Clone(a)
 			slices.Sort(want)
-			radixSortUint64(a, make([]uint64, n))
+			var scratch []uint64
+			radixSortUint64(a, &scratch, 0)
 			if !slices.Equal(want, a) {
 				t.Fatalf("radix sort differs (n=%d span=%d)", n, span)
+			}
+			// Tagged: order by the high word only, the low word rides along.
+			// Tags ascend with input position, so the stable high-word order
+			// is the full order.
+			for i := range tagged {
+				tagged[i] = tagged[i]%(1<<32)<<32 | uint64(i)
+			}
+			want = slices.Clone(tagged)
+			slices.Sort(want)
+			radixSortUint64(tagged, nil, 32)
+			if !slices.Equal(want, tagged) {
+				t.Fatalf("tagged radix sort differs (n=%d span=%d)", n, span)
 			}
 		}
 	}

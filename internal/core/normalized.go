@@ -1,0 +1,378 @@
+package core
+
+import (
+	"math"
+	"sort"
+	"time"
+
+	"autosens/internal/histogram"
+	"autosens/internal/rng"
+	"autosens/internal/timeutil"
+)
+
+// The delta-maintained time-normalized estimator.
+//
+// The paper's hourly slots are window-stable cells already: buildSlots gives
+// retained slot i the key stream src.Split(i) over the slot's own [lo, hi),
+// so the stream is a pure function of (seed, i, lo, hi) and a fold changes
+// three things only — the records of the slots it lands in, the bounds of
+// the first and last slot, and every slot's draw QUOTA (the slot's share of
+// ceil(n·UnbiasedPerSample), which moves with n and with the total retained
+// duration). normState keeps, per retained slot, a draw table: the key
+// stream generated once to a little past the quota and sorted once, each key
+// remembering its position in the stream (its generation) and what it
+// adopts. Then
+//
+//   - the quota q is a prefix filter: the batch path's sorted keys are the
+//     table's entries with generation < q, in table order (equal keys are
+//     interchangeable — plan.go fact 3), and a draw's sorted rank, which
+//     seeds its tie-break word, is the count of such entries before it;
+//   - the tie-break seed for quota q is the raw word after the q-th key: with
+//     no rejected word in the stream that is word 2q from the stream's
+//     origin, one LCG jump-ahead away;
+//   - records only ever arrive (folds are append-only), so a slot whose
+//     record count is unchanged has unchanged content and its keys adopt
+//     what they adopted before.
+//
+// So a slot is regenerated (RNG + sort) only when its stream identity
+// (retained index, lo, hi) moved or the quota outgrew the table, re-swept
+// (keys re-adopted against the slot's records, no RNG, no sort) only when it
+// received records, and otherwise just re-filtered for the new quota — one
+// sequential pass of integer compares that adds or retracts the few draws
+// the quota change moved. poolNormalized then runs over the same slotData
+// the batch path would have built, which is the whole byte-identity
+// argument: identical histograms in, identical curve (and refusals) out.
+type normState struct {
+	parent rng.Source   // rng.New(seed), advanced by one Split per entry of splits
+	splits []rng.Source // splits[i]: origin of retained slot i's key stream
+	slots  map[int]*normSlot
+	cur    []slotWork  // retained slots of the running estimate, in time order
+	out    []*slotData // the same, as poolNormalized takes them
+	last   NormalizedStats
+}
+
+// SlotPath is what bringing one retained slot current took in a
+// delta-maintained time-normalized estimation.
+type SlotPath uint8
+
+const (
+	// SlotReused slots kept their keys and adoptions: untouched, or
+	// re-filtered for a changed quota.
+	SlotReused SlotPath = iota
+	// SlotReswept slots received records: keys kept, adoptions recomputed.
+	SlotReswept
+	// SlotRegenerated slots drew and sorted a fresh key table: their retained
+	// index or bounds moved, or the quota outgrew the table's headroom.
+	SlotRegenerated
+	// SlotFallback slots cannot hold a table (a span or quota past 32 bits, a
+	// rejected raw word in the key stream) and were filled by the batch
+	// kernel.
+	SlotFallback
+	NumSlotPaths
+)
+
+func (p SlotPath) String() string {
+	return [NumSlotPaths]string{"reused", "reswept", "regenerated", "fallback"}[p]
+}
+
+// NormalizedStats counts the retained slots of one delta-maintained
+// time-normalized estimation by the path each took.
+type NormalizedStats [NumSlotPaths]int
+
+// drawEntry is one retained draw of a slot's key stream.
+type drawEntry struct {
+	off uint32 // draw instant, as an offset from the slot's lo
+	gen uint32 // position in the key stream: part of every quota above it
+	// adopt ≥ 0 is the slot-local index of the one record the draw adopts
+	// for certain. A draw that consumes tie-break randomness (exact
+	// midpoint, equal-timestamp run) stores ^idx, idx being the first slot
+	// record at or after its instant, and is resolved per quota.
+	adopt int32
+}
+
+const drawEntryBytes = 12
+
+// normSlot is one retained slot's state across estimations. The embedded
+// slotData is what poolNormalized reads; its times/lats are set only while
+// the slot is being brought current.
+type normSlot struct {
+	slotData
+	ridx  int // rank among retained slots: selects the key stream
+	quota int // the draw count fineU/coarseU reflect
+	table []drawEntry
+	// stFine/stCoarse hold the certain draws of the quota; fineU/coarseU are
+	// these plus the tie-broken draws, which move with the quota's seed.
+	stFine, stCoarse *histogram.Histogram
+}
+
+// slotWork is one retained slot's share of the running estimate.
+type slotWork struct {
+	ns     *normSlot
+	i, j   int // the slot's records are columns [i, j)
+	lo, hi timeutil.Millis
+	path   SlotPath
+}
+
+// EstimateTimeNormalized computes the full time-normalized NLP curve
+// (Section 2.4.1) over the folded records, bit-identical — curve or refusal
+// — to EstimateTimeNormalizedColumns over the same columns, redoing only
+// the per-slot work the folds since the last call invalidated.
+func (inc *Incremental) EstimateTimeNormalized() (*Curve, error) {
+	defer observeEstimate(time.Now())
+	e := inc.e
+	sp := e.trace.StartChild("estimate_time_normalized_incremental")
+	defer sp.End()
+	n := inc.sum.Len()
+	if n == 0 {
+		return nil, errEmptyRecords
+	}
+	sp.SetAttr("records", n)
+	if inc.norm == nil {
+		inc.norm = &normState{parent: *rng.New(e.opts.Seed), slots: make(map[int]*normSlot)}
+	}
+	nz := inc.norm
+	slotSp := sp.StartChild("refresh_slots")
+	slots := nz.refresh(e, inc.sum.Times, inc.sum.Lats)
+	slotSp.SetAttr("slots", len(slots))
+	for path, count := range nz.last {
+		slotSp.SetAttr(SlotPath(path).String(), count)
+	}
+	slotSp.End()
+	return e.poolNormalized(sp, slots, n)
+}
+
+// NormalizedStats reports how the latest EstimateTimeNormalized brought its
+// slots current, and the bytes the draw tables retain.
+func (inc *Incremental) NormalizedStats() (last NormalizedStats, tableBytes int) {
+	if inc.norm == nil {
+		return NormalizedStats{}, 0
+	}
+	for _, ns := range inc.norm.slots {
+		tableBytes += drawEntryBytes * cap(ns.table)
+	}
+	return inc.norm.last, tableBytes
+}
+
+// retainedBytes approximates the heap the slot states hold between
+// estimates: the draw tables plus six histograms a slot.
+func (nz *normState) retainedBytes() int {
+	n := 16*cap(nz.splits) + 48*cap(nz.cur) + 8*cap(nz.out)
+	for _, ns := range nz.slots {
+		n += drawEntryBytes*cap(ns.table) + 256
+		if ns.fine != nil {
+			n += 8 * 3 * (ns.fine.Bins() + ns.coarse.Bins())
+		}
+	}
+	return n
+}
+
+// refresh partitions the columns into slots exactly as buildSlots does —
+// slot edges found by binary search, the same thin-slot rule, clipping and
+// quota arithmetic — and brings every retained slot's state current.
+func (nz *normState) refresh(e *Estimator, times []timeutil.Millis, lats []float64) []*slotData {
+	n := len(times)
+	dur := e.opts.SlotDuration
+	windowLo, windowHi := times[0], times[n-1]+1
+	nz.cur = nz.cur[:0]
+	var totalDur timeutil.Millis
+	for i := 0; i < n; {
+		slot := int(times[i] / dur)
+		// Times ascend and t/dur is monotone in t, so the slot's end is the
+		// first record mapping elsewhere.
+		j := i + sort.Search(n-i, func(k int) bool { return int(times[i+k]/dur) != slot })
+		if j-i >= e.opts.MinSlotActions {
+			ns := nz.slots[slot]
+			if ns == nil {
+				ns = &normSlot{slotData: slotData{slot: slot}}
+				nz.slots[slot] = ns
+			}
+			w := slotWork{
+				ns: ns, i: i, j: j,
+				lo: maxMillis(timeutil.Millis(slot)*dur, windowLo),
+				hi: minMillis(timeutil.Millis(slot+1)*dur, windowHi),
+			}
+			totalDur += w.hi - w.lo
+			nz.cur = append(nz.cur, w)
+		}
+		i = j
+	}
+	// Split advances the parent stream, so origins are derived serially, in
+	// retained order, once each.
+	for len(nz.splits) < len(nz.cur) {
+		nz.splits = append(nz.splits, *nz.parent.Split(uint64(len(nz.splits))))
+	}
+	totalDraws := math.Ceil(float64(n) * e.opts.UnbiasedPerSample)
+	e.forEachIndex(len(nz.cur), func(r int) {
+		w := &nz.cur[r]
+		quota := int(math.Ceil(totalDraws * float64(w.hi-w.lo) / float64(totalDur)))
+		w.path = w.ns.update(e, r, times[w.i:w.j], lats[w.i:w.j], w.lo, w.hi, quota, &nz.splits[r])
+	})
+	nz.last = NormalizedStats{}
+	nz.out = nz.out[:0]
+	for _, w := range nz.cur {
+		nz.last[w.path]++
+		nz.out = append(nz.out, &w.ns.slotData)
+	}
+	return nz.out
+}
+
+// update brings the slot current for an estimate in which it is retained
+// slot ridx, holds the records (times, lats), spans [lo, hi) and is owed
+// quota draws from the stream starting at origin.
+func (ns *normSlot) update(e *Estimator, ridx int, times []timeutil.Millis, lats []float64, lo, hi timeutil.Millis, quota int, origin *rng.Source) SlotPath {
+	grew := len(times) != ns.count
+	moved := ridx != ns.ridx || lo != ns.lo || hi != ns.hi
+	if !grew && !moved && quota == ns.quota {
+		return SlotReused
+	}
+	ns.times, ns.lats = times, lats
+	path := ns.refill(e, grew, moved, ridx, lo, hi, quota, origin)
+	ns.times, ns.lats = nil, nil // never pin columns a later fold retires
+	return path
+}
+
+// refill is update past the nothing-changed exit, with the slot's records
+// in ns.times/ns.lats.
+func (ns *normSlot) refill(e *Estimator, grew, moved bool, ridx int, lo, hi timeutil.Millis, quota int, origin *rng.Source) SlotPath {
+	if grew {
+		ns.count = len(ns.times)
+		e.fillSlotBiased(&ns.slotData)
+	}
+	path := SlotReused
+	if moved || quota > len(ns.table) {
+		ns.ridx, ns.lo, ns.hi = ridx, lo, hi
+		path = SlotRegenerated
+		if !ns.generate(origin, uint64(hi-lo), quota) {
+			ns.quota = quota
+			src := *origin
+			e.fillSlotUnbiased(&ns.slotData, quota, &src)
+			return SlotFallback
+		}
+	} else if grew {
+		path = SlotReswept
+	}
+	ns.sweep(e, origin, quota, path != SlotReused)
+	return path
+}
+
+// generate draws and sorts the slot's key table for quota draws plus
+// headroom — quotas drift with every fold, and a drift inside the headroom
+// costs no RNG and no sort. It reports false, leaving no table, when the
+// table's 32-bit fields cannot hold the slot or a raw word of the stream
+// was rejected (then the seed for quota q no longer sits at word 2q).
+func (ns *normSlot) generate(origin *rng.Source, span uint64, quota int) bool {
+	table := ns.table[:0]
+	ns.table = nil
+	g := quota + quota/8 + 16
+	if span > math.MaxUint32 || g > math.MaxInt32 || ns.count > math.MaxInt32 {
+		return false
+	}
+	sc := slotSweepPool.Get().(*sweepScratch)
+	defer slotSweepPool.Put(sc)
+	keys, tmp := sc.buf(g)
+	src := *origin
+	drawKeys(&src, span, keys, tmp, true)
+	if !streamIntact(origin, &src, g) {
+		return false
+	}
+	if cap(table) < g {
+		table = make([]drawEntry, g)
+	}
+	table = table[:g]
+	for i, k := range keys {
+		table[i] = drawEntry{off: uint32(k >> 32), gen: uint32(k)}
+	}
+	ns.table = table
+	return true
+}
+
+// streamIntact reports whether drawing g keys took the stream from origin to
+// end without a rejected raw word: every accepted key consumes exactly two
+// generator steps, so only then is end the 2g-step jump from origin and the
+// tie-break seed of any quota q ≤ g the word at 2q.
+func streamIntact(origin, end *rng.Source, g int) bool {
+	probe := *origin
+	probe.Advance(2 * uint64(g))
+	return probe == *end
+}
+
+// sweep makes the slot's unbiased histograms reflect the first quota draws
+// of its stream in one pass over the table. With readopt set every key is
+// first re-adopted against the slot's records (the merge of sweepSortedKeys)
+// and the certain draws are recounted from nothing; otherwise only the
+// generations between the old quota and the new join or leave them. Either
+// way the tie-broken draws of the quota are resolved afresh: their words
+// derive from the quota's own seed and each draw's rank within the quota.
+func (ns *normSlot) sweep(e *Estimator, origin *rng.Source, quota int, readopt bool) {
+	times, lats := ns.times, ns.lats
+	from, to, leave := uint32(ns.quota), uint32(quota), false
+	switch {
+	case readopt:
+		from = 0
+		e.resetHist(&ns.stFine, e.opts.BinWidthMS)
+		e.resetHist(&ns.stCoarse, e.opts.AlphaBinWidthMS)
+	case quota < ns.quota:
+		from, to, leave = to, from, true
+	}
+	ns.quota = quota
+	seed := *origin
+	seed.Advance(2 * uint64(quota))
+	auxSeed := seed.Uint64()
+	e.resetHist(&ns.fineU, e.opts.BinWidthMS)
+	e.resetHist(&ns.coarseU, e.opts.AlphaBinWidthMS)
+
+	// move adds (or retracts) m certain draws adopting record j; sorted keys
+	// adopt records in non-decreasing order, so draws are counted per record
+	// and moved once. Weight-m moves are exact integer arithmetic in float64.
+	move := func(j int32, m int) {
+		if leave {
+			ns.stFine.SubWeighted(lats[j], float64(m))
+			ns.stCoarse.SubWeighted(lats[j], float64(m))
+		} else {
+			ns.stFine.AddWeighted(lats[j], float64(m))
+			ns.stCoarse.AddWeighted(lats[j], float64(m))
+		}
+	}
+	q := uint32(quota)
+	idx, rank := 0, 0
+	run, m := int32(0), 0
+	for i := range ns.table {
+		en := &ns.table[i]
+		if readopt {
+			t := ns.lo + timeutil.Millis(en.off)
+			for idx < len(times) && times[idx] < t {
+				idx++
+			}
+			if j, mid := nearestAt(times, idx, t); mid || tied(times, j) {
+				en.adopt = ^int32(idx)
+			} else {
+				en.adopt = int32(j)
+			}
+		}
+		if en.gen < q {
+			if en.adopt < 0 {
+				t := ns.lo + timeutil.Millis(en.off)
+				j, mid := nearestAt(times, int(^en.adopt), t)
+				v := lats[pickTied(times, j, mid, rng.Mix64(auxSeed+uint64(rank)))]
+				ns.fineU.Add(v)
+				ns.coarseU.Add(v)
+			}
+			rank++
+		}
+		if en.adopt >= 0 && en.gen-from < to-from {
+			if en.adopt != run && m > 0 {
+				move(run, m)
+				m = 0
+			}
+			run = en.adopt
+			m++
+		}
+	}
+	if m > 0 {
+		move(run, m)
+	}
+	// Counts are integers, so aux-then-certain sums to the same bits as the
+	// batch sweep's interleaved order.
+	_ = ns.fineU.AddHistogram(ns.stFine) // same binning by construction
+	_ = ns.coarseU.AddHistogram(ns.stCoarse)
+}

@@ -39,10 +39,7 @@ func drawCount(n int, perSample float64) int {
 //
 // If the seed, the span, or (shrinking) the draw count invalidates the
 // retained schedule, the plan regenerates from scratch into its retained
-// buffers, replacing the comparison sort with an LSD radix sort: draw keys
-// are uniform uint64 offsets, the distribution counting sort is O(8·n), and
-// passes whose byte is constant across the slice are skipped (spans well
-// under 2^40 leave the top bytes all zero).
+// buffers through drawKeys, like every other key schedule in the package.
 //
 // The zero value is ready to use. A plan is single-goroutine state; callers
 // pin it behind the same lock as the Scratch it accompanies.
@@ -94,19 +91,8 @@ func (p *UnbiasedPlan) regenerate(seed, span uint64, draws int) {
 		p.sorted = make([]uint64, draws)
 	}
 	p.sorted = p.sorted[:draws]
-	src := rng.New(seed)
-	if draws > 0 && span > 0 {
-		for i := range p.sorted {
-			p.sorted[i] = src.Uint64n(span)
-		}
-	}
-	p.src = *src
-	aux := *src
-	p.auxSeed = aux.Uint64()
-	if cap(p.scratch) < draws {
-		p.scratch = make([]uint64, draws)
-	}
-	radixSortUint64(p.sorted, p.scratch[:draws])
+	p.src = *rng.New(seed)
+	p.auxSeed = drawKeys(&p.src, span, p.sorted, &p.scratch, false)
 }
 
 // extend continues the retained key stream for draws-p.draws new keys and
@@ -131,14 +117,7 @@ func (p *UnbiasedPlan) stageExtend(draws int) []uint64 {
 		p.tail = make([]uint64, k)
 	}
 	tail := p.tail[:k]
-	src := p.src
-	for i := range tail {
-		tail[i] = src.Uint64n(p.span)
-	}
-	p.src = src
-	aux := src
-	p.auxSeed = aux.Uint64()
-	slices.Sort(tail)
+	p.auxSeed = drawKeys(&p.src, p.span, tail, &p.scratch, false)
 	return tail
 }
 
@@ -173,18 +152,65 @@ func (p *UnbiasedPlan) commitExtend() {
 	p.draws = draws
 }
 
-// radixSortUint64 sorts a ascending with an LSD radix counting sort,
-// ping-ponging through scratch (len(scratch) must equal len(a)). One read
-// pass ORs the keys to find how many bits are in use — keys bounded by a
-// small span (the common case: spans are observation windows in
-// milliseconds) need only the low digits — and a second counts every
-// digit's histogram at once, so each remaining pass is a single scatter.
-// Digits are 11 bits: a week in milliseconds is three passes.
-func radixSortUint64(a, scratch []uint64) {
+// drawKeys is the package's one unbiased key schedule: it fills keys with
+// len(keys) draw offsets uniform in [0, span) — the stream that many
+// src.Uint64n(span) calls yield — takes the tie-break seed, and sorts the
+// keys ascending. The seed is the raw word following the last key; src is
+// left BEFORE it, so a retained src resumes the key stream where this call
+// stopped.
+//
+// With tag set each element becomes offset<<32 | generation index before the
+// sort, which then orders by offset alone: every sorted key remembers when
+// it was drawn, so the first q draws of the stream are the elements whose
+// low word is below q, still in sorted order. The caller guarantees that
+// span and len(keys) fit 32 bits.
+//
+// scratch is the radix sort's retained ping-pong buffer (see
+// radixSortUint64).
+func drawKeys(src *rng.Source, span uint64, keys []uint64, scratch *[]uint64, tag bool) (auxSeed uint64) {
+	if span > 0 {
+		src.FillUint64n(keys, span)
+	} else {
+		clear(keys)
+	}
+	peek := *src
+	auxSeed = peek.Uint64()
+	payload := uint(0)
+	if tag {
+		payload = 32
+		for g := range keys {
+			keys[g] = keys[g]<<32 | uint64(g)
+		}
+	}
+	radixSortUint64(keys, scratch, payload)
+	return auxSeed
+}
+
+// radixSortUint64 sorts a ascending by a>>payload: the low payload bits ride
+// along, and elements equal above them end up ordered by payload if their
+// payloads ascended with input position (as drawKeys' tags do). From
+// 128 keys up it is an LSD radix counting sort — draw keys are uniform
+// offsets, the distribution sort is O(passes·n) against pdqsort's
+// O(n·log n) — ping-ponging through *scratchp, which is grown to len(a) when
+// short (nil allocates privately). One read pass ORs the keys to find how
+// many bits are in use — keys bounded by a small span (the common case:
+// spans are observation windows in milliseconds) need only the low digits —
+// and a second counts every digit's histogram at once, so each remaining
+// pass is a single scatter; passes whose digit is constant across the slice
+// are skipped. Digits are 11 bits: a week in milliseconds is three passes.
+func radixSortUint64(a []uint64, scratchp *[]uint64, payload uint) {
 	if len(a) < 128 || len(a) > math.MaxUint32 {
 		slices.Sort(a)
 		return
 	}
+	var private []uint64
+	if scratchp == nil {
+		scratchp = &private
+	}
+	if cap(*scratchp) < len(a) {
+		*scratchp = make([]uint64, len(a))
+	}
+	scratch := (*scratchp)[:len(a)]
 	const (
 		digit = 11
 		mask  = 1<<digit - 1
@@ -193,9 +219,10 @@ func radixSortUint64(a, scratch []uint64) {
 	for _, v := range a {
 		or |= v
 	}
-	passes := (bits.Len64(or) + digit - 1) / digit
+	passes := (bits.Len64(or>>payload) + digit - 1) / digit
 	var counts [(64 + digit - 1) / digit][1 << digit]uint32
 	for _, v := range a {
+		v >>= payload
 		for p := 0; p < passes; p++ {
 			counts[p][v&mask]++
 			v >>= digit
@@ -203,7 +230,7 @@ func radixSortUint64(a, scratch []uint64) {
 	}
 	src, dst := a, scratch
 	for p := 0; p < passes; p++ {
-		c, shift := &counts[p], uint(p*digit)
+		c, shift := &counts[p], payload+uint(p*digit)
 		if int(c[src[0]>>shift&mask]) == len(src) {
 			continue // all keys share this digit
 		}

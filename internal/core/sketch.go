@@ -143,9 +143,9 @@ func (s *BootSketch) rebuild(inc *Incremental) {
 	s.foldRecords(inc.sum.Lats, inc.sum.Seqs)
 	lo := inc.sum.Times[0]
 	classifyKeys(inc.sum.Times, lo, inc.plan.sorted, 0, len(inc.plan.sorted),
-		func(_, j int, dep bool) {
-			if !dep {
-				s.addDraw(inc.sum.Lats[j], inc.sum.Seqs[j], 1)
+		func(_, j, m int) {
+			if j >= 0 {
+				s.addDraw(inc.sum.Lats[j], inc.sum.Seqs[j], m)
 			}
 		})
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"slices"
 	"sort"
 
 	"autosens/internal/histogram"
@@ -107,20 +106,21 @@ var (
 	errNonPositiveDraws = errors.New("core: non-positive draw count")
 )
 
-// sweepScratch holds the reusable draw-key buffer for batch unbiased
-// sampling. A nil scratch allocates per call.
+// sweepScratch holds the reusable draw-key buffer (and the radix sort's
+// ping-pong twin) for batch unbiased sampling. A nil scratch allocates per
+// call.
 type sweepScratch struct {
-	keys []uint64
+	keys, tmp []uint64
 }
 
-func (sc *sweepScratch) buf(n int) []uint64 {
+func (sc *sweepScratch) buf(n int) (keys []uint64, tmp *[]uint64) {
 	if sc == nil {
-		return make([]uint64, n)
+		return make([]uint64, n), nil
 	}
 	if cap(sc.keys) < n {
 		sc.keys = make([]uint64, n)
 	}
-	return sc.keys[:n]
+	return sc.keys[:n], &sc.tmp
 }
 
 // fillUnbiasedSweep accumulates n unbiased draws over [lo, hi) into every
@@ -143,14 +143,58 @@ func fillUnbiasedSweep(times []timeutil.Millis, lats []float64, lo, hi timeutil.
 	if n <= 0 || len(times) == 0 || hi <= lo {
 		return
 	}
-	span := uint64(hi - lo)
-	keys := sc.buf(n)
-	for i := range keys {
-		keys[i] = src.Uint64n(span)
-	}
-	auxSeed := src.Uint64()
-	slices.Sort(keys)
+	keys, tmp := sc.buf(n)
+	auxSeed := drawKeys(src, uint64(hi-lo), keys, tmp, false)
+	// The aux word belongs to this fill's stream: a caller sharing src
+	// across fills (the streaming estimator's slots) resumes after it.
+	src.Uint64()
 	sweepSortedKeys(times, lats, lo, keys, auxSeed, hists...)
+}
+
+// nearestAt returns the sample nearest in time to the instant t, given idx,
+// the first sample at or after t. mid reports an exact midpoint: samples
+// idx-1 (the one returned) and idx are equally near, and tie-break
+// randomness picks the side.
+func nearestAt(times []timeutil.Millis, idx int, t timeutil.Millis) (j int, mid bool) {
+	switch {
+	case idx == 0:
+		return 0, false
+	case idx == len(times):
+		return idx - 1, false
+	}
+	dLeft, dRight := t-times[idx-1], times[idx]-t
+	switch {
+	case dLeft < dRight:
+		return idx - 1, false
+	case dRight < dLeft:
+		return idx, false
+	}
+	return idx - 1, true
+}
+
+// tied reports whether sample j shares its timestamp with a neighbour, so a
+// draw adopting it picks within the equal-timestamp run at random.
+func tied(times []timeutil.Millis, j int) bool {
+	return (j > 0 && times[j-1] == times[j]) || (j+1 < len(times) && times[j+1] == times[j])
+}
+
+// pickTied resolves a draw that consumes tie-break randomness, from
+// nearestAt's answer and the draw's aux word: the word's top bit picks the
+// side of an exact midpoint, the word modulo the run size picks within the
+// chosen sample's equal-timestamp run.
+func pickTied(times []timeutil.Millis, j int, mid bool, aux uint64) int {
+	if mid && aux>>63 != 0 {
+		j++
+	}
+	tj := times[j]
+	rLo, rHi := j, j
+	for rLo > 0 && times[rLo-1] == tj {
+		rLo--
+	}
+	for rHi+1 < len(times) && times[rHi+1] == tj {
+		rHi++
+	}
+	return rLo + int(aux%uint64(rHi-rLo+1))
 }
 
 // sweepSortedKeys is the merge phase of the batch sweep: keys are sorted
@@ -158,62 +202,43 @@ func fillUnbiasedSweep(times []timeutil.Millis, lats []float64, lo, hi timeutil.
 // set can be shared across bootstrap replicates (the draw instants depend
 // only on the estimator seed, not on the replicate's block picks — see
 // runPlainReplicate).
+//
+// Sorted keys adopt samples in non-decreasing order, so consecutive
+// tie-free draws landing on one sample are counted and added once with
+// their multiplicity — weight-1 adds are integers in float64, so the sum is
+// the same bits — instead of paying every histogram's bin lookup per draw.
 func sweepSortedKeys(times []timeutil.Millis, lats []float64, lo timeutil.Millis, keys []uint64, auxSeed uint64, hists ...*histogram.Histogram) {
 	if len(keys) == 0 || len(times) == 0 {
 		return
 	}
 	nRec := len(times)
-	idx := 0 // first sample with times[idx] >= t; monotone over the sweep
+	idx := 0       // first sample with times[idx] >= t; monotone over the sweep
+	run, m := 0, 0 // m pending tie-free draws adopting sample run
 	for k, key := range keys {
 		t := lo + timeutil.Millis(key)
 		for idx < nRec && times[idx] < t {
 			idx++
 		}
-		var aux uint64
-		hasAux := false
-		var j int
-		switch {
-		case idx == 0:
-			j = 0
-		case idx == nRec:
-			j = nRec - 1
-		default:
-			dLeft := t - times[idx-1]
-			dRight := times[idx] - t
-			switch {
-			case dLeft < dRight:
-				j = idx - 1
-			case dRight < dLeft:
-				j = idx
-			default:
-				// Exact midpoint: both sides are equally near.
-				aux = rng.Mix64(auxSeed + uint64(k))
-				hasAux = true
-				if aux>>63 == 0 {
-					j = idx - 1
-				} else {
-					j = idx
-				}
+		j, mid := nearestAt(times, idx, t)
+		if mid || tied(times, j) {
+			v := lats[pickTied(times, j, mid, rng.Mix64(auxSeed+uint64(k)))]
+			for _, h := range hists {
+				h.Add(v)
 			}
+			continue
 		}
-		// Expand j's equal-timestamp run and pick uniformly within it.
-		tj := times[j]
-		rLo, rHi := j, j
-		for rLo > 0 && times[rLo-1] == tj {
-			rLo--
-		}
-		for rHi+1 < nRec && times[rHi+1] == tj {
-			rHi++
-		}
-		v := lats[rLo]
-		if rHi > rLo {
-			if !hasAux {
-				aux = rng.Mix64(auxSeed + uint64(k))
+		if j != run && m > 0 {
+			for _, h := range hists {
+				h.AddWeighted(lats[run], float64(m))
 			}
-			v = lats[rLo+int(aux%uint64(rHi-rLo+1))]
+			m = 0
 		}
+		run = j
+		m++
+	}
+	if m > 0 {
 		for _, h := range hists {
-			h.Add(v)
+			h.AddWeighted(lats[run], float64(m))
 		}
 	}
 }

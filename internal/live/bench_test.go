@@ -71,6 +71,53 @@ func BenchmarkLiveQueryDirty(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveQueryDirtyNormalized is the dirty mode=normalized query under
+// the two arrival orders the outside-in benchmark separates: advancing (each
+// batch moves the data clock — the last slot's bounds and every slot's quota
+// change) and backfill (arrivals inside the held range — the slots they land
+// in are re-swept). Both answer from the combo's retained slot tables; the
+// batch kernel over the same 50 k records is BenchmarkLiveBatchRecompute's
+// normalized twin, core's BenchmarkEstimateTimeNormalized.
+func BenchmarkLiveQueryDirtyNormalized(b *testing.B) {
+	const n, batch = 50000, 5
+	horizon := 2 * timeutil.MillisPerDay
+	stream := telemetry.Successful(advancingStream(42, n, horizon))
+	step := horizon / n
+	for _, order := range []string{"advancing", "backfill"} {
+		b.Run(order, func(b *testing.B) {
+			e := benchEngine(b, stream)
+			if _, err := e.Query(AllSlices, ModeNormalized, false); err != nil {
+				b.Fatal(err)
+			}
+			now := stream[len(stream)-1].Time
+			recs := make([]telemetry.Record, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := range recs {
+					recs[k] = stream[(i*batch+k)%len(stream)]
+					recs[k].Time += step / 3 // in the held range, not on a held instant
+					if order == "advancing" {
+						now += step
+						recs[k].Time = now
+					}
+				}
+				e.Append(recs)
+				res, err := e.Query(AllSlices, ModeNormalized, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Cached {
+					b.Fatal("dirty query served from cache")
+				}
+			}
+			b.StopTimer()
+			st := e.LiveStats()
+			b.ReportMetric(float64(st.NormalizedRegenerated)/float64(st.NormalizedRecomputes), "regen/op")
+		})
+	}
+}
+
 // BenchmarkLiveBatchRecompute is what answering the same question cost
 // before the live engine: a full batch estimate over the acked records
 // (sort + biased histogram build + unbiased sweep + finishing), exactly

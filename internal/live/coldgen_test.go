@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 
@@ -19,10 +20,14 @@ type fakeCold struct {
 	tags  []uint8 // per-row dictionary bytes; nil means every row matches every slice
 	gen   atomic.Uint64
 	scans atomic.Int64
+	fail  atomic.Bool // scans error out
 }
 
 func (f *fakeCold) ScanWindow(key SliceKey, win Window) ([]timeutil.Millis, []float64, []uint64, error) {
 	f.scans.Add(1)
+	if f.fail.Load() {
+		return nil, nil, nil, errors.New("fake tier down")
+	}
 	var ts []timeutil.Millis
 	var ls []float64
 	var sq []uint64
@@ -176,5 +181,45 @@ func TestWindowStateReseedsOnGeneration(t *testing.T) {
 	}
 	if st := e.LiveStats(); st.WindowSeeded != 2 {
 		t.Fatalf("reseed counted %d seeded recomputes, want 2", st.WindowSeeded)
+	}
+}
+
+// TestWindowStateDroppedOnFailedReseed pins the gauge to the state: a
+// promoted window that answered normalized retains draw tables, and when
+// its reseed after a generation bump fails the state is dropped together
+// with the bytes it reported.
+func TestWindowStateDroppedOnFailedReseed(t *testing.T) {
+	horizon := 2 * timeutil.MillisPerDay
+	e := newTestEngine(t)
+	cold := &fakeCold{}
+	cold.gen.Store(1)
+	e.AttachCold(cold)
+	hot := genStream(67, 3000, horizon)
+	e.Append(hot)
+
+	win := Window{From: horizon / 4}
+	r := hot[0]
+	r.Failed = false
+	for i := 0; i < 2; i++ { // stateless, then seeded
+		r.Time = horizon - 10 + timeutil.Millis(i)
+		e.Append([]telemetry.Record{r})
+		if _, err := e.QueryWindow(AllSlices, ModeNormalized, false, win); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := e.LiveStats(); st.WindowSeeded != 1 || st.NormalizedTableBytes == 0 {
+		t.Fatalf("seeded=%d table bytes=%d, want a promoted window holding tables",
+			st.WindowSeeded, st.NormalizedTableBytes)
+	}
+
+	cold.gen.Add(1)
+	cold.fail.Store(true)
+	r.Time = horizon - 2
+	e.Append([]telemetry.Record{r})
+	if _, err := e.QueryWindow(AllSlices, ModeNormalized, false, win); err == nil {
+		t.Fatal("reseed over a failing tier answered")
+	}
+	if st := e.LiveStats(); st.NormalizedTableBytes != 0 {
+		t.Fatalf("dropped state still reports %d table bytes", st.NormalizedTableBytes)
 	}
 }

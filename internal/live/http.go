@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"autosens/internal/collector/api"
+	"autosens/internal/core"
 	"autosens/internal/timeutil"
 )
 
@@ -197,6 +198,11 @@ func NewCurvesHandlerWith(q Querier, opts CurvesHandlerOptions) http.Handler {
 			if errors.Is(err, ErrNoRecords) {
 				api.WriteError(w, http.StatusNotFound, api.CodeNotFound,
 					"no records in slice "+key.String(), 0)
+				return
+			}
+			if errors.Is(err, core.ErrUnderIdentified) {
+				api.WriteError(w, http.StatusUnprocessableEntity, api.CodeUnderIdentified,
+					err.Error(), 0)
 				return
 			}
 			api.WriteError(w, http.StatusInternalServerError, api.CodeEstimateFailed,

@@ -139,6 +139,10 @@ type Engine struct {
 	nSketchPinned atomic.Uint64
 	// Windowed recomputes by the path that answered (see recomputeWindow).
 	nWinPath [numWinPaths]atomic.Uint64
+	// Delta-maintained normalized recomputes, and their retained slots by
+	// the path each took (see countNormalized).
+	nNormalized atomic.Uint64
+	nNormSlots  [core.NumSlotPaths]atomic.Uint64
 
 	m *metrics
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"autosens/internal/collector/api"
 	"autosens/internal/core"
@@ -374,6 +375,62 @@ func TestCurvesHandler(t *testing.T) {
 	presp.Body.Close()
 	if presp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST status %d", presp.StatusCode)
+	}
+}
+
+// TestCurvesHandlerRefusals tables the typed errors of a well-formed
+// request the estimator declines: the time-normalized refusals are 422
+// under_identified with the batch estimator's message — whether the
+// delta-maintained slot state answers (unwindowed) or the stateless columns
+// kernel does (a window, never promoted while it refuses) — an empty slice
+// is 404, and
+// any other estimator failure stays 500 estimate_failed.
+func TestCurvesHandlerRefusals(t *testing.T) {
+	const hour = timeutil.MillisPerHour
+	rec := func(a telemetry.ActionType, t timeutil.Millis, lat float64) telemetry.Record {
+		return telemetry.Record{Time: t, Action: a, LatencyMS: lat, UserID: 1 + uint64(t%7)}
+	}
+	var stream []telemetry.Record
+	for i := 0; i < 12; i++ { // one thin hour: no slot reaches MinSlotActions
+		stream = append(stream, rec(telemetry.SelectMail, 30*hour+timeutil.Millis(i)*60_000, 200+float64(i)))
+	}
+	for i := 0; i < 25; i++ { // a full slot, but one action per coarse latency bin: α has no support
+		stream = append(stream, rec(telemetry.Search, 40*hour+timeutil.Millis(i)*60_000, 50+100*float64(i)))
+	}
+	e := newTestEngine(t)
+	e.Append(stream)
+	srv := httptest.NewServer(e.CurvesHandler())
+	defer srv.Close()
+	at := "&window=48h&at=" + time.UnixMilli(int64(60*hour)).UTC().Format(time.RFC3339)
+
+	for _, tc := range []struct {
+		query   string
+		status  int
+		code    string
+		message string
+	}{
+		{"?slice=action:SelectMail&mode=normalized", 422, api.CodeUnderIdentified,
+			"core: no slot reaches 20 actions; use a longer window or coarser slots"},
+		{"?slice=action:SelectMail&mode=normalized" + at, 422, api.CodeUnderIdentified,
+			"core: no slot reaches 20 actions; use a longer window or coarser slots"},
+		{"?slice=action:Search&mode=normalized", 422, api.CodeUnderIdentified,
+			"core: no usable reference slot for time normalization"},
+		{"?slice=action:Search&mode=normalized" + at, 422, api.CodeUnderIdentified,
+			"core: no usable reference slot for time normalization"},
+		{"?slice=action:SelectMail&ci=1", 500, api.CodeEstimateFailed, ""},
+		{"?slice=action:ComposeSend&mode=normalized", 404, api.CodeNotFound, ""},
+	} {
+		resp, err := http.Get(srv.URL + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apiErr := api.ReadError(resp)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status || apiErr.Code != tc.code ||
+			(tc.message != "" && apiErr.Message != tc.message) {
+			t.Fatalf("%s: %d %s %q, want %d %s %q",
+				tc.query, resp.StatusCode, apiErr.Code, apiErr.Message, tc.status, tc.code, tc.message)
+		}
 	}
 }
 

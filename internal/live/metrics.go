@@ -1,6 +1,9 @@
 package live
 
-import "autosens/internal/obs"
+import (
+	"autosens/internal/core"
+	"autosens/internal/obs"
+)
 
 // metrics bundles the autosens_live_* instruments on the admin surface.
 type metrics struct {
@@ -13,6 +16,7 @@ type metrics struct {
 	queryDur     *obs.Histogram
 	recomputeDur *obs.Histogram
 	dirtyShards  *obs.Histogram
+	normSlots    [core.NumSlotPaths]*obs.Counter
 }
 
 func newMetrics(reg *obs.Registry, e *Engine) *metrics {
@@ -32,6 +36,13 @@ func newMetrics(reg *obs.Registry, e *Engine) *metrics {
 		dirtyShards: reg.Histogram("autosens_live_recompute_dirty_shards",
 			"shard views rebuilt per recompute", obs.DefSizeBuckets()),
 	}
+	for path := range m.normSlots {
+		name := core.SlotPath(path).String()
+		m.normSlots[path] = reg.Counter("autosens_live_normalized_slots_"+name+"_total",
+			"retained slots "+name+" by delta-maintained normalized recomputes")
+	}
+	reg.GaugeFunc("autosens_live_normalized_table_bytes", "bytes retained by time-normalized draw tables",
+		func() float64 { return float64(e.normalizedTableBytes()) })
 	reg.GaugeFunc("autosens_live_shards", "store shards",
 		func() float64 { return float64(len(e.shards)) })
 	reg.GaugeFunc("autosens_live_store_records", "records held in the live store",

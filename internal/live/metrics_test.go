@@ -12,9 +12,10 @@ import (
 )
 
 // TestMetricsExposition is the exposition golden for autosens_live_*: the
-// full set of series names and types is pinned, and known windowed traffic
+// full set of series names and types is pinned, known windowed traffic
 // — one first-seen window, promoted on its second recompute, resumed on its
-// third — must read back through the autosens_live_window_* series.
+// third — must read back through the autosens_live_window_* series, and
+// two normalized recomputes through autosens_live_normalized_*.
 func TestMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	e, err := New(Config{Options: testOptions(), Registry: reg})
@@ -27,6 +28,14 @@ func TestMetricsExposition(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.Append(stream[2990+i : 2991+i])
 		if _, err := e.QueryWindow(AllSlices, ModePlain, false, win); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Normalized: the first recompute draws every retained slot's table,
+	// the second (one more record, inside the window) re-sweeps its slot.
+	for i := 3; i < 5; i++ {
+		e.Append(stream[2990+i : 2991+i])
+		if _, err := e.Query(AllSlices, ModeNormalized, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,6 +57,11 @@ func TestMetricsExposition(t *testing.T) {
 		"autosens_live_cached_curves gauge",
 		"autosens_live_delta_records counter",
 		"autosens_live_epoch gauge",
+		"autosens_live_normalized_slots_fallback_total counter",
+		"autosens_live_normalized_slots_regenerated_total counter",
+		"autosens_live_normalized_slots_reswept_total counter",
+		"autosens_live_normalized_slots_reused_total counter",
+		"autosens_live_normalized_table_bytes gauge",
 		"autosens_live_queries_total counter",
 		"autosens_live_query_duration_seconds histogram",
 		"autosens_live_recompute_dirty_combos counter",
@@ -73,7 +87,8 @@ func TestMetricsExposition(t *testing.T) {
 		"autosens_live_window_recomputes_seeded 1",
 		"autosens_live_window_recomputes_delta 1",
 		"autosens_live_window_states 1",
-		"autosens_live_queries_total 3",
+		"autosens_live_queries_total 5",
+		"autosens_live_normalized_slots_fallback_total 0",
 	} {
 		if !strings.Contains(text, sample+"\n") {
 			t.Fatalf("scrape missing %q:\n%s", sample, text)
@@ -85,5 +100,19 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if !strings.Contains(text, "autosens_live_window_state_bytes "+strconv.FormatFloat(float64(st.WindowStateBytes), 'g', -1, 64)+"\n") {
 		t.Fatalf("window_state_bytes disagrees with /v1/status (%d):\n%s", st.WindowStateBytes, text)
+	}
+	slots := st.NormalizedRegenerated
+	if st.NormalizedRecomputes != 2 || slots < 24 || st.NormalizedReused != slots-1 ||
+		st.NormalizedReswept != 1 || st.NormalizedTableBytes <= 0 {
+		t.Fatalf("normalized slot paths not reported: %+v", st)
+	}
+	for name, v := range map[string]uint64{
+		"slots_regenerated_total": st.NormalizedRegenerated,
+		"slots_reused_total":      st.NormalizedReused,
+		"table_bytes":             uint64(st.NormalizedTableBytes),
+	} {
+		if !strings.Contains(text, "autosens_live_normalized_"+name+" "+strconv.FormatUint(v, 10)+"\n") {
+			t.Fatalf("normalized_%s disagrees with /v1/status (%d):\n%s", name, v, text)
+		}
 	}
 }

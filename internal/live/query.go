@@ -308,6 +308,17 @@ type comboState struct {
 	// sketchGate is the combo's KS-gate decision for sketch-CI engines:
 	// 0 undecided, 1 sketch accepted, 2 pinned to the exact bootstrap.
 	sketchGate int
+
+	// normBytes is what the state's time-normalized draw tables retain, as
+	// of its last normalized recompute — atomic so /v1/status can sum it
+	// over states without waiting on their recomputes.
+	normBytes atomic.Int64
+}
+
+// drop forgets the estimation state; the next recompute seeds a fresh one.
+func (cs *comboState) drop() {
+	cs.inc = nil
+	cs.normBytes.Store(0)
 }
 
 // scratch is one recompute's reusable buffers: per-shard decoded delta
@@ -529,10 +540,10 @@ func (e *Engine) finish(cs *comboState, v deltaCols, sc *scratch, key SliceKey, 
 			return nil, err
 		}
 		curve = band.Curve
+	case mode == ModeNormalized && cs != nil:
+		curve, err = cs.inc.EstimateTimeNormalized()
+		e.countNormalized(cs)
 	case mode == ModeNormalized:
-		// The time-normalized estimator has no delta-maintained path; it
-		// re-estimates over the maintained columns (O(n) finishing, but
-		// still no store rescan or re-sort).
 		curve, err = e.est.EstimateTimeNormalizedColumns(v.times, v.lats)
 	case cs != nil:
 		curve, err = cs.inc.EstimatePlain()
@@ -545,6 +556,37 @@ func (e *Engine) finish(cs *comboState, v deltaCols, sc *scratch, key SliceKey, 
 	}
 	res.Curve, err = curve.MarshalJSON()
 	return res, err
+}
+
+// countNormalized adds cs's latest delta-maintained normalized estimate to
+// the engine's slot-path counters and records what its tables hold.
+func (e *Engine) countNormalized(cs *comboState) {
+	last, tableBytes := cs.inc.NormalizedStats()
+	cs.normBytes.Store(int64(tableBytes))
+	e.nNormalized.Add(1)
+	for path, n := range last {
+		e.nNormSlots[path].Add(uint64(n))
+		if e.m != nil {
+			e.m.normSlots[path].Add(uint64(n))
+		}
+	}
+}
+
+// normalizedTableBytes sums the draw-table bytes over every retained
+// estimation state, windowed or not.
+func (e *Engine) normalizedTableBytes() int {
+	var n int64
+	e.smu.Lock()
+	for _, cs := range e.states {
+		n += cs.normBytes.Load()
+	}
+	e.smu.Unlock()
+	e.wsmu.Lock()
+	for _, ws := range e.wstates {
+		n += ws.normBytes.Load()
+	}
+	e.wsmu.Unlock()
+	return int(n)
 }
 
 // estimateCI produces bootstrap bounds for a ci=1 slot. Plain-mode engines

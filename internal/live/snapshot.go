@@ -79,5 +79,12 @@ func (e *Engine) LiveStats() api.LiveStats {
 		WindowStates:     states,
 		WindowStateBytes: stateBytes,
 		ScratchPoolBytes: e.scratchPoolBytes(),
+
+		NormalizedRecomputes:  e.nNormalized.Load(),
+		NormalizedReused:      e.nNormSlots[core.SlotReused].Load(),
+		NormalizedReswept:     e.nNormSlots[core.SlotReswept].Load(),
+		NormalizedRegenerated: e.nNormSlots[core.SlotRegenerated].Load(),
+		NormalizedFallback:    e.nNormSlots[core.SlotFallback].Load(),
+		NormalizedTableBytes:  e.normalizedTableBytes(),
 	}
 }

@@ -233,6 +233,7 @@ func (e *Engine) recomputeWindow(key SliceKey, qk queryKey, repeated bool, sc *s
 		dirty, folded, err = e.foldDelta(&ws.comboState, key, qk.win, sc)
 	} else {
 		e.nWinPath[winSeeded].Add(1)
+		ws.drop()
 		var v deltaCols
 		if v, ws.coldGen, dirty, folded, err = e.windowView(key, qk.win, sc, ws.cps); err == nil {
 			ws.inc = e.est.NewIncremental()
@@ -241,7 +242,7 @@ func (e *Engine) recomputeWindow(key SliceKey, qk queryKey, repeated bool, sc *s
 	}
 	if err != nil {
 		// Half-built state must not be resumed: reseed on the next try.
-		ws.inc = nil
+		ws.drop()
 		e.retainWindowState(k, ws, 0)
 		return nil, dirty, folded, err
 	}

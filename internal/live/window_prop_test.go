@@ -313,14 +313,20 @@ func runWindowProperty(t *testing.T, seed uint64, concurrent bool) {
 		t.Fatalf("paths not all exercised: stateless=%d seeded=%d delta=%d",
 			st.WindowStateless, st.WindowSeeded, st.WindowDelta)
 	}
+	// Every query here is windowed, so these are promoted windows answering
+	// mode=normalized from their retained slot tables.
+	if st.NormalizedRecomputes == 0 || st.NormalizedReused == 0 || st.NormalizedRegenerated == 0 || st.NormalizedTableBytes == 0 {
+		t.Fatalf("promoted windows never answered normalized from retained tables: %+v", st)
+	}
 }
 
 // TestWindowStateRetentionBounded pins the memory bound: a thousand
 // distinct sliding windows — each asked twice across an append, so each is
-// promoted to retained state — never push the retained bytes over the
-// budget, one-shot windows retain nothing, and through all of it a pinned
-// window keeps its state and (across two rotations' worth of distinct
-// keys in the result cache) its still-valid cached result.
+// promoted to retained state, every fourth in normalized mode so its state
+// holds slot tables too — never push the retained bytes over the budget,
+// one-shot windows retain nothing, and through all of it a pinned window
+// keeps its state and (across two rotations' worth of distinct keys in the
+// result cache) its still-valid cached result.
 func TestWindowStateRetentionBounded(t *testing.T) {
 	horizon := 2 * timeutil.MillisPerDay
 	stream := advancingStream(5, 4000, horizon)
@@ -330,29 +336,44 @@ func TestWindowStateRetentionBounded(t *testing.T) {
 	tail := telemetry.Successful(stream[2500:])
 	pin := Window{From: horizon / 8, To: horizon/8 + 6*timeutil.MillisPerHour}
 	pinKey := winStateKey{combo: AllSlices.combo(), win: pin}
-	query := func(win Window) *Result {
+	query := func(win Window, mode Mode) *Result {
 		t.Helper()
-		res, err := e.QueryWindow(AllSlices, ModePlain, false, win)
+		res, err := e.QueryWindow(AllSlices, mode, false, win)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
+	tablesSeen := false
 	for i := 0; i < 1000; i++ {
 		slide := Window{From: horizon/4 + timeutil.Millis(i), To: horizon/2 + timeutil.Millis(i)}
-		query(slide)
-		query(pin)
+		mode := ModePlain
+		if i%4 == 0 {
+			mode = ModeNormalized
+		}
+		query(slide, mode)
+		query(pin, ModePlain)
 		e.Append(tail[i%len(tail) : i%len(tail)+1])
 		if i%2 == 0 {
-			query(slide) // second recompute: promoted
+			query(slide, mode) // second recompute: promoted
 		}
-		query(pin)
+		query(pin, ModePlain)
 		if n, b := e.windowStates(); b > e.wsBudget || n < 1 {
 			t.Fatalf("after %d windows: %d states retain %d bytes, budget %d", i+1, n, b, e.wsBudget)
+		}
+		if ws := e.windowStateFor(winStateKey{combo: AllSlices.combo(), win: slide}, false); ws != nil && i%4 == 0 {
+			_, tableBytes := ws.inc.NormalizedStats()
+			if tableBytes == 0 || ws.bytes < tableBytes {
+				t.Fatalf("window %d: state accounts %d bytes, its slot tables hold %d", i, ws.bytes, tableBytes)
+			}
+			tablesSeen = true
 		}
 		if e.windowStateFor(pinKey, false) == nil {
 			t.Fatalf("pinned window's state evicted after %d sliding windows", i+1)
 		}
+	}
+	if !tablesSeen {
+		t.Fatal("no promoted normalized window retained slot tables")
 	}
 	st := e.LiveStats()
 	if st.WindowSeeded < 400 || st.WindowStates >= 400 {
@@ -362,8 +383,8 @@ func TestWindowStateRetentionBounded(t *testing.T) {
 	// windows rotate the result cache, as long as it keeps being asked for.
 	before := e.LiveStats().WindowStates
 	for i := 0; i < 600; i++ {
-		query(Window{From: horizon / 3, To: horizon/2 + timeutil.Millis(i)})
-		if i%100 == 99 && !query(pin).Cached {
+		query(Window{From: horizon / 3, To: horizon/2 + timeutil.Millis(i)}, ModePlain)
+		if i%100 == 99 && !query(pin, ModePlain).Cached {
 			t.Fatalf("pinned window's cached result lost after %d one-shot windows", i+1)
 		}
 	}

@@ -121,6 +121,42 @@ func (s *Source) Uint64n(n uint64) uint64 {
 	}
 }
 
+// FillUint64n fills dst with uniform integers in [0, n), consuming exactly
+// the stream len(dst) successive Uint64n(n) calls would and yielding the
+// same values; the rejection threshold (a 64-bit modulo) is computed once
+// instead of once per value. It panics if n == 0.
+func (s *Source) FillUint64n(dst []uint64, n uint64) {
+	if n == 0 {
+		panic("rng: FillUint64n with zero n")
+	}
+	threshold := -n % n
+	for i := range dst {
+		v := s.Uint64()
+		for v < threshold {
+			v = s.Uint64()
+		}
+		dst[i] = v % n
+	}
+}
+
+// Advance moves the generator delta steps forward in O(log delta) (Brown's
+// LCG jump-ahead), leaving it exactly where delta Uint32 calls would. A
+// Uint64 is two steps, so the word that follows k rejection-free Uint64n
+// draws is read at Advance(2k) from the stream's origin.
+func (s *Source) Advance(delta uint64) {
+	accMul, accInc := uint64(1), uint64(0)
+	curMul, curInc := uint64(pcgMultiplier), s.inc
+	for ; delta > 0; delta >>= 1 {
+		if delta&1 != 0 {
+			accMul *= curMul
+			accInc = accInc*curMul + curInc
+		}
+		curInc *= curMul + 1
+		curMul *= curMul
+	}
+	s.state = accMul*s.state + accInc
+}
+
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)

@@ -327,6 +327,50 @@ func TestUint64nBounds(t *testing.T) {
 	}
 }
 
+// TestFillUint64nMatchesUint64n pins the batched draw to the per-call
+// stream: same values, same generator state afterwards — including over a
+// span that rejects about half of all raw words.
+func TestFillUint64nMatchesUint64n(t *testing.T) {
+	for _, n := range []uint64{1, 7, 3_600_000, 1 << 40, 1<<62 + 1, 1<<63 + 1} {
+		one, fill := New(23), New(23)
+		got := make([]uint64, 4096)
+		fill.FillUint64n(got, n)
+		for i, v := range got {
+			if want := one.Uint64n(n); v != want {
+				t.Fatalf("n=%d: value %d is %d, Uint64n gives %d", n, i, v, want)
+			}
+		}
+		if *one != *fill {
+			t.Fatalf("n=%d: generator state diverged after the fill", n)
+		}
+		probe := New(23)
+		probe.Advance(2 * uint64(len(got)))
+		if rejected := *probe != *fill; rejected != (n > 1<<60) {
+			t.Fatalf("n=%d: rejection seen=%v, want %v", n, rejected, n > 1<<60)
+		}
+	}
+}
+
+func TestAdvanceMatchesStepping(t *testing.T) {
+	for _, delta := range []uint64{0, 1, 2, 3, 64, 1000, 12345} {
+		step, jump := NewStream(29, 5), NewStream(29, 5)
+		for i := uint64(0); i < delta; i++ {
+			step.Uint32()
+		}
+		jump.Advance(delta)
+		if *step != *jump {
+			t.Fatalf("Advance(%d) differs from %d steps", delta, delta)
+		}
+	}
+	a, b := New(31), New(31)
+	a.Advance(1 << 40)
+	b.Advance(1<<40 - 17)
+	b.Advance(17)
+	if *a != *b {
+		t.Fatal("Advance does not compose")
+	}
+}
+
 func TestFloat64OpenNeverZero(t *testing.T) {
 	s := New(18)
 	for i := 0; i < 100000; i++ {
