@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-ingest-json bench-live bench-live-gate bench-soak bench-watch bench-cluster bench-store bench-store-gate fuzz check fmt vet clean crash-test race-ingest race-live race-watch race-cluster race-store alert-quality
+.PHONY: build test race bench bench-json bench-ingest-json bench-live bench-live-gate bench-soak bench-watch bench-cluster bench-store bench-store-gate fuzz check fmt vet clean crash-test race-ingest race-live race-watch race-cluster race-store alert-quality coverage
 
 # Label recorded in BENCH_core.json for a bench-json run; override like
 #   make bench-json BENCH_LABEL="after: shared key plan"
@@ -47,6 +47,15 @@ race-store:
 alert-quality:
 	$(GO) test -count=1 -run 'TestAlertQualityOnGroundTruth' -v ./internal/watch/
 
+# coverage runs the bootstrap-band coverage gate: over a reduced ensemble of
+# clean owasim realizations, the nominal-90% plain band at the default 6 h
+# block must hold the estimator's own ensemble mean no more than 0.03 less
+# often than the re-timed bootstrap it replaced did (EXPERIMENTS.md,
+# "ext-coverage"; the full table is `go run ./cmd/experiments -run
+# ext-coverage`).
+coverage:
+	$(GO) test -count=1 -run 'TestCoverageGate' -v ./internal/experiments/
+
 # crash-test runs the kill-and-recover acceptance test: build a real
 # sensd, stream beacons at it, SIGKILL it mid-write, recover the WAL and
 # assert every acked record survived with at most one torn tail.
@@ -74,9 +83,9 @@ bench-ingest-json:
 
 # bench-live appends a labelled live query-engine benchmark run to
 # BENCH_live.json: cached vs dirty vs full-batch recompute, the dirty
-# mode=normalized query under advancing and backfill arrivals, the sliding
-# (never-seen, stateless view) and pinned (delta-maintained) windowed
-# queries over a fake cold tier, engine append with and without concurrent
+# mode=normalized and ci=1 queries under advancing and backfill arrivals,
+# the sliding (never-seen, stateless view) and pinned (delta-maintained)
+# windowed queries over a fake cold tier, engine append with and without concurrent
 # query load, and collector-level ingest with the live fan-in attached
 # (BenchmarkIngestTBIN rides along as the same-machine PR 4 baseline the
 # acceptance bound compares against).
@@ -87,13 +96,14 @@ bench-live:
 	mv BENCH_live.json.tmp BENCH_live.json
 
 # bench-live-gate is the regression gate on the committed live trajectory:
-# rerun the dirty-query (plain, and normalized under advancing arrivals) and
-# sliding-window benchmarks and fail if any one's ns/op regressed more than
-# 25% against the last run recorded in BENCH_live.json. CI runs this.
+# rerun the dirty-query (plain, normalized under advancing arrivals, and
+# ci=1 under advancing and backfill arrivals) and sliding-window benchmarks
+# and fail if any one's ns/op regressed more than 25% against the last run
+# recorded in BENCH_live.json. CI runs this.
 bench-live-gate:
 	$(GO) test -bench='BenchmarkLiveQuery|BenchmarkLiveWindowSliding' -benchmem -run=^$$ ./internal/live/ | \
 		$(GO) run ./cmd/benchjson -against BENCH_live.json \
-			-names BenchmarkLiveQueryDirty,BenchmarkLiveQueryDirtyNormalized/advancing,BenchmarkLiveWindowSliding -require-baseline
+			-names BenchmarkLiveQueryDirty,BenchmarkLiveQueryDirtyNormalized/advancing,BenchmarkLiveQueryDirtyCI/advancing,BenchmarkLiveQueryDirtyCI/backfill,BenchmarkLiveWindowSliding -require-baseline
 
 # bench-soak runs the sustained-load SLO harness: a real sensd with the
 # live engine on a loopback port, loadgen soak mode driving 1M simulated

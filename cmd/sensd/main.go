@@ -93,8 +93,6 @@ func run() error {
 	clusterPeers := flag.String("cluster-peers", "",
 		"cluster membership as id=url,id=url,... — every member passes the same list; requires -live, -wal-dir and -node-id")
 	nodeID := flag.String("node-id", "", "this node's ID within -cluster-peers")
-	liveSketchCI := flag.Bool("live-sketch-ci", false,
-		"serve ci=1 bounds from the mergeable bootstrap sketch where it passes a per-combo KS equivalence gate against the exact bootstrap (failing combos stay exact)")
 	coldDir := flag.String("cold-dir", "",
 		"compact sealed WAL segments into a queryable columnar cold tier in this directory and serve windowed queries over it (requires -live and -wal-dir)")
 	retention := flag.Duration("retention", 0,
@@ -225,7 +223,6 @@ func run() error {
 		engine, err := live.New(live.Config{
 			Shards:   *liveShards,
 			Workers:  *liveWorkers,
-			SketchCI: *liveSketchCI,
 			Registry: reg,
 		})
 		if err != nil {
@@ -299,8 +296,7 @@ func run() error {
 		srvCfg.CurvesHandler = live.NewCurvesHandlerWith(engine, curvesOpts)
 		srvCfg.PartialsHandler = engine.PartialsHandler()
 		log.Info("live queries enabled",
-			"shards", *liveShards, "endpoint", api.PathCurves,
-			"sketch_ci", *liveSketchCI)
+			"shards", *liveShards, "endpoint", api.PathCurves)
 		// Cluster mode: local appends stay ownership-filtered, and
 		// /v1/curves is served by a scatter-gather coordinator over every
 		// peer's /v1/partials (ourselves read in-process) — so THIS node

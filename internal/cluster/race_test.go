@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"autosens/internal/collector/api"
+	"autosens/internal/core"
 	"autosens/internal/live"
 	"autosens/internal/timeutil"
 	"autosens/internal/wal"
@@ -69,6 +70,8 @@ func TestClusterConcurrentIngestQueryRestart(t *testing.T) {
 		readers sync.WaitGroup // query goroutines, stopped after writers finish
 		stop    = make(chan struct{})
 		walMu   sync.Mutex // serializes Append vs the restart goroutine's replay cut
+		// ingested counts the stream records every node has been offered.
+		ingested atomic.Int64
 	)
 
 	// Ingest: durable write first, then every node's current engine.
@@ -89,11 +92,15 @@ func TestClusterConcurrentIngestQueryRestart(t *testing.T) {
 			for i := range nodes {
 				nodes[i].e.Load().AppendOwned(stream[lo:hi], ring.Owns(i))
 			}
+			ingested.Store(int64(hi))
 			walMu.Unlock()
 		}
 	}()
 
-	// Queries: hammer the coordinator across slices and modes.
+	// Queries: hammer the coordinator across slices from the very start, so
+	// they overlap every engine swap. While a slice is still a few hundred
+	// records thin the estimator's typed refusal is the right answer; once a
+	// third of the stream was in before the query began it is a failure.
 	for q := 0; q < 2; q++ {
 		readers.Add(1)
 		go func(q int) {
@@ -109,8 +116,10 @@ func TestClusterConcurrentIngestQueryRestart(t *testing.T) {
 				if i%7 == 0 {
 					coord.Refresh(key)
 				}
-				if _, err := coord.Query(key, live.ModePlain, false); err != nil &&
-					!errors.Is(err, live.ErrNoRecords) {
+				thin := ingested.Load() < int64(len(stream)/3)
+				_, err := coord.Query(key, live.ModePlain, false)
+				if err != nil && !errors.Is(err, live.ErrNoRecords) &&
+					!(thin && errors.Is(err, core.ErrUnderIdentified)) {
 					t.Errorf("query %s: %v", key, err)
 					return
 				}

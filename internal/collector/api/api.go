@@ -73,14 +73,17 @@ const (
 	CodeMethodNotAllowed = "method_not_allowed"
 	// CodeNotFound: unknown /v1 path.
 	CodeNotFound = "not_found"
-	// CodeEstimateFailed: the live engine could not estimate a curve for
-	// the slice (degenerate data, e.g. a window shorter than the bootstrap
-	// block length). Not retryable until more data arrives.
+	// CodeEstimateFailed: the live engine failed to estimate a curve for
+	// the slice for a reason other than thin input (see
+	// CodeUnderIdentified).
 	CodeEstimateFailed = "estimate_failed"
 	// CodeUnderIdentified: the slice's records cannot identify the
-	// time-normalized estimate — no hourly slot holds enough actions, or no
-	// reference slot is usable. The request is well-formed and the server
-	// healthy; ask again over a longer window or once more data arrived.
+	// estimate asked for — no hourly slot holds enough actions or no
+	// reference slot is usable (normalized), no latency bin gathers enough
+	// unbiased draws (plain), the window is shorter than two bootstrap
+	// blocks or too few replicates could be estimated (ci=1). The request is
+	// well-formed and the server healthy; ask again over a longer window or
+	// once more data arrived.
 	CodeUnderIdentified = "under_identified"
 	// CodeInvalidWindow: the window/at query parameters were malformed —
 	// an unparseable or non-positive window duration, an unparseable at
@@ -270,11 +273,6 @@ type LiveStats struct {
 	// not with the store size).
 	DirtyCombos  uint64 `json:"recompute_dirty_combos"`
 	DeltaRecords uint64 `json:"delta_records"`
-	// SketchAccepted / SketchPinned count per-combo sketch-CI gate
-	// outcomes (only populated when the engine runs with the sketch
-	// enabled).
-	SketchAccepted uint64 `json:"sketch_accepted,omitempty"`
-	SketchPinned   uint64 `json:"sketch_pinned,omitempty"`
 	// Windowed recomputes by the estimator path that answered: stateless
 	// (first-seen window, estimated from a view, nothing retained), seeded
 	// (repeated window, delta-maintained state built) and delta (state

@@ -70,11 +70,13 @@ func (e *Estimator) estimateTimeNormalizedColumns(sp *obs.Span, times []timeutil
 	return e.poolNormalized(sp, slots, len(times))
 }
 
-// ErrUnderIdentified matches (errors.Is) the time-normalized estimator's
-// refusals of input that cannot identify the per-slot activity factors: no
-// slot reaches MinSlotActions, or no reference slot has a usable bin. More
-// data — a longer window, coarser slots — is the remedy, not a retry.
-var ErrUnderIdentified = errors.New("core: input under-identifies the time-normalized estimate")
+// ErrUnderIdentified matches (errors.Is) the estimator's refusals of input
+// too thin to identify what was asked for: no slot reaches MinSlotActions or
+// no reference slot has a usable bin (time-normalized), no latency bin
+// gathers MinUnbiasedCount draws (plain), a window shorter than two
+// bootstrap blocks or too few replicates that could be estimated (bands).
+// More data — a longer window, coarser slots — is the remedy, not a retry.
+var ErrUnderIdentified = errors.New("core: input under-identifies the estimate")
 
 // underIdentified is a refusal matching ErrUnderIdentified that keeps its
 // own message.

@@ -40,10 +40,6 @@ type CIOptions struct {
 	// derived up front with Source.Split(rep), and replicate results are
 	// aggregated in replicate order after all workers finish.
 	Workers int
-	// KeepSamples retains the per-bin replicate NLP samples on the result
-	// (CurveCI.BinSamples) for distribution-level comparisons such as the
-	// sketch-vs-exact KS gate.
-	KeepSamples bool
 }
 
 // DefaultCIOptions returns a moderate-cost configuration: 40 replicates of
@@ -87,9 +83,6 @@ type CurveCI struct {
 	// Replicates is the number of bootstrap curves actually estimated
 	// (replicates whose estimation failed are skipped and counted out).
 	Replicates int
-	// BinSamples, populated only under CIOptions.KeepSamples, holds each
-	// bin's replicate NLP values (sorted where bounds were reported).
-	BinSamples [][]float64
 }
 
 // Bounds returns the interval at the bin containing ms and whether it is
@@ -121,29 +114,22 @@ type bootBlocks struct {
 	times    []timeutil.Millis // usable, ascending sample instants
 	lats     []float64         // latencies aligned with times
 	ranges   [][2]int          // half-open [i, j) record range per block
-	// hists[b] is block b's biased latency histogram (plain path). A
-	// replicate's biased histogram is the sum of its picked blocks'
-	// histograms — time shifts never change latencies — which turns n
-	// per-record adds into numBlocks·bins float adds.
-	hists []*histogram.Histogram
-	// sweepKeys are the sorted unbiased draw offsets from windowLo over
-	// the full block-partition span, with auxSeed the tie-break seed
-	// (plain path). Every replicate would generate the identical key set
-	// (the draws depend only on the estimator seed), so it is generated
-	// and sorted once and shared read-only.
-	sweepKeys []uint64
-	auxSeed   uint64
+	// b[k] and u[k] are block k's biased and unbiased latency histograms
+	// (plain path, filled by sumBlocks). Both histograms a plain curve is
+	// finished from are additive over blocks, so a replicate is the sum of
+	// its picked blocks' pairs: numBlocks·bins float adds, no resampled
+	// series and no sweep of its own.
+	b, u []*histogram.Histogram
 }
 
-// buildBootBlocks partitions time-sorted columns into BlockLen blocks.
-// The columns are time-sorted, so each block is a contiguous index range —
-// no per-block copies. The plain (non-α) path additionally gets per-block
-// biased histograms and the shared sweep-key plan.
-func (e *Estimator) buildBootBlocks(times []timeutil.Millis, lats []float64, blockLen timeutil.Millis, plain bool) (*bootBlocks, error) {
+// partitionBlocks cuts time-sorted columns into BlockLen blocks counted
+// from the first record. The columns are time-sorted, so each block is a
+// contiguous index range — no per-block copies.
+func partitionBlocks(times []timeutil.Millis, lats []float64, blockLen timeutil.Millis) (*bootBlocks, error) {
 	windowLo := times[0]
 	numBlocks := int((times[len(times)-1]-windowLo)/blockLen) + 1
 	if numBlocks < 2 {
-		return nil, fmt.Errorf("core: window shorter than two %v-ms blocks", blockLen)
+		return nil, underIdentified(fmt.Sprintf("core: window shorter than two %v-ms blocks", blockLen))
 	}
 	bb := &bootBlocks{
 		blockLen: blockLen,
@@ -152,35 +138,46 @@ func (e *Estimator) buildBootBlocks(times []timeutil.Millis, lats []float64, blo
 		lats:     lats,
 		ranges:   make([][2]int, numBlocks),
 	}
-	idx := 0
-	for b := 0; b < numBlocks; b++ {
-		start := idx
-		for idx < len(times) && int((times[idx]-windowLo)/blockLen) == b {
-			idx++
-		}
-		bb.ranges[b] = [2]int{start, idx}
-	}
-	if plain {
-		bb.hists = make([]*histogram.Histogram, numBlocks)
-		for b, r := range bb.ranges {
-			h := e.newHist()
-			for _, v := range bb.lats[r[0]:r[1]] {
-				h.Add(v)
-			}
-			bb.hists[b] = h
-		}
-		// Draw instants are uniform over the block-partition span (every
-		// replicate's resampled series occupies exactly this window).
-		span := uint64(timeutil.Millis(numBlocks) * blockLen)
-		bb.sweepKeys = make([]uint64, drawCount(len(times), e.opts.UnbiasedPerSample))
-		bb.auxSeed = drawKeys(rng.New(e.opts.Seed), span, bb.sweepKeys, nil, false)
+	start := 0
+	for b := range bb.ranges {
+		edge := windowLo + timeutil.Millis(b+1)*blockLen
+		end := start + sort.Search(len(times)-start, func(i int) bool { return times[start+i] >= edge })
+		bb.ranges[b] = [2]int{start, end}
+		start = end
 	}
 	return bb, nil
 }
 
-// ciScratch is one worker's reusable replicate state: resampled series
-// buffers and histograms survive across the replicates the worker
-// processes.
+// sumBlocks gives every block its histogram pair for the plain bootstrap.
+// B_k holds the latencies of block k's records. U_k holds the point
+// estimate's own unbiased draws whose instant falls in block k: keys and
+// auxSeed are the point estimate's sorted draw schedule over [windowLo,
+// last record], split at the block edges in one sweep with global ranks
+// kept, so every draw adopts exactly the sample it adopts in the point
+// estimate — neighbours are read across block edges — and Σ U_k is the point
+// estimate's U bit for bit, as Σ B_k is its B (counts are integers in
+// float64). That identity is what lets the batch path finish its point curve
+// from the sums and the node reuse its retained schedule, and still agree.
+func (e *Estimator) sumBlocks(bb *bootBlocks, keys []uint64, auxSeed uint64) {
+	bb.b = make([]*histogram.Histogram, len(bb.ranges))
+	bb.u = make([]*histogram.Histogram, len(bb.ranges))
+	k := 0
+	for blk, r := range bb.ranges {
+		b, u := e.newHist(), e.newHist()
+		for _, v := range bb.lats[r[0]:r[1]] {
+			b.Add(v)
+		}
+		edge := uint64(timeutil.Millis(blk+1) * bb.blockLen)
+		end := k + sort.Search(len(keys)-k, func(i int) bool { return keys[k+i] >= edge })
+		sweepSortedKeys(bb.times, bb.lats, bb.windowLo, keys[k:end], k, auxSeed, u)
+		k = end
+		bb.b[blk], bb.u[blk] = b, u
+	}
+}
+
+// ciScratch is one worker's reusable replicate state, surviving across the
+// replicates the worker processes: the summed histograms (plain) or the
+// resampled series buffers (time-normalized).
 type ciScratch struct {
 	times []timeutil.Millis
 	lats  []float64
@@ -188,43 +185,32 @@ type ciScratch struct {
 }
 
 // runPlainReplicate estimates one bootstrap replicate with the pooled
-// (no-α) estimator, never materializing the resampled records: the biased
-// histogram is summed from the picked blocks' precomputed histograms and
-// the unbiased sweep runs over reused flat time/latency buffers. The
-// resampled series is sorted by construction (ascending blocks of
-// ascending, uniformly shifted times), so no re-sort is needed.
+// (no-α) estimator as a sum over its picked blocks.
 func (e *Estimator) runPlainReplicate(bb *bootBlocks, src *rng.Source, sc *ciScratch) (*Curve, error) {
 	numBlocks := len(bb.ranges)
-	sc.times = sc.times[:0]
-	sc.lats = sc.lats[:0]
 	sc.b.Reset()
+	sc.u.Reset()
+	n := 0
 	for pos := 0; pos < numBlocks; pos++ {
 		pick := src.Intn(numBlocks)
-		shift := timeutil.Millis(pos-pick) * bb.blockLen
-		r := bb.ranges[pick]
-		for _, t := range bb.times[r[0]:r[1]] {
-			sc.times = append(sc.times, t+shift)
-		}
-		sc.lats = append(sc.lats, bb.lats[r[0]:r[1]]...)
-		if err := sc.b.AddHistogram(bb.hists[pick]); err != nil {
+		if err := sc.b.AddHistogram(bb.b[pick]); err != nil {
 			return nil, err
 		}
+		if err := sc.u.AddHistogram(bb.u[pick]); err != nil {
+			return nil, err
+		}
+		n += bb.ranges[pick][1] - bb.ranges[pick][0]
 	}
-	n := len(sc.times)
 	if n == 0 {
 		return nil, errEmptyRecords
 	}
-	sc.u.Reset()
-	// Replicates share one precomputed sorted key set: the draw instants
-	// depend only on the estimator seed, so replicate variation comes
-	// from the block composition — not from re-rolling the Monte Carlo
-	// draws — and the per-replicate keygen + sort disappears entirely.
-	sweepSortedKeys(sc.times, sc.lats, bb.windowLo, bb.sweepKeys, bb.auxSeed, sc.u)
-	return e.finishCurve(nil, sc.b, sc.u, n, len(bb.sweepKeys))
+	return e.finishCurve(nil, sc.b, sc.u, n, int(sc.u.Total()))
 }
 
 // runNormalizedReplicate estimates one bootstrap replicate with the full
-// time-normalized estimator over reused resampled-column buffers.
+// time-normalized estimator over reused resampled-column buffers: picked
+// blocks are re-timed to their resampled position so slotting and unbiased
+// sampling see a coherent pseudo-window.
 func (e *Estimator) runNormalizedReplicate(bb *bootBlocks, src *rng.Source, sc *ciScratch) (*Curve, error) {
 	numBlocks := len(bb.ranges)
 	sc.times = sc.times[:0]
@@ -247,10 +233,10 @@ func (e *Estimator) runNormalizedReplicate(bb *bootBlocks, src *rng.Source, sc *
 }
 
 // EstimateCI computes the NLP curve together with moving-block bootstrap
-// confidence bounds: the observation window is cut into BlockLen blocks,
-// blocks are resampled with replacement (records re-timed to their
-// resampled position so slotting and unbiased sampling see a coherent
-// pseudo-window), and the estimator is rerun per replicate.
+// confidence bounds: the observation window is cut into BlockLen blocks and
+// blocks are resampled with replacement. A plain replicate is the sum of its
+// picked blocks' histogram pairs (see sumBlocks); a time-normalized
+// replicate re-times the picked blocks' records and reruns the estimator.
 //
 // Replicates run on a pool of opts.Workers goroutines. Each replicate
 // draws its block picks from an independent stream split off the bootstrap
@@ -288,37 +274,100 @@ func (e *Estimator) estimateCI(times []timeutil.Millis, lats []float64, opts CIO
 	defer sp.End()
 	sp.SetAttr("records", len(times))
 
+	bb, err := partitionBlocks(times, lats, opts.BlockLen)
+	if err != nil {
+		return nil, err
+	}
 	// The point estimate's stage spans nest under estimate_ci; the
 	// bootstrap replicates run untraced (40 replicates × 6 stages of
 	// span noise would drown the report) and are summarized by a single
 	// bootstrap span instead.
-	traced := *e
-	traced.trace = sp
 	var point *Curve
-	var err error
 	if opts.TimeNormalized {
+		traced := *e
+		traced.trace = sp
 		point, err = traced.EstimateTimeNormalizedColumns(times, lats)
 	} else {
-		point, err = traced.EstimateColumns(times, lats, nil)
+		point, err = e.plainPointFromBlocks(sp, bb)
 	}
 	if err != nil {
 		return nil, err
 	}
+	return e.bootstrapCI(sp, point, bb, opts)
+}
 
-	bb, err := e.buildBootBlocks(times, lats, opts.BlockLen, !opts.TimeNormalized)
+// plainPointFromBlocks draws the plain estimate's key schedule, splits its
+// one sweep over bb's blocks and finishes the point curve from the block
+// sums — the bytes EstimateColumns produces over the same columns.
+func (e *Estimator) plainPointFromBlocks(sp *obs.Span, bb *bootBlocks) (*Curve, error) {
+	estSp := sp.StartChild("estimate")
+	defer estSp.End()
+	n := len(bb.times)
+	estSp.SetAttr("records", n)
+
+	uSp := estSp.StartChild("sample_unbiased")
+	keys := make([]uint64, drawCount(n, e.opts.UnbiasedPerSample))
+	span := uint64(bb.times[n-1] + 1 - bb.windowLo)
+	auxSeed := drawKeys(rng.New(e.opts.Seed), span, keys, nil, false)
+	e.sumBlocks(bb, keys, auxSeed)
+	uSp.SetAttr("draws", len(keys))
+	uSp.End()
+
+	b, u := e.newHist(), e.newHist()
+	for blk := range bb.ranges {
+		if err := b.AddHistogram(bb.b[blk]); err != nil {
+			return nil, err
+		}
+		if err := u.AddHistogram(bb.u[blk]); err != nil {
+			return nil, err
+		}
+	}
+	return e.finishCurve(estSp, b, u, n, len(keys))
+}
+
+// EstimateCIIncremental computes the plain NLP curve with moving-block
+// bootstrap bounds over an Incremental's folded records, bit-identical to
+// EstimateCIColumns over the same columns: the point curve is the
+// delta-maintained EstimatePlain, and the block sums come from one split
+// sweep of the schedule that estimate just brought current. Nothing is
+// retained between calls.
+//
+// Normalized replicates re-partition their resampled series into slots:
+// normalized requests run the batch bootstrap over the maintained columns.
+func (e *Estimator) EstimateCIIncremental(inc *Incremental, opts CIOptions) (*CurveCI, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	times, lats := inc.Columns()
+	if opts.TimeNormalized {
+		return e.EstimateCIColumns(times, lats, opts)
+	}
+	if err := checkColumns(times, lats); err != nil {
+		return nil, err
+	}
+	defer observeEstimate(time.Now())
+	sp := e.trace.StartChild("estimate_ci_incremental")
+	defer sp.End()
+	sp.SetAttr("records", len(times))
+
+	bb, err := partitionBlocks(times, lats, opts.BlockLen)
 	if err != nil {
 		return nil, err
 	}
-	return e.bootstrapCI(sp, point, bb, opts, nil)
+	point, err := inc.EstimatePlain()
+	if err != nil {
+		return nil, err
+	}
+	e.sumBlocks(bb, inc.plan.sorted, inc.plan.auxSeed)
+	return e.bootstrapCI(sp, point, bb, opts)
 }
 
 // bootstrapCI runs the replicate pool over a prepared block partition and
 // aggregates per-bin bounds. It is shared verbatim by the batch path
 // (estimateCI) and the delta-maintained path (EstimateCIIncremental), which
 // is what keeps the two bit-identical: replicate randomness, scheduling and
-// aggregation order are all decided here. st, when non-nil, donates retained
-// per-worker replicate scratch so repeated estimations stop allocating.
-func (e *Estimator) bootstrapCI(sp *obs.Span, point *Curve, bb *bootBlocks, opts CIOptions, st *CIState) (*CurveCI, error) {
+// aggregation order are all decided here.
+func (e *Estimator) bootstrapCI(sp *obs.Span, point *Curve, bb *bootBlocks, opts CIOptions) (*CurveCI, error) {
 	if opts.MinSupport == 0 {
 		opts.MinSupport = 0.5
 	}
@@ -353,15 +402,6 @@ func (e *Estimator) bootstrapCI(sp *obs.Span, point *Curve, bb *bootBlocks, opts
 		ok    bool
 	}
 	outs := make([]repOut, opts.Resamples)
-	// Per-worker scratch comes from the retained pool when a CIState is
-	// present; the pool is sized serially here so workers never mutate it.
-	var pool []*ciScratch
-	if st != nil {
-		for len(st.scs) < workers {
-			st.scs = append(st.scs, nil)
-		}
-		pool = st.scs
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -369,14 +409,7 @@ func (e *Estimator) bootstrapCI(sp *obs.Span, point *Curve, bb *bootBlocks, opts
 		go func() {
 			defer wg.Done()
 			sc := &ciScratch{}
-			if pool != nil {
-				if pool[w] == nil {
-					pool[w] = sc
-				} else {
-					sc = pool[w]
-				}
-			}
-			if !opts.TimeNormalized && sc.b == nil {
+			if !opts.TimeNormalized {
 				sc.b = untraced.newHist()
 				sc.u = untraced.newHist()
 			}
@@ -432,7 +465,7 @@ func (e *Estimator) bootstrapCI(sp *obs.Span, point *Curve, bb *bootBlocks, opts
 		m.bootstrapDur.ObserveSince(bootStart)
 	}
 	if replicates < 2 {
-		return nil, errors.New("core: too few successful bootstrap replicates")
+		return nil, underIdentified("core: too few successful bootstrap replicates")
 	}
 
 	out := &CurveCI{
@@ -453,9 +486,6 @@ func (e *Estimator) bootstrapCI(sp *obs.Span, point *Curve, bb *bootBlocks, opts
 		sort.Float64s(vs)
 		out.Lower[i] = quantileSorted(vs, alpha)
 		out.Upper[i] = quantileSorted(vs, 1-alpha)
-	}
-	if opts.KeepSamples {
-		out.BinSamples = samples
 	}
 	return out, nil
 }

@@ -328,7 +328,7 @@ func (e *Estimator) curveFromRaw(sp *obs.Span, raw []float64, b, u *histogram.Hi
 	}
 	filled := interpolateHoles(raw, c.Valid)
 	if filled == nil {
-		return nil, errors.New("core: no valid bins in ratio")
+		return nil, underIdentified("core: no valid bins in ratio")
 	}
 	smoothSp := sp.StartChild("savitzky_golay_smooth")
 	smoothSp.SetAttr("bins", bins)

@@ -30,7 +30,7 @@ func curvesEqual(t *testing.T, name string, a, b *Curve) {
 }
 
 func workerVariants() []int {
-	return []int{1, 4, runtime.GOMAXPROCS(0)}
+	return []int{1, 4, 8, runtime.GOMAXPROCS(0)}
 }
 
 // TestEstimateWorkerInvariance pins the estimator outputs to be bitwise

@@ -61,13 +61,6 @@ type Incremental struct {
 	// norm is the time-normalized estimator's per-slot state, built by the
 	// first EstimateTimeNormalized (see normState).
 	norm *normState
-
-	// Sketch, when non-nil, is a mergeable Poisson-bootstrap CI sketch
-	// maintained in lockstep with the stable sweep state (see BootSketch).
-	Sketch *BootSketch
-	// CI, when non-nil, retains exact block-bootstrap inputs across folds
-	// (see CIState).
-	CI *CIState
 }
 
 // NewIncremental returns an empty delta-maintained estimation.
@@ -104,17 +97,11 @@ func (inc *Incremental) Fold(dTimes []timeutil.Millis, dLats []float64, dSeqs []
 	windowKept := n > 0 &&
 		dTimes[0] >= inc.sum.Times[0] &&
 		dTimes[len(dTimes)-1] <= inc.sum.Times[n-1]
-	if inc.CI != nil {
-		inc.CI.foldRecords(dTimes, dLats, windowKept)
-	}
 	if !inc.stValid || inc.fullSweep || !windowKept {
 		if err := inc.sum.Fold(dTimes, dLats, dSeqs); err != nil {
 			return err
 		}
 		inc.stValid = false
-		if inc.Sketch != nil {
-			inc.Sketch.invalidate()
-		}
 		return nil
 	}
 	return inc.foldIncremental(dTimes, dLats, dSeqs)
@@ -160,11 +147,7 @@ func (inc *Incremental) foldIncremental(dTimes []timeutil.Millis, dLats []float6
 		classifyKeys(inc.sum.Times, lo, inc.plan.sorted, i1, i2,
 			func(_, j, m int) {
 				if j >= 0 {
-					v := inc.sum.Lats[j]
-					inc.u.SubWeighted(v, float64(m))
-					if inc.Sketch != nil {
-						inc.Sketch.retractDraw(v, inc.sum.Seqs[j], m)
-					}
+					inc.u.SubWeighted(inc.sum.Lats[j], float64(m))
 				}
 			})
 	}
@@ -188,9 +171,6 @@ func (inc *Incremental) foldIncremental(dTimes []timeutil.Millis, dLats []float6
 	if err := inc.sum.Fold(dTimes, dLats, dSeqs); err != nil {
 		return err
 	}
-	if inc.Sketch != nil {
-		inc.Sketch.foldRecords(dLats, dSeqs)
-	}
 	inc.plan.commitExtend()
 
 	// 5. NEW PASS: re-evaluate every key inside the affected intervals —
@@ -203,11 +183,7 @@ func (inc *Incremental) foldIncremental(dTimes []timeutil.Millis, dLats []float6
 				if j < 0 {
 					inc.auxDep = append(inc.auxDep, int32(rank))
 				} else {
-					v := inc.sum.Lats[j]
-					inc.u.AddWeighted(v, float64(m))
-					if inc.Sketch != nil {
-						inc.Sketch.addDraw(v, inc.sum.Seqs[j], m)
-					}
+					inc.u.AddWeighted(inc.sum.Lats[j], float64(m))
 				}
 			})
 	}
@@ -240,11 +216,7 @@ func (inc *Incremental) foldIncremental(dTimes []timeutil.Millis, dLats []float6
 						inc.auxDep = append(inc.auxDep, int32(start+r))
 					}
 				} else {
-					val := inc.sum.Lats[j]
-					inc.u.AddWeighted(val, float64(m))
-					if inc.Sketch != nil {
-						inc.Sketch.addDraw(val, inc.sum.Seqs[j], m)
-					}
+					inc.u.AddWeighted(inc.sum.Lats[j], float64(m))
 				}
 			})
 	}
@@ -259,9 +231,6 @@ func (inc *Incremental) checkDensity() {
 	if len(inc.auxDep)*8 > len(inc.plan.sorted) {
 		inc.fullSweep = true
 		inc.stValid = false
-		if inc.Sketch != nil {
-			inc.Sketch.invalidate()
-		}
 	}
 }
 
@@ -291,7 +260,7 @@ func (inc *Incremental) EstimatePlain() (*Curve, error) {
 	}
 	if inc.fullSweep {
 		u := inc.sc.unbiased(e)
-		sweepSortedKeys(inc.sum.Times, inc.sum.Lats, lo, inc.plan.sorted, inc.plan.auxSeed, u)
+		sweepSortedKeys(inc.sum.Times, inc.sum.Lats, lo, inc.plan.sorted, 0, inc.plan.auxSeed, u)
 		sp.SetAttr("sweep", "full")
 		return e.finishCurve(sp, inc.sum.B, u, n, draws)
 	}
@@ -329,9 +298,6 @@ func (inc *Incremental) rebuildSweep() {
 		})
 	inc.stValid = true
 	inc.checkDensity()
-	if inc.Sketch != nil && inc.stValid {
-		inc.Sketch.rebuild(inc)
-	}
 }
 
 // neighborInterval returns the inclusive offset interval [a, b] bounded by
@@ -427,8 +393,8 @@ func slices32Sort(a []int32) {
 // RetainedBytes approximates the heap the state holds between estimates:
 // the folded columns (with their retired merge buffers), the draw-key
 // schedule, the sweep bookkeeping and, once asked for, the time-normalized
-// slot tables and the retained CI replicate inputs. The live engine bounds its windowed states by
-// this figure; fixed-size histograms are counted by bin.
+// slot tables. The live engine bounds its windowed states by this figure;
+// fixed-size histograms are counted by bin.
 func (inc *Incremental) RetainedBytes() int {
 	s := &inc.sum
 	n := 8 * (cap(s.Times) + cap(s.Lats) + cap(s.Seqs) +
@@ -438,14 +404,6 @@ func (inc *Incremental) RetainedBytes() int {
 	n += 8 * 3 * inc.u.Bins() // B, u, uOut
 	if inc.norm != nil {
 		n += inc.norm.retainedBytes()
-	}
-	if st := inc.CI; st != nil {
-		n += st.plan.RetainedBytes() + 16*cap(st.ranges) + 8*len(st.hists)*inc.u.Bins()
-		for _, sc := range st.scs {
-			if sc != nil {
-				n += 8*(cap(sc.times)+cap(sc.lats)) + 8*2*inc.u.Bins()
-			}
-		}
 	}
 	return n
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"autosens/internal/rng"
-	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
 
@@ -272,202 +271,115 @@ func boundsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestEstimateCIIncrementalMatchesBatch folds deltas and checks that the
-// retained-state bootstrap (block hists delta-folded, key plan extended,
-// scratch pooled) returns bounds bit-identical to the batch bootstrap.
+// TestEstimateCIIncrementalMatchesBatch checks that the node's stateless
+// bootstrap — EstimatePlain plus one split sweep of its retained schedule —
+// returns the point curve AND the bounds of the batch bootstrap bit for bit
+// after every kind of fold: backfill inside the window, arrivals that
+// advance its end, a record earlier than everything held, and on tie-heavy
+// data that degrades the Incremental to full sweeps.
 func TestEstimateCIIncrementalMatchesBatch(t *testing.T) {
 	e := testEstimator(t, nil)
-	g := newIncStream(17, 2*timeutil.MillisPerDay, 0.2)
-	inc := e.NewIncremental()
-	ref := &Summary{}
-
 	opts := DefaultCIOptions()
 	opts.Resamples = 12
 
-	fold := func(ts []timeutil.Millis, ls []float64, qs []uint64) {
+	type fixture struct {
+		inc *Incremental
+		ref *Summary
+	}
+	fold := func(t *testing.T, f fixture, ts []timeutil.Millis, ls []float64, qs []uint64) {
 		t.Helper()
-		if err := inc.Fold(ts, ls, qs); err != nil {
+		if err := f.inc.Fold(ts, ls, qs); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Fold(ts, ls, qs); err != nil {
+		if err := f.ref.Fold(ts, ls, qs); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check := func(step int) {
+	check := func(t *testing.T, f fixture, opts CIOptions, step string) {
 		t.Helper()
-		got, err := e.EstimateCIIncremental(inc, opts)
+		got, err := e.EstimateCIIncremental(f.inc, opts)
 		if err != nil {
-			t.Fatalf("step %d: incremental CI: %v", step, err)
+			t.Fatalf("%s: incremental CI: %v", step, err)
 		}
-		want, err := e.EstimateCIColumns(ref.Times, ref.Lats, opts)
+		want, err := e.EstimateCIColumns(f.ref.Times, f.ref.Lats, opts)
 		if err != nil {
-			t.Fatalf("step %d: batch CI: %v", step, err)
+			t.Fatalf("%s: batch CI: %v", step, err)
 		}
 		if !bytes.Equal(curveBytes(t, got.Curve), curveBytes(t, want.Curve)) {
-			t.Fatalf("step %d: point estimates diverged", step)
+			t.Fatalf("%s: point estimates diverged", step)
 		}
 		if !boundsEqual(got.Lower, want.Lower) || !boundsEqual(got.Upper, want.Upper) {
-			t.Fatalf("step %d: bootstrap bounds diverged", step)
+			t.Fatalf("%s: bootstrap bounds diverged", step)
 		}
 		if got.Replicates != want.Replicates {
-			t.Fatalf("step %d: replicate counts diverged: %d vs %d", step, got.Replicates, want.Replicates)
+			t.Fatalf("%s: replicate counts diverged: %d vs %d", step, got.Replicates, want.Replicates)
 		}
 	}
 
-	fold(g.initial(3000))
-	check(0)
-	if inc.CI == nil || !inc.CI.valid {
-		t.Fatal("CI state not retained after first incremental estimate")
-	}
-	for step := 1; step <= 6; step++ {
-		fold(g.delta(1 + g.src.Intn(5)))
-		check(step)
-	}
-}
-
-// TestSketchMergeability checks that a delta-maintained sketch is
-// bit-identical to a from-scratch sketch over the same data — the property
-// that lets the live path trust folded sketch state — and that on
-// well-behaved data the sketch bounds pass the KS equivalence gate against
-// the exact block bootstrap.
-func TestSketchMergeability(t *testing.T) {
-	e := testEstimator(t, nil)
-	const reps = 40
-	const sketchSeed = 7
-
-	build := func(foldDeltas bool) (*Incremental, *CurveCI) {
-		g := newIncStream(23, 2*timeutil.MillisPerDay, 0.25)
-		inc := e.NewIncremental()
-		inc.Sketch = e.NewBootSketch(reps, sketchSeed)
+	t.Run("folds", func(t *testing.T) {
+		g := newIncStream(17, 2*timeutil.MillisPerDay, 0.2)
+		f := fixture{e.NewIncremental(), &Summary{}}
 		ts, ls, qs := g.initial(3000)
-		if err := inc.Fold(ts, ls, qs); err != nil {
-			t.Fatal(err)
+		for i := range ts {
+			ts[i] += timeutil.MillisPerHour // leave room below the window
 		}
-		var deltas [][3]interface{}
-		for i := 0; i < 40; i++ {
-			dts, dls, dqs := g.delta(1 + g.src.Intn(4))
-			deltas = append(deltas, [3]interface{}{dts, dls, dqs})
-		}
-		if foldDeltas {
-			// Build sweep+sketch state FIRST, then fold deltas through the
-			// incremental maintenance path.
-			if _, err := inc.EstimatePlain(); err != nil {
-				t.Fatal(err)
+		fold(t, f, ts, ls, qs)
+		check(t, f, opts, "initial")
+		for step := 1; step <= 4; step++ {
+			ts, ls, qs := g.delta(1 + g.src.Intn(5))
+			for i := range ts {
+				ts[i] += timeutil.MillisPerHour
 			}
+			fold(t, f, ts, ls, qs)
+			check(t, f, opts, "backfill")
 		}
-		for _, d := range deltas {
-			if err := inc.Fold(d[0].([]timeutil.Millis), d[1].([]float64), d[2].([]uint64)); err != nil {
-				t.Fatal(err)
+		if !f.inc.stValid || f.inc.fullSweep {
+			t.Fatal("backfill folds left the delta-maintained sweep state")
+		}
+		end := f.ref.Times[f.ref.Len()-1]
+		for step := 1; step <= 3; step++ {
+			// Each advance crosses into a new, mostly empty 6 h block.
+			end += timeutil.Millis(step) * 5 * timeutil.MillisPerHour
+			g.seq++
+			fold(t, f, []timeutil.Millis{end}, []float64{300 + float64(step)}, []uint64{g.seq})
+			check(t, f, opts, "advancing")
+		}
+		g.seq++
+		fold(t, f, []timeutil.Millis{5}, []float64{123}, []uint64{g.seq})
+		check(t, f, opts, "window start moved")
+	})
+
+	t.Run("full sweep degrade", func(t *testing.T) {
+		// Second-resolution times over three hours: nearly every draw adopts
+		// from an equal-timestamp run.
+		src := rng.New(23)
+		f := fixture{e.NewIncremental(), &Summary{}}
+		var seq uint64
+		mk := func(n int) ([]timeutil.Millis, []float64, []uint64) {
+			ts := make([]timeutil.Millis, n)
+			ls := make([]float64, n)
+			qs := make([]uint64, n)
+			for i := range ts {
+				ts[i] = timeutil.Millis(src.Uint64n(3*3600)) * 1000
+				ls[i] = 50 + 2500*src.Float64()
+				seq++
+				qs[i] = seq
 			}
+			sort.Sort(&colSorter{ts, ls, qs})
+			return ts, ls, qs
 		}
-		point, err := inc.EstimatePlain()
-		if err != nil {
-			t.Fatal(err)
+		opts := opts
+		opts.BlockLen = timeutil.MillisPerHour / 2
+		ts, ls, qs := mk(30000)
+		fold(t, f, ts, ls, qs)
+		check(t, f, opts, "tie-heavy initial")
+		ts, ls, qs = mk(5)
+		fold(t, f, ts, ls, qs)
+		check(t, f, opts, "tie-heavy fold")
+		if !f.inc.fullSweep {
+			t.Fatal("tie-heavy data did not trigger the full-sweep degradation")
 		}
-		opts := DefaultCIOptions()
-		opts.Resamples = reps
-		opts.KeepSamples = true
-		ci, err := inc.Sketch.SketchBounds(inc, point, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return inc, ci
-	}
-
-	incMaintained, maintained := build(true)
-	if incMaintained.fullSweep {
-		t.Fatal("sketch test data unexpectedly degraded to full sweep")
-	}
-	_, rebuilt := build(false)
-	if !boundsEqual(maintained.Lower, rebuilt.Lower) || !boundsEqual(maintained.Upper, rebuilt.Upper) {
-		t.Fatal("delta-maintained sketch bounds differ from rebuilt sketch bounds")
-	}
-
-	// On this dataset — iid latencies, so every wiggle in the point curve
-	// is sampling accident — the block bootstrap's re-timing flattens the
-	// accidental structure while the Poisson sketch preserves it: the two
-	// replicate distributions genuinely differ, and the KS gate must say
-	// so (this is the case where a live engine keeps serving exact bounds).
-	opts := DefaultCIOptions()
-	opts.Resamples = reps
-	opts.KeepSamples = true
-	times, lats := incMaintained.Columns()
-	exact, err := e.EstimateCIColumns(times, lats, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean, maxStat, bins, err := KSBinsStat(exact, maintained)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crit := KSCritical(reps, reps, 0.01)
-	t.Logf("KS gate (accidental structure): mean=%.3f max=%.3f over %d bins (critical %.3f)", mean, maxStat, bins, crit)
-	if mean <= crit {
-		t.Fatalf("KS gate failed to reject divergent bootstrap distributions: mean %.3f <= critical %.3f", mean, crit)
-	}
-}
-
-// TestSketchKSGateOnPlantedData runs the equivalence gate on data with a
-// real planted latency preference (the paper's regime): structure that
-// survives block re-timing centers both bootstraps on the same curve, so
-// the sketch must pass.
-func TestSketchKSGateOnPlantedData(t *testing.T) {
-	e := testEstimator(t, nil)
-	const reps = 40
-	src := rng.New(10)
-	fastLat, slowLat := 250.0, 900.0
-	regime := func(tm timeutil.Millis) bool { return (tm/(2*timeutil.MillisPerHour))%2 == 1 }
-	records := genRecords(src, 4*timeutil.MillisPerDay,
-		func(tm timeutil.Millis) float64 {
-			if regime(tm) {
-				return slowLat
-			}
-			return fastLat
-		},
-		0.25,
-		func(tm timeutil.Millis) float64 {
-			if regime(tm) {
-				return 0.5
-			}
-			return 1.0
-		})
-	records = usable(records)
-	telemetry.SortByTime(records)
-	times, lats := columnsOf(records)
-	seqs := make([]uint64, len(times))
-	for i := range seqs {
-		seqs[i] = uint64(i + 1)
-	}
-
-	inc := e.NewIncremental()
-	inc.Sketch = e.NewBootSketch(reps, 7)
-	if err := inc.Fold(times, lats, seqs); err != nil {
-		t.Fatal(err)
-	}
-	point, err := inc.EstimatePlain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultCIOptions()
-	opts.Resamples = reps
-	opts.KeepSamples = true
-	sk, err := inc.Sketch.SketchBounds(inc, point, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := e.EstimateCIColumns(times, lats, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean, maxStat, bins, err := KSBinsStat(exact, sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	crit := KSCritical(reps, reps, 0.01)
-	t.Logf("KS gate (planted): mean=%.3f max=%.3f over %d bins (critical %.3f)", mean, maxStat, bins, crit)
-	if mean > crit {
-		t.Fatalf("sketch failed KS equivalence gate on planted data: mean %.3f > critical %.3f", mean, crit)
-	}
+	})
 }
 
 // BenchmarkIncrementalDirty is the dirty-epoch cost this PR exists for:

@@ -247,7 +247,7 @@ func (e *Estimator) EstimateSummary(s *Summary, plan *UnbiasedPlan, sc *Scratch)
 	} else {
 		u = e.newHist()
 	}
-	sweepSortedKeys(s.Times, s.Lats, lo, plan.sorted, plan.auxSeed, u)
+	sweepSortedKeys(s.Times, s.Lats, lo, plan.sorted, 0, plan.auxSeed, u)
 	uSp.SetAttr("draws", draws)
 	uSp.SetAttr("reused_keys", plan.reused)
 	uSp.End()

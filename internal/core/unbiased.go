@@ -148,7 +148,7 @@ func fillUnbiasedSweep(times []timeutil.Millis, lats []float64, lo, hi timeutil.
 	// The aux word belongs to this fill's stream: a caller sharing src
 	// across fills (the streaming estimator's slots) resumes after it.
 	src.Uint64()
-	sweepSortedKeys(times, lats, lo, keys, auxSeed, hists...)
+	sweepSortedKeys(times, lats, lo, keys, 0, auxSeed, hists...)
 }
 
 // nearestAt returns the sample nearest in time to the instant t, given idx,
@@ -198,21 +198,24 @@ func pickTied(times []timeutil.Millis, j int, mid bool, aux uint64) int {
 }
 
 // sweepSortedKeys is the merge phase of the batch sweep: keys are sorted
-// draw offsets from lo. It is read-only in keys, so one precomputed key
-// set can be shared across bootstrap replicates (the draw instants depend
-// only on the estimator seed, not on the replicate's block picks — see
-// runPlainReplicate).
+// draw offsets from lo, and rank0 is the rank keys[0] holds in the whole
+// sorted schedule — tie-break randomness is Mix64(auxSeed + rank), so a
+// contiguous piece of a schedule swept on its own (the bootstrap's per-block
+// split) adopts exactly what the whole sweep adopts there. It is read-only
+// in keys.
 //
 // Sorted keys adopt samples in non-decreasing order, so consecutive
 // tie-free draws landing on one sample are counted and added once with
 // their multiplicity — weight-1 adds are integers in float64, so the sum is
 // the same bits — instead of paying every histogram's bin lookup per draw.
-func sweepSortedKeys(times []timeutil.Millis, lats []float64, lo timeutil.Millis, keys []uint64, auxSeed uint64, hists ...*histogram.Histogram) {
+func sweepSortedKeys(times []timeutil.Millis, lats []float64, lo timeutil.Millis, keys []uint64, rank0 int, auxSeed uint64, hists ...*histogram.Histogram) {
 	if len(keys) == 0 || len(times) == 0 {
 		return
 	}
 	nRec := len(times)
-	idx := 0       // first sample with times[idx] >= t; monotone over the sweep
+	// First sample with times[idx] >= t; monotone over the sweep.
+	t0 := lo + timeutil.Millis(keys[0])
+	idx := sort.Search(nRec, func(i int) bool { return times[i] >= t0 })
 	run, m := 0, 0 // m pending tie-free draws adopting sample run
 	for k, key := range keys {
 		t := lo + timeutil.Millis(key)
@@ -221,7 +224,7 @@ func sweepSortedKeys(times []timeutil.Millis, lats []float64, lo timeutil.Millis
 		}
 		j, mid := nearestAt(times, idx, t)
 		if mid || tied(times, j) {
-			v := lats[pickTied(times, j, mid, rng.Mix64(auxSeed+uint64(k)))]
+			v := lats[pickTied(times, j, mid, rng.Mix64(auxSeed+uint64(rank0+k)))]
 			for _, h := range hists {
 				h.Add(v)
 			}

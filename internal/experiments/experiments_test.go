@@ -47,7 +47,7 @@ func runExp(t *testing.T, id string) *Outcome {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	want := []string{"ablation-naive", "ablation-references", "ablation-smoothing", "ext-abtest", "ext-queueing", "ext-samplesize", "ext-seeds", "ext-sessions", "ext-window", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "gt-recovery", "table1"}
+	want := []string{"ablation-naive", "ablation-references", "ablation-smoothing", "ext-abtest", "ext-coverage", "ext-queueing", "ext-samplesize", "ext-seeds", "ext-sessions", "ext-window", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "gt-recovery", "table1"}
 	all := All()
 	if len(all) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(all), len(want))
@@ -403,6 +403,9 @@ func TestSimConfigScales(t *testing.T) {
 func TestAllExperimentsRunToCompletion(t *testing.T) {
 	ctx := sharedContext(t)
 	for _, e := range All() {
+		if e.ID == "ext-coverage" {
+			continue // a minute-long ensemble; TestCoverageGate runs it reduced
+		}
 		if _, err := e.Run(ctx, io.Discard); err != nil {
 			t.Fatalf("%s failed: %v", e.ID, err)
 		}
@@ -419,5 +422,43 @@ func TestBusinessActionFiltering(t *testing.T) {
 		if r.Action != telemetry.Search || r.UserType != telemetry.Business {
 			t.Fatalf("mis-filtered record %+v", r)
 		}
+	}
+}
+
+// coverageGateConfig is the reduced ensemble `make coverage` runs: one cell
+// of the ext-coverage table — the clean regime, plain mode, the 6 h default
+// block — over the 32 realizations the shared test context seeds.
+func coverageGateConfig() CoverageConfig {
+	cfg := DefaultCoverageConfig()
+	cfg.Regimes = []string{"clean"}
+	cfg.BlockHours = []float64{6}
+	cfg.Normalized = []bool{false}
+	return cfg
+}
+
+// coverageGateParent is the leave-one-out ensemble-mean coverage of the
+// plain 6 h band at PR 20 (re-timed replicates), measured by this same file
+// on coverageGateConfig's realizations; see EXPERIMENTS.md "ext-coverage".
+const coverageGateParent = 0.883
+
+// TestCoverageGate is `make coverage`: the plain 6 h band must hold the
+// estimator's own ensemble mean no more than 0.03 less often than the
+// re-timed bootstrap it replaced did on the same realizations.
+func TestCoverageGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a 32-realization ensemble; skipped with -short")
+	}
+	var sb strings.Builder
+	out, err := RunCoverage(sharedContext(t), coverageGateConfig(), &sb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log("\n" + sb.String())
+	got, ok := out.Values["clean/plain/6h/mean"]
+	if !ok {
+		t.Fatal("no plain 6 h cell")
+	}
+	if got < coverageGateParent-0.03 {
+		t.Fatalf("plain 6 h ensemble-mean coverage %.3f is more than 0.03 below the parent's %.3f", got, coverageGateParent)
 	}
 }

@@ -118,6 +118,48 @@ func BenchmarkLiveQueryDirtyNormalized(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveQueryDirtyCI is the dirty plain ci=1 query — the dearest
+// request kind of the outside-in benchmark's query mix — under the same two
+// time-ordered arrival patterns: the delta-maintained point estimate
+// (rebuilt under advancing arrivals, folded under backfill) plus the
+// bootstrap's one split sweep and its block-sum replicates.
+func BenchmarkLiveQueryDirtyCI(b *testing.B) {
+	const n, batch = 50000, 5
+	horizon := 2 * timeutil.MillisPerDay
+	stream := telemetry.Successful(advancingStream(42, n, horizon))
+	step := horizon / n
+	for _, order := range []string{"advancing", "backfill"} {
+		b.Run(order, func(b *testing.B) {
+			e := benchEngine(b, stream)
+			if _, err := e.Query(AllSlices, ModePlain, true); err != nil {
+				b.Fatal(err)
+			}
+			now := stream[len(stream)-1].Time
+			recs := make([]telemetry.Record, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := range recs {
+					recs[k] = stream[(i*batch+k)%len(stream)]
+					recs[k].Time += step / 3 // in the held range, not on a held instant
+					if order == "advancing" {
+						now += step
+						recs[k].Time = now
+					}
+				}
+				e.Append(recs)
+				res, err := e.Query(AllSlices, ModePlain, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Cached {
+					b.Fatal("dirty query served from cache")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkLiveBatchRecompute is what answering the same question cost
 // before the live engine: a full batch estimate over the acked records
 // (sort + biased histogram build + unbiased sweep + finishing), exactly

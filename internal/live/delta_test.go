@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"autosens/internal/core"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
@@ -112,73 +111,5 @@ func TestQueryManyPrewarm(t *testing.T) {
 	}
 	if warmed == 0 {
 		t.Fatal("prewarm warmed nothing")
-	}
-}
-
-// TestSketchCIGate pins the runtime KS gate: on a sketch-enabled engine
-// the first ci=1 query decides accept-or-pin for the combo (serving the
-// exact bounds either way, byte-identical to a sketchless engine), and
-// later queries serve without error whichever way the gate went.
-func TestSketchCIGate(t *testing.T) {
-	stream := genStream(12, 8000, 2*timeutil.MillisPerDay)
-	mk := func(sketch bool) *Engine {
-		cfg := Config{Options: testOptions(), SketchCI: sketch}
-		cfg.CI = core.DefaultCIOptions()
-		cfg.CI.Resamples = 12
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.Append(stream)
-		return e
-	}
-	exact := mk(false)
-	sk := mk(true)
-
-	want, err := exact.Query(AllSlices, ModePlain, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sk.Query(AllSlices, ModePlain, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Curve, got.Curve) || !bytes.Equal(want.CI, got.CI) {
-		t.Fatal("gating CI query differs from the exact engine")
-	}
-	st := sk.LiveStats()
-	if st.SketchAccepted+st.SketchPinned != 1 {
-		t.Fatalf("gate undecided after first CI query: accepted=%d pinned=%d",
-			st.SketchAccepted, st.SketchPinned)
-	}
-
-	// Post-gate: a dirty CI query serves on whichever path the gate chose.
-	more := telemetry.Successful(genStream(13, 100, 2*timeutil.MillisPerDay))
-	sk.Append(more)
-	after, err := sk.Query(AllSlices, ModePlain, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after.Cached || len(after.CI) == 0 {
-		t.Fatalf("post-gate CI query: cached=%v ci=%d bytes", after.Cached, len(after.CI))
-	}
-	// The gate is decided once per combo.
-	st = sk.LiveStats()
-	if st.SketchAccepted+st.SketchPinned != 1 {
-		t.Fatal("gate re-decided on a later query")
-	}
-
-	// Normalized-mode CI ignores the sketch entirely and stays exact.
-	wantN, err := exact.Query(AllSlices, ModeNormalized, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk2 := mk(true)
-	gotN, err := sk2.Query(AllSlices, ModeNormalized, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wantN.CI, gotN.CI) {
-		t.Fatal("normalized CI differs under SketchCI")
 	}
 }

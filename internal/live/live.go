@@ -67,13 +67,6 @@ type Config struct {
 	// CI configures bootstrap confidence bounds for ci=1 queries. Zero
 	// value selects core.DefaultCIOptions().
 	CI core.CIOptions
-	// SketchCI enables the mergeable Poisson-bootstrap sketch for plain
-	// ci=1 queries: bounds are maintained incrementally instead of rerun
-	// per epoch. Each combo is gated at runtime — its first CI query
-	// compares the sketch's replicate distribution against the exact block
-	// bootstrap's with a per-bin KS test, and combos that fail stay pinned
-	// to the exact (bit-identical to batch) path.
-	SketchCI bool
 	// Registry exports autosens_live_* metrics; nil skips instrumentation.
 	Registry *obs.Registry
 }
@@ -134,9 +127,6 @@ type Engine struct {
 	// delta-folded into combo estimation state by them.
 	nDirty        atomic.Uint64
 	nDeltaRecords atomic.Uint64
-	// Sketch-CI gate outcomes (combos accepted / pinned to exact).
-	nSketchOK     atomic.Uint64
-	nSketchPinned atomic.Uint64
 	// Windowed recomputes by the path that answered (see recomputeWindow).
 	nWinPath [numWinPaths]atomic.Uint64
 	// Delta-maintained normalized recomputes, and their retained slots by

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -379,12 +380,13 @@ func TestCurvesHandler(t *testing.T) {
 }
 
 // TestCurvesHandlerRefusals tables the typed errors of a well-formed
-// request the estimator declines: the time-normalized refusals are 422
-// under_identified with the batch estimator's message — whether the
-// delta-maintained slot state answers (unwindowed) or the stateless columns
-// kernel does (a window, never promoted while it refuses) — an empty slice
-// is 404, and
-// any other estimator failure stays 500 estimate_failed.
+// request the estimator declines. Input too thin for the method is 422
+// under_identified with the batch estimator's message — the time-normalized
+// refusals, plain mode's ratio with no supported bin, a ci=1 window shorter
+// than two bootstrap blocks, a bootstrap whose replicates nearly all pick
+// record-free blocks — whether the delta-maintained slot state answers
+// (unwindowed) or the stateless columns kernel does (a window, never
+// promoted while it refuses); an empty slice is 404.
 func TestCurvesHandlerRefusals(t *testing.T) {
 	const hour = timeutil.MillisPerHour
 	rec := func(a telemetry.ActionType, t timeutil.Millis, lat float64) telemetry.Record {
@@ -397,11 +399,33 @@ func TestCurvesHandlerRefusals(t *testing.T) {
 	for i := 0; i < 25; i++ { // a full slot, but one action per coarse latency bin: α has no support
 		stream = append(stream, rec(telemetry.Search, 40*hour+timeutil.Millis(i)*60_000, 50+100*float64(i)))
 	}
+	for i := 0; i < 3; i++ { // six draws over three latency bins: none reaches MinUnbiasedCount
+		r := rec(telemetry.ComposeSend, 50*hour+timeutil.Millis(i)*60_000, 100+400*float64(i))
+		r.UserType = telemetry.Consumer
+		stream = append(stream, r)
+	}
+	// Ten 6 h blocks with records in the first only (and one closing the
+	// window): a replicate succeeds only if it picks block 0, and of the
+	// two replicates at bootstrap seed 8 neither does.
+	for i := 0; i < 600; i++ {
+		stream = append(stream, rec(telemetry.SwitchFolder, timeutil.Millis(i)*6_000, 100+float64(i%50)*20))
+	}
+	stream = append(stream, rec(telemetry.SwitchFolder, 59*hour, 300))
 	e := newTestEngine(t)
 	e.Append(stream)
 	srv := httptest.NewServer(e.CurvesHandler())
 	defer srv.Close()
+	twoReps := Config{Options: testOptions(), CI: core.DefaultCIOptions()}
+	twoReps.CI.Resamples, twoReps.CI.Seed = 2, 8
+	e2, err := New(twoReps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2.Append(stream)
+	srv2 := httptest.NewServer(e2.CurvesHandler())
+	defer srv2.Close()
 	at := "&window=48h&at=" + time.UnixMilli(int64(60*hour)).UTC().Format(time.RFC3339)
+	at72 := "&window=72h&at=" + time.UnixMilli(int64(60*hour)).UTC().Format(time.RFC3339)
 
 	for _, tc := range []struct {
 		query   string
@@ -417,10 +441,25 @@ func TestCurvesHandlerRefusals(t *testing.T) {
 			"core: no usable reference slot for time normalization"},
 		{"?slice=action:Search&mode=normalized" + at, 422, api.CodeUnderIdentified,
 			"core: no usable reference slot for time normalization"},
-		{"?slice=action:SelectMail&ci=1", 500, api.CodeEstimateFailed, ""},
-		{"?slice=action:ComposeSend&mode=normalized", 404, api.CodeNotFound, ""},
+		{"?slice=action:ComposeSend", 422, api.CodeUnderIdentified,
+			"core: no valid bins in ratio"},
+		{"?slice=action:ComposeSend" + at, 422, api.CodeUnderIdentified,
+			"core: no valid bins in ratio"},
+		{"?slice=action:SelectMail&ci=1", 422, api.CodeUnderIdentified,
+			"core: window shorter than two 21600000-ms blocks"},
+		{"?slice=action:SelectMail&ci=1" + at, 422, api.CodeUnderIdentified,
+			"core: window shorter than two 21600000-ms blocks"},
+		{"two:?slice=action:SwitchFolder&ci=1", 422, api.CodeUnderIdentified,
+			"core: too few successful bootstrap replicates"},
+		{"two:?slice=action:SwitchFolder&ci=1" + at72, 422, api.CodeUnderIdentified,
+			"core: too few successful bootstrap replicates"},
+		{"?slice=action:ComposeSend,usertype:business&mode=normalized", 404, api.CodeNotFound, ""},
 	} {
-		resp, err := http.Get(srv.URL + tc.query)
+		url := srv.URL + tc.query
+		if q, ok := strings.CutPrefix(tc.query, "two:"); ok {
+			url = srv2.URL + q
+		}
+		resp, err := http.Get(url)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -305,10 +305,6 @@ type comboState struct {
 	inc *core.Incremental
 	cps []checkpoint // per-shard resumable decode positions
 
-	// sketchGate is the combo's KS-gate decision for sketch-CI engines:
-	// 0 undecided, 1 sketch accepted, 2 pinned to the exact bootstrap.
-	sketchGate int
-
 	// normBytes is what the state's time-normalized draw tables retain, as
 	// of its last normalized recompute — atomic so /v1/status can sum it
 	// over states without waiting on their recomputes.
@@ -387,11 +383,6 @@ func (e *Engine) stateFor(combo int) *comboState {
 		cs = &comboState{
 			inc: e.est.NewIncremental(),
 			cps: make([]checkpoint, len(e.shards)),
-		}
-		if e.cfg.SketchCI {
-			// Attached before the first fold so the sweep rebuild keeps the
-			// sketch in lockstep from the start.
-			cs.inc.Sketch = e.est.NewBootSketch(e.cfg.CI.Resamples, e.cfg.CI.Seed)
 		}
 		e.states[combo] = cs
 	}
@@ -526,11 +517,11 @@ func (e *Engine) finish(cs *comboState, v deltaCols, sc *scratch, key SliceKey, 
 	switch {
 	case ci:
 		var band *core.CurveCI
+		opts := e.cfg.CI
+		opts.TimeNormalized = mode == ModeNormalized
 		if cs != nil {
-			band, err = e.estimateCI(cs, mode)
+			band, err = e.est.EstimateCIIncremental(cs.inc, opts)
 		} else {
-			opts := e.cfg.CI
-			opts.TimeNormalized = mode == ModeNormalized
 			band, err = e.est.EstimateCIColumns(v.times, v.lats, opts)
 		}
 		if err != nil {
@@ -587,57 +578,6 @@ func (e *Engine) normalizedTableBytes() int {
 	}
 	e.wsmu.Unlock()
 	return int(n)
-}
-
-// estimateCI produces bootstrap bounds for a ci=1 slot. Plain-mode engines
-// with SketchCI enabled serve the mergeable Poisson-bootstrap sketch,
-// gated per combo: the first CI query runs both the exact block bootstrap
-// and the sketch with retained replicate samples and accepts the sketch
-// only if the mean per-bin two-sample KS statistic stays under the 5%
-// critical value; a combo that fails the gate stays pinned to the exact
-// path. The gating query itself always answers with the exact bounds.
-func (e *Engine) estimateCI(cs *comboState, mode Mode) (*core.CurveCI, error) {
-	opts := e.cfg.CI
-	opts.TimeNormalized = mode == ModeNormalized
-	if opts.TimeNormalized || !e.cfg.SketchCI || cs.sketchGate == 2 {
-		return e.est.EstimateCIIncremental(cs.inc, opts)
-	}
-	if cs.sketchGate == 1 {
-		point, err := cs.inc.EstimatePlain()
-		if err != nil {
-			return nil, err
-		}
-		band, err := cs.inc.Sketch.SketchBounds(cs.inc, point, opts)
-		if err == nil {
-			return band, nil
-		}
-		// Sketch unavailable (the combo's data degraded to the tie-heavy
-		// full-sweep path): serve exact for this query.
-		return e.est.EstimateCIIncremental(cs.inc, opts)
-	}
-	// Gate undecided: run both with retained per-bin replicate samples.
-	gateOpts := opts
-	gateOpts.KeepSamples = true
-	exact, err := e.est.EstimateCIIncremental(cs.inc, gateOpts)
-	if err != nil {
-		return nil, err
-	}
-	sk, skErr := cs.inc.Sketch.SketchBounds(cs.inc, exact.Curve, gateOpts)
-	accepted := false
-	if skErr == nil {
-		mean, _, _, ksErr := core.KSBinsStat(exact, sk)
-		accepted = ksErr == nil &&
-			mean <= core.KSCritical(exact.Replicates, sk.Replicates, 0.05)
-	}
-	if accepted {
-		cs.sketchGate = 1
-		e.nSketchOK.Add(1)
-	} else {
-		cs.sketchGate = 2
-		e.nSketchPinned.Add(1)
-	}
-	exact.BinSamples = nil // gate-only; not part of the response
-	return exact, nil
 }
 
 // AllSliceKeys enumerates every queryable slice — each of the three axes

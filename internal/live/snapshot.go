@@ -60,18 +60,16 @@ func (e *Engine) SnapshotSlice(key SliceKey) (*SliceSnapshot, error) {
 func (e *Engine) LiveStats() api.LiveStats {
 	states, stateBytes := e.windowStates()
 	return api.LiveStats{
-		Shards:         len(e.shards),
-		Records:        e.Records(),
-		StoreBytes:     e.StoreBytes(),
-		Epoch:          e.Epoch(),
-		Queries:        e.nQueries.Load(),
-		CacheHits:      e.nHits.Load(),
-		CacheMisses:    e.nMisses.Load(),
-		CachedCurves:   e.cachedCurves(),
-		DirtyCombos:    e.nDirty.Load(),
-		DeltaRecords:   e.nDeltaRecords.Load(),
-		SketchAccepted: e.nSketchOK.Load(),
-		SketchPinned:   e.nSketchPinned.Load(),
+		Shards:       len(e.shards),
+		Records:      e.Records(),
+		StoreBytes:   e.StoreBytes(),
+		Epoch:        e.Epoch(),
+		Queries:      e.nQueries.Load(),
+		CacheHits:    e.nHits.Load(),
+		CacheMisses:  e.nMisses.Load(),
+		CachedCurves: e.cachedCurves(),
+		DirtyCombos:  e.nDirty.Load(),
+		DeltaRecords: e.nDeltaRecords.Load(),
 
 		WindowStateless:  e.nWinPath[winStateless].Load(),
 		WindowSeeded:     e.nWinPath[winSeeded].Load(),

@@ -122,11 +122,8 @@ func (e *Engine) windowStateFor(k winStateKey, create bool) *windowState {
 		if e.wstates == nil {
 			e.wstates = make(map[winStateKey]*windowState)
 		}
-		// Windowed CI is always the exact bootstrap: the sketch is
-		// maintained against full-history folds, and a gate pinned to 2
-		// makes estimateCI never consult it (no Sketch is attached).
 		ws = &windowState{comboState: comboState{
-			cps: make([]checkpoint, len(e.shards)), sketchGate: 2,
+			cps: make([]checkpoint, len(e.shards)),
 		}}
 		e.wstates[k] = ws
 	}
