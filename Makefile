@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-ingest-json bench-live bench-live-gate bench-soak bench-watch bench-cluster bench-store bench-store-gate fuzz check fmt vet clean crash-test race-ingest race-live race-watch race-cluster race-store alert-quality coverage
+.PHONY: build test race bench bench-json bench-ingest-json bench-live bench-live-gate bench-watch bench-cluster bench-store bench-store-gate fuzz check fmt vet clean crash-test race-ingest race-live race-watch race-cluster race-store alert-quality coverage
 
 # Label recorded in BENCH_core.json for a bench-json run; override like
 #   make bench-json BENCH_LABEL="after: shared key plan"
@@ -105,18 +105,6 @@ bench-live-gate:
 		$(GO) run ./cmd/benchjson -against BENCH_live.json \
 			-names BenchmarkLiveQueryDirty,BenchmarkLiveQueryDirtyNormalized/advancing,BenchmarkLiveQueryDirtyCI/advancing,BenchmarkLiveQueryDirtyCI/backfill,BenchmarkLiveWindowSliding -require-baseline
 
-# bench-soak runs the sustained-load SLO harness: a real sensd with the
-# live engine on a loopback port, loadgen soak mode driving 1M simulated
-# users of batched ingest plus concurrent curve queries, report committed
-# as BENCH_soak.json. Shorten for a smoke run with
-#   make bench-soak SOAK_DURATION=3s SOAK_USERS=10000
-SOAK_DURATION ?= 30s
-SOAK_USERS ?= 1000000
-SOAK_OUT ?= BENCH_soak.json
-bench-soak:
-	SOAK_DURATION=$(SOAK_DURATION) SOAK_USERS=$(SOAK_USERS) SOAK_OUT=$(SOAK_OUT) \
-		GO=$(GO) ./scripts/bench_soak.sh
-
 # bench-watch appends a labelled watcher benchmark run to BENCH_watch.json:
 # the clean (cached, zero-alloc) tick vs a full re-evaluation tick — the
 # committed record of the incremental machinery's win.
@@ -178,12 +166,13 @@ bench-store-gate:
 	$(GO) test -bench='BenchmarkStoreQueryWindowDirty' -benchmem -run=^$$ ./internal/store/ | \
 		$(GO) run ./cmd/benchjson -against BENCH_store.json -names BenchmarkStoreQueryWindowDirty -require-baseline
 
-# fuzz runs each telemetry, cluster-partial and cold-block fuzz target
-# for a short bounded burst.
+# fuzz runs each telemetry, merge-kernel, cluster-partial and cold-block
+# fuzz target for a short bounded burst.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzRecordRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run=^$$ -fuzz='^FuzzReaderNoCrash$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/
+	$(GO) test -run=^$$ -fuzz='^FuzzMergeColumns$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=^$$ -fuzz='^FuzzPartialRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/collector/api/
 	$(GO) test -run=^$$ -fuzz='^FuzzPartialMergeNoCrash$$' -fuzztime=$(FUZZTIME) ./internal/cluster/
 	$(GO) test -run=^$$ -fuzz='^FuzzBlockRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/store/

@@ -426,9 +426,10 @@ func emit(out io.Writer, curve *core.Curve, band *core.CurveCI, noChart bool, re
 // child per slice from the pipeline.
 func runComparison(out io.Writer, records []telemetry.Record, opts core.Options, by, actionFlag, probesFlag string, noChart bool, workers int, trace *obs.Span) error {
 	var slices []pipeline.Slice
+	part := pipeline.NewPartition(records)
 	switch by {
 	case "action":
-		slices = pipeline.ByActionType(records)
+		slices = part.ByActionType()
 	case "usertype", "segment":
 		action := telemetry.SelectMail
 		if actionFlag != "" {
@@ -438,7 +439,7 @@ func runComparison(out io.Writer, records []telemetry.Record, opts core.Options,
 			}
 			action = a
 		}
-		slices = pipeline.BySegment(records, action)
+		slices = part.BySegment(action)
 	case "quartile":
 		action := telemetry.SelectMail
 		if actionFlag != "" {
@@ -449,7 +450,7 @@ func runComparison(out io.Writer, records []telemetry.Record, opts core.Options,
 			action = a
 		}
 		var err error
-		slices, err = pipeline.ByQuartile(records, action)
+		slices, err = part.ByQuartile(action)
 		if err != nil {
 			return err
 		}
@@ -462,7 +463,7 @@ func runComparison(out io.Writer, records []telemetry.Record, opts core.Options,
 			}
 			action = a
 		}
-		slices = pipeline.ByPeriod(records, action)
+		slices = part.ByPeriod(action)
 	default:
 		return fmt.Errorf("unknown -by dimension %q", by)
 	}

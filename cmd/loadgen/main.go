@@ -69,29 +69,7 @@ func run() error {
 	incidentFor := flag.Duration("incident-for", 3*time.Hour, "incident duration")
 	incidentSeverity := flag.Float64("incident-severity", 3.0, "latency multiplier during the incident (> 1)")
 	incidentFraction := flag.Float64("incident-fraction", 1.0, "fraction of users affected, in (0,1]")
-	soak := flag.Bool("soak", false,
-		"run the sustained ingest+query soak harness instead of the OWA replay, writing an SLO report (see -soak-*)")
-	soakUsers := flag.Uint64("soak-users", 1_000_000, "distinct simulated users in the soak stream")
-	soakDuration := flag.Duration("soak-duration", 30*time.Second, "soak wall-clock duration")
-	soakOut := flag.String("soak-out", "BENCH_soak.json", "soak report output path")
-	soakWindow := flag.Duration("soak-window", 12*time.Hour,
-		"mix trailing-window curve queries of this span into the soak's query load, exercising the tiered hot+cold path (0 keeps all queries unwindowed)")
 	flag.Parse()
-
-	if *soak {
-		return runSoak(soakConfig{
-			url:          *url,
-			users:        *soakUsers,
-			duration:     *soakDuration,
-			senders:      *senders,
-			batch:        *batch,
-			queryWorkers: *queryWorkers,
-			window:       *soakWindow,
-			format:       format.Format(),
-			seed:         *seed,
-			out:          *soakOut,
-		})
-	}
 
 	if *senders <= 0 {
 		return fmt.Errorf("senders must be positive")
@@ -170,7 +148,7 @@ func run() error {
 		}(i)
 	}
 
-	queries := startQueryPool(queryBase, *queryWorkers, "")
+	queries := startQueryPool(queryBase, *queryWorkers)
 
 	cfg := owasim.DefaultConfig(timeutil.Millis(*days)*timeutil.MillisPerDay, *business, *consumer)
 	cfg.Seed = *seed
@@ -259,31 +237,19 @@ type queryPool struct {
 	workers int
 	done    chan struct{}
 	wg      sync.WaitGroup
-	lats    [][]time.Duration // one slice per worker; merged after stop
+	lats    [][]time.Duration // one slice per worker; merged by report, after stop
 	ok      atomic.Uint64
 	notYet  atomic.Uint64 // 404s: slice empty this early in the run
 	failed  atomic.Uint64
-
-	// windowQuery, when non-empty, is a raw query-string suffix (e.g.
-	// "window=12h&at=...") that every other request carries, mixing
-	// trailing-window curve queries — the tiered hot+cold path — into the
-	// load. Windowed requests are tallied separately so the report can
-	// show both serving paths' tails.
-	windowQuery string
-	wlats       [][]time.Duration
-	wok         atomic.Uint64
 }
 
 // startQueryPool derives the curves endpoint from the beacons URL and
-// launches the workers. A zero worker count returns an inert pool. A
-// non-empty windowQuery makes every other request a trailing-window one.
-func startQueryPool(beaconsURL string, workers int, windowQuery string) *queryPool {
+// launches the workers. A zero worker count returns an inert pool.
+func startQueryPool(beaconsURL string, workers int) *queryPool {
 	p := &queryPool{
-		workers:     workers,
-		done:        make(chan struct{}),
-		lats:        make([][]time.Duration, workers),
-		windowQuery: windowQuery,
-		wlats:       make([][]time.Duration, workers),
+		workers: workers,
+		done:    make(chan struct{}),
+		lats:    make([][]time.Duration, workers),
 	}
 	curvesURL := strings.TrimSuffix(beaconsURL, api.PathBeacons) + api.PathCurves
 	for i := 0; i < workers; i++ {
@@ -303,14 +269,8 @@ func (p *queryPool) worker(i int, curvesURL string) {
 		default:
 		}
 		u := curvesURL
-		sep := "?"
 		if s := querySlices[(i+j)%len(querySlices)]; s != "" {
 			u += "?slice=" + neturl.QueryEscape(s)
-			sep = "&"
-		}
-		windowed := p.windowQuery != "" && j%2 == 1
-		if windowed {
-			u += sep + p.windowQuery
 		}
 		start := time.Now()
 		resp, err := client.Get(u)
@@ -323,13 +283,8 @@ func (p *queryPool) worker(i int, curvesURL string) {
 		elapsed := time.Since(start)
 		switch resp.StatusCode {
 		case http.StatusOK:
-			if windowed {
-				p.wok.Add(1)
-				p.wlats[i] = append(p.wlats[i], elapsed)
-			} else {
-				p.ok.Add(1)
-				p.lats[i] = append(p.lats[i], elapsed)
-			}
+			p.ok.Add(1)
+			p.lats[i] = append(p.lats[i], elapsed)
 		case http.StatusNotFound:
 			p.notYet.Add(1)
 		default:
@@ -346,32 +301,18 @@ func (p *queryPool) stop() {
 	p.wg.Wait()
 }
 
-// snapshot returns the pool's counters and the merged per-request
-// latencies. Call after stop.
-func (p *queryPool) snapshot() (ok, notYet, failed uint64, all []time.Duration) {
-	for _, l := range p.lats {
-		all = append(all, l...)
-	}
-	return p.ok.Load(), p.notYet.Load(), p.failed.Load(), all
-}
-
-// windowedSnapshot returns the windowed-request tallies. Call after stop.
-func (p *queryPool) windowedSnapshot() (ok uint64, all []time.Duration) {
-	for _, l := range p.wlats {
-		all = append(all, l...)
-	}
-	return p.wok.Load(), all
-}
-
 // report prints query counts and latency percentiles; a no-op when -query
 // was 0 or no query ever succeeded.
 func (p *queryPool) report(w io.Writer) {
 	if p.workers == 0 {
 		return
 	}
-	ok, notYet, failed, all := p.snapshot()
+	var all []time.Duration
+	for _, l := range p.lats {
+		all = append(all, l...)
+	}
 	fmt.Fprintf(w, "loadgen: queries: %d ok, %d empty-slice 404s, %d failed\n",
-		ok, notYet, failed)
+		p.ok.Load(), p.notYet.Load(), p.failed.Load())
 	if len(all) == 0 {
 		return
 	}

@@ -34,7 +34,7 @@ func main() {
 	results, err := pipeline.Run(pipeline.Request{
 		Options:        opts,
 		TimeNormalized: true,
-		Slices:         pipeline.ByActionType(records),
+		Slices:         pipeline.NewPartition(records).ByActionType(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -39,7 +39,7 @@ func main() {
 
 	opts := core.DefaultOptions()
 	opts.MinSlotActions = 10
-	slices, err := pipeline.ByQuartile(records, telemetry.SelectMail)
+	slices, err := pipeline.NewPartition(records).ByQuartile(telemetry.SelectMail)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -340,8 +340,7 @@ func (c *Coordinator) fetchPartials(cv *comboVersions, ce *coordEntry, key live.
 			if ce.parts[i] == nil {
 				ce.parts[i] = &core.Summary{}
 			}
-			s := ce.parts[i]
-			s.Times, s.Lats, s.Seqs, s.B = p.Times, p.Lats, p.Seqs, p.Hist
+			ce.parts[i].Columns, ce.parts[i].B = partialColumns(p), p.Hist
 		}(i, src)
 	}
 	wg.Wait()
@@ -411,20 +410,13 @@ func (c *Coordinator) recompute(cv *comboVersions, ce *coordEntry, key live.Slic
 	return res, nil
 }
 
-// SnapshotSlice materializes the cluster-wide slice columns (the watch
-// store surface): every node's partial, merged into the stable by-time
-// sort of the global stream. Shards holds the per-node sorted columns,
-// index-aligned with the coordinator's sources, so cross-shard analysis
-// sees per-node contributions. An empty cluster-wide slice returns
-// live.ErrNoRecords like the engine does.
-func (c *Coordinator) SnapshotSlice(key live.SliceKey) (*live.SliceSnapshot, error) {
-	return c.SnapshotSliceWindow(key, live.Window{})
-}
-
-// SnapshotSliceWindow is SnapshotSlice restricted to win: each node's
-// contribution is its windowed partial, so a watcher's rolling windows
-// read exactly the cluster-wide records the window covers — including
-// each node's cold tier. A zero win is exactly SnapshotSlice.
+// SnapshotSliceWindow materializes the cluster-wide slice columns inside
+// win (the watch store surface; the zero window is full history): every
+// node's windowed partial — hot store and cold tier — merged into the
+// stable by-time sort of the global stream. Shards holds the per-node
+// sorted columns, index-aligned with the coordinator's sources, so
+// cross-shard analysis sees per-node contributions. An empty cluster-wide
+// slice returns live.ErrNoRecords like the engine does.
 func (c *Coordinator) SnapshotSliceWindow(key live.SliceKey, win live.Window) (*live.SliceSnapshot, error) {
 	cv := c.combosFor(comboOf(key))
 	parts := make([]*api.Partial, len(c.srcs))
@@ -443,26 +435,25 @@ func (c *Coordinator) SnapshotSliceWindow(key live.SliceKey, win live.Window) (*
 			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
 	}
-	snap := &live.SliceSnapshot{Shards: make([]live.ShardColumns, len(parts))}
-	sums := make([]*core.Summary, len(parts))
-	n := 0
+	snap := &live.SliceSnapshot{Shards: make([]core.Columns, len(parts))}
 	for i, p := range parts {
 		snap.Version += p.Version
 		raiseKnown(&cv.known[i], p.Version)
-		snap.Shards[i] = live.ShardColumns{Times: p.Times, Lats: p.Lats, Seqs: p.Seqs}
-		sums[i] = &core.Summary{Times: p.Times, Lats: p.Lats, Seqs: p.Seqs}
-		n += p.Len()
+		snap.Shards[i] = partialColumns(p)
 	}
-	if n == 0 {
+	var merged core.Columns
+	core.MergeColumns(&merged, snap.Shards...)
+	if merged.Len() == 0 {
 		return nil, live.ErrNoRecords
 	}
-	var merged core.Summary
-	if err := core.MergeSummaries(&merged, sums...); err != nil {
-		return nil, err
-	}
-	snap.Times = merged.Times
-	snap.Lats = merged.Lats
+	snap.Times, snap.Lats = merged.Times, merged.Lats
 	return snap, nil
+}
+
+// partialColumns views a wire partial's rows as core.Columns (api stays
+// free of a core import, so the conversion lives on this side).
+func partialColumns(p *api.Partial) core.Columns {
+	return core.Columns{Times: p.Times, Lats: p.Lats, Seqs: p.Seqs}
 }
 
 // Stats snapshots the coordinator's serving counters.

@@ -47,8 +47,8 @@ func FuzzPartialMergeNoCrash(f *testing.F) {
 		if errA != nil || errB != nil {
 			return
 		}
-		sa := &core.Summary{Times: pa.Times, Lats: pa.Lats, Seqs: pa.Seqs, B: pa.Hist}
-		sb := &core.Summary{Times: pb.Times, Lats: pb.Lats, Seqs: pb.Seqs, B: pb.Hist}
+		sa := &core.Summary{Columns: partialColumns(pa), B: pa.Hist}
+		sb := &core.Summary{Columns: partialColumns(pb), B: pb.Hist}
 		dst := &core.Summary{}
 		if pa.Hist != nil {
 			// Merge under the first partial's binning, as a coordinator

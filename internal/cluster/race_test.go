@@ -22,10 +22,6 @@ type swapSource struct {
 	e atomic.Pointer[live.Engine]
 }
 
-func (s *swapSource) Partial(key live.SliceKey) (*api.Partial, error) {
-	return s.e.Load().Partial(key)
-}
-
 func (s *swapSource) PartialWindow(key live.SliceKey, win live.Window) (*api.Partial, error) {
 	return s.e.Load().PartialWindow(key, win)
 }

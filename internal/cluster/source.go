@@ -23,16 +23,14 @@ import (
 // columns are gathered, so comparing it later can only report "possibly
 // stale", never "fresh" for data the partial might miss.
 type PartialSource interface {
-	// Partial returns the node's current partial for the slice. A node
-	// holding none of the slice's users returns an empty partial, not an
-	// error.
-	Partial(key live.SliceKey) (*api.Partial, error)
-	// PartialWindow is Partial restricted to a half-open time window,
-	// covering the node's hot store and (when it runs one) cold tier. A
-	// zero window must behave exactly like Partial.
+	// PartialWindow returns the node's current partial for the slice
+	// inside a half-open time window, covering the node's hot store and
+	// (when it runs one) cold tier; the zero window is the full history
+	// the node holds. A node holding none of the slice's users returns an
+	// empty partial, not an error.
 	PartialWindow(key live.SliceKey, win live.Window) (*api.Partial, error)
 	// PartialVersion returns the node's current slice version — the
-	// staleness poll, expected to be far cheaper than Partial.
+	// staleness poll, expected to be far cheaper than PartialWindow.
 	PartialVersion(key live.SliceKey) (uint64, error)
 }
 
@@ -41,11 +39,6 @@ type PartialSource interface {
 // HTTP round trip.
 type LocalNode struct {
 	Engine *live.Engine
-}
-
-// Partial implements PartialSource.
-func (n LocalNode) Partial(key live.SliceKey) (*api.Partial, error) {
-	return n.Engine.Partial(key)
 }
 
 // PartialWindow implements PartialSource.
@@ -107,29 +100,16 @@ func (n *HTTPNode) partialsURL(key live.SliceKey, versions bool) string {
 	return u
 }
 
-// Partial implements PartialSource over the binary wire form.
-func (n *HTTPNode) Partial(key live.SliceKey) (*api.Partial, error) {
-	body, err := n.get(n.partialsURL(key, false))
-	if err != nil {
-		return nil, err
-	}
-	p, err := api.DecodePartial(body)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: peer %s: %w", n.base, err)
-	}
-	return p, nil
-}
-
-// PartialWindow implements PartialSource over the cluster-internal
-// from_ms/to_ms form: the exact half-open bounds the coordinator merges,
-// never re-derived from a duration at the peer.
+// PartialWindow implements PartialSource over the binary wire form. A
+// window rides the cluster-internal from_ms/to_ms form: the exact half-open
+// bounds the coordinator merges, never re-derived from a duration at the
+// peer. The zero window omits both, which is the unwindowed request.
 func (n *HTTPNode) PartialWindow(key live.SliceKey, win live.Window) (*api.Partial, error) {
-	if win.IsZero() {
-		return n.Partial(key)
+	u := n.partialsURL(key, false)
+	if !win.IsZero() {
+		u += "&from_ms=" + strconv.FormatInt(int64(win.From), 10) +
+			"&to_ms=" + strconv.FormatInt(int64(win.To), 10)
 	}
-	u := n.partialsURL(key, false) +
-		"&from_ms=" + strconv.FormatInt(int64(win.From), 10) +
-		"&to_ms=" + strconv.FormatInt(int64(win.To), 10)
 	body, err := n.get(u)
 	if err != nil {
 		return nil, err

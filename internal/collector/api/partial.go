@@ -164,9 +164,11 @@ func (r *partialReader) f64() (float64, error) {
 	return math.Float64frombits(v), err
 }
 
+// uvarint and varint accept only the minimal encoding (no zero-padded
+// final group): the format has exactly one encoding per value.
 func (r *partialReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.data[r.off+n-1] == 0) {
 		return 0, fmt.Errorf("%w: bad uvarint at byte %d", ErrPartialCorrupt, r.off)
 	}
 	r.off += n
@@ -175,7 +177,7 @@ func (r *partialReader) uvarint() (uint64, error) {
 
 func (r *partialReader) varint() (int64, error) {
 	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.data[r.off+n-1] == 0) {
 		return 0, fmt.Errorf("%w: bad varint at byte %d", ErrPartialCorrupt, r.off)
 	}
 	r.off += n
@@ -295,13 +297,15 @@ func DecodePartial(data []byte) (*Partial, error) {
 			math.IsInf(min, 0) || math.IsInf(max, 0) || math.IsInf(width, 0) {
 			return nil, fmt.Errorf("%w: non-finite histogram binning", ErrPartialCorrupt)
 		}
+		// The binning, not the header, sizes the histogram: hold it to the
+		// bounded header count before histogram.New allocates.
+		if n := math.Ceil((max - min) / width); n != float64(bins) {
+			return nil, fmt.Errorf("%w: binning yields %v bins, header says %d",
+				ErrPartialCorrupt, n, bins)
+		}
 		h, err := histogram.New(min, max, width)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrPartialCorrupt, err)
-		}
-		if h.Bins() != int(bins) {
-			return nil, fmt.Errorf("%w: binning yields %d bins, header says %d",
-				ErrPartialCorrupt, h.Bins(), bins)
 		}
 		for i := 0; i < int(bins); i++ {
 			c, err := r.f64()

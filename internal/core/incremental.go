@@ -90,28 +90,29 @@ func (inc *Incremental) Summary() *Summary { return &inc.sum }
 // O(d·log n); deltas that move the window (or the first fold) invalidate it
 // for lazy rebuild at the next estimate.
 func (inc *Incremental) Fold(dTimes []timeutil.Millis, dLats []float64, dSeqs []uint64) error {
-	if len(dTimes) == 0 {
+	d := Columns{Times: dTimes, Lats: dLats, Seqs: dSeqs}
+	if d.Len() == 0 {
 		return nil
 	}
 	n := inc.sum.Len()
 	windowKept := n > 0 &&
-		dTimes[0] >= inc.sum.Times[0] &&
-		dTimes[len(dTimes)-1] <= inc.sum.Times[n-1]
+		d.Times[0] >= inc.sum.Times[0] &&
+		d.Times[d.Len()-1] <= inc.sum.Times[n-1]
 	if !inc.stValid || inc.fullSweep || !windowKept {
-		if err := inc.sum.Fold(dTimes, dLats, dSeqs); err != nil {
+		if err := inc.sum.Fold(d); err != nil {
 			return err
 		}
 		inc.stValid = false
 		return nil
 	}
-	return inc.foldIncremental(dTimes, dLats, dSeqs)
+	return inc.foldIncremental(d)
 }
 
 // foldIncremental updates the stable sweep state for a window-preserving
 // delta. Order matters: old draw values are retracted against the OLD
 // columns and OLD key schedule, then columns fold and the key schedule
 // extends, then affected draws are re-evaluated against the new state.
-func (inc *Incremental) foldIncremental(dTimes []timeutil.Millis, dLats []float64, dSeqs []uint64) error {
+func (inc *Incremental) foldIncremental(d Columns) error {
 	lo := inc.sum.Times[0]
 	span := inc.plan.span
 
@@ -120,7 +121,7 @@ func (inc *Incremental) foldIncremental(dTimes []timeutil.Millis, dLats []float6
 	// neighbours can change assignment, midpoint status, or adopted-run
 	// size. Delta times ascend, so intervals merge in one pass.
 	inc.intervals = inc.intervals[:0]
-	for _, t := range dTimes {
+	for _, t := range d.Times {
 		a, b := neighborInterval(inc.sum.Times, lo, span, t)
 		if k := len(inc.intervals); k > 0 && a <= inc.intervals[k-1][1] {
 			if b > inc.intervals[k-1][1] {
@@ -156,7 +157,7 @@ func (inc *Incremental) foldIncremental(dTimes []timeutil.Millis, dLats []float6
 	// 3. Stage the schedule extension for the grown draw count, then shift
 	// surviving ranks by the staged keys inserted below them. Survivor
 	// ranks ascend, hence so do their key values: one two-pointer pass.
-	newDraws := drawCount(inc.sum.Len()+len(dTimes), inc.e.opts.UnbiasedPerSample)
+	newDraws := drawCount(inc.sum.Len()+d.Len(), inc.e.opts.UnbiasedPerSample)
 	tail := inc.plan.stageExtend(newDraws)
 	tp := 0
 	for i, r := range inc.survivors {
@@ -168,7 +169,7 @@ func (inc *Incremental) foldIncremental(dTimes []timeutil.Millis, dLats []float6
 	}
 
 	// 4. Fold columns (+ biased histogram), commit the key merge.
-	if err := inc.sum.Fold(dTimes, dLats, dSeqs); err != nil {
+	if err := inc.sum.Fold(d); err != nil {
 		return err
 	}
 	inc.plan.commitExtend()
@@ -398,7 +399,7 @@ func slices32Sort(a []int32) {
 func (inc *Incremental) RetainedBytes() int {
 	s := &inc.sum
 	n := 8 * (cap(s.Times) + cap(s.Lats) + cap(s.Seqs) +
-		cap(s.spareTimes) + cap(s.spareLats) + cap(s.spareSeqs))
+		cap(s.spare.Times) + cap(s.spare.Lats) + cap(s.spare.Seqs))
 	n += inc.plan.RetainedBytes() + inc.sc.RetainedBytes()
 	n += 4*(cap(inc.auxDep)+cap(inc.survivors)) + 16*cap(inc.intervals)
 	n += 8 * 3 * inc.u.Bins() // B, u, uOut

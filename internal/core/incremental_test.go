@@ -75,7 +75,7 @@ type colSorter struct {
 
 func (c *colSorter) Len() int { return len(c.times) }
 func (c *colSorter) Less(i, j int) bool {
-	return summaryLess(c.times[i], c.seqs[i], c.times[j], c.seqs[j])
+	return Less(c.times[i], c.seqs[i], c.times[j], c.seqs[j])
 }
 func (c *colSorter) Swap(i, j int) {
 	c.times[i], c.times[j] = c.times[j], c.times[i]
@@ -97,7 +97,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	if err := inc.Fold(ts, ls, qs); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Fold(ts, ls, qs); err != nil {
+	if err := ref.Fold(Columns{Times: ts, Lats: ls, Seqs: qs}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,7 +126,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		if err := inc.Fold(ts, ls, qs); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Fold(ts, ls, qs); err != nil {
+		if err := ref.Fold(Columns{Times: ts, Lats: ls, Seqs: qs}); err != nil {
 			t.Fatal(err)
 		}
 		check(step)
@@ -176,7 +176,7 @@ func TestIncrementalTieHeavy(t *testing.T) {
 	if err := inc.Fold(ts, ls, qs); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Fold(ts, ls, qs); err != nil {
+	if err := ref.Fold(Columns{Times: ts, Lats: ls, Seqs: qs}); err != nil {
 		t.Fatal(err)
 	}
 	for step := 0; step < 12; step++ {
@@ -195,7 +195,7 @@ func TestIncrementalTieHeavy(t *testing.T) {
 		if err := inc.Fold(dts, dls, dqs); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Fold(dts, dls, dqs); err != nil {
+		if err := ref.Fold(Columns{Times: dts, Lats: dls, Seqs: dqs}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestIncrementalWindowMove(t *testing.T) {
 	if err := inc.Fold(ts, ls, qs); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Fold(ts, ls, qs); err != nil {
+	if err := ref.Fold(Columns{Times: ts, Lats: ls, Seqs: qs}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := inc.EstimatePlain(); err != nil {
@@ -236,7 +236,7 @@ func TestIncrementalWindowMove(t *testing.T) {
 	if err := inc.Fold(dts, dls, dqs); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Fold(dts, dls, dqs); err != nil {
+	if err := ref.Fold(Columns{Times: dts, Lats: dls, Seqs: dqs}); err != nil {
 		t.Fatal(err)
 	}
 	if inc.stValid {
@@ -291,7 +291,7 @@ func TestEstimateCIIncrementalMatchesBatch(t *testing.T) {
 		if err := f.inc.Fold(ts, ls, qs); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.ref.Fold(ts, ls, qs); err != nil {
+		if err := f.ref.Fold(Columns{Times: ts, Lats: ls, Seqs: qs}); err != nil {
 			t.Fatal(err)
 		}
 	}

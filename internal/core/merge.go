@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"time"
 
 	"autosens/internal/histogram"
@@ -24,40 +23,16 @@ import (
 // arrival order yields the same histogram bit for bit as a from-scratch
 // rebuild — Fold never needs to revisit old records.
 type Summary struct {
-	Times []timeutil.Millis
-	Lats  []float64
-	Seqs  []uint64
+	Columns
 	// B, when non-nil, is the delta-maintained biased histogram over Lats.
 	// Fold keeps it in sync; estimators consume it in place of an O(n)
 	// rebuild.
 	B *histogram.Histogram
 
-	// Retired column buffers, reused by the next out-of-order fold so that
-	// steady-state folding allocates only on capacity growth.
-	spareTimes []timeutil.Millis
-	spareLats  []float64
-	spareSeqs  []uint64
-}
-
-// Len returns the number of records summarized.
-func (s *Summary) Len() int { return len(s.Times) }
-
-// summaryLess orders (time, seq) pairs.
-func summaryLess(t1 timeutil.Millis, s1 uint64, t2 timeutil.Millis, s2 uint64) bool {
-	if t1 != t2 {
-		return t1 < t2
-	}
-	return s1 < s2
-}
-
-var errSummaryColumns = errors.New("core: summary columns differ in length")
-
-// check validates the parallel-column invariant.
-func (s *Summary) check() error {
-	if len(s.Times) != len(s.Lats) || len(s.Times) != len(s.Seqs) {
-		return errSummaryColumns
-	}
-	return nil
+	// spare holds the column buffers the last out-of-order fold retired,
+	// reused by the next one so that steady-state folding allocates only on
+	// capacity growth.
+	spare Columns
 }
 
 // Fold merges a (time, seq)-sorted delta into s. The delta's columns are
@@ -70,119 +45,63 @@ func (s *Summary) check() error {
 // When s.B is non-nil every delta latency is added to it, keeping the
 // biased histogram exact (see the type comment for why add order cannot
 // matter).
-func (s *Summary) Fold(dTimes []timeutil.Millis, dLats []float64, dSeqs []uint64) error {
-	if len(dTimes) != len(dLats) || len(dTimes) != len(dSeqs) {
-		return errSummaryColumns
+func (s *Summary) Fold(d Columns) error {
+	if err := d.check(); err != nil {
+		return err
 	}
 	if err := s.check(); err != nil {
 		return err
 	}
-	if len(dTimes) == 0 {
+	if d.Len() == 0 {
 		return nil
 	}
 	if s.B != nil {
-		for _, v := range dLats {
+		for _, v := range d.Lats {
 			s.B.Add(v)
 		}
 	}
-	n := len(s.Times)
-	if n == 0 || !summaryLess(dTimes[0], dSeqs[0], s.Times[n-1], s.Seqs[n-1]) {
+	n := s.Len()
+	if n == 0 || !Less(d.Times[0], d.Seqs[0], s.Times[n-1], s.Seqs[n-1]) {
 		// Append fast path: the whole delta sorts after everything held.
-		s.Times = append(s.Times, dTimes...)
-		s.Lats = append(s.Lats, dLats...)
-		s.Seqs = append(s.Seqs, dSeqs...)
+		s.Times = append(s.Times, d.Times...)
+		s.Lats = append(s.Lats, d.Lats...)
+		s.Seqs = append(s.Seqs, d.Seqs...)
 		return nil
 	}
-	// Out-of-order delta: two-way merge into the spare buffers, then swap.
-	// Grown buffers take 25% headroom so a run of small folds amortizes
-	// instead of reallocating on every one-record growth.
-	total := n + len(dTimes)
-	mt := s.spareTimes[:0]
-	if cap(mt) < total {
-		mt = make([]timeutil.Millis, 0, total+total/4)
-	}
-	ml := s.spareLats[:0]
-	if cap(ml) < total {
-		ml = make([]float64, 0, total+total/4)
-	}
-	ms := s.spareSeqs[:0]
-	if cap(ms) < total {
-		ms = make([]uint64, 0, total+total/4)
-	}
-	i, j := 0, 0
-	for i < n && j < len(dTimes) {
-		if summaryLess(s.Times[i], s.Seqs[i], dTimes[j], dSeqs[j]) {
-			mt = append(mt, s.Times[i])
-			ml = append(ml, s.Lats[i])
-			ms = append(ms, s.Seqs[i])
-			i++
-		} else {
-			mt = append(mt, dTimes[j])
-			ml = append(ml, dLats[j])
-			ms = append(ms, dSeqs[j])
-			j++
+	// Out-of-order delta: merge into the spare buffers, then swap. Grown
+	// buffers take 25% headroom so a run of small folds amortizes instead
+	// of reallocating on every one-record growth.
+	m := s.spare
+	m.Reset()
+	if total := n + d.Len(); cap(m.Times) < total {
+		c := total + total/4
+		m = Columns{
+			Times: make([]timeutil.Millis, 0, c), Lats: make([]float64, 0, c), Seqs: make([]uint64, 0, c),
 		}
 	}
-	mt = append(append(mt, s.Times[i:]...), dTimes[j:]...)
-	ml = append(append(ml, s.Lats[i:]...), dLats[j:]...)
-	ms = append(append(ms, s.Seqs[i:]...), dSeqs[j:]...)
-	s.spareTimes, s.Times = s.Times, mt
-	s.spareLats, s.Lats = s.Lats, ml
-	s.spareSeqs, s.Seqs = s.Seqs, ms
+	MergeColumns(&m, s.Columns, d)
+	s.spare, s.Columns = s.Columns, m
 	return nil
 }
 
-// FoldSummary folds another summary's columns into s (d is read-only).
-func (s *Summary) FoldSummary(d *Summary) error {
-	return s.Fold(d.Times, d.Lats, d.Seqs)
-}
-
-// MergeSummaries k-way merges sorted partials into dst (reset first),
-// preserving the (time, seq) order — the wire-form combine step a
-// scatter-gather coordinator runs over per-node partials. Partial
-// histograms are summed into dst.B when dst.B is non-nil and every part
-// carries one; parts with nil histograms contribute per-record adds.
+// MergeSummaries merges sorted partials into dst (reset first), preserving
+// the (time, seq) order with equal keys kept in part order — the wire-form
+// combine step a scatter-gather coordinator runs over per-node partials.
+// Partial histograms are summed into dst.B when dst.B is non-nil and every
+// part carries one; parts with nil histograms contribute per-record adds.
 func MergeSummaries(dst *Summary, parts ...*Summary) error {
-	dst.Times = dst.Times[:0]
-	dst.Lats = dst.Lats[:0]
-	dst.Seqs = dst.Seqs[:0]
+	dst.Reset()
 	if dst.B != nil {
 		dst.B.Reset()
 	}
-	n := 0
-	for _, p := range parts {
+	runs := make([]Columns, len(parts))
+	for i, p := range parts {
 		if err := p.check(); err != nil {
 			return err
 		}
-		n += p.Len()
+		runs[i] = p.Columns
 	}
-	if cap(dst.Times) < n {
-		dst.Times = make([]timeutil.Millis, 0, n)
-		dst.Lats = make([]float64, 0, n)
-		dst.Seqs = make([]uint64, 0, n)
-	}
-	cursors := make([]int, len(parts))
-	for {
-		best := -1
-		for i, p := range parts {
-			c := cursors[i]
-			if c >= p.Len() {
-				continue
-			}
-			if best < 0 || summaryLess(p.Times[c], p.Seqs[c],
-				parts[best].Times[cursors[best]], parts[best].Seqs[cursors[best]]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		c := cursors[best]
-		dst.Times = append(dst.Times, parts[best].Times[c])
-		dst.Lats = append(dst.Lats, parts[best].Lats[c])
-		dst.Seqs = append(dst.Seqs, parts[best].Seqs[c])
-		cursors[best]++
-	}
+	MergeColumns(&dst.Columns, runs...)
 	if dst.B != nil {
 		for _, p := range parts {
 			if p.B != nil {

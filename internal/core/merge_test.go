@@ -40,7 +40,7 @@ func sortedSummary(times []timeutil.Millis, lats []float64, seqs []uint64) *Summ
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		return summaryLess(times[idx[a]], seqs[idx[a]], times[idx[b]], seqs[idx[b]])
+		return Less(times[idx[a]], seqs[idx[a]], times[idx[b]], seqs[idx[b]])
 	})
 	s := &Summary{}
 	for _, i := range idx {
@@ -66,14 +66,14 @@ func foldChunks(t *testing.T, dst *Summary, times []timeutil.Millis, lats []floa
 			continue
 		}
 		d := sortedSummary(times[at:end], lats[at:end], seqs[at:end])
-		if err := dst.FoldSummary(d); err != nil {
+		if err := dst.Fold(d.Columns); err != nil {
 			t.Fatal(err)
 		}
 		at = end
 	}
 	if at < len(times) {
 		d := sortedSummary(times[at:], lats[at:], seqs[at:])
-		if err := dst.FoldSummary(d); err != nil {
+		if err := dst.Fold(d.Columns); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -159,6 +159,18 @@ func TestMergeSummaries(t *testing.T) {
 	if dst.Len() != want.Len() || dst.B.Total() != wantB.Total() {
 		t.Fatal("repeated MergeSummaries accumulated state")
 	}
+
+	// Two nodes' ack sequences are independent, so parts can hold the same
+	// (time, seq): equal keys keep the lowest part index first.
+	tie := func(lat float64) *Summary {
+		return &Summary{Columns: Columns{Times: []timeutil.Millis{5, 9}, Lats: []float64{lat, lat}, Seqs: []uint64{1, 1}}}
+	}
+	if err := MergeSummaries(dst, tie(10), tie(20), tie(30)); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dst.Lats, []float64{10, 20, 30, 10, 20, 30}) {
+		t.Fatalf("equal keys merged out of part order: %v", dst.Lats)
+	}
 }
 
 // The load-bearing byte-identity property: a summary grown fold by fold,
@@ -180,7 +192,7 @@ func TestEstimateSummaryIncrementalMatchesBatch(t *testing.T) {
 			end = len(times)
 		}
 		d := sortedSummary(times[at:end], lats[at:end], seqs[at:end])
-		if err := s.FoldSummary(d); err != nil {
+		if err := s.Fold(d.Columns); err != nil {
 			t.Fatal(err)
 		}
 		at = end
@@ -222,7 +234,7 @@ func TestUnbiasedPlanInvalidation(t *testing.T) {
 	e := testEstimator(t, nil)
 	times, lats, seqs := genSeqColumns(13, 300, 12*timeutil.MillisPerHour, 0.1)
 	s := &Summary{B: e.newHist()}
-	if err := s.FoldSummary(sortedSummary(times, lats, seqs)); err != nil {
+	if err := s.Fold(sortedSummary(times, lats, seqs).Columns); err != nil {
 		t.Fatal(err)
 	}
 	plan := &UnbiasedPlan{}
@@ -237,7 +249,7 @@ func TestUnbiasedPlanInvalidation(t *testing.T) {
 	// Extend the window: span changes, full regeneration.
 	d := sortedSummary(
 		[]timeutil.Millis{14 * timeutil.MillisPerHour}, []float64{123}, []uint64{9999})
-	if err := s.FoldSummary(d); err != nil {
+	if err := s.Fold(d.Columns); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e.EstimateSummary(s, plan, sc)
@@ -294,7 +306,7 @@ func TestRadixSortUint64(t *testing.T) {
 
 func TestSummaryFoldErrors(t *testing.T) {
 	s := &Summary{}
-	if err := s.Fold([]timeutil.Millis{1}, nil, nil); err != errSummaryColumns {
+	if err := s.Fold(Columns{Times: []timeutil.Millis{1}}); err != errColumnsRagged {
 		t.Fatalf("ragged delta: %v", err)
 	}
 	if _, err := testEstimator(t, nil).EstimateSummary(&Summary{}, nil, nil); err == nil {
@@ -307,17 +319,17 @@ func TestSummaryFoldErrors(t *testing.T) {
 func TestSummaryFoldAllocs(t *testing.T) {
 	times, lats, seqs := genSeqColumns(17, 4096, timeutil.MillisPerDay, 0.2)
 	s := &Summary{}
-	if err := s.FoldSummary(sortedSummary(times, lats, seqs)); err != nil {
+	if err := s.Fold(sortedSummary(times, lats, seqs).Columns); err != nil {
 		t.Fatal(err)
 	}
 	// Warm the spare buffers with one out-of-order fold.
-	delta := &Summary{Times: []timeutil.Millis{0}, Lats: []float64{1}, Seqs: []uint64{1 << 40}}
-	if err := s.FoldSummary(delta); err != nil {
+	delta := Columns{Times: []timeutil.Millis{0}, Lats: []float64{1}, Seqs: []uint64{1 << 40}}
+	if err := s.Fold(delta); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(50, func() {
 		delta.Seqs[0]++
-		if err := s.FoldSummary(delta); err != nil {
+		if err := s.Fold(delta); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -331,19 +343,19 @@ func BenchmarkSummaryFoldAppend(b *testing.B) {
 	times, lats, seqs := genSeqColumns(19, 100000, 2*timeutil.MillisPerDay, 0.1)
 	base := sortedSummary(times, lats, seqs)
 	s := &Summary{}
-	if err := s.FoldSummary(base); err != nil {
+	if err := s.Fold(base.Columns); err != nil {
 		b.Fatal(err)
 	}
 	lastT := s.Times[s.Len()-1]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := Summary{
+		d := Columns{
 			Times: []timeutil.Millis{lastT},
 			Lats:  []float64{100},
 			Seqs:  []uint64{uint64(200000 + i)},
 		}
-		if err := s.FoldSummary(&d); err != nil {
+		if err := s.Fold(d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -356,7 +368,7 @@ func BenchmarkEstimateSummaryIncremental(b *testing.B) {
 	}
 	times, lats, seqs := genSeqColumns(23, 50000, 2*timeutil.MillisPerDay, 0.1)
 	s := &Summary{B: e.newHist()}
-	if err := s.FoldSummary(sortedSummary(times, lats, seqs)); err != nil {
+	if err := s.Fold(sortedSummary(times, lats, seqs).Columns); err != nil {
 		b.Fatal(err)
 	}
 	plan := &UnbiasedPlan{}
@@ -368,12 +380,12 @@ func BenchmarkEstimateSummaryIncremental(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := Summary{
+		d := Columns{
 			Times: []timeutil.Millis{timeutil.Millis(src.Uint64n(uint64(s.Times[s.Len()-1])))},
 			Lats:  []float64{100 + float64(i%500)},
 			Seqs:  []uint64{uint64(1000000 + i)},
 		}
-		if err := s.FoldSummary(&d); err != nil {
+		if err := s.Fold(d); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := e.EstimateSummary(s, plan, sc); err != nil {
@@ -384,8 +396,8 @@ func BenchmarkEstimateSummaryIncremental(b *testing.B) {
 
 func ExampleSummary() {
 	s := &Summary{}
-	_ = s.Fold([]timeutil.Millis{10, 20}, []float64{100, 200}, []uint64{1, 2})
-	_ = s.Fold([]timeutil.Millis{15}, []float64{150}, []uint64{3})
+	_ = s.Fold(Columns{Times: []timeutil.Millis{10, 20}, Lats: []float64{100, 200}, Seqs: []uint64{1, 2}})
+	_ = s.Fold(Columns{Times: []timeutil.Millis{15}, Lats: []float64{150}, Seqs: []uint64{3}})
 	fmt.Println(s.Times)
 	// Output: [10 15 20]
 }

@@ -55,7 +55,7 @@ func (p *normPair) fold(label string, times []timeutil.Millis, lats []float64, s
 	if err := p.inc.Fold(times, lats, seqs); err != nil {
 		p.t.Fatal(err)
 	}
-	if err := p.ref.Fold(times, lats, seqs); err != nil {
+	if err := p.ref.Fold(Columns{Times: times, Lats: lats, Seqs: seqs}); err != nil {
 		p.t.Fatal(err)
 	}
 	p.check(label)

@@ -85,7 +85,7 @@ func runSlices(ctx *Context, w io.Writer, title string, slices []pipeline.Slice)
 func runFig4(ctx *Context, w io.Writer) (*Outcome, error) {
 	recs := ctx.FebruaryOrAll(telemetry.ByUserType(ctx.Records, telemetry.Business))
 	out, err := runSlices(ctx, w, "NLP by action type (business users, reference 300 ms)",
-		pipeline.ByActionType(recs))
+		pipeline.NewPartition(recs).ByActionType())
 	if err != nil {
 		return nil, err
 	}

@@ -33,7 +33,7 @@ func init() {
 func runFig7(ctx *Context, w io.Writer) (*Outcome, error) {
 	recs := ctx.FebruaryOrAll(telemetry.ByUserType(ctx.Records, telemetry.Business))
 	return runSlices(ctx, w, "NLP for SelectMail by local time-of-day period (business users)",
-		pipeline.ByPeriod(recs, telemetry.SelectMail))
+		pipeline.NewPartition(recs).ByPeriod(telemetry.SelectMail))
 }
 
 func runFig8(ctx *Context, w io.Writer) (*Outcome, error) {
@@ -109,7 +109,7 @@ func runFig9(ctx *Context, w io.Writer) (*Outcome, error) {
 	var slices []pipeline.Slice
 	for _, a := range []telemetry.ActionType{telemetry.SelectMail, telemetry.SwitchFolder} {
 		recs := telemetry.ByUserType(telemetry.ByAction(ctx.Records, a), telemetry.Business)
-		monthly := pipeline.ByMonth(recs, a)
+		monthly := pipeline.NewPartition(recs).ByMonth(a)
 		if len(monthly) >= 2 {
 			slices = append(slices, monthly[0], monthly[1])
 			continue

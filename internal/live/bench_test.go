@@ -236,13 +236,13 @@ func BenchmarkLiveIngestConcurrentQuery(b *testing.B) {
 
 // benchCold is a fake cold tier for the windowed benchmarks: sorted columns
 // clipped by binary search without copying, like the store's block cache.
-type benchCold struct{ cols deltaCols }
+type benchCold struct{ cols core.Columns }
 
 func (c *benchCold) ScanWindow(_ SliceKey, win Window) ([]timeutil.Millis, []float64, []uint64, error) {
-	lo, hi := windowBounds(c.cols.times, win)
-	return c.cols.times[lo:hi], c.cols.lats[lo:hi], c.cols.seqs[lo:hi], nil
+	v := c.cols.Slice(c.cols.Range(win.From, win.To))
+	return v.Times, v.Lats, v.Seqs, nil
 }
-func (c *benchCold) OldestRetained() (timeutil.Millis, bool) { return c.cols.times[0], true }
+func (c *benchCold) OldestRetained() (timeutil.Millis, bool) { return c.cols.Times[0], true }
 func (c *benchCold) Generation() uint64                      { return 1 }
 
 // benchTieredEngine splits the benchmark stream at the middle of its time
@@ -259,9 +259,9 @@ func benchTieredEngine(b *testing.B) (e *Engine, tail []telemetry.Record, horizo
 			hot = append(hot, r)
 			continue
 		}
-		cold.cols.times = append(cold.cols.times, r.Time)
-		cold.cols.lats = append(cold.cols.lats, r.LatencyMS)
-		cold.cols.seqs = append(cold.cols.seqs, uint64(len(cold.cols.seqs)))
+		cold.cols.Times = append(cold.cols.Times, r.Time)
+		cold.cols.Lats = append(cold.cols.Lats, r.LatencyMS)
+		cold.cols.Seqs = append(cold.cols.Seqs, uint64(len(cold.cols.Seqs)))
 	}
 	sort.Sort(&cold.cols)
 	e, err := New(Config{Options: testOptions()})

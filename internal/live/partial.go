@@ -10,11 +10,6 @@ import (
 	"autosens/internal/timeutil"
 )
 
-// Partial is PartialWindow over the full history the engine holds.
-func (e *Engine) Partial(key SliceKey) (*api.Partial, error) {
-	return e.PartialWindow(key, Window{})
-}
-
 // parseMillisParam parses an optional integer query parameter; empty is 0.
 func parseMillisParam(s string) (int64, error) {
 	if s == "" {

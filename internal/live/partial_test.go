@@ -22,7 +22,7 @@ func finishPartial(t *testing.T, p *api.Partial, opts core.Options) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &core.Summary{Times: p.Times, Lats: p.Lats, Seqs: p.Seqs, B: p.Hist}
+	s := &core.Summary{Columns: core.Columns{Times: p.Times, Lats: p.Lats, Seqs: p.Seqs}, B: p.Hist}
 	var plan core.UnbiasedPlan
 	var sc core.Scratch
 	c, err := est.EstimateSummary(s, &plan, &sc)
@@ -44,7 +44,7 @@ func TestPartialFinishesToQueryCurve(t *testing.T) {
 	e := newTestEngine(t)
 	e.Append(stream)
 	for _, key := range goldenKeys {
-		p, err := e.Partial(key)
+		p, err := e.PartialWindow(key, Window{})
 		if err != nil {
 			t.Fatalf("partial %s: %v", key, err)
 		}
@@ -70,7 +70,7 @@ func TestPartialFinishesToQueryCurve(t *testing.T) {
 // needs the histogram shape even from empty nodes.
 func TestPartialEmptySlice(t *testing.T) {
 	e := newTestEngine(t)
-	p, err := e.Partial(AllSlices)
+	p, err := e.PartialWindow(AllSlices, Window{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPartialsHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.Partial(key)
+	want, err := e.PartialWindow(key, Window{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -318,20 +318,20 @@ func (cs *comboState) drop() {
 }
 
 // scratch is one recompute's reusable buffers: per-shard decoded delta
-// columns and block snapshots, the merge cursors, the merged delta (or a
-// window's merged view), and — for stateless windows — the draw-key plan and
-// histograms the columns kernel estimates with. Scratch is pooled on the
-// engine, not kept per state, so what a state retains is its folded
-// columns only and the steady-state dirty path still allocates nothing
-// here.
+// columns and block snapshots, the runs of them a fold merges, the merged
+// delta (or a window's merged view), and — for stateless windows — the
+// draw-key plan and histograms the columns kernel estimates with. Scratch
+// is pooled on the engine, not kept per state, so what a state retains is
+// its folded columns only and the steady-state dirty path still allocates
+// nothing here.
 type scratch struct {
-	sh       []deltaCols
-	snaps    [][]blockSnap
-	cur, end []int
-	all      deltaCols
-	plan     core.UnbiasedPlan
-	est      core.Scratch
-	size     int // bytes accounted to poolBytes while idle
+	sh    []core.Columns
+	snaps [][]blockSnap
+	runs  []core.Columns // sh, each clipped to the window being folded
+	all   core.Columns
+	plan  core.UnbiasedPlan
+	est   core.Scratch
+	size  int // bytes accounted to poolBytes while idle
 }
 
 // maxPooledScratch bounds the idle scratch kept; concurrent recomputes past
@@ -349,15 +349,14 @@ func (e *Engine) getScratch() *scratch {
 	}
 	n := len(e.shards)
 	return &scratch{
-		sh: make([]deltaCols, n), snaps: make([][]blockSnap, n),
-		cur: make([]int, n), end: make([]int, n),
+		sh: make([]core.Columns, n), snaps: make([][]blockSnap, n), runs: make([]core.Columns, n),
 	}
 }
 
 func (e *Engine) putScratch(sc *scratch) {
-	sc.size = 24*cap(sc.all.times) + sc.plan.RetainedBytes() + sc.est.RetainedBytes()
+	sc.size = 24*cap(sc.all.Times) + sc.plan.RetainedBytes() + sc.est.RetainedBytes()
 	for i := range sc.sh {
-		sc.size += 24 * cap(sc.sh[i].times)
+		sc.size += 24 * cap(sc.sh[i].Times)
 	}
 	e.pmu.Lock()
 	defer e.pmu.Unlock()
@@ -415,7 +414,7 @@ func (e *Engine) recompute(key SliceKey, qk queryKey, repeated bool) (res *Resul
 		cs.mu.Lock()
 		defer cs.mu.Unlock()
 		if dirty, folded, err = e.foldDelta(cs, key, Window{}, sc); err == nil {
-			res, err = e.finish(cs, deltaCols{}, sc, key, qk.mode, qk.ci)
+			res, err = e.finish(cs, core.Columns{}, sc, key, qk.mode, qk.ci)
 		}
 	})
 	e.nDirty.Add(1)
@@ -441,21 +440,21 @@ func (e *Engine) recompute(key SliceKey, qk queryKey, repeated bool) (res *Resul
 func (e *Engine) foldDelta(st *comboState, key SliceKey, win Window, sc *scratch) (dirty, folded int, err error) {
 	core.ForEachIndex(e.cfg.Workers, len(e.shards), func(i int) {
 		d := &sc.sh[i]
-		d.reset()
+		d.Reset()
 		if e.shards[i].deltaSince(&st.cps[i], key, d, &sc.snaps[i]) > 0 {
 			// Each shard's suffix arrives in ack (seq) order; sort it by
-			// (time, seq) so the k-way merge below yields exactly the
-			// stable by-time sort of the acked stream. Sorted, the window's
-			// share is a contiguous run found by binary search.
+			// (time, seq) so the merge below yields exactly the stable
+			// by-time sort of the acked stream. Sorted, the window's share
+			// is a contiguous run found by binary search.
 			sort.Sort(d)
 		}
-		sc.cur[i], sc.end[i] = 0, d.Len()
+		sc.runs[i] = *d
 		if !win.IsZero() {
-			sc.cur[i], sc.end[i] = windowBounds(d.times, win)
+			sc.runs[i] = d.Slice(d.Range(win.From, win.To))
 		}
 	})
-	for i := range sc.sh {
-		if n := sc.end[i] - sc.cur[i]; n > 0 {
+	for i := range sc.runs {
+		if n := sc.runs[i].Len(); n > 0 {
 			dirty++
 			folded += n
 		}
@@ -463,55 +462,23 @@ func (e *Engine) foldDelta(st *comboState, key SliceKey, win Window, sc *scratch
 	if folded == 0 {
 		return 0, 0, nil
 	}
-	mergeDeltas(sc.sh, sc.cur, sc.end, &sc.all)
-	return dirty, folded, st.inc.Fold(sc.all.times, sc.all.lats, sc.all.seqs)
-}
-
-// mergeDeltas k-way merges the runs sh[i][cur[i]:end[i]] of per-shard
-// (time, seq)-sorted delta columns into dst, advancing cur. Shard counts
-// are small, so a linear scan over the cursors beats a heap.
-func mergeDeltas(sh []deltaCols, cur, end []int, dst *deltaCols) {
-	dst.reset()
-	for {
-		best := -1
-		for i := range sh {
-			c := cur[i]
-			if c >= end[i] {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			b, bc := &sh[best], cur[best]
-			if sh[i].times[c] < b.times[bc] ||
-				(sh[i].times[c] == b.times[bc] && sh[i].seqs[c] < b.seqs[bc]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		c := cur[best]
-		dst.times = append(dst.times, sh[best].times[c])
-		dst.lats = append(dst.lats, sh[best].lats[c])
-		dst.seqs = append(dst.seqs, sh[best].seqs[c])
-		cur[best]++
-	}
+	sc.all.Reset()
+	core.MergeColumns(&sc.all, sc.runs...)
+	return dirty, folded, st.inc.Fold(sc.all.Times, sc.all.Lats, sc.all.Seqs)
 }
 
 // finish estimates one (mode, ci) slot: over cs's folded state through the
 // delta-maintained entry points, or — cs nil, a stateless window — over the
 // view v through the columns kernel with sc's pooled plan and histograms.
 // Both produce the bytes the batch estimator would over the same columns.
-func (e *Engine) finish(cs *comboState, v deltaCols, sc *scratch, key SliceKey, mode Mode, ci bool) (*Result, error) {
+func (e *Engine) finish(cs *comboState, v core.Columns, sc *scratch, key SliceKey, mode Mode, ci bool) (*Result, error) {
 	if cs != nil {
-		v.times, v.lats = cs.inc.Columns()
+		v.Times, v.Lats = cs.inc.Columns()
 	}
-	if len(v.times) == 0 {
+	if v.Len() == 0 {
 		return nil, ErrNoRecords
 	}
-	res := &Result{Slice: key.String(), Mode: mode.String(), Records: len(v.times)}
+	res := &Result{Slice: key.String(), Mode: mode.String(), Records: v.Len()}
 	var curve *core.Curve
 	var err error
 	switch {
@@ -522,7 +489,7 @@ func (e *Engine) finish(cs *comboState, v deltaCols, sc *scratch, key SliceKey, 
 		if cs != nil {
 			band, err = e.est.EstimateCIIncremental(cs.inc, opts)
 		} else {
-			band, err = e.est.EstimateCIColumns(v.times, v.lats, opts)
+			band, err = e.est.EstimateCIColumns(v.Times, v.Lats, opts)
 		}
 		if err != nil {
 			return nil, err
@@ -535,12 +502,11 @@ func (e *Engine) finish(cs *comboState, v deltaCols, sc *scratch, key SliceKey, 
 		curve, err = cs.inc.EstimateTimeNormalized()
 		e.countNormalized(cs)
 	case mode == ModeNormalized:
-		curve, err = e.est.EstimateTimeNormalizedColumns(v.times, v.lats)
+		curve, err = e.est.EstimateTimeNormalizedColumns(v.Times, v.Lats)
 	case cs != nil:
 		curve, err = cs.inc.EstimatePlain()
 	default:
-		curve, err = e.est.EstimateSummary(
-			&core.Summary{Times: v.times, Lats: v.lats, Seqs: v.seqs}, &sc.plan, &sc.est)
+		curve, err = e.est.EstimateSummary(&core.Summary{Columns: v}, &sc.plan, &sc.est)
 	}
 	if err != nil {
 		return nil, err

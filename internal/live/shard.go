@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"autosens/internal/core"
 	"autosens/internal/histogram"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
@@ -130,7 +131,7 @@ type shard struct {
 // Views are immutable once installed: an incremental update builds a fresh
 // view, so concurrent readers of the old one are never disturbed.
 type shardView struct {
-	deltaCols
+	core.Columns
 	ver uint64
 	b   *histogram.Histogram
 
@@ -264,7 +265,7 @@ func (s *shard) snapLocked(from int, sn []blockSnap) []blockSnap {
 // decodeSuffix decodes every record past *cp that matches key into dst and
 // advances the checkpoint. sn is a snapLocked capture starting at block
 // cp.blk; the varint decode runs on it outside the shard lock.
-func decodeSuffix(cp *checkpoint, sn []blockSnap, key SliceKey, dst *deltaCols) {
+func decodeSuffix(cp *checkpoint, sn []blockSnap, key SliceKey, dst *core.Columns) {
 	base := cp.blk
 	for i := range sn {
 		blk := &sn[i]
@@ -282,9 +283,9 @@ func decodeSuffix(cp *checkpoint, sn []blockSnap, key SliceKey, dst *deltaCols) 
 			if !key.matchesTag(blk.tags[rec]) {
 				continue
 			}
-			dst.times = append(dst.times, timeutil.Millis(cp.t))
-			dst.lats = append(dst.lats, blk.lats[rec])
-			dst.seqs = append(dst.seqs, cp.seq)
+			dst.Times = append(dst.Times, timeutil.Millis(cp.t))
+			dst.Lats = append(dst.Lats, blk.lats[rec])
+			dst.Seqs = append(dst.Seqs, cp.seq)
 		}
 		cp.blk, cp.rec, cp.toff, cp.soff = base+i, blk.n, toff, soff
 	}
@@ -297,17 +298,17 @@ func buildView(old *shardView, cp checkpoint, snap []blockSnap, cur uint64, key 
 	// Decode only the suffix since the checkpoint, gathering matches. The
 	// suffix arrives in ack (seq) order; new records interleave with old
 	// ones by time, so the delta is sorted and merged below.
-	var dc deltaCols
+	var dc core.Columns
 	decodeSuffix(&cp, snap, key, &dc)
 	// Ack order already breaks time ties by seq (seqs increase in ack
 	// order), so sorting by (time, seq) reproduces exactly the stable
 	// by-time sort the batch estimator applies to the ack-ordered stream.
 	sort.Sort(&dc)
 
-	v := &shardView{deltaCols: dc, ver: cur, b: newHist(), cp: cp}
+	v := &shardView{Columns: dc, ver: cur, b: newHist(), cp: cp}
 	if old != nil && old.Len() > 0 {
-		v.deltaCols = deltaCols{}
-		mergeInto(&v.deltaCols, old.deltaCols, dc)
+		v.Columns = core.Columns{}
+		core.MergeColumns(&v.Columns, old.Columns, dc)
 	}
 	// The biased histogram is pure weight-1 adds (exact integer arithmetic
 	// in float64), so summing the old view's histogram with the delta's
@@ -318,41 +319,10 @@ func buildView(old *shardView, cp checkpoint, snap []blockSnap, cur uint64, key 
 			panic("live: view histogram binning mismatch: " + err.Error())
 		}
 	}
-	for _, lat := range dc.lats {
+	for _, lat := range dc.Lats {
 		v.b.Add(lat)
 	}
 	return v
-}
-
-// deltaCols is a resumable store decode's output: parallel (time, lat,
-// seq) columns, sortable by (time, seq). The per-combo recompute state
-// pools these so steady-state dirty queries decode without allocating.
-type deltaCols struct {
-	times []timeutil.Millis
-	lats  []float64
-	seqs  []uint64
-}
-
-func (d *deltaCols) reset() {
-	d.times, d.lats, d.seqs = d.times[:0], d.lats[:0], d.seqs[:0]
-}
-
-// slice returns rows [lo, hi) without copying.
-func (d deltaCols) slice(lo, hi int) deltaCols {
-	return deltaCols{times: d.times[lo:hi], lats: d.lats[lo:hi], seqs: d.seqs[lo:hi]}
-}
-
-func (d *deltaCols) Len() int { return len(d.times) }
-func (d *deltaCols) Less(i, j int) bool {
-	if d.times[i] != d.times[j] {
-		return d.times[i] < d.times[j]
-	}
-	return d.seqs[i] < d.seqs[j]
-}
-func (d *deltaCols) Swap(i, j int) {
-	d.times[i], d.times[j] = d.times[j], d.times[i]
-	d.lats[i], d.lats[j] = d.lats[j], d.lats[i]
-	d.seqs[i], d.seqs[j] = d.seqs[j], d.seqs[i]
 }
 
 // deltaSince decodes every record appended past *cp that matches key,
@@ -362,7 +332,7 @@ func (d *deltaCols) Swap(i, j int) {
 // so appends never stall behind a recompute. Returns the number of
 // matching records decoded — zero on the clean fast path, which takes the
 // lock once and touches no block bytes.
-func (s *shard) deltaSince(cp *checkpoint, key SliceKey, dst *deltaCols, snap *[]blockSnap) int {
+func (s *shard) deltaSince(cp *checkpoint, key SliceKey, dst *core.Columns, snap *[]blockSnap) int {
 	s.mu.Lock()
 	if len(s.blocks) == 0 ||
 		(cp.blk == len(s.blocks)-1 && cp.rec == s.blocks[cp.blk].n) {
@@ -372,9 +342,9 @@ func (s *shard) deltaSince(cp *checkpoint, key SliceKey, dst *deltaCols, snap *[
 	*snap = s.snapLocked(cp.blk, *snap)
 	s.mu.Unlock()
 
-	before := len(dst.times)
+	before := len(dst.Times)
 	decodeSuffix(cp, *snap, key, dst)
-	return len(dst.times) - before
+	return len(dst.Times) - before
 }
 
 // bytes reports the shard's approximate store footprint.

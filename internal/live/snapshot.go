@@ -6,16 +6,6 @@ import (
 	"autosens/internal/timeutil"
 )
 
-// ShardColumns is one shard's contribution to a slice snapshot: that
-// shard's matching records as (time, seq)-sorted parallel columns. The
-// slices alias the engine's immutable shard views and must be treated as
-// read-only.
-type ShardColumns struct {
-	Times []timeutil.Millis
-	Lats  []float64
-	Seqs  []uint64
-}
-
 // SliceSnapshot is the watcher-facing read surface of one slice: the
 // merged time-sorted columns the batch estimator would see, the per-shard
 // columns behind them (for cross-shard correlation analysis), and the
@@ -30,9 +20,10 @@ type SliceSnapshot struct {
 	// same columns a curve recompute estimates over.
 	Times []timeutil.Millis
 	Lats  []float64
-	// Shards holds the per-shard sorted columns (empty shards included,
-	// with nil columns). Index matches the engine's shard index.
-	Shards []ShardColumns
+	// Shards holds the per-shard (time, seq)-sorted columns, empty shards
+	// included; index matches the engine's shard index. They alias the
+	// engine's immutable shard views and must be treated as read-only.
+	Shards []core.Columns
 }
 
 // Options returns the estimator options the engine runs with, so derived
@@ -45,12 +36,6 @@ func (e *Engine) Options() core.Options { return e.cfg.Options }
 // (the watcher's per-tick staleness check) can call it at any rate.
 func (e *Engine) SliceVersion(key SliceKey) uint64 {
 	return e.comboVersion(key.combo())
-}
-
-// SnapshotSlice is SnapshotSliceWindow over the full history the engine
-// holds.
-func (e *Engine) SnapshotSlice(key SliceKey) (*SliceSnapshot, error) {
-	return e.SnapshotSliceWindow(key, Window{})
 }
 
 // LiveStats snapshots the engine's operational counters for /v1/status —

@@ -16,7 +16,7 @@ func TestSnapshotSliceColumns(t *testing.T) {
 	e.Append(stream)
 
 	for _, key := range []SliceKey{AllSlices, {Action: telemetry.Search, UserType: -1, Period: -1}} {
-		snap, err := e.SnapshotSlice(key)
+		snap, err := e.SnapshotSliceWindow(key, Window{})
 		if err != nil {
 			t.Fatalf("snapshot %s: %v", key, err)
 		}
@@ -56,7 +56,7 @@ func TestSliceVersionTracksAppends(t *testing.T) {
 	if v := e.SliceVersion(key); v != 0 {
 		t.Fatalf("fresh engine version %d", v)
 	}
-	if _, err := e.SnapshotSlice(key); err != ErrNoRecords {
+	if _, err := e.SnapshotSliceWindow(key, Window{}); err != ErrNoRecords {
 		t.Fatalf("empty snapshot err = %v, want ErrNoRecords", err)
 	}
 	e.Append(genStream(72, 500, timeutil.MillisPerDay))
@@ -64,7 +64,7 @@ func TestSliceVersionTracksAppends(t *testing.T) {
 	if v1 == 0 {
 		t.Fatal("version did not move after append")
 	}
-	snap, err := e.SnapshotSlice(key)
+	snap, err := e.SnapshotSliceWindow(key, Window{})
 	if err != nil {
 		t.Fatal(err)
 	}

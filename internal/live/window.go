@@ -3,8 +3,6 @@ package live
 import (
 	"context"
 	"runtime/pprof"
-	"slices"
-	"sort"
 
 	"autosens/internal/collector/api"
 	"autosens/internal/core"
@@ -176,11 +174,11 @@ func (e *Engine) retainWindowState(k winStateKey, ws *windowState, size int) {
 // exactly past it. gen is the cold generation read BEFORE the scan: a
 // concurrent retention GC can only make it understate, which the next
 // recompute of a seeded state notices.
-func (e *Engine) windowView(key SliceKey, win Window, sc *scratch, cps []checkpoint) (v deltaCols, gen uint64, dirty, folded int, err error) {
-	var cold deltaCols
+func (e *Engine) windowView(key SliceKey, win Window, sc *scratch, cps []checkpoint) (v core.Columns, gen uint64, dirty, folded int, err error) {
+	var cold core.Columns
 	if e.cold != nil {
 		gen = e.cold.Generation()
-		if cold.times, cold.lats, cold.seqs, err = e.cold.ScanWindow(key, win); err != nil {
+		if cold.Times, cold.Lats, cold.Seqs, err = e.cold.ScanWindow(key, win); err != nil {
 			return v, 0, 0, 0, err
 		}
 	}
@@ -191,15 +189,15 @@ func (e *Engine) windowView(key SliceKey, win Window, sc *scratch, cps []checkpo
 		return v, 0, 0, 0, err
 	}
 	copy(cps, cs.cps)
-	sum := cs.inc.Summary()
-	lo, hi := windowBounds(sum.Times, win)
+	hot := cs.inc.Summary().Columns
+	lo, hi := hot.Range(win.From, win.To)
 	if lo == hi {
 		return cold, gen, dirty, folded, nil
 	}
 	// The hot rows must be copied out before cs.mu is released (the next
 	// fold may move them); the copy is the merge with the cold rows.
-	sc.all.reset()
-	mergeInto(&sc.all, cold, deltaCols{times: sum.Times, lats: sum.Lats, seqs: sum.Seqs}.slice(lo, hi))
+	sc.all.Reset()
+	core.MergeColumns(&sc.all, cold, hot.Slice(lo, hi))
 	return sc.all, gen, dirty, folded, nil
 }
 
@@ -217,7 +215,7 @@ func (e *Engine) recomputeWindow(key SliceKey, qk queryKey, repeated bool, sc *s
 	ws := e.windowStateFor(k, repeated)
 	if ws == nil {
 		e.nWinPath[winStateless].Add(1)
-		var v deltaCols
+		var v core.Columns
 		if v, _, dirty, folded, err = e.windowView(key, qk.win, sc, nil); err == nil {
 			res, err = e.finish(nil, v, sc, key, qk.mode, qk.ci)
 		}
@@ -231,10 +229,10 @@ func (e *Engine) recomputeWindow(key SliceKey, qk queryKey, repeated bool, sc *s
 	} else {
 		e.nWinPath[winSeeded].Add(1)
 		ws.drop()
-		var v deltaCols
+		var v core.Columns
 		if v, ws.coldGen, dirty, folded, err = e.windowView(key, qk.win, sc, ws.cps); err == nil {
 			ws.inc = e.est.NewIncremental()
-			err = ws.inc.Fold(v.times, v.lats, v.seqs)
+			err = ws.inc.Fold(v.Times, v.Lats, v.Seqs)
 		}
 	}
 	if err != nil {
@@ -243,20 +241,9 @@ func (e *Engine) recomputeWindow(key SliceKey, qk queryKey, repeated bool, sc *s
 		e.retainWindowState(k, ws, 0)
 		return nil, dirty, folded, err
 	}
-	res, err = e.finish(&ws.comboState, deltaCols{}, sc, key, qk.mode, qk.ci)
+	res, err = e.finish(&ws.comboState, core.Columns{}, sc, key, qk.mode, qk.ci)
 	e.retainWindowState(k, ws, ws.inc.RetainedBytes())
 	return res, dirty, folded, err
-}
-
-// windowBounds locates win's half-open index range inside a time-sorted
-// column via binary search.
-func windowBounds(times []timeutil.Millis, win Window) (lo, hi int) {
-	lo = sort.Search(len(times), func(i int) bool { return times[i] >= win.From })
-	hi = len(times)
-	if win.To != 0 {
-		hi = sort.Search(len(times), func(i int) bool { return times[i] >= win.To })
-	}
-	return lo, hi
 }
 
 // runsFor gathers the slice's hot (time, seq)-sorted runs inside win, one
@@ -266,7 +253,7 @@ func windowBounds(times []timeutil.Millis, win Window) (lo, hi int) {
 // per-record filtering, nothing copied. A windowed gather over an attached
 // cold tier also returns the tier's scan; the zero Window is the whole of
 // every view and never consults the tier.
-func (e *Engine) runsFor(label string, key SliceKey, win Window) (views []*shardView, runs []deltaCols, cold deltaCols, err error) {
+func (e *Engine) runsFor(label string, key SliceKey, win Window) (views []*shardView, runs []core.Columns, cold core.Columns, err error) {
 	combo := key.combo()
 	views = make([]*shardView, len(e.shards))
 	pprof.Do(context.Background(), pprof.Labels(
@@ -276,75 +263,32 @@ func (e *Engine) runsFor(label string, key SliceKey, win Window) (views []*shard
 			views[i], _ = e.shards[i].viewFor(combo, key, e.newHist)
 		})
 	})
-	runs = make([]deltaCols, len(views))
+	runs = make([]core.Columns, len(views))
 	for i, v := range views {
-		runs[i] = v.deltaCols
+		runs[i] = v.Columns
 		if !win.IsZero() {
-			runs[i] = v.slice(windowBounds(v.times, win))
+			runs[i] = v.Slice(v.Range(win.From, win.To))
 		}
 	}
 	if !win.IsZero() && e.cold != nil {
-		cold.times, cold.lats, cold.seqs, err = e.cold.ScanWindow(key, win)
+		cold.Times, cold.Lats, cold.Seqs, err = e.cold.ScanWindow(key, win)
 	}
 	return views, runs, cold, err
 }
 
-// mergeRuns k-way merges (time, seq)-sorted runs into fresh columns —
-// exactly the stable by-time sort of the ack-ordered stream.
-func mergeRuns(runs []deltaCols) deltaCols {
-	cur, end := make([]int, len(runs)), make([]int, len(runs))
-	n := 0
-	for i := range runs {
-		end[i] = runs[i].Len()
-		n += end[i]
-	}
-	dst := deltaCols{
-		times: make([]timeutil.Millis, 0, n), lats: make([]float64, 0, n), seqs: make([]uint64, 0, n),
-	}
-	mergeDeltas(runs, cur, end, &dst)
-	return dst
-}
-
-// mergeCold puts the cold tier's rows in front of the merged hot ones;
-// whichever side is empty costs nothing.
-func mergeCold(cold, hot deltaCols) deltaCols {
+// mergeTiers returns the cold scan and the per-shard hot runs as one
+// (time, seq)-sorted run in fresh columns. The hot runs interleave and are
+// merged first, so the cold rows — usually all in front of them — join by
+// bulk copy instead of riding through the per-row scan over every shard.
+func mergeTiers(cold core.Columns, runs []core.Columns) core.Columns {
+	var hot core.Columns
+	core.MergeColumns(&hot, runs...)
 	if cold.Len() == 0 {
 		return hot
 	}
-	if hot.Len() > 0 {
-		var out deltaCols
-		mergeInto(&out, cold, hot)
-		return out
-	}
-	return cold
-}
-
-// mergeInto appends the two-way (time, seq) merge of a and b to dst. When a
-// ends before b begins — cold rows in front of hot ones, the usual shape
-// of a window across the cutover — it is two bulk copies.
-func mergeInto(dst *deltaCols, a, b deltaCols) {
-	n := a.Len() + b.Len()
-	dst.times, dst.lats, dst.seqs = slices.Grow(dst.times, n), slices.Grow(dst.lats, n), slices.Grow(dst.seqs, n)
-	i, j := 0, 0
-	if na := a.Len(); na > 0 && b.Len() > 0 &&
-		(a.times[na-1] < b.times[0] || (a.times[na-1] == b.times[0] && a.seqs[na-1] < b.seqs[0])) {
-		i = na // nothing interleaves: skip the element-wise loop
-		dst.times = append(dst.times, a.times...)
-		dst.lats = append(dst.lats, a.lats...)
-		dst.seqs = append(dst.seqs, a.seqs...)
-	}
-	for i < a.Len() && j < b.Len() {
-		if a.times[i] < b.times[j] || (a.times[i] == b.times[j] && a.seqs[i] < b.seqs[j]) {
-			dst.times, dst.lats, dst.seqs = append(dst.times, a.times[i]), append(dst.lats, a.lats[i]), append(dst.seqs, a.seqs[i])
-			i++
-		} else {
-			dst.times, dst.lats, dst.seqs = append(dst.times, b.times[j]), append(dst.lats, b.lats[j]), append(dst.seqs, b.seqs[j])
-			j++
-		}
-	}
-	dst.times = append(append(dst.times, a.times[i:]...), b.times[j:]...)
-	dst.lats = append(append(dst.lats, a.lats[i:]...), b.lats[j:]...)
-	dst.seqs = append(append(dst.seqs, a.seqs[i:]...), b.seqs[j:]...)
+	var all core.Columns
+	core.MergeColumns(&all, cold, hot)
+	return all
 }
 
 // PartialWindow materializes one slice's mergeable curve partial over win:
@@ -375,9 +319,8 @@ func (e *Engine) PartialWindow(key SliceKey, win Window) (*api.Partial, error) {
 		return nil, err
 	}
 	p := &api.Partial{Version: v0, Hist: e.newHist()}
-	if mv := mergeCold(cold, mergeRuns(runs)); mv.Len() > 0 {
-		p.Times, p.Lats, p.Seqs = mv.times, mv.lats, mv.seqs
-	}
+	mv := mergeTiers(cold, runs)
+	p.Times, p.Lats, p.Seqs = mv.Times, mv.Lats, mv.Seqs
 	if win.IsZero() {
 		// Per-shard histograms are weight-1 adds under one binning, so the
 		// sum is bit-identical to a single-pass build over the merged columns.
@@ -402,8 +345,8 @@ func (e *Engine) PartialWindow(key SliceKey, win Window) (*api.Partial, error) {
 // rebuilding only shard views whose combo version moved since the last
 // build (queries and snapshots share the per-shard view cache). Per-shard
 // columns are the cached views' window subslices; the cold tier's scan
-// (when attached and non-empty) rides along as one extra ShardColumns
-// entry past the engine's shard count, and the merged columns cover
+// (when attached and non-empty) rides along as one extra entry past the
+// engine's shard count, and the merged columns cover
 // hot+cold. On an unchanged slice no decode work happens — every shard
 // serves its cached view — so callers that skip on SliceVersion equality
 // pay nothing and callers that don't still pay only the merge.
@@ -419,19 +362,13 @@ func (e *Engine) SnapshotSliceWindow(key SliceKey, win Window) (*SliceSnapshot, 
 	if err != nil {
 		return nil, err
 	}
-	snap := &SliceSnapshot{Version: v0, Shards: make([]ShardColumns, len(runs), len(runs)+1)}
-	for i, r := range runs {
-		if r.Len() > 0 {
-			snap.Shards[i] = ShardColumns{Times: r.times, Lats: r.lats, Seqs: r.seqs}
-		}
-	}
-	if cold.Len() > 0 {
-		snap.Shards = append(snap.Shards, ShardColumns{Times: cold.times, Lats: cold.lats, Seqs: cold.seqs})
-	}
-	mv := mergeCold(cold, mergeRuns(runs))
+	mv := mergeTiers(cold, runs)
 	if mv.Len() == 0 {
 		return nil, ErrNoRecords
 	}
-	snap.Times, snap.Lats = mv.times, mv.lats
+	snap := &SliceSnapshot{Version: v0, Times: mv.Times, Lats: mv.Lats, Shards: runs}
+	if cold.Len() > 0 {
+		snap.Shards = append(snap.Shards, cold)
+	}
 	return snap, nil
 }

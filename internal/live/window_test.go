@@ -249,7 +249,7 @@ func TestPartialsHandlerWindowParams(t *testing.T) {
 
 	// No window parameters: byte-identical to the unwindowed partial wire.
 	_, body = get("?slice=all")
-	wantP, err := e.Partial(AllSlices)
+	wantP, err := e.PartialWindow(AllSlices, Window{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,10 @@ import (
 
 // Partition classifies every record once — action type, user segment,
 // local-time period, and calendar month — and serves all of the paper's
-// slicings from that single pass. The legacy ByActionType/BySegment/
-// ByQuartile/ByPeriod/ByMonth free functions each re-scan (and re-copy)
-// the full record set per group; a Partition scans it once, stores the
-// records action-major in one backing array, and hands out action slices
-// as zero-copy subslices. Sub-dimension groups are gathered into exactly
+// slicings from that single pass. Filtering per group (telemetry.ByAction
+// and friends) re-scans and re-copies the full record set each time; a
+// Partition scans it once, stores the records action-major in one backing
+// array, and hands out action slices as zero-copy subslices. Sub-dimension groups are gathered into exactly
 // pre-sized slices using the cached class bytes.
 //
 // All group methods return records in their original relative order and

@@ -130,33 +130,3 @@ func estimateOne(req Request, s Slice, sp *obs.Span) Result {
 	}
 	return res
 }
-
-// ByActionType builds one slice per action type. Convenience wrapper over
-// Partition for one-shot callers; code slicing the same records several
-// ways should build one Partition and reuse it.
-func ByActionType(records []telemetry.Record) []Slice {
-	return NewPartition(records).ByActionType()
-}
-
-// BySegment builds one slice per user segment within one action type.
-func BySegment(records []telemetry.Record, action telemetry.ActionType) []Slice {
-	return NewPartition(records).BySegment(action)
-}
-
-// ByQuartile assigns users to median-latency quartiles over the full record
-// set, then slices one action type's records by quartile.
-func ByQuartile(records []telemetry.Record, action telemetry.ActionType) ([]Slice, error) {
-	return NewPartition(records).ByQuartile(action)
-}
-
-// ByPeriod slices one action type's records by the user-local 6-hour
-// period.
-func ByPeriod(records []telemetry.Record, action telemetry.ActionType) []Slice {
-	return NewPartition(records).ByPeriod(action)
-}
-
-// ByMonth slices one action type's records by calendar month (window
-// starting January 1st), naming them Jan, Feb, ….
-func ByMonth(records []telemetry.Record, action telemetry.ActionType) []Slice {
-	return NewPartition(records).ByMonth(action)
-}

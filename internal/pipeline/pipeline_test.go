@@ -36,7 +36,7 @@ func testOptions() core.Options {
 }
 
 func TestRunEstimatesAllSlices(t *testing.T) {
-	slices := ByActionType(records(t))
+	slices := NewPartition(records(t)).ByActionType()
 	results, err := Run(Request{Options: testOptions(), Slices: slices})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestRunBadOptions(t *testing.T) {
 }
 
 func TestRunWorkerLimit(t *testing.T) {
-	slices := ByActionType(records(t))
+	slices := NewPartition(records(t)).ByActionType()
 	results, err := Run(Request{Options: testOptions(), Slices: slices, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestRunWorkerLimit(t *testing.T) {
 }
 
 func TestByActionTypeCoversAll(t *testing.T) {
-	slices := ByActionType(records(t))
+	slices := NewPartition(records(t)).ByActionType()
 	total := 0
 	for _, s := range slices {
 		for _, r := range s.Records {
@@ -136,7 +136,7 @@ func TestByActionTypeCoversAll(t *testing.T) {
 }
 
 func TestBySegmentNames(t *testing.T) {
-	slices := BySegment(records(t), telemetry.SelectMail)
+	slices := NewPartition(records(t)).BySegment(telemetry.SelectMail)
 	if len(slices) != telemetry.NumUserTypes {
 		t.Fatalf("%d slices", len(slices))
 	}
@@ -151,7 +151,7 @@ func TestBySegmentNames(t *testing.T) {
 }
 
 func TestByQuartileSlices(t *testing.T) {
-	slices, err := ByQuartile(records(t), telemetry.SelectMail)
+	slices, err := NewPartition(records(t)).ByQuartile(telemetry.SelectMail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestByQuartileSlices(t *testing.T) {
 }
 
 func TestByPeriodSlices(t *testing.T) {
-	slices := ByPeriod(records(t), telemetry.SelectMail)
+	slices := NewPartition(records(t)).ByPeriod(telemetry.SelectMail)
 	if len(slices) != timeutil.NumPeriods {
 		t.Fatalf("%d slices", len(slices))
 	}
@@ -181,7 +181,7 @@ func TestByPeriodSlices(t *testing.T) {
 
 func TestByMonthSingleMonth(t *testing.T) {
 	// 3-day window: all records fall in "Jan".
-	slices := ByMonth(records(t), telemetry.SelectMail)
+	slices := NewPartition(records(t)).ByMonth(telemetry.SelectMail)
 	if len(slices) != 1 {
 		t.Fatalf("%d month slices", len(slices))
 	}
@@ -201,7 +201,7 @@ func min(a, b int) int {
 // is a scheduling decision only: every (pipeline workers × estimator
 // workers) combination must produce byte-identical curves in slice order.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	slices := ByActionType(records(t))
+	slices := NewPartition(records(t)).ByActionType()
 	curveBytes := func(workers, optWorkers int) [][]byte {
 		t.Helper()
 		opts := testOptions()
@@ -241,7 +241,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 // workers — unless the caller pinned a smaller explicit count, which is
 // respected.
 func TestRunWorkerBudget(t *testing.T) {
-	slices := ByActionType(records(t))
+	slices := NewPartition(records(t)).ByActionType()
 	budgetOf := func(pool, optWorkers int) int {
 		t.Helper()
 		opts := testOptions()

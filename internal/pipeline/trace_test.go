@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunRecordsPerSliceSpans(t *testing.T) {
-	slices := ByActionType(records(t))
+	slices := NewPartition(records(t)).ByActionType()
 	tr := obs.NewTracer("pipeline")
 	results, err := Run(Request{Options: testOptions(), Slices: slices, Trace: tr.Root(), Workers: 2})
 	if err != nil {
@@ -80,7 +80,7 @@ func TestRunUntracedMatchesTraced(t *testing.T) {
 // simulated workload.
 func benchRequest(b *testing.B) Request {
 	b.Helper()
-	return Request{Options: testOptions(), Slices: ByActionType(records(b))}
+	return Request{Options: testOptions(), Slices: NewPartition(records(b)).ByActionType()}
 }
 
 // BenchmarkPipelineRun vs BenchmarkPipelineRunTraced price the span layer:

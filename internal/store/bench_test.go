@@ -139,40 +139,6 @@ func BenchmarkStoreColdScanWindowedCached(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreMergeCols exercises mergeScanCols' shapes: a single part
-// (passthrough), two interleaved parts (two-cursor merge), and eight
-// interleaved parts (the general linear-cursor merge).
-func BenchmarkStoreMergeCols(b *testing.B) {
-	const rowsPerPart = 16384
-	build := func(nParts int) []part {
-		parts := make([]part, nParts)
-		for p := range parts {
-			parts[p].times = make([]timeutil.Millis, rowsPerPart)
-			parts[p].lats = make([]float64, rowsPerPart)
-			parts[p].seqs = make([]uint64, rowsPerPart)
-			for i := 0; i < rowsPerPart; i++ {
-				// Strided times interleave every part with every other one.
-				parts[p].times[i] = timeutil.Millis(i*nParts + p)
-				parts[p].lats[i] = float64(i)
-				parts[p].seqs[i] = uint64(i*nParts + p)
-			}
-		}
-		return parts
-	}
-	for _, n := range []int{1, 2, 8} {
-		parts := build(n)
-		b.Run(map[int]string{1: "parts=1", 2: "parts=2", 8: "parts=8"}[n], func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				times, _, _ := mergeScanCols(parts)
-				if len(times) != n*rowsPerPart {
-					b.Fatal("merge lost rows")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStoreQueryWindowDirty is the tentpole serving path under
 // ingest: every iteration appends one hot record (dirtying the slice)
 // and asks for a trailing-window curve, so each query pays the windowed

@@ -10,6 +10,7 @@ import (
 	"math"
 	"path/filepath"
 
+	"autosens/internal/core"
 	"autosens/internal/live"
 	"autosens/internal/timeutil"
 	"autosens/internal/wal"
@@ -94,23 +95,25 @@ type row struct {
 	tag  uint8
 }
 
+// before reports whether a sorts strictly ahead of b in (time, seq) order.
+func (a *row) before(b *row) bool { return core.Less(a.time, a.seq, b.time, b.seq) }
+
 // blockCols holds a block's scan-relevant columns as parallel slices.
 // User IDs are decoded only by the row-level reader — no scan needs them.
 type blockCols struct {
-	times []timeutil.Millis
-	lats  []float64
-	seqs  []uint64
-	tags  []uint8
+	core.Columns
+	tags []uint8
 }
 
 func (c *blockCols) reset() {
-	c.times, c.lats, c.seqs, c.tags = c.times[:0], c.lats[:0], c.seqs[:0], c.tags[:0]
+	c.Reset()
+	c.tags = c.tags[:0]
 }
 
 // memBytes approximates the heap footprint of the decoded columns, for
 // the block cache's byte accounting.
 func (c *blockCols) memBytes() int64 {
-	return int64(cap(c.times))*8 + int64(cap(c.lats))*8 + int64(cap(c.seqs))*8 + int64(cap(c.tags))
+	return int64(cap(c.Times))*8 + int64(cap(c.Lats))*8 + int64(cap(c.Seqs))*8 + int64(cap(c.tags))
 }
 
 // blockName returns the block file name for an ID.
@@ -273,8 +276,7 @@ func decodeBlock(data []byte) ([]row, error) {
 			return nil, err
 		}
 		if prev > 0 && len(rows) > prev {
-			a, b := &rows[prev-1], &rows[prev]
-			if b.time < a.time || (b.time == a.time && b.seq <= a.seq) {
+			if !rows[prev-1].before(&rows[prev]) {
 				return nil, fmt.Errorf("%w: chunks not (time, seq)-sorted", ErrBlockCorrupt)
 			}
 		}
@@ -354,8 +356,7 @@ func decodeChunkRows(dst []row, c *chunkFrame, version byte) ([]row, error) {
 		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrBlockCorrupt, len(payload)-off)
 	}
 	for i := 1; i < n; i++ {
-		if rows[i].time < rows[i-1].time ||
-			(rows[i].time == rows[i-1].time && rows[i].seq <= rows[i-1].seq) {
+		if !rows[i-1].before(&rows[i]) {
 			return nil, fmt.Errorf("%w: rows not (time, seq)-sorted", ErrBlockCorrupt)
 		}
 	}
@@ -421,13 +422,13 @@ func decodeBlockCols(data []byte, win live.Window, needTags bool, dst *blockCols
 func decodeChunkCols(c *chunkFrame, version byte, needTags bool, dst *blockCols) error {
 	n := c.n
 	payload := c.cols
-	base := len(dst.times)
-	dst.times = append(dst.times, make([]timeutil.Millis, n)...)
-	dst.lats = append(dst.lats, make([]float64, n)...)
-	dst.seqs = append(dst.seqs, make([]uint64, n)...)
-	times := dst.times[base:]
-	lats := dst.lats[base:]
-	seqs := dst.seqs[base:]
+	base := len(dst.Times)
+	dst.Times = append(dst.Times, make([]timeutil.Millis, n)...)
+	dst.Lats = append(dst.Lats, make([]float64, n)...)
+	dst.Seqs = append(dst.Seqs, make([]uint64, n)...)
+	times := dst.Times[base:]
+	lats := dst.Lats[base:]
+	seqs := dst.Seqs[base:]
 	off := 0
 	var last int64
 	for i := 0; i < n; i++ {
@@ -440,7 +441,7 @@ func decodeChunkCols(c *chunkFrame, version byte, needTags bool, dst *blockCols)
 		times[i] = timeutil.Millis(last)
 	}
 	if base > 0 && n > 0 {
-		if prev := dst.times[base-1]; times[0] < prev {
+		if prev := dst.Times[base-1]; times[0] < prev {
 			return fmt.Errorf("%w: chunks not time-sorted", ErrBlockCorrupt)
 		}
 	}
@@ -485,8 +486,7 @@ func decodeChunkCols(c *chunkFrame, version byte, needTags bool, dst *blockCols)
 		dst.tags = append(dst.tags, payload[tagOff:tagEnd]...)
 	}
 	for i := 1; i < n; i++ {
-		if times[i] < times[i-1] ||
-			(times[i] == times[i-1] && seqs[i] <= seqs[i-1]) {
+		if !core.Less(times[i-1], seqs[i-1], times[i], seqs[i]) {
 			return fmt.Errorf("%w: rows not (time, seq)-sorted", ErrBlockCorrupt)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"autosens/internal/core"
 	"autosens/internal/live"
 	"autosens/internal/timeutil"
 	"autosens/internal/wal"
@@ -14,10 +15,12 @@ import (
 
 func colsOfSize(n int) *blockCols {
 	return &blockCols{
-		times: make([]timeutil.Millis, n),
-		lats:  make([]float64, n),
-		seqs:  make([]uint64, n),
-		tags:  make([]uint8, n),
+		Columns: core.Columns{
+			Times: make([]timeutil.Millis, n),
+			Lats:  make([]float64, n),
+			Seqs:  make([]uint64, n),
+		},
+		tags: make([]uint8, n),
 	}
 }
 
@@ -125,6 +128,19 @@ func TestScanUsesCache(t *testing.T) {
 	// blocks by tag; results must still match the oracle exactly.
 	for _, key := range testKeys {
 		requireScan(t, s, stream, key, win)
+	}
+
+	// A window one cached block answers alone is served without a copy:
+	// both scans hand back the cache's own rows.
+	m := s.snapshotManifest().Blocks[3]
+	one := live.Window{From: m.MinTime, To: m.MaxTime + 1}
+	t1, _, _, err1 := s.ScanWindow(live.AllSlices, one)
+	t2, _, _, err2 := s.ScanWindow(live.AllSlices, one)
+	if err1 != nil || err2 != nil || len(t1) != m.Records || len(t2) != m.Records {
+		t.Fatalf("single-block scans: %d and %d rows (%v, %v), want %d", len(t1), len(t2), err1, err2, m.Records)
+	}
+	if &t1[0] != &t2[0] {
+		t.Fatal("single cached block was copied instead of passed through")
 	}
 
 	// /v1/blocks carries the same counters.

@@ -131,14 +131,9 @@ func (s *Store) CompactOnce() (int, error) {
 		for j := range rows {
 			rows[j].seq += base
 		}
+		// (time, seq) pairs are unique, so the order has no equal rows.
 		slices.SortFunc(rows, func(a, b row) int {
-			if a.time != b.time {
-				if a.time < b.time {
-					return -1
-				}
-				return 1
-			}
-			if a.seq < b.seq {
+			if a.before(&b) {
 				return -1
 			}
 			return 1
@@ -310,11 +305,13 @@ func rowsIn(segs []segRows) (n int) {
 }
 
 // mergeSegRows k-way merges the per-segment sorted runs into one flat
-// (time, seq)-sorted slice. Runs from distinct segments interleave in
-// time (segments are consecutive slices of the stream), so unlike the
-// scan merge there is no concatenation fast path to chase beyond the
-// trivial single-run case — but two-run merges (the common compaction
-// cadence) still take the two-cursor path.
+// (time, seq)-sorted slice — the one sorted merge outside
+// core.MergeColumns: rows are structs carrying the user ID and tag bytes a
+// block stores, and it runs once per compaction, off the query path. Runs
+// from distinct segments interleave in time (segments are consecutive
+// slices of the stream), so there is no concatenation fast path to chase
+// beyond the trivial single-run case — but two-run merges (the common
+// compaction cadence) still take the two-cursor path.
 func mergeSegRows(segs []segRows) []row {
 	runs := make([][]row, 0, len(segs))
 	n := rowsIn(segs)
@@ -334,7 +331,7 @@ func mergeSegRows(segs []segRows) []row {
 		a, b := runs[0], runs[1]
 		i, j := 0, 0
 		for i < len(a) && j < len(b) {
-			if b[j].time < a[i].time || (b[j].time == a[i].time && b[j].seq < a[i].seq) {
+			if b[j].before(&a[i]) {
 				out = append(out, b[j])
 				j++
 			} else {
@@ -355,8 +352,7 @@ func mergeSegRows(segs []segRows) []row {
 				best = i
 				continue
 			}
-			b, c := &runs[best][cur[best]], &runs[i][cur[i]]
-			if c.time < b.time || (c.time == b.time && c.seq < b.seq) {
+			if runs[i][cur[i]].before(&runs[best][cur[best]]) {
 				best = i
 			}
 		}

@@ -149,9 +149,9 @@ type colsRow struct {
 
 func filterCols(c *blockCols, win live.Window) []colsRow {
 	var out []colsRow
-	for i := range c.times {
-		if win.IsZero() || win.Contains(c.times[i]) {
-			out = append(out, colsRow{time: c.times[i], lat: c.lats[i], seq: c.seqs[i], tag: c.tags[i]})
+	for i := range c.Times {
+		if win.IsZero() || win.Contains(c.Times[i]) {
+			out = append(out, colsRow{time: c.Times[i], lat: c.Lats[i], seq: c.Seqs[i], tag: c.tags[i]})
 		}
 	}
 	return out
@@ -244,7 +244,7 @@ func TestChunkSkipDecodeMatchesFullDecode(t *testing.T) {
 		if err := decodeBlockCols(data, win, true, &cols); err != nil {
 			t.Fatalf("win=%+v: %v", win, err)
 		}
-		if len(cols.times) < len(rows) {
+		if len(cols.Times) < len(rows) {
 			skipped = true
 		}
 		got := filterCols(&cols, win)

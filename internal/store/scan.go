@@ -3,21 +3,12 @@ package store
 import (
 	"errors"
 	"io/fs"
-	"sort"
 	"sync"
 
 	"autosens/internal/core"
 	"autosens/internal/live"
 	"autosens/internal/timeutil"
 )
-
-// part is one block's contribution to a scan: (time, seq)-sorted
-// parallel columns, possibly aliasing cached (immutable) storage.
-type part struct {
-	times []timeutil.Millis
-	lats  []float64
-	seqs  []uint64
-}
 
 // scanScratch is the pooled per-worker decode state: the raw block file
 // buffer and a column scratch whose contents never escape the worker
@@ -96,7 +87,9 @@ func (s *Store) scanWindowOnce(key live.SliceKey, win live.Window) ([]timeutil.M
 	s.scanned.Add(uint64(candidates))
 	s.pruned.Add(uint64(pruned))
 
-	parts := make([]part, len(survivors))
+	// Each part is one block's (time, seq)-sorted rows, possibly aliasing
+	// cached (immutable) storage.
+	parts := make([]core.Columns, len(survivors))
 	errs := make([]error, len(survivors))
 	core.ForEachIndex(s.cfg.ScanWorkers, len(survivors), func(i int) {
 		parts[i], errs[i] = s.scanBlock(survivors[i], key, win)
@@ -110,20 +103,33 @@ func (s *Store) scanWindowOnce(key live.SliceKey, win live.Window) ([]timeutil.M
 			s.corrupt.Add(1)
 			s.quarantineBlock(bre.File)
 			s.logf("store: scan skipped corrupt block %s: %v", bre.File, bre.Err)
-			parts[i] = part{}
+			parts[i] = core.Columns{}
 			continue
 		}
 		return nil, nil, nil, err
 	}
-	times, lats, seqs := mergeScanCols(parts)
-	return times, lats, seqs, nil
+	// A scan that one block answers — the watcher's trailing window over a
+	// cached block — hands that block's rows through without a copy.
+	var out core.Columns
+	nonEmpty := 0
+	for _, p := range parts {
+		if p.Len() > 0 {
+			out = p
+			nonEmpty++
+		}
+	}
+	if nonEmpty > 1 {
+		out = core.Columns{}
+		core.MergeColumns(&out, parts...)
+	}
+	return out.Times, out.Lats, out.Seqs, nil
 }
 
 // scanBlock produces one surviving block's windowed, slice-filtered
 // columns, going through the decoded-block cache when the window covers
 // the whole block (the only shape worth caching: the watcher's trailing
 // window re-reads the same interior blocks every tick).
-func (s *Store) scanBlock(b *BlockMeta, key live.SliceKey, win live.Window) (part, error) {
+func (s *Store) scanBlock(b *BlockMeta, key live.SliceKey, win live.Window) (core.Columns, error) {
 	matchAll := key.Action < 0 && key.UserType < 0 && key.Period < 0
 	covered := win.From <= b.MinTime && (win.To == 0 || b.MaxTime < win.To)
 
@@ -136,7 +142,7 @@ func (s *Store) scanBlock(b *BlockMeta, key live.SliceKey, win live.Window) (par
 	data, err := readBlockBytes(s.fs, s.cfg.Dir, b.File, sc.buf)
 	sc.buf = data[:0]
 	if err != nil {
-		return part{}, err
+		return core.Columns{}, err
 	}
 
 	if covered && s.cache != nil {
@@ -144,7 +150,7 @@ func (s *Store) scanBlock(b *BlockMeta, key live.SliceKey, win live.Window) (par
 		// against the cached copy) into storage the cache will own.
 		cols := new(blockCols)
 		if err := decodeBlockCols(data, live.Window{}, true, cols); err != nil {
-			return part{}, &BlockReadError{File: b.File, Err: err}
+			return core.Columns{}, &BlockReadError{File: b.File, Err: err}
 		}
 		s.cache.put(b.File, cols)
 		return clipFilter(cols, key, win, matchAll, false), nil
@@ -155,7 +161,7 @@ func (s *Store) scanBlock(b *BlockMeta, key live.SliceKey, win live.Window) (par
 	// them; user IDs never are.
 	sc.cols.reset()
 	if err := decodeBlockCols(data, win, !matchAll, &sc.cols); err != nil {
-		return part{}, &BlockReadError{File: b.File, Err: err}
+		return core.Columns{}, &BlockReadError{File: b.File, Err: err}
 	}
 	return clipFilter(&sc.cols, key, win, matchAll, true), nil
 }
@@ -164,50 +170,38 @@ func (s *Store) scanBlock(b *BlockMeta, key live.SliceKey, win live.Window) (par
 // so the window clip is a binary search; matchAll slices then alias the
 // clipped range without copying (unless copyOut, for scratch-backed
 // columns that must not escape the worker).
-func clipFilter(cols *blockCols, key live.SliceKey, win live.Window, matchAll, copyOut bool) part {
-	lo, hi := 0, len(cols.times)
-	if win.From > 0 {
-		lo = sort.Search(hi, func(i int) bool { return cols.times[i] >= win.From })
-	}
-	if win.To != 0 {
-		hi = lo + sort.Search(hi-lo, func(i int) bool { return cols.times[lo+i] >= win.To })
-	}
+func clipFilter(cols *blockCols, key live.SliceKey, win live.Window, matchAll, copyOut bool) core.Columns {
+	lo, hi := cols.Range(win.From, win.To)
 	if lo == hi {
-		return part{}
+		return core.Columns{}
 	}
+	var p core.Columns
 	if matchAll {
 		if !copyOut {
-			return part{times: cols.times[lo:hi], lats: cols.lats[lo:hi], seqs: cols.seqs[lo:hi]}
+			return cols.Slice(lo, hi)
 		}
-		p := part{
-			times: make([]timeutil.Millis, hi-lo),
-			lats:  make([]float64, hi-lo),
-			seqs:  make([]uint64, hi-lo),
-		}
-		copy(p.times, cols.times[lo:hi])
-		copy(p.lats, cols.lats[lo:hi])
-		copy(p.seqs, cols.seqs[lo:hi])
+		core.MergeColumns(&p, cols.Slice(lo, hi)) // one run: an exactly sized copy
 		return p
 	}
 	n := 0
-	for i := lo; i < hi; i++ {
-		if key.MatchesTag(cols.tags[i]) {
+	for _, tag := range cols.tags[lo:hi] {
+		if key.MatchesTag(tag) {
 			n++
 		}
 	}
 	if n == 0 {
-		return part{}
+		return p
 	}
-	p := part{
-		times: make([]timeutil.Millis, 0, n),
-		lats:  make([]float64, 0, n),
-		seqs:  make([]uint64, 0, n),
+	p = core.Columns{
+		Times: make([]timeutil.Millis, 0, n),
+		Lats:  make([]float64, 0, n),
+		Seqs:  make([]uint64, 0, n),
 	}
 	for i := lo; i < hi; i++ {
 		if key.MatchesTag(cols.tags[i]) {
-			p.times = append(p.times, cols.times[i])
-			p.lats = append(p.lats, cols.lats[i])
-			p.seqs = append(p.seqs, cols.seqs[i])
+			p.Times = append(p.Times, cols.Times[i])
+			p.Lats = append(p.Lats, cols.Lats[i])
+			p.Seqs = append(p.Seqs, cols.Seqs[i])
 		}
 	}
 	return p
@@ -231,100 +225,4 @@ func blockMayMatch(b *BlockMeta, key live.SliceKey, win live.Window) bool {
 		return false
 	}
 	return true
-}
-
-// mergeScanCols k-way merges per-block (time, seq)-sorted column parts.
-// Almost every scan degenerates: one part passes through without any
-// copy, and parts that are pairwise time-ordered (blocks of one
-// compaction run are time-partitioned) concatenate. Two genuinely
-// interleaved parts get a two-cursor merge; only the general case pays
-// the linear cursor scan — candidate counts are small, so that still
-// beats a heap, the same choice the live engine's shard merge makes.
-func mergeScanCols(parts []part) ([]timeutil.Millis, []float64, []uint64) {
-	kept := parts[:0]
-	n := 0
-	for _, p := range parts {
-		if len(p.times) > 0 {
-			kept = append(kept, p)
-			n += len(p.times)
-		}
-	}
-	parts = kept
-	switch len(parts) {
-	case 0:
-		return nil, nil, nil
-	case 1:
-		return parts[0].times, parts[0].lats, parts[0].seqs
-	}
-
-	ordered := true
-	for i := 0; i+1 < len(parts); i++ {
-		a, b := parts[i], parts[i+1]
-		lastT, lastS := a.times[len(a.times)-1], a.seqs[len(a.seqs)-1]
-		if b.times[0] < lastT || (b.times[0] == lastT && b.seqs[0] < lastS) {
-			ordered = false
-			break
-		}
-	}
-	times := make([]timeutil.Millis, 0, n)
-	lats := make([]float64, 0, n)
-	seqs := make([]uint64, 0, n)
-	if ordered {
-		for _, p := range parts {
-			times = append(times, p.times...)
-			lats = append(lats, p.lats...)
-			seqs = append(seqs, p.seqs...)
-		}
-		return times, lats, seqs
-	}
-
-	if len(parts) == 2 {
-		a, b := parts[0], parts[1]
-		i, j := 0, 0
-		for i < len(a.times) && j < len(b.times) {
-			if b.times[j] < a.times[i] ||
-				(b.times[j] == a.times[i] && b.seqs[j] < a.seqs[i]) {
-				times = append(times, b.times[j])
-				lats = append(lats, b.lats[j])
-				seqs = append(seqs, b.seqs[j])
-				j++
-			} else {
-				times = append(times, a.times[i])
-				lats = append(lats, a.lats[i])
-				seqs = append(seqs, a.seqs[i])
-				i++
-			}
-		}
-		times = append(append(times, a.times[i:]...), b.times[j:]...)
-		lats = append(append(lats, a.lats[i:]...), b.lats[j:]...)
-		seqs = append(append(seqs, a.seqs[i:]...), b.seqs[j:]...)
-		return times, lats, seqs
-	}
-
-	cur := make([]int, len(parts))
-	for {
-		best := -1
-		for i := range parts {
-			if cur[i] >= len(parts[i].times) {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			bt, bs := parts[best].times[cur[best]], parts[best].seqs[cur[best]]
-			ct, cs := parts[i].times[cur[i]], parts[i].seqs[cur[i]]
-			if ct < bt || (ct == bt && cs < bs) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return times, lats, seqs
-		}
-		k := cur[best]
-		times = append(times, parts[best].times[k])
-		lats = append(lats, parts[best].lats[k])
-		seqs = append(seqs, parts[best].seqs[k])
-		cur[best]++
-	}
 }

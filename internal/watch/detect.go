@@ -21,7 +21,6 @@ package watch
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 
 	"autosens/internal/collector/api"
@@ -277,12 +276,12 @@ func detectIncident(slice string, snap *live.SliceSnapshot, cfg IncidentConfig) 
 	eligible := 0
 	var flagged []shardRatio
 	for si, sh := range snap.Shards {
-		if len(sh.Times) == 0 {
+		if sh.Len() == 0 {
 			continue
 		}
 		// Columns are time-sorted; the two intervals are contiguous ranges.
-		b0 := sort.Search(len(sh.Times), func(k int) bool { return sh.Times[k] >= baseLo })
-		r0 := sort.Search(len(sh.Times), func(k int) bool { return sh.Times[k] >= recentLo })
+		b0, _ := sh.Range(baseLo, 0)
+		r0, _ := sh.Range(recentLo, 0)
 		base := sh.Lats[b0:r0]
 		recent := sh.Lats[r0:]
 		if len(base) < cfg.MinShardRecords || len(recent) < cfg.MinShardRecords {

@@ -51,11 +51,10 @@ import (
 type Store interface {
 	Options() core.Options
 	SliceVersion(key live.SliceKey) uint64
-	SnapshotSlice(key live.SliceKey) (*live.SliceSnapshot, error)
-	// SnapshotSliceWindow is SnapshotSlice restricted to a half-open time
-	// window; a zero window must behave exactly like SnapshotSlice. With
-	// Config.Window set, the watcher's ticks read through this so its
-	// detectors judge a bounded trailing window against the store's
+	// SnapshotSliceWindow materializes the slice's columns inside a
+	// half-open time window; the zero window is the full history the store
+	// holds. With Config.Window set, the watcher's ticks pass a trailing
+	// window so its detectors judge a bounded span against the store's
 	// hot/cold cutover logic instead of full history.
 	SnapshotSliceWindow(key live.SliceKey, win live.Window) (*live.SliceSnapshot, error)
 }
