@@ -67,9 +67,11 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # bench-json appends a labelled estimator-core benchmark run to
-# BENCH_core.json (committed, so the perf trajectory is diffable).
+# BENCH_core.json (committed, so the perf trajectory is diffable), every
+# benchmark at GOMAXPROCS 1 and 2: the estimator splits its work over the
+# workers, so the two rows separate the algorithm from the parallelism.
 bench-json:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/core/ | \
+	$(GO) test -bench=. -benchmem -cpu 1,2 -run=^$$ ./internal/core/ | \
 		$(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)" -prev BENCH_core.json > BENCH_core.json.tmp
 	mv BENCH_core.json.tmp BENCH_core.json
 
@@ -83,7 +85,7 @@ bench-ingest-json:
 
 # bench-live appends a labelled live query-engine benchmark run to
 # BENCH_live.json: cached vs dirty vs full-batch recompute, the dirty
-# mode=normalized and ci=1 queries under advancing and backfill arrivals,
+# plain, mode=normalized and ci=1 queries under advancing and backfill arrivals,
 # the sliding (never-seen, stateless view) and pinned (delta-maintained)
 # windowed queries over a fake cold tier, engine append with and without concurrent
 # query load, and collector-level ingest with the live fan-in attached
@@ -96,14 +98,14 @@ bench-live:
 	mv BENCH_live.json.tmp BENCH_live.json
 
 # bench-live-gate is the regression gate on the committed live trajectory:
-# rerun the dirty-query (plain, normalized under advancing arrivals, and
-# ci=1 under advancing and backfill arrivals) and sliding-window benchmarks
-# and fail if any one's ns/op regressed more than 25% against the last run
-# recorded in BENCH_live.json. CI runs this.
+# rerun the dirty-query (plain, plain and normalized under advancing
+# arrivals, and ci=1 under advancing and backfill arrivals) and
+# sliding-window benchmarks and fail if any one's ns/op regressed more than
+# 25% against the last run recorded in BENCH_live.json. CI runs this.
 bench-live-gate:
 	$(GO) test -bench='BenchmarkLiveQuery|BenchmarkLiveWindowSliding' -benchmem -run=^$$ ./internal/live/ | \
 		$(GO) run ./cmd/benchjson -against BENCH_live.json \
-			-names BenchmarkLiveQueryDirty,BenchmarkLiveQueryDirtyNormalized/advancing,BenchmarkLiveQueryDirtyCI/advancing,BenchmarkLiveQueryDirtyCI/backfill,BenchmarkLiveWindowSliding -require-baseline
+			-names BenchmarkLiveQueryDirty,BenchmarkLiveQueryDirtyPlain/advancing,BenchmarkLiveQueryDirtyNormalized/advancing,BenchmarkLiveQueryDirtyCI/advancing,BenchmarkLiveQueryDirtyCI/backfill,BenchmarkLiveWindowSliding -require-baseline
 
 # bench-watch appends a labelled watcher benchmark run to BENCH_watch.json:
 # the clean (cached, zero-alloc) tick vs a full re-evaluation tick — the

@@ -141,10 +141,19 @@ func diff(w io.Writer, path string, cur Run, names string, maxRegress float64, r
 	if len(doc.Runs) == 0 {
 		return fmt.Errorf("%s holds no runs to compare against", path)
 	}
+	// A run may hold one benchmark at several GOMAXPROCS (-cpu 1,2): a row
+	// compares against the baseline row at its own procs, else — the gate
+	// running on a host of another width — against the name's last row.
+	type row struct {
+		name  string
+		procs int
+	}
 	base := doc.Runs[len(doc.Runs)-1]
-	baseNs := make(map[string]float64, len(base.Results))
+	baseNs := make(map[row]float64, len(base.Results))
+	byName := make(map[string]float64, len(base.Results))
 	for _, r := range base.Results {
-		baseNs[r.Name] = r.NsPerOp
+		baseNs[row{r.Name, r.Procs}] = r.NsPerOp
+		byName[r.Name] = r.NsPerOp
 	}
 	want := map[string]bool{}
 	for _, n := range strings.Split(names, ",") {
@@ -161,11 +170,18 @@ func diff(w io.Writer, path string, cur Run, names string, maxRegress float64, r
 		if len(want) > 0 && !want[r.Name] {
 			continue
 		}
-		b, ok := baseNs[r.Name]
+		label := r.Name
+		if r.Procs > 1 {
+			label += "-" + strconv.Itoa(r.Procs)
+		}
+		b, ok := baseNs[row{r.Name, r.Procs}]
+		if !ok {
+			b, ok = byName[r.Name]
+		}
 		if !ok || b <= 0 {
 			unbaselined++
 			fmt.Fprintf(w, "  %-36s %14s -> %14.1f ns/op           NO BASELINE\n",
-				r.Name, "-", r.NsPerOp)
+				label, "-", r.NsPerOp)
 			continue
 		}
 		compared++
@@ -176,7 +192,7 @@ func diff(w io.Writer, path string, cur Run, names string, maxRegress float64, r
 			failed++
 		}
 		fmt.Fprintf(w, "  %-36s %14.1f -> %14.1f ns/op  %+7.1f%%  %s\n",
-			r.Name, b, r.NsPerOp, 100*delta, status)
+			label, b, r.NsPerOp, 100*delta, status)
 	}
 	for n := range want {
 		if !inCur[n] {

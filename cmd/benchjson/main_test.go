@@ -175,6 +175,44 @@ func TestDiffNamedMissingFromStdin(t *testing.T) {
 // TestParseExtraMetrics: custom b.ReportMetric units survive into the
 // document, so BENCH_cluster.json keeps p99 and throughput alongside
 // ns/op.
+// TestDiffComparesPerProcs pins rows of one benchmark at several GOMAXPROCS
+// (-cpu 1,2; the -2 name suffix) against the baseline row at the same procs,
+// and a width the baseline lacks against the name's row.
+func TestDiffComparesPerProcs(t *testing.T) {
+	data, err := json.Marshal(Document{Runs: []Run{{Label: "baseline", Results: []Result{
+		{Name: "BenchmarkIncrementalAdvancing", Procs: 1, Iterations: 1, NsPerOp: 100},
+		{Name: "BenchmarkIncrementalAdvancing", Procs: 2, Iterations: 1, NsPerOp: 50},
+		{Name: "BenchmarkLiveQueryDirtyPlain/advancing", Procs: 2, Iterations: 1, NsPerOp: 40},
+	}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := parseRun(t, `
+BenchmarkIncrementalAdvancing     	  10	 110 ns/op
+BenchmarkIncrementalAdvancing-2   	  10	  55 ns/op
+BenchmarkLiveQueryDirtyPlain/advancing-4   	  10	  45 ns/op
+`)
+	if r := run.Results[1]; r.Name != "BenchmarkIncrementalAdvancing" || r.Procs != 2 {
+		t.Fatalf("-2 suffix parsed as %q procs %d", r.Name, r.Procs)
+	}
+	var out strings.Builder
+	if err := diff(&out, path, run, "", 0.25, true); err != nil {
+		t.Fatalf("per-procs rows within 25%% failed: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "BenchmarkIncrementalAdvancing-2") {
+		t.Fatalf("table does not tell the procs rows apart:\n%s", out.String())
+	}
+	// +120% against its own procs-2 baseline, +10% against the procs-1 one.
+	run.Results[1].NsPerOp = 110
+	if err := diff(&out, path, run, "", 0.25, true); err == nil {
+		t.Fatal("the -cpu 2 row was compared against the -cpu 1 baseline")
+	}
+}
+
 func TestParseExtraMetrics(t *testing.T) {
 	run := parseRun(t, `
 BenchmarkClusterQueryCached-1   2000000   116.6 ns/op   243.0 p99-ns/op

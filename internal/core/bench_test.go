@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"autosens/internal/rng"
@@ -138,6 +139,52 @@ func BenchmarkIncrementalNormalized(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := inc.EstimateTimeNormalized(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkIncrementalAdvancing is the plain dirty query under an advancing
+// clock at the node's scale: 275 k records over six days, fold five records
+// past the data clock, re-estimate. Every fold moves the span, so each
+// estimate redraws, re-sorts and re-sweeps the whole 550 k-key schedule —
+// split over the estimator's workers (GOMAXPROCS), into retained buffers.
+func BenchmarkIncrementalAdvancing(b *testing.B) {
+	const n, batch = 275_000, 5
+	e := benchEstimator(b)
+	src := rng.New(41)
+	times := make([]timeutil.Millis, n)
+	lats := make([]float64, n)
+	seqs := make([]uint64, n)
+	for i := range times {
+		times[i] = timeutil.Millis(src.Uint64n(uint64(6 * timeutil.MillisPerDay)))
+	}
+	slices.Sort(times)
+	for i := range lats {
+		lats[i] = 280 * src.LogNormal(0, 0.45)
+		seqs[i] = uint64(i + 1)
+	}
+	inc := e.NewIncremental()
+	if err := inc.Fold(times, lats, seqs); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := inc.EstimatePlain(); err != nil {
+		b.Fatal(err)
+	}
+	now, seq := times[n-1], uint64(n)
+	dt, dl, ds := make([]timeutil.Millis, batch), make([]float64, batch), make([]uint64, batch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range dt {
+			now += 3000
+			seq++
+			dt[k], dl[k], ds[k] = now, lats[(i*batch+k)%n], seq
+		}
+		if err := inc.Fold(dt, dl, ds); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := inc.EstimatePlain(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -158,21 +159,26 @@ func partitionBlocks(times []timeutil.Millis, lats []float64, blockLen timeutil.
 // estimate's U bit for bit, as Σ B_k is its B (counts are integers in
 // float64). That identity is what lets the batch path finish its point curve
 // from the sums and the node reuse its retained schedule, and still agree.
+//
+// Blocks are independent rank ranges of the schedule, so they run on the
+// estimator's worker pool, each finding its own range by binary search.
 func (e *Estimator) sumBlocks(bb *bootBlocks, keys []uint64, auxSeed uint64) {
 	bb.b = make([]*histogram.Histogram, len(bb.ranges))
 	bb.u = make([]*histogram.Histogram, len(bb.ranges))
-	k := 0
-	for blk, r := range bb.ranges {
+	rank := func(blk int) int {
+		k, _ := slices.BinarySearch(keys, uint64(timeutil.Millis(blk)*bb.blockLen))
+		return k
+	}
+	e.forEachIndex(len(bb.ranges), func(blk int) {
+		r := bb.ranges[blk]
 		b, u := e.newHist(), e.newHist()
 		for _, v := range bb.lats[r[0]:r[1]] {
 			b.Add(v)
 		}
-		edge := uint64(timeutil.Millis(blk+1) * bb.blockLen)
-		end := k + sort.Search(len(keys)-k, func(i int) bool { return keys[k+i] >= edge })
-		sweepSortedKeys(bb.times, bb.lats, bb.windowLo, keys[k:end], k, auxSeed, u)
-		k = end
+		k1, k2 := rank(blk), rank(blk+1)
+		sweepSortedKeys(bb.times, bb.lats, bb.windowLo, keys[k1:k2], k1, auxSeed, u)
 		bb.b[blk], bb.u[blk] = b, u
-	}
+	})
 }
 
 // ciScratch is one worker's reusable replicate state, surviving across the
@@ -308,9 +314,12 @@ func (e *Estimator) plainPointFromBlocks(sp *obs.Span, bb *bootBlocks) (*Curve, 
 	uSp := estSp.StartChild("sample_unbiased")
 	keys := make([]uint64, drawCount(n, e.opts.UnbiasedPerSample))
 	span := uint64(bb.times[n-1] + 1 - bb.windowLo)
-	auxSeed := drawKeys(rng.New(e.opts.Seed), span, keys, nil, false)
+	chunks := e.keyChunks(len(keys))
+	auxSeed, fellBack := drawKeysChunked(chunks, rng.New(e.opts.Seed), span, keys, nil, false)
 	e.sumBlocks(bb, keys, auxSeed)
 	uSp.SetAttr("draws", len(keys))
+	uSp.SetAttr("key_chunks", chunks)
+	uSp.SetAttr("stream_fallback", fellBack)
 	uSp.End()
 
 	b, u := e.newHist(), e.newHist()

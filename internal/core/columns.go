@@ -2,12 +2,10 @@ package core
 
 import (
 	"errors"
-	"math"
 	"time"
 
 	"autosens/internal/histogram"
 	"autosens/internal/obs"
-	"autosens/internal/rng"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
@@ -58,8 +56,8 @@ func checkColumns(times []timeutil.Millis, lats []float64) error {
 // value is ready to use; a Scratch must not be shared across concurrent
 // estimations.
 type Scratch struct {
-	b, u  *histogram.Histogram
-	sweep sweepScratch
+	b, u *histogram.Histogram
+	plan UnbiasedPlan
 }
 
 // biased returns the scratch biased histogram, reset, allocating it on
@@ -77,7 +75,7 @@ func (sc *Scratch) unbiased(e *Estimator) *histogram.Histogram {
 
 // RetainedBytes is the heap the scratch holds between estimations.
 func (sc *Scratch) RetainedBytes() int {
-	n := 8 * (cap(sc.sweep.keys) + cap(sc.sweep.tmp))
+	n := sc.plan.RetainedBytes()
 	if sc.b != nil {
 		n += 8 * sc.b.Bins()
 	}
@@ -109,13 +107,13 @@ func (e *Estimator) EstimateFromParts(b *histogram.Histogram, times []timeutil.M
 		return nil, err
 	}
 	sp.SetAttr("records", len(times))
-	return e.estimateColumns(sp, b, times, lats, sc)
+	return e.estimateColumns(sp, b, times, lats, sc, nil)
 }
 
 // estimateColumns is the shared plain-estimator core over sorted columns.
-// A nil b builds the biased histogram here; a nil sc allocates privately.
-func (e *Estimator) estimateColumns(sp *obs.Span, b *histogram.Histogram, times []timeutil.Millis, lats []float64, sc *Scratch) (*Curve, error) {
-	src := rng.New(e.opts.Seed)
+// A nil b builds the biased histogram here; a nil plan is sc's, or with a
+// nil sc too a private one.
+func (e *Estimator) estimateColumns(sp *obs.Span, b *histogram.Histogram, times []timeutil.Millis, lats []float64, sc *Scratch, plan *UnbiasedPlan) (*Curve, error) {
 	if b == nil {
 		bSp := sp.StartChild("build_biased_histogram")
 		if sc != nil {
@@ -131,19 +129,28 @@ func (e *Estimator) estimateColumns(sp *obs.Span, b *histogram.Histogram, times 
 	}
 
 	uSp := sp.StartChild("sample_unbiased")
-	draws := int(math.Ceil(float64(len(times)) * e.opts.UnbiasedPerSample))
 	var u *histogram.Histogram
-	var sweep *sweepScratch
 	if sc != nil {
 		u = sc.unbiased(e)
-		sweep = &sc.sweep
+		if plan == nil {
+			plan = &sc.plan
+		}
 	} else {
 		u = e.newHist()
+		if plan == nil {
+			plan = new(UnbiasedPlan)
+		}
 	}
 	lo := times[0]
 	hi := times[len(times)-1] + 1
-	fillUnbiasedSweep(times, lats, lo, hi, draws, src, sweep, u)
+	draws := drawCount(len(times), e.opts.UnbiasedPerSample)
+	chunks := e.keyChunks(draws)
+	plan.update(e.opts.Seed, uint64(hi-lo), draws, chunks)
+	e.sweepKeys(chunks, times, lats, lo, plan.sorted, plan.auxSeed, u)
 	uSp.SetAttr("draws", draws)
+	uSp.SetAttr("reused_keys", plan.reused)
+	uSp.SetAttr("key_chunks", chunks)
+	uSp.SetAttr("stream_fallback", plan.fallback)
 	uSp.End()
 
 	return e.finishCurve(sp, b, u, len(times), draws)

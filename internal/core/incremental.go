@@ -251,17 +251,20 @@ func (inc *Incremental) EstimatePlain() (*Curve, error) {
 	lo := inc.sum.Times[0]
 	hi := inc.sum.Times[n-1] + 1
 	draws := drawCount(n, e.opts.UnbiasedPerSample)
-	inc.plan.update(e.opts.Seed, uint64(hi-lo), draws)
+	chunks := e.keyChunks(draws)
+	inc.plan.update(e.opts.Seed, uint64(hi-lo), draws, chunks)
+	sp.SetAttr("key_chunks", chunks)
+	sp.SetAttr("stream_fallback", inc.plan.fallback)
 	if inc.stValid && inc.plan.reused == 0 && draws > 0 {
 		inc.stValid = false // plan regenerated under us: seed or span moved
 	}
 
 	if !inc.stValid && !inc.fullSweep {
-		inc.rebuildSweep()
+		inc.rebuildSweep(chunks)
 	}
 	if inc.fullSweep {
 		u := inc.sc.unbiased(e)
-		sweepSortedKeys(inc.sum.Times, inc.sum.Lats, lo, inc.plan.sorted, 0, inc.plan.auxSeed, u)
+		e.sweepKeys(chunks, inc.sum.Times, inc.sum.Lats, lo, inc.plan.sorted, inc.plan.auxSeed, u)
 		sp.SetAttr("sweep", "full")
 		return e.finishCurve(sp, inc.sum.B, u, n, draws)
 	}
@@ -280,23 +283,24 @@ func (inc *Incremental) EstimatePlain() (*Curve, error) {
 }
 
 // rebuildSweep classifies the full schedule from scratch (first estimate,
-// or a fold that moved the observation window).
-func (inc *Incremental) rebuildSweep() {
+// or a fold that moved the observation window), in chunks rank ranges.
+func (inc *Incremental) rebuildSweep(chunks int) {
 	if len(inc.plan.sorted) > math.MaxInt32 {
 		inc.fullSweep = true
 		return
 	}
 	inc.u.Reset()
 	inc.auxDep = inc.auxDep[:0]
-	lo := inc.sum.Times[0]
-	classifyKeys(inc.sum.Times, lo, inc.plan.sorted, 0, len(inc.plan.sorted),
-		func(rank, j, m int) {
+	times, lats, keys := inc.sum.Times, inc.sum.Lats, inc.plan.sorted
+	inc.e.splitSweep(chunks, len(keys), inc.u, &inc.auxDep, func(i1, i2 int, u *histogram.Histogram, dep *[]int32) {
+		classifyKeys(times, times[0], keys, i1, i2, func(rank, j, m int) {
 			if j < 0 {
-				inc.auxDep = append(inc.auxDep, int32(rank))
+				*dep = append(*dep, int32(rank))
 			} else {
-				inc.u.AddWeighted(inc.sum.Lats[j], float64(m))
+				u.AddWeighted(lats[j], float64(m))
 			}
 		})
+	})
 	inc.stValid = true
 	inc.checkDensity()
 }

@@ -121,9 +121,9 @@ func MergeSummaries(dst *Summary, parts ...*Summary) error {
 // EstimateSummary computes the plain pooled NLP curve (Sections 2.2–2.3)
 // over a delta-maintained Summary, bit-identical to EstimateColumns over
 // the same columns. s.B, when non-nil, stands in for the O(n) biased
-// histogram build; plan, when non-nil, retains the unbiased draw-key
-// schedule across calls so a re-estimation after a small fold regenerates
-// no keys unless the observation window moved (see UnbiasedPlan); sc
+// histogram build; plan retains the unbiased draw-key schedule across calls
+// so a re-estimation after a small fold regenerates no keys unless the
+// observation window moved (see UnbiasedPlan) — a nil plan is sc's own; sc
 // reuses the output-side histograms. With all three retained by the
 // caller, a re-estimation costs one linear sweep over the columns plus
 // curve finishing — no sort, no per-epoch key generation, and no
@@ -139,37 +139,5 @@ func (e *Estimator) EstimateSummary(s *Summary, plan *UnbiasedPlan, sc *Scratch)
 		return nil, err
 	}
 	sp.SetAttr("records", s.Len())
-	if plan == nil {
-		return e.estimateColumns(sp, s.B, s.Times, s.Lats, sc)
-	}
-
-	b := s.B
-	if b == nil {
-		if sc != nil {
-			b = sc.biased(e)
-		} else {
-			b = e.newHist()
-		}
-		for _, v := range s.Lats {
-			b.Add(v)
-		}
-	}
-
-	uSp := sp.StartChild("sample_unbiased")
-	lo := s.Times[0]
-	hi := s.Times[len(s.Times)-1] + 1
-	draws := drawCount(s.Len(), e.opts.UnbiasedPerSample)
-	plan.update(e.opts.Seed, uint64(hi-lo), draws)
-	var u *histogram.Histogram
-	if sc != nil {
-		u = sc.unbiased(e)
-	} else {
-		u = e.newHist()
-	}
-	sweepSortedKeys(s.Times, s.Lats, lo, plan.sorted, 0, plan.auxSeed, u)
-	uSp.SetAttr("draws", draws)
-	uSp.SetAttr("reused_keys", plan.reused)
-	uSp.End()
-
-	return e.finishCurve(sp, b, u, s.Len(), draws)
+	return e.estimateColumns(sp, s.B, s.Times, s.Lats, sc, plan)
 }

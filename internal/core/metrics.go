@@ -20,6 +20,7 @@ type coreMetrics struct {
 	replicateDur *obs.Histogram
 	bootstrapDur *obs.Histogram
 	workers      *obs.Gauge
+	keyFallbacks *obs.Counter
 }
 
 var metricsPtr atomic.Pointer[coreMetrics]
@@ -43,6 +44,8 @@ func EnableMetrics(reg *obs.Registry) {
 			"wall time of one full bootstrap (all replicates)", obs.DefLatencyBuckets()),
 		workers: reg.Gauge("autosens_core_bootstrap_workers",
 			"worker count used by the most recent bootstrap"),
+		keyFallbacks: reg.Counter("autosens_core_key_stream_fallbacks_total",
+			"chunked draw-key schedules redrawn serially after a rejected raw word (expect ~0)"),
 	}
 	metricsPtr.Store(m)
 }

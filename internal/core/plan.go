@@ -54,8 +54,10 @@ type UnbiasedPlan struct {
 	src     rng.Source
 	sorted  []uint64
 	auxSeed uint64
-	// reused reports how many keys the last update retained (span attr).
-	reused int
+	// reused reports how many keys the last update retained and fallback
+	// whether its regeneration redrew a chunked stream serially (span attrs).
+	reused   int
+	fallback bool
 
 	tail    []uint64 // newly drawn keys awaiting merge
 	staged  int      // target draw count of a staged, uncommitted extension
@@ -64,8 +66,10 @@ type UnbiasedPlan struct {
 
 // update makes the plan current for (seed, span, draws): afterwards
 // p.sorted holds the sorted key multiset fillUnbiasedSweep would have
-// produced and p.auxSeed its tie-break seed.
-func (p *UnbiasedPlan) update(seed uint64, span uint64, draws int) {
+// produced and p.auxSeed its tie-break seed. A regenerated schedule is drawn
+// in chunks pieces (drawKeysChunked); extensions stay serial.
+func (p *UnbiasedPlan) update(seed uint64, span uint64, draws, chunks int) {
+	p.fallback = false
 	switch {
 	case p.valid && seed == p.seed && span == p.span && draws == p.draws:
 		p.reused = draws
@@ -74,7 +78,7 @@ func (p *UnbiasedPlan) update(seed uint64, span uint64, draws int) {
 		p.extend(draws)
 		return
 	}
-	p.regenerate(seed, span, draws)
+	p.regenerate(seed, span, draws, chunks)
 }
 
 // RetainedBytes is the heap the plan's key buffers hold between updates.
@@ -82,17 +86,16 @@ func (p *UnbiasedPlan) RetainedBytes() int {
 	return 8 * (cap(p.sorted) + cap(p.tail) + cap(p.scratch))
 }
 
-// regenerate rebuilds the full schedule from a fresh stream.
-func (p *UnbiasedPlan) regenerate(seed, span uint64, draws int) {
+// regenerate rebuilds the full schedule from a fresh stream. Under an
+// advancing clock that is every estimate, each a few draws longer than the
+// last, so the key buffer (like the sort's scratch) grows the amortized way.
+func (p *UnbiasedPlan) regenerate(seed, span uint64, draws, chunks int) {
 	p.seed, p.span, p.draws = seed, span, draws
 	p.reused = 0
 	p.valid = true
-	if cap(p.sorted) < draws {
-		p.sorted = make([]uint64, draws)
-	}
-	p.sorted = p.sorted[:draws]
+	p.sorted = extend(p.sorted[:0], draws)
 	p.src = *rng.New(seed)
-	p.auxSeed = drawKeys(&p.src, span, p.sorted, &p.scratch, false)
+	p.auxSeed, p.fallback = drawKeysChunked(chunks, &p.src, span, p.sorted, &p.scratch, false)
 }
 
 // extend continues the retained key stream for draws-p.draws new keys and
@@ -152,8 +155,26 @@ func (p *UnbiasedPlan) commitExtend() {
 	p.draws = draws
 }
 
-// drawKeys is the package's one unbiased key schedule: it fills keys with
-// len(keys) draw offsets uniform in [0, span) — the stream that many
+// keyChunkMin is the fewest keys one chunk of a split schedule or sweep
+// holds: below it the fork-join costs more than another core saves. Tests
+// lower it to split small inputs.
+var keyChunkMin = 1 << 15
+
+// keyChunks is how many chunks a schedule of n keys is drawn and swept in:
+// one per estimator worker, each at least keyChunkMin keys.
+func (e *Estimator) keyChunks(n int) int {
+	return workerCount(e.opts.Workers, n/keyChunkMin)
+}
+
+// drawKeys is drawKeysChunked in one chunk: the schedule of callers that
+// already run inside a pool (slot tables and fills, stageExtend tails).
+func drawKeys(src *rng.Source, span uint64, keys []uint64, scratch *[]uint64, tag bool) (auxSeed uint64) {
+	auxSeed, _ = drawKeysChunked(1, src, span, keys, scratch, tag)
+	return auxSeed
+}
+
+// drawKeysChunked is the package's one unbiased key schedule: it fills keys
+// with len(keys) draw offsets uniform in [0, span) — the stream that many
 // src.Uint64n(span) calls yield — takes the tie-break seed, and sorts the
 // keys ascending. The seed is the raw word following the last key; src is
 // left BEFORE it, so a retained src resumes the key stream where this call
@@ -166,8 +187,24 @@ func (p *UnbiasedPlan) commitExtend() {
 // span and len(keys) fit 32 bits.
 //
 // scratch is the radix sort's retained ping-pong buffer (see
-// radixSortUint64).
-func drawKeys(src *rng.Source, span uint64, keys []uint64, scratch *[]uint64, tag bool) (auxSeed uint64) {
+// radixSortUint64). With chunks > 1 the work is split over that many workers
+// (drawPartitioned) and the output is the same; fellBack reports that a
+// rejected raw word sent the split draw back to the serial one.
+func drawKeysChunked(chunks int, src *rng.Source, span uint64, keys []uint64, scratch *[]uint64, tag bool) (auxSeed uint64, fellBack bool) {
+	payload := uint(0)
+	if tag {
+		payload = 32
+	}
+	if chunks > 1 && span > 0 && len(keys) >= chunks {
+		if drawPartitioned(chunks, src, span, keys, scratch, payload) {
+			peek := *src
+			return peek.Uint64(), false
+		}
+		fellBack = true
+		if m := getMetrics(); m != nil {
+			m.keyFallbacks.Inc()
+		}
+	}
 	if span > 0 {
 		src.FillUint64n(keys, span)
 	} else {
@@ -175,15 +212,90 @@ func drawKeys(src *rng.Source, span uint64, keys []uint64, scratch *[]uint64, ta
 	}
 	peek := *src
 	auxSeed = peek.Uint64()
-	payload := uint(0)
 	if tag {
-		payload = 32
 		for g := range keys {
 			keys[g] = keys[g]<<32 | uint64(g)
 		}
 	}
 	radixSortUint64(keys, scratch, payload)
-	return auxSeed
+	return auxSeed, fellBack
+}
+
+// drawPartitioned draws and sorts keys in chunks contiguous pieces. An
+// accepted key is exactly two generator steps, so chunk w draws keys
+// [lo, hi) from a copy of src jumped 2·lo steps ahead, tags and counts them
+// per top-bit bucket of span as it goes, and must end 2·hi steps from src —
+// streamIntact; otherwise a raw word was rejected somewhere (probability
+// below span/2⁶⁴ per word), the chunks hold a different stream, and it
+// returns false with src untouched. Intact chunks scatter into the buckets
+// at offsets fixed by chunk order, so a bucket holds its keys in generation
+// order, and each bucket is radix sorted on its own: the concatenation is
+// the one sorted schedule, tags included.
+func drawPartitioned(chunks int, src *rng.Source, span uint64, keys []uint64, scratch *[]uint64, payload uint) bool {
+	const run = 4096
+	n := len(keys)
+	// Buckets are the span's top bits above the 22 the radix sort covers in
+	// two passes, 3 to 8 of them: enough buckets to spread over the workers,
+	// at most 256.
+	top := bits.Len64(span - 1)
+	shift := uint(max(min(top-3, 22), top-8, 0))
+	buckets := int((span-1)>>shift) + 1
+	shift += payload
+	bounds := func(w int) (lo, hi int) { return w * n / chunks, (w + 1) * n / chunks }
+	at := make([][]int, chunks) // chunk w's count per bucket, then its next slot
+	ends := make([]rng.Source, chunks)
+	ForEachIndex(chunks, chunks, func(w int) {
+		lo, hi := bounds(w)
+		s := *src
+		s.Advance(2 * uint64(lo))
+		count := make([]int, buckets)
+		for i := lo; i < hi; i += run { // fill and count while the run is in cache
+			part := keys[i:min(i+run, hi)]
+			s.FillUint64n(part, span)
+			for g, k := range part {
+				if payload != 0 {
+					k = k<<payload | uint64(i+g)
+					part[g] = k
+				}
+				count[k>>shift]++
+			}
+		}
+		at[w], ends[w] = count, s
+	})
+	for w := range ends {
+		if _, hi := bounds(w); !streamIntact(src, &ends[w], hi) {
+			return false
+		}
+	}
+	edges := make([]int, buckets+1)
+	for b, pos := 0, 0; b < buckets; b++ {
+		edges[b] = pos
+		for _, count := range at {
+			count[b], pos = pos, pos+count[b]
+		}
+	}
+	edges[buckets] = n
+	if scratch == nil {
+		scratch = new([]uint64)
+	}
+	tmp := extend((*scratch)[:0], n)
+	*scratch = tmp
+	ForEachIndex(chunks, chunks, func(w int) {
+		lo, hi := bounds(w)
+		next := at[w]
+		for _, k := range keys[lo:hi] {
+			tmp[next[k>>shift]] = k
+			next[k>>shift]++
+		}
+	})
+	ForEachIndex(chunks, buckets, func(b int) {
+		lo, hi := edges[b], edges[b+1]
+		ping := keys[lo:hi:hi]
+		radixSortUint64(tmp[lo:hi], &ping, payload)
+		copy(keys[lo:hi], tmp[lo:hi])
+	})
+	*src = ends[chunks-1]
+	return true
 }
 
 // radixSortUint64 sorts a ascending by a>>payload: the low payload bits ride
@@ -191,8 +303,8 @@ func drawKeys(src *rng.Source, span uint64, keys []uint64, scratch *[]uint64, ta
 // payloads ascended with input position (as drawKeys' tags do). From
 // 128 keys up it is an LSD radix counting sort — draw keys are uniform
 // offsets, the distribution sort is O(passes·n) against pdqsort's
-// O(n·log n) — ping-ponging through *scratchp, which is grown to len(a) when
-// short (nil allocates privately). One read pass ORs the keys to find how
+// O(n·log n) — ping-ponging through *scratchp, which grows the amortized way
+// when short (nil allocates privately). One read pass ORs the keys to find how
 // many bits are in use — keys bounded by a small span (the common case:
 // spans are observation windows in milliseconds) need only the low digits —
 // and a second counts every digit's histogram at once, so each remaining
@@ -207,19 +319,17 @@ func radixSortUint64(a []uint64, scratchp *[]uint64, payload uint) {
 	if scratchp == nil {
 		scratchp = &private
 	}
-	if cap(*scratchp) < len(a) {
-		*scratchp = make([]uint64, len(a))
-	}
-	scratch := (*scratchp)[:len(a)]
+	scratch := extend((*scratchp)[:0], len(a))
+	*scratchp = scratch
 	const (
 		digit = 11
 		mask  = 1<<digit - 1
 	)
-	var or uint64
+	or, and := uint64(0), ^uint64(0)
 	for _, v := range a {
-		or |= v
+		or, and = or|v, and&v
 	}
-	passes := (bits.Len64(or>>payload) + digit - 1) / digit
+	passes := (bits.Len64((or^and)>>payload) + digit - 1) / digit
 	var counts [(64 + digit - 1) / digit][1 << digit]uint32
 	for _, v := range a {
 		v >>= payload

@@ -246,6 +246,42 @@ func sweepSortedKeys(times []timeutil.Millis, lats []float64, lo timeutil.Millis
 	}
 }
 
+// splitSweep runs sweep over a sorted schedule of n keys cut into chunks
+// contiguous rank ranges, one worker each. The first range sweeps into u and
+// *dep themselves, every other one into a histogram and rank list of its own,
+// added to them afterwards in rank order — exact, because every weight is an
+// integer in float64. One chunk is the plain call.
+func (e *Estimator) splitSweep(chunks, n int, u *histogram.Histogram, dep *[]int32, sweep func(i1, i2 int, u *histogram.Histogram, dep *[]int32)) {
+	if chunks <= 1 {
+		sweep(0, n, u, dep)
+		return
+	}
+	us := make([]*histogram.Histogram, chunks)
+	deps := make([][]int32, chunks)
+	ForEachIndex(chunks, chunks, func(w int) {
+		uw, dw := u, dep
+		if w > 0 {
+			uw, dw = e.newHist(), &deps[w]
+		}
+		sweep(w*n/chunks, (w+1)*n/chunks, uw, dw)
+		us[w] = uw
+	})
+	for w := 1; w < chunks; w++ {
+		_ = u.AddHistogram(us[w]) // same binning by construction
+		if dep != nil {
+			*dep = append(*dep, deps[w]...)
+		}
+	}
+}
+
+// sweepKeys is sweepSortedKeys over a whole sorted schedule, split into
+// chunks rank ranges.
+func (e *Estimator) sweepKeys(chunks int, times []timeutil.Millis, lats []float64, lo timeutil.Millis, keys []uint64, auxSeed uint64, u *histogram.Histogram) {
+	e.splitSweep(chunks, len(keys), u, nil, func(i1, i2 int, u *histogram.Histogram, _ *[]int32) {
+		sweepSortedKeys(times, lats, lo, keys[i1:i2], i1, auxSeed, u)
+	})
+}
+
 // fillSweep is the sampler-side entry point to the batch sweep.
 func (s *unbiasedSampler) fillSweep(lo, hi timeutil.Millis, n int, src *rng.Source, sc *sweepScratch, hists ...*histogram.Histogram) {
 	fillUnbiasedSweep(s.times, s.latencies, lo, hi, n, src, sc, hists...)

@@ -71,6 +71,59 @@ func BenchmarkLiveQueryDirty(b *testing.B) {
 	}
 }
 
+// BenchmarkLiveQueryDirtyPlain is the dirty plain query under the two
+// arrival orders of BenchmarkLiveQueryDirtyNormalized: advancing (every batch
+// moves the data clock, so the combo's draw schedule is redrawn, re-sorted and
+// re-swept — split over the engine's workers) and backfill (the window holds,
+// the batch folds into the delta-maintained sweep state).
+func BenchmarkLiveQueryDirtyPlain(b *testing.B) {
+	benchDirtyOrders(b, ModePlain, false)
+}
+
+// benchDirtyOrders runs one dirty query kind under advancing and backfill
+// arrivals: five records land, then the 50 k-record combo is asked again.
+func benchDirtyOrders(b *testing.B, mode Mode, ci bool) {
+	const n, batch = 50000, 5
+	horizon := 2 * timeutil.MillisPerDay
+	stream := telemetry.Successful(advancingStream(42, n, horizon))
+	step := horizon / n
+	for _, order := range []string{"advancing", "backfill"} {
+		b.Run(order, func(b *testing.B) {
+			e := benchEngine(b, stream)
+			if _, err := e.Query(AllSlices, mode, ci); err != nil {
+				b.Fatal(err)
+			}
+			now := stream[len(stream)-1].Time
+			recs := make([]telemetry.Record, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := range recs {
+					recs[k] = stream[(i*batch+k)%len(stream)]
+					recs[k].Time += step / 3 // in the held range, not on a held instant
+					if order == "advancing" {
+						now += step
+						recs[k].Time = now
+					}
+				}
+				e.Append(recs)
+				res, err := e.Query(AllSlices, mode, ci)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Cached {
+					b.Fatal("dirty query served from cache")
+				}
+			}
+			if mode == ModeNormalized {
+				b.StopTimer()
+				st := e.LiveStats()
+				b.ReportMetric(float64(st.NormalizedRegenerated)/float64(st.NormalizedRecomputes), "regen/op")
+			}
+		})
+	}
+}
+
 // BenchmarkLiveQueryDirtyNormalized is the dirty mode=normalized query under
 // the two arrival orders the outside-in benchmark separates: advancing (each
 // batch moves the data clock — the last slot's bounds and every slot's quota
@@ -79,43 +132,7 @@ func BenchmarkLiveQueryDirty(b *testing.B) {
 // batch kernel over the same 50 k records is BenchmarkLiveBatchRecompute's
 // normalized twin, core's BenchmarkEstimateTimeNormalized.
 func BenchmarkLiveQueryDirtyNormalized(b *testing.B) {
-	const n, batch = 50000, 5
-	horizon := 2 * timeutil.MillisPerDay
-	stream := telemetry.Successful(advancingStream(42, n, horizon))
-	step := horizon / n
-	for _, order := range []string{"advancing", "backfill"} {
-		b.Run(order, func(b *testing.B) {
-			e := benchEngine(b, stream)
-			if _, err := e.Query(AllSlices, ModeNormalized, false); err != nil {
-				b.Fatal(err)
-			}
-			now := stream[len(stream)-1].Time
-			recs := make([]telemetry.Record, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := range recs {
-					recs[k] = stream[(i*batch+k)%len(stream)]
-					recs[k].Time += step / 3 // in the held range, not on a held instant
-					if order == "advancing" {
-						now += step
-						recs[k].Time = now
-					}
-				}
-				e.Append(recs)
-				res, err := e.Query(AllSlices, ModeNormalized, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Cached {
-					b.Fatal("dirty query served from cache")
-				}
-			}
-			b.StopTimer()
-			st := e.LiveStats()
-			b.ReportMetric(float64(st.NormalizedRegenerated)/float64(st.NormalizedRecomputes), "regen/op")
-		})
-	}
+	benchDirtyOrders(b, ModeNormalized, false)
 }
 
 // BenchmarkLiveQueryDirtyCI is the dirty plain ci=1 query — the dearest
@@ -124,40 +141,7 @@ func BenchmarkLiveQueryDirtyNormalized(b *testing.B) {
 // (rebuilt under advancing arrivals, folded under backfill) plus the
 // bootstrap's one split sweep and its block-sum replicates.
 func BenchmarkLiveQueryDirtyCI(b *testing.B) {
-	const n, batch = 50000, 5
-	horizon := 2 * timeutil.MillisPerDay
-	stream := telemetry.Successful(advancingStream(42, n, horizon))
-	step := horizon / n
-	for _, order := range []string{"advancing", "backfill"} {
-		b.Run(order, func(b *testing.B) {
-			e := benchEngine(b, stream)
-			if _, err := e.Query(AllSlices, ModePlain, true); err != nil {
-				b.Fatal(err)
-			}
-			now := stream[len(stream)-1].Time
-			recs := make([]telemetry.Record, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for k := range recs {
-					recs[k] = stream[(i*batch+k)%len(stream)]
-					recs[k].Time += step / 3 // in the held range, not on a held instant
-					if order == "advancing" {
-						now += step
-						recs[k].Time = now
-					}
-				}
-				e.Append(recs)
-				res, err := e.Query(AllSlices, ModePlain, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Cached {
-					b.Fatal("dirty query served from cache")
-				}
-			}
-		})
-	}
+	benchDirtyOrders(b, ModePlain, true)
 }
 
 // BenchmarkLiveBatchRecompute is what answering the same question cost

@@ -1,10 +1,10 @@
 package live
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -109,18 +109,43 @@ func parseWindow(w http.ResponseWriter, qs map[string][]string, opts CurvesHandl
 	return win, true
 }
 
-// curvesEncPool recycles the response-encoding state so the cached-query
-// hot path builds each body in a pooled buffer and writes it once,
-// instead of allocating an encoder and streaming chunks per request.
-var curvesEncPool = sync.Pool{New: func() any {
-	ce := &curvesEnc{}
-	ce.enc = json.NewEncoder(&ce.buf)
-	return ce
-}}
+// curvesBufPool recycles response bodies so the cached-query hot path builds
+// each one in a pooled buffer and writes it once.
+var curvesBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-type curvesEnc struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+// appendCurvesJSON appends the body json.Encoder writes for r — fields in
+// api.CurvesResponse's order, its omitempty rules, the trailing newline —
+// but copies Curve and CI as they are. The encoder would re-compact them on
+// every response, and they are json.Marshal output (see Result), which is
+// already compact and escaped.
+func appendCurvesJSON(b []byte, r *api.CurvesResponse) []byte {
+	str := func(b []byte, s string) []byte {
+		q, _ := json.Marshal(s) // a string always marshals
+		return append(b, q...)
+	}
+	b = str(append(b, `{"slice":`...), r.Slice)
+	b = str(append(b, `,"mode":`...), r.Mode)
+	b = strconv.AppendUint(append(b, `,"epoch":`...), r.Epoch, 10)
+	b = strconv.AppendUint(append(b, `,"version":`...), r.Version, 10)
+	b = strconv.AppendInt(append(b, `,"records":`...), int64(r.Records), 10)
+	b = strconv.AppendBool(append(b, `,"cached":`...), r.Cached)
+	b = append(b, `,"curve":`...)
+	if len(r.Curve) == 0 {
+		b = append(b, "null"...)
+	}
+	b = append(b, r.Curve...)
+	if len(r.CI) > 0 {
+		b = append(append(b, `,"ci":`...), r.CI...)
+	}
+	for _, f := range [...]struct {
+		key string
+		v   int64
+	}{{`,"window_ms":`, r.WindowMS}, {`,"window_from_ms":`, r.WindowFromMS}, {`,"window_to_ms":`, r.WindowToMS}} {
+		if f.v != 0 {
+			b = strconv.AppendInt(append(b, f.key...), f.v, 10)
+		}
+	}
+	return append(b, "}\n"...)
 }
 
 // NewCurvesHandler serves GET /v1/curves per the v1 contract over any
@@ -230,16 +255,10 @@ func NewCurvesHandlerWith(q Querier, opts CurvesHandlerOptions) http.Handler {
 			resp.WindowFromMS = int64(win.From)
 			resp.WindowToMS = int64(win.To)
 		}
-		ce := curvesEncPool.Get().(*curvesEnc)
-		ce.buf.Reset()
-		if err := ce.enc.Encode(resp); err != nil {
-			curvesEncPool.Put(ce)
-			api.WriteError(w, http.StatusInternalServerError, api.CodeEstimateFailed,
-				err.Error(), 0)
-			return
-		}
-		_, _ = w.Write(ce.buf.Bytes())
-		curvesEncPool.Put(ce)
+		buf := curvesBufPool.Get().(*[]byte)
+		*buf = appendCurvesJSON((*buf)[:0], &resp)
+		_, _ = w.Write(*buf)
+		curvesBufPool.Put(buf)
 	})
 }
 

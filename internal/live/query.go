@@ -177,6 +177,8 @@ type Result struct {
 	// Curve is the point estimate, in core.Curve JSON form.
 	Curve json.RawMessage
 	// CI holds bootstrap bounds (lower/upper/replicates), if requested.
+	// Both are json.Marshal output — compact and HTML-escaped — which the
+	// curves handler writes into its response verbatim.
 	CI json.RawMessage
 }
 

@@ -93,7 +93,13 @@ type winStateKey struct {
 // caller-chosen and each state holds its window's folded columns, so the
 // bound is on bytes, not entries; past it the least recently recomputed
 // states go, and the one just used always stays.
-const maxWindowStateBytes = 256 << 20
+//
+// Sliding windows fill it too: a query racing an append sees its window's
+// slot stale and promotes a window nobody asks for again. On window-cold such
+// dead states were most of the node's peak RSS (235–337 MB at 256 MiB against
+// 131–141 MB at 16 MiB, same seeds), and faster queries race more often.
+// 64 MiB still holds a dozen pinned 100 k-record windows.
+const maxWindowStateBytes = 64 << 20
 
 // windowState is one (combo, window)'s delta-maintained estimation state:
 // the shared comboState machinery holding only the window's rows — O(window)
