@@ -33,37 +33,55 @@ import (
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "autosens:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	in := flag.String("in", "", "telemetry input path (required), - for stdin, or a WAL directory")
+// run is the whole command: it parses args and writes the chart and probe
+// table to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("autosens", flag.ExitOnError)
+	in := fs.String("in", "", "telemetry input path (required), - for stdin, or a WAL directory")
 	format := telemetry.NewFormatFlag(telemetry.JSONL)
-	flag.Var(format, "format", "input format: "+format.Choices()+" (ignored when -in is a WAL directory)")
-	action := flag.String("action", "", "restrict to an action type (SelectMail, SwitchFolder, Search, ComposeSend)")
-	usertype := flag.String("usertype", "", "restrict to a user segment (business, consumer)")
-	period := flag.String("period", "", "restrict to a local time-of-day period (8am-2pm, 2pm-8pm, 8pm-2am, 2am-8am)")
-	quartile := flag.String("quartile", "", "restrict to a median-latency user quartile (Q1..Q4)")
-	mode := flag.String("mode", "normalized", "estimator: normalized (full method), plain (no alpha), biased (no correction)")
-	ref := flag.Float64("ref", 300, "reference latency in ms (NLP(ref) = 1)")
-	binWidth := flag.Float64("binwidth", 10, "latency bin width in ms")
-	maxLatency := flag.Float64("maxlatency", 3000, "largest latency bin edge in ms")
-	csvOut := flag.String("csv", "", "also write the curve as CSV to this path")
-	jsonOut := flag.String("json", "", "also write the curve as JSON to this path")
-	probesFlag := flag.String("probes", "500,700,1000,1500,2000", "comma-separated probe latencies for the summary table")
-	noChart := flag.Bool("nochart", false, "suppress the ASCII chart")
-	by := flag.String("by", "", "compare slices on one chart: action, usertype, quartile, or period (normalized estimator)")
-	ci := flag.Bool("ci", false, "compute bootstrap confidence bounds (moving 6h blocks, 40 replicates, 90%)")
-	workers := flag.Int("workers", 0, "worker goroutines for estimation and bootstrap (0 = GOMAXPROCS)")
-	stream := flag.Bool("stream", false, "stream the input through the constant-memory estimator instead of loading it (normalized mode only; incompatible with -quartile)")
-	reservoir := flag.Int("reservoir", 500, "per-slot reservoir size for -stream")
-	traceFlag := flag.Bool("trace", false, "print a stage-timing span tree to stderr when done")
-	traceOut := flag.String("trace-out", "", "also write the span tree as JSON to this path")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	flag.Parse()
+	fs.Var(format, "format", "input format: "+format.Choices()+" (ignored when -in is a WAL directory)")
+	action := fs.String("action", "", "restrict to an action type (SelectMail, SwitchFolder, Search, ComposeSend)")
+	usertype := fs.String("usertype", "", "restrict to a user segment (business, consumer)")
+	period := fs.String("period", "", "restrict to a local time-of-day period (8am-2pm, 2pm-8pm, 8pm-2am, 2am-8am)")
+	quartile := fs.String("quartile", "", "restrict to a median-latency user quartile (Q1..Q4)")
+	mode := fs.String("mode", "normalized", "estimator: normalized (full method), plain (no alpha), biased (no correction)")
+	ref := fs.Float64("ref", 300, "reference latency in ms (NLP(ref) = 1)")
+	binWidth := fs.Float64("binwidth", 10, "latency bin width in ms")
+	maxLatency := fs.Float64("maxlatency", 3000, "largest latency bin edge in ms")
+	csvOut := fs.String("csv", "", "also write the curve as CSV to this path")
+	jsonOut := fs.String("json", "", "also write the curve as JSON to this path")
+	probesFlag := fs.String("probes", "500,700,1000,1500,2000", "comma-separated probe latencies for the summary table")
+	noChart := fs.Bool("nochart", false, "suppress the ASCII chart")
+	by := fs.String("by", "", "compare slices on one chart: action, usertype, quartile, or period (normalized estimator)")
+	ci := fs.Bool("ci", false, "compute bootstrap confidence bounds (moving 6h blocks, 40 replicates, 90%)")
+	workers := fs.Int("workers", 0, "worker goroutines for estimation and bootstrap (0 = GOMAXPROCS)")
+	stream := fs.Bool("stream", false, "read the input twice instead of loading it; same curve, memory of the open slots (normalized mode only; -in must be a file or WAL directory; incompatible with -quartile, -ci and -by)")
+	traceFlag := fs.Bool("trace", false, "print a stage-timing span tree to stderr when done")
+	traceOut := fs.String("trace-out", "", "also write the span tree as JSON to this path")
+	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
+	_ = fs.Parse(args) // ExitOnError: -h exits 0 and a bad flag exits 2
+
+	if *stream {
+		// Refused before any input is read.
+		switch {
+		case *in == "-":
+			return fmt.Errorf("-stream reads its input twice and cannot read stdin")
+		case *mode != "normalized":
+			return fmt.Errorf("-stream supports -mode normalized only")
+		case *quartile != "":
+			return fmt.Errorf("-stream cannot compute quartiles (needs a full pass over users)")
+		case *ci:
+			return fmt.Errorf("-stream and -ci are mutually exclusive")
+		case *by != "":
+			return fmt.Errorf("-stream and -by are mutually exclusive")
+		}
+	}
 
 	log, err := obs.NewLogger(os.Stderr, *logLevel)
 	if err != nil {
@@ -116,16 +134,17 @@ func run() error {
 			return wal.Replay(nil, walDir, fn)
 		}
 	} else {
-		src := os.Stdin
-		if *in != "-" {
-			file, err := os.Open(*in)
-			if err != nil {
-				return err
-			}
-			defer file.Close()
-			src = file
-		}
+		// A file is reopened on every call, so -stream can read it twice.
 		iterate = func(fn func(telemetry.Record) error) error {
+			src := io.Reader(os.Stdin)
+			if *in != "-" {
+				file, err := os.Open(*in)
+				if err != nil {
+					return err
+				}
+				defer file.Close()
+				src = file
+			}
 			r := telemetry.NewReader(src, f)
 			defer r.Close()
 			for {
@@ -182,17 +201,18 @@ func run() error {
 	est.SetTrace(root)
 
 	if *stream {
-		if *quartile != "" {
-			return fmt.Errorf("-stream cannot compute quartiles (needs a full pass over users)")
-		}
-		if *ci {
-			return fmt.Errorf("-stream and -ci are mutually exclusive")
-		}
-		curve, err := runStreaming(est, iterate, *mode, *reservoir, keep)
+		curve, err := est.EstimateTimeNormalizedTwoPass(func(fn func(telemetry.Record) error) error {
+			return iterate(func(rec telemetry.Record) error {
+				if !keep(rec) {
+					return nil
+				}
+				return fn(rec)
+			})
+		})
 		if err != nil {
 			return err
 		}
-		return emit(os.Stdout, curve, nil, *noChart, *ref, *mode, *probesFlag, *csvOut, *jsonOut)
+		return emit(stdout, curve, nil, *noChart, *ref, *mode, *probesFlag, *csvOut, *jsonOut)
 	}
 
 	readSp := root.StartChild("read_input")
@@ -249,7 +269,7 @@ func run() error {
 		if *ci {
 			return fmt.Errorf("-by and -ci are mutually exclusive")
 		}
-		return runComparison(os.Stdout, records, opts, *by, *action, *probesFlag, *noChart, *workers, root)
+		return runComparison(stdout, records, opts, *by, *action, *probesFlag, *noChart, *workers, root)
 	}
 
 	if *ci {
@@ -261,7 +281,7 @@ func run() error {
 			return err
 		}
 		logger.Info("bootstrap complete", "replicates", band.Replicates)
-		return emit(os.Stdout, band.Curve, band, *noChart, *ref, *mode, *probesFlag, *csvOut, *jsonOut)
+		return emit(stdout, band.Curve, band, *noChart, *ref, *mode, *probesFlag, *csvOut, *jsonOut)
 	}
 
 	var curve *core.Curve
@@ -278,32 +298,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	return emit(os.Stdout, curve, nil, *noChart, *ref, *mode, *probesFlag, *csvOut, *jsonOut)
-}
-
-// runStreaming feeds the input through the constant-memory estimator.
-func runStreaming(est *core.Estimator, iterate func(func(telemetry.Record) error) error, mode string, reservoir int, keep func(telemetry.Record) bool) (*core.Curve, error) {
-	s, err := core.NewStreaming(est, reservoir)
-	if err != nil {
-		return nil, err
-	}
-	if err := iterate(func(rec telemetry.Record) error {
-		if !keep(rec) {
-			return nil
-		}
-		return s.Add(rec)
-	}); err != nil {
-		return nil, err
-	}
-	logger.Info("streamed", "records", s.Count(), "slots", s.Slots())
-	switch mode {
-	case "normalized":
-		return s.Finalize()
-	case "plain":
-		return s.FinalizePlain()
-	default:
-		return nil, fmt.Errorf("mode %q not supported with -stream", mode)
-	}
+	return emit(stdout, curve, nil, *noChart, *ref, *mode, *probesFlag, *csvOut, *jsonOut)
 }
 
 // emit renders the curve (and optional confidence band) as chart, probe

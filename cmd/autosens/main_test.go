@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,6 +11,7 @@ import (
 	"autosens/internal/owasim"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
+	"autosens/internal/wal"
 )
 
 func TestParsePeriod(t *testing.T) {
@@ -125,33 +125,111 @@ func TestEmitRejectsBadProbes(t *testing.T) {
 	}
 }
 
-// iterateRecords adapts a record slice to the iterate-closure shape run()
-// builds for files, stdin, and WAL directories.
-func iterateRecords(recs []telemetry.Record) func(func(telemetry.Record) error) error {
-	return func(fn func(telemetry.Record) error) error {
-		for _, rec := range recs {
-			if err := fn(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-func TestRunStreamingFromIterator(t *testing.T) {
-	est := cliEstimator(t)
-	keep := func(r telemetry.Record) bool { return !r.Failed && r.Action == telemetry.SelectMail }
-	curve, err := runStreaming(est, iterateRecords(records(t)), "normalized", 300, keep)
+// writeInputs writes the CLI test records as a TBIN file and as a WAL
+// directory, the two inputs -stream can read twice.
+func writeInputs(t *testing.T) (tbinPath, walDir string) {
+	t.Helper()
+	dir := t.TempDir()
+	tbinPath = filepath.Join(dir, "telemetry.tbin")
+	f, err := os.Create(tbinPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := curve.At(500)
-	if !ok || math.IsNaN(v) || v <= 0 {
-		t.Fatalf("streamed NLP(500) = %v, %v", v, ok)
+	w := telemetry.NewWriter(f, telemetry.TBIN)
+	if err := w.WriteAll(records(t)); err != nil {
+		t.Fatal(err)
 	}
-	// Unsupported mode rejected.
-	if _, err := runStreaming(est, iterateRecords(nil), "biased", 300, keep); err == nil {
-		t.Fatal("biased mode accepted for streaming")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	walDir = filepath.Join(dir, "wal")
+	log, _, err := wal.Open(wal.Options{Dir: walDir, Sync: wal.SyncOff, SegmentMaxBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := records(t)
+	for lo := 0; lo < len(recs); lo += 1000 {
+		if err := log.Append(recs[lo:min(lo+1000, len(recs))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return tbinPath, walDir
+}
+
+// runCLI runs the command and returns its stdout and the curve JSON it
+// wrote.
+func runCLI(t *testing.T, args ...string) (stdout, curve []byte) {
+	t.Helper()
+	jsonPath := filepath.Join(t.TempDir(), "curve.json")
+	var out bytes.Buffer
+	if err := run(append(args, "-json", jsonPath, "-log-level", "error"), &out); err != nil {
+		t.Fatalf("autosens %v: %v", args, err)
+	}
+	curve, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes(), curve
+}
+
+// TestRunStreamMatchesInMemory pins -stream's contract at the command: over
+// a TBIN file and over a WAL directory, for every slice family and worker
+// count, its stdout and curve JSON are the in-memory run's bytes.
+func TestRunStreamMatchesInMemory(t *testing.T) {
+	tbinPath, walDir := writeInputs(t)
+	for _, input := range [][]string{
+		{"-in", tbinPath, "-format", "tbin"},
+		{"-in", walDir},
+	} {
+		for _, slice := range [][]string{
+			nil,
+			{"-action", "SelectMail"},
+			{"-usertype", "business"},
+			{"-period", "8am-2pm"},
+		} {
+			for _, workers := range []string{"1", "2", "8"} {
+				args := append(append(append([]string(nil), input...), slice...), "-workers", workers)
+				wantOut, wantCurve := runCLI(t, args...)
+				gotOut, gotCurve := runCLI(t, append(args, "-stream")...)
+				if !bytes.Equal(gotOut, wantOut) {
+					t.Fatalf("%v: -stream stdout differs:\n%s\nin-memory:\n%s", args, gotOut, wantOut)
+				}
+				if !bytes.Equal(gotCurve, wantCurve) {
+					t.Fatalf("%v: -stream curve JSON differs from the in-memory curve", args)
+				}
+			}
+		}
+	}
+}
+
+// TestRunStreamRefusals: every combination -stream cannot serve is refused
+// before any input is read — the input path here does not exist — with an
+// error and no output.
+func TestRunStreamRefusals(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.tbin")
+	for _, args := range [][]string{
+		{"-in", "-"},
+		{"-in", missing, "-mode", "plain"},
+		{"-in", missing, "-mode", "biased"},
+		{"-in", missing, "-ci"},
+		{"-in", missing, "-quartile", "Q1"},
+		{"-in", missing, "-by", "action"},
+	} {
+		var out bytes.Buffer
+		err := run(append(args, "-stream", "-nochart", "-log-level", "error"), &out)
+		if err == nil || !strings.Contains(err.Error(), "-stream") {
+			t.Fatalf("%v: err = %v, want a -stream refusal", args, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%v: refusal printed output:\n%s", args, out.String())
+		}
 	}
 }
 

@@ -17,14 +17,13 @@ import (
 )
 
 // slotData holds the per-time-slot state needed by the α normalization.
-// The batch path fills the time/latency columns directly; the streaming
-// path fills the histograms incrementally and synthesizes the unbiased
-// draws from a reservoir, setting count explicitly.
+// times/lats hold the slot's records while its histograms are filled;
+// poolNormalized reads only the histograms.
 type slotData struct {
 	slot    int
 	count   int               // number of actions in the slot
-	times   []timeutil.Millis // time-sorted slice of the slot's instants (batch path)
-	lats    []float64         // latencies aligned with times (batch path)
+	times   []timeutil.Millis // time-sorted slice of the slot's instants
+	lats    []float64         // latencies aligned with times
 	lo, hi  timeutil.Millis   // slot bounds clipped to the window
 	fine    *histogram.Histogram
 	fineU   *histogram.Histogram
@@ -178,31 +177,19 @@ func (e *Estimator) poolOneReference(sp *obs.Span, slots []*slotData, ref *slotD
 // buildSlots groups time-sorted records into slots, drops thin slots, and
 // builds each retained slot's biased histograms (fine and coarse) and
 // unbiased draws.
-//
-// Unbiased draws are allotted per unit of slot *time*, not per action:
-// after α normalization the pooled biased counts weight every slot's time
-// equally, so the pooled unbiased distribution must too — otherwise busy
-// (and typically slow) slots would dominate U and skew the ratio.
 func (e *Estimator) buildSlots(sp *obs.Span, times []timeutil.Millis, lats []float64, src *rng.Source) []*slotData {
 	partSp := sp.StartChild("partition_slots")
 	windowLo := times[0]
 	windowHi := times[len(times)-1] + 1
 	var slots []*slotData
 	for i := 0; i < len(times); {
-		slot := int(times[i] / e.opts.SlotDuration)
+		slot := e.slotOf(times[i])
 		j := i
-		for j < len(times) && int(times[j]/e.opts.SlotDuration) == slot {
+		for j < len(times) && e.slotOf(times[j]) == slot {
 			j++
 		}
-		if j-i >= e.opts.MinSlotActions {
-			sd := &slotData{
-				slot:  slot,
-				count: j - i,
-				times: times[i:j],
-				lats:  lats[i:j],
-				lo:    maxMillis(timeutil.Millis(slot)*e.opts.SlotDuration, windowLo),
-				hi:    minMillis(timeutil.Millis(slot+1)*e.opts.SlotDuration, windowHi),
-			}
+		if sd := e.retainSlot(slot, j-i, windowLo, windowHi); sd != nil {
+			sd.times, sd.lats = times[i:j], lats[i:j]
 			slots = append(slots, sd)
 		}
 		i = j
@@ -221,28 +208,59 @@ func (e *Estimator) buildSlots(sp *obs.Span, times []timeutil.Millis, lats []flo
 	bSp.End()
 
 	uSp := sp.StartChild("sample_unbiased")
-	totalDraws := math.Ceil(float64(len(times)) * e.opts.UnbiasedPerSample)
-	var totalDur timeutil.Millis
-	for _, sd := range slots {
-		totalDur += sd.hi - sd.lo
-	}
-	// Quotas and per-slot RNG streams are derived serially in slot order
-	// (Split advances src), then the fills — the expensive part — fan out
-	// across the worker pool with bit-identical results at any width.
-	quotas := make([]int, len(slots))
-	srcs := make([]*rng.Source, len(slots))
-	draws := 0
-	for i, sd := range slots {
-		quotas[i] = int(math.Ceil(totalDraws * float64(sd.hi-sd.lo) / float64(totalDur)))
-		draws += quotas[i]
-		srcs[i] = src.Split(uint64(i))
-	}
+	quotas, srcs, draws := e.slotDraws(slots, len(times), src)
 	e.forEachIndex(len(slots), func(i int) {
 		e.fillSlotUnbiased(slots[i], quotas[i], srcs[i])
 	})
 	uSp.SetAttr("draws", draws)
 	uSp.End()
 	return slots
+}
+
+// slotOf is the index of the time slot holding instant t.
+func (e *Estimator) slotOf(t timeutil.Millis) int { return int(t / e.opts.SlotDuration) }
+
+// retainSlot returns the state of a slot holding count of the records of
+// the window [windowLo, windowHi), its bounds clipped to the window, or nil
+// when the slot is too thin to keep.
+func (e *Estimator) retainSlot(slot, count int, windowLo, windowHi timeutil.Millis) *slotData {
+	if count < e.opts.MinSlotActions {
+		return nil
+	}
+	return &slotData{
+		slot:  slot,
+		count: count,
+		lo:    maxMillis(timeutil.Millis(slot)*e.opts.SlotDuration, windowLo),
+		hi:    minMillis(timeutil.Millis(slot+1)*e.opts.SlotDuration, windowHi),
+	}
+}
+
+// slotDraws gives each retained slot of an n-record estimate its unbiased
+// draw quota and its RNG stream src.Split(i); draws is the quotas' sum.
+// They depend on the slots' bounds and n alone, never on the records.
+//
+// Unbiased draws are allotted per unit of slot *time*, not per action:
+// after α normalization the pooled biased counts weight every slot's time
+// equally, so the pooled unbiased distribution must too — otherwise busy
+// (and typically slow) slots would dominate U and skew the ratio.
+//
+// Quotas and streams are derived serially in slot order (Split advances
+// src), so the fills that consume them — the expensive part — may run in
+// any order on any number of workers with bit-identical results.
+func (e *Estimator) slotDraws(slots []*slotData, n int, src *rng.Source) (quotas []int, srcs []*rng.Source, draws int) {
+	totalDraws := math.Ceil(float64(n) * e.opts.UnbiasedPerSample)
+	var totalDur timeutil.Millis
+	for _, sd := range slots {
+		totalDur += sd.hi - sd.lo
+	}
+	quotas = make([]int, len(slots))
+	srcs = make([]*rng.Source, len(slots))
+	for i, sd := range slots {
+		quotas[i] = int(math.Ceil(totalDraws * float64(sd.hi-sd.lo) / float64(totalDur)))
+		draws += quotas[i]
+		srcs[i] = src.Split(uint64(i))
+	}
+	return quotas, srcs, draws
 }
 
 // resetHist zeroes *h, allocating it over [0, MaxLatencyMS) at the given bin

@@ -261,6 +261,6 @@ func BenchmarkUnbiasedSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := newUnbiasedSampler(records)
 		u := e.newHist()
-		s.fillSweep(lo, hi, draws, src, &sc, u)
+		fillUnbiasedSweep(s.times, s.latencies, lo, hi, draws, src, &sc, u)
 	}
 }

@@ -156,7 +156,7 @@ func TestSweepMatchesPerDrawDistribution(t *testing.T) {
 	}
 	sweep := e.newHist()
 	src2 := rng.New(5)
-	s.fillSweep(lo, hi, n, src2, nil, sweep)
+	fillUnbiasedSweep(s.times, s.latencies, lo, hi, n, src2, nil, sweep)
 
 	f1, err := perDraw.Fractions()
 	if err != nil {

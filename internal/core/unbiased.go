@@ -145,9 +145,6 @@ func fillUnbiasedSweep(times []timeutil.Millis, lats []float64, lo, hi timeutil.
 	}
 	keys, tmp := sc.buf(n)
 	auxSeed := drawKeys(src, uint64(hi-lo), keys, tmp, false)
-	// The aux word belongs to this fill's stream: a caller sharing src
-	// across fills (the streaming estimator's slots) resumes after it.
-	src.Uint64()
 	sweepSortedKeys(times, lats, lo, keys, 0, auxSeed, hists...)
 }
 
@@ -280,11 +277,6 @@ func (e *Estimator) sweepKeys(chunks int, times []timeutil.Millis, lats []float6
 	e.splitSweep(chunks, len(keys), u, nil, func(i1, i2 int, u *histogram.Histogram, _ *[]int32) {
 		sweepSortedKeys(times, lats, lo, keys[i1:i2], i1, auxSeed, u)
 	})
-}
-
-// fillSweep is the sampler-side entry point to the batch sweep.
-func (s *unbiasedSampler) fillSweep(lo, hi timeutil.Millis, n int, src *rng.Source, sc *sweepScratch, hists ...*histogram.Histogram) {
-	fillUnbiasedSweep(s.times, s.latencies, lo, hi, n, src, sc, hists...)
 }
 
 // pickRun returns a uniformly random latency among all samples sharing the

@@ -32,9 +32,8 @@ import (
 //	      not monotone in time order, so the deltas are signed)
 //	  n × uvarint user IDs
 //
-// Version-1 payloads carry no min/max prefix and order the columns
-// times, lats, seqs, tags, users; readers fall back to decoding every
-// chunk of such blocks.
+// Version 1, written by older builds without the min/max prefix, is
+// refused as corrupt.
 //
 // Rows within a block are sorted by (time, seq) and chunks restart their
 // delta chains, so the version-2 min/max prefix lets a windowed scan
@@ -49,10 +48,7 @@ import (
 // trust the manifest zone maps.
 var blockMagic = [4]byte{'A', 'S', 'B', 'K'}
 
-const (
-	blockVersion1 = 1
-	blockVersion2 = 2
-)
+const blockVersion = 2
 
 // chunkRecs is the row capacity of one chunk.
 const chunkRecs = 4096
@@ -129,7 +125,7 @@ func isBlockFile(name string) bool {
 // file's bytes, in the version-2 layout.
 func appendBlock(dst []byte, rows []row) []byte {
 	dst = append(dst, blockMagic[:]...)
-	dst = append(dst, blockVersion2)
+	dst = append(dst, blockVersion)
 	var payload []byte
 	for len(rows) > 0 {
 		chunk := rows
@@ -170,31 +166,30 @@ func appendBlock(dst []byte, rows []row) []byte {
 	return dst
 }
 
-// blockHeader validates the magic and returns the version byte and the
+// blockHeader validates the magic and the version byte and returns the
 // offset of the first chunk.
-func blockHeader(data []byte) (version byte, off int, err error) {
+func blockHeader(data []byte) (off int, err error) {
 	if len(data) < len(blockMagic)+1 || !bytes.Equal(data[:4], blockMagic[:]) {
-		return 0, 0, fmt.Errorf("%w: bad magic", ErrBlockCorrupt)
+		return 0, fmt.Errorf("%w: bad magic", ErrBlockCorrupt)
 	}
-	v := data[4]
-	if v != blockVersion1 && v != blockVersion2 {
-		return 0, 0, fmt.Errorf("%w: unsupported version %d", ErrBlockCorrupt, v)
+	if v := data[4]; v != blockVersion {
+		return 0, fmt.Errorf("%w: unsupported version %d", ErrBlockCorrupt, v)
 	}
-	return v, len(blockMagic) + 1, nil
+	return len(blockMagic) + 1, nil
 }
 
 // chunkFrame is one parsed chunk framing entry. payload is the full
-// CRC-covered payload; cols is payload minus the version-2 min/max
-// prefix (equal to payload for version 1). minT/maxT are peeked from the
-// prefix WITHOUT verifying the CRC — verification costs reading the
-// whole payload, which is exactly what chunk skipping avoids — so a
-// skipped chunk trusts them like scans trust the manifest zone maps.
+// CRC-covered payload; cols is payload minus the min/max prefix.
+// minT/maxT are peeked from the prefix WITHOUT verifying the CRC —
+// verification costs reading the whole payload, which is exactly what
+// chunk skipping avoids — so a skipped chunk trusts them like scans trust
+// the manifest zone maps.
 type chunkFrame struct {
 	n          int
 	sum        uint32
 	payload    []byte
 	cols       []byte
-	minT, maxT timeutil.Millis // version 2 only
+	minT, maxT timeutil.Millis
 }
 
 // checkCRC verifies the chunk payload against its framed checksum.
@@ -206,7 +201,7 @@ func (c *chunkFrame) checkCRC() error {
 }
 
 // nextChunk parses one chunk's framing starting at off.
-func nextChunk(data []byte, off int, version byte) (c chunkFrame, next int, err error) {
+func nextChunk(data []byte, off int) (c chunkFrame, next int, err error) {
 	n64, k := binary.Uvarint(data[off:])
 	if k <= 0 {
 		return c, 0, fmt.Errorf("%w: bad chunk count at byte %d", ErrBlockCorrupt, off)
@@ -227,27 +222,24 @@ func nextChunk(data []byte, off int, version byte) (c chunkFrame, next int, err 
 		return c, 0, fmt.Errorf("%w: truncated chunk payload", ErrBlockCorrupt)
 	}
 	c.payload = data[off : off+plen]
-	c.cols = c.payload
 	off += plen
-	// Each row costs at least 12 payload bytes (1+8+1+1+1); the version-2
-	// prefix only makes payloads larger, so the bound holds for both.
+	// Each row costs at least 12 payload bytes (1+8+1+1+1); the min/max
+	// prefix only makes payloads larger.
 	if n64 > uint64(len(c.payload))/12+1 {
 		return c, 0, fmt.Errorf("%w: implausible chunk count %d", ErrBlockCorrupt, n64)
 	}
 	c.n = int(n64)
-	if version == blockVersion2 {
-		minT, k1 := binary.Varint(c.payload)
-		if k1 <= 0 {
-			return c, 0, fmt.Errorf("%w: bad chunk min time", ErrBlockCorrupt)
-		}
-		span, k2 := binary.Uvarint(c.payload[k1:])
-		if k2 <= 0 || span > math.MaxInt64 || minT > int64(math.MaxInt64-span) {
-			return c, 0, fmt.Errorf("%w: bad chunk time span", ErrBlockCorrupt)
-		}
-		c.minT = timeutil.Millis(minT)
-		c.maxT = timeutil.Millis(minT + int64(span))
-		c.cols = c.payload[k1+k2:]
+	minT, k1 := binary.Varint(c.payload)
+	if k1 <= 0 {
+		return c, 0, fmt.Errorf("%w: bad chunk min time", ErrBlockCorrupt)
 	}
+	span, k2 := binary.Uvarint(c.payload[k1:])
+	if k2 <= 0 || span > math.MaxInt64 || minT > int64(math.MaxInt64-span) {
+		return c, 0, fmt.Errorf("%w: bad chunk time span", ErrBlockCorrupt)
+	}
+	c.minT = timeutil.Millis(minT)
+	c.maxT = timeutil.Millis(minT + int64(span))
+	c.cols = c.payload[k1+k2:]
 	return c, off, nil
 }
 
@@ -256,13 +248,13 @@ func nextChunk(data []byte, off int, version byte) (c chunkFrame, next int, err 
 // payload consumption, and the (time, seq) sort — within chunks and
 // across chunk boundaries.
 func decodeBlock(data []byte) ([]row, error) {
-	version, off, err := blockHeader(data)
+	off, err := blockHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	var rows []row
 	for off < len(data) {
-		c, next, err := nextChunk(data, off, version)
+		c, next, err := nextChunk(data, off)
 		if err != nil {
 			return nil, err
 		}
@@ -271,7 +263,7 @@ func decodeBlock(data []byte) ([]row, error) {
 			return nil, err
 		}
 		prev := len(rows)
-		rows, err = decodeChunkRows(rows, &c, version)
+		rows, err = decodeChunkRows(rows, &c)
 		if err != nil {
 			return nil, err
 		}
@@ -286,7 +278,7 @@ func decodeBlock(data []byte) ([]row, error) {
 
 // decodeChunkRows parses one CRC-verified chunk's columns into rows,
 // appending to dst.
-func decodeChunkRows(dst []row, c *chunkFrame, version byte) ([]row, error) {
+func decodeChunkRows(dst []row, c *chunkFrame) ([]row, error) {
 	n := c.n
 	payload := c.cols
 	base := len(dst)
@@ -313,15 +305,13 @@ func decodeChunkRows(dst []row, c *chunkFrame, version byte) ([]row, error) {
 		}
 		off += 8
 	}
-	if version == blockVersion2 {
-		if off+n > len(payload) {
-			return nil, fmt.Errorf("%w: truncated tags", ErrBlockCorrupt)
-		}
-		for i := 0; i < n; i++ {
-			rows[i].tag = payload[off+i]
-		}
-		off += n
+	if off+n > len(payload) {
+		return nil, fmt.Errorf("%w: truncated tags", ErrBlockCorrupt)
 	}
+	for i := 0; i < n; i++ {
+		rows[i].tag = payload[off+i]
+	}
+	off += n
 	last = 0
 	for i := 0; i < n; i++ {
 		d, k := binary.Varint(payload[off:])
@@ -334,15 +324,6 @@ func decodeChunkRows(dst []row, c *chunkFrame, version byte) ([]row, error) {
 			return nil, fmt.Errorf("%w: negative seq", ErrBlockCorrupt)
 		}
 		rows[i].seq = uint64(last)
-	}
-	if version == blockVersion1 {
-		if off+n > len(payload) {
-			return nil, fmt.Errorf("%w: truncated tags", ErrBlockCorrupt)
-		}
-		for i := 0; i < n; i++ {
-			rows[i].tag = payload[off+i]
-		}
-		off += n
 	}
 	for i := 0; i < n; i++ {
 		u, k := binary.Uvarint(payload[off:])
@@ -360,8 +341,7 @@ func decodeChunkRows(dst []row, c *chunkFrame, version byte) ([]row, error) {
 			return nil, fmt.Errorf("%w: rows not (time, seq)-sorted", ErrBlockCorrupt)
 		}
 	}
-	if version == blockVersion2 && n > 0 &&
-		(rows[0].time != c.minT || rows[n-1].time != c.maxT) {
+	if n > 0 && (rows[0].time != c.minT || rows[n-1].time != c.maxT) {
 		return nil, fmt.Errorf("%w: chunk min/max prefix disagrees with times", ErrBlockCorrupt)
 	}
 	return dst, nil
@@ -369,47 +349,44 @@ func decodeChunkRows(dst []row, c *chunkFrame, version byte) ([]row, error) {
 
 // decodeBlockCols is the scan-path decoder: times, latencies, seqs and
 // (when needTags) tags, appended to dst. User IDs are never decoded —
-// the column order puts them last so the scan stops before them. For
-// version-2 blocks, chunks whose framed time range misses win are
+// the column order puts them last so the scan stops before them. Chunks
+// whose framed time range misses win are
 // skipped without reading (or CRC-checking) their payloads, and the scan
 // stops at the first chunk at or past the window's upper bound; the
 // result is therefore a SUPERSET of the window's rows (whole chunks),
-// which the caller row-filters. Version-1 blocks have no chunk framing
-// to skip by and fall back to decoding every chunk.
+// which the caller row-filters.
 func decodeBlockCols(data []byte, win live.Window, needTags bool, dst *blockCols) error {
-	version, off, err := blockHeader(data)
+	off, err := blockHeader(data)
 	if err != nil {
 		return err
 	}
 	var prevMaxT timeutil.Millis
 	havePrev := false
 	for off < len(data) {
-		c, next, err := nextChunk(data, off, version)
+		c, next, err := nextChunk(data, off)
 		if err != nil {
 			return err
 		}
 		off = next
-		if version == blockVersion2 {
-			// Framing-level ordering: chunk time ranges must ascend, or the
-			// skip logic (and any reader) is operating on a corrupt block.
-			if c.n > 0 && c.maxT < c.minT {
-				return fmt.Errorf("%w: inverted chunk time range", ErrBlockCorrupt)
-			}
-			if havePrev && c.minT < prevMaxT {
-				return fmt.Errorf("%w: chunks not time-sorted", ErrBlockCorrupt)
-			}
-			prevMaxT, havePrev = c.maxT, true
-			if win.To != 0 && c.minT >= win.To {
-				break // every later chunk starts at or past the bound too
-			}
-			if c.maxT < win.From {
-				continue // entirely below the window: skip without decoding
-			}
+		// Framing-level ordering: chunk time ranges must ascend, or the
+		// skip logic (and any reader) is operating on a corrupt block.
+		if c.n > 0 && c.maxT < c.minT {
+			return fmt.Errorf("%w: inverted chunk time range", ErrBlockCorrupt)
+		}
+		if havePrev && c.minT < prevMaxT {
+			return fmt.Errorf("%w: chunks not time-sorted", ErrBlockCorrupt)
+		}
+		prevMaxT, havePrev = c.maxT, true
+		if win.To != 0 && c.minT >= win.To {
+			break // every later chunk starts at or past the bound too
+		}
+		if c.maxT < win.From {
+			continue // entirely below the window: skip without decoding
 		}
 		if err := c.checkCRC(); err != nil {
 			return err
 		}
-		if err := decodeChunkCols(&c, version, needTags, dst); err != nil {
+		if err := decodeChunkCols(&c, needTags, dst); err != nil {
 			return err
 		}
 	}
@@ -419,7 +396,7 @@ func decodeBlockCols(data []byte, win live.Window, needTags bool, dst *blockCols
 // decodeChunkCols parses one CRC-verified chunk's scan columns into dst.
 // The user column is validated only by the CRC — its varints are never
 // parsed here.
-func decodeChunkCols(c *chunkFrame, version byte, needTags bool, dst *blockCols) error {
+func decodeChunkCols(c *chunkFrame, needTags bool, dst *blockCols) error {
 	n := c.n
 	payload := c.cols
 	base := len(dst.Times)
@@ -455,14 +432,11 @@ func decodeChunkCols(c *chunkFrame, version byte, needTags bool, dst *blockCols)
 		}
 		off += 8
 	}
-	tagOff, tagEnd := -1, -1
-	if version == blockVersion2 {
-		if off+n > len(payload) {
-			return fmt.Errorf("%w: truncated tags", ErrBlockCorrupt)
-		}
-		tagOff, tagEnd = off, off+n
-		off += n
+	if off+n > len(payload) {
+		return fmt.Errorf("%w: truncated tags", ErrBlockCorrupt)
 	}
+	tags := payload[off : off+n]
+	off += n
 	last = 0
 	for i := 0; i < n; i++ {
 		d, k := binary.Varint(payload[off:])
@@ -476,22 +450,15 @@ func decodeChunkCols(c *chunkFrame, version byte, needTags bool, dst *blockCols)
 		}
 		seqs[i] = uint64(last)
 	}
-	if version == blockVersion1 {
-		if off+n > len(payload) {
-			return fmt.Errorf("%w: truncated tags", ErrBlockCorrupt)
-		}
-		tagOff, tagEnd = off, off+n
-	}
 	if needTags {
-		dst.tags = append(dst.tags, payload[tagOff:tagEnd]...)
+		dst.tags = append(dst.tags, tags...)
 	}
 	for i := 1; i < n; i++ {
 		if !core.Less(times[i-1], seqs[i-1], times[i], seqs[i]) {
 			return fmt.Errorf("%w: rows not (time, seq)-sorted", ErrBlockCorrupt)
 		}
 	}
-	if version == blockVersion2 && n > 0 &&
-		(times[0] != c.minT || times[n-1] != c.maxT) {
+	if n > 0 && (times[0] != c.minT || times[n-1] != c.maxT) {
 		return fmt.Errorf("%w: chunk min/max prefix disagrees with times", ErrBlockCorrupt)
 	}
 	return nil

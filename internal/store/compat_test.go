@@ -2,11 +2,13 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"autosens/internal/live"
@@ -16,12 +18,11 @@ import (
 
 // appendBlockV1 encodes rows in the original ASBK layout — version byte
 // 1, no chunk min/max prefix, columns times/lats/seqs/tags/users — as a
-// frozen copy of the pre-chunk-skipping encoder, so compatibility with
-// blocks written by older builds stays pinned even though the writer now
-// only emits version 2.
+// frozen copy of the pre-chunk-skipping encoder, the fixture that pins
+// how readers refuse blocks written by older builds.
 func appendBlockV1(dst []byte, rows []row) []byte {
 	dst = append(dst, blockMagic[:]...)
-	dst = append(dst, blockVersion1)
+	dst = append(dst, 1)
 	var payload []byte
 	for len(rows) > 0 {
 		chunk := rows
@@ -85,56 +86,17 @@ func genSortedRows(seed uint64, n int, horizon timeutil.Millis) []row {
 	return rows
 }
 
-// TestV1BlockReadCompat pins the fallback path: version-1 bytes decode
-// to the same rows as the version-2 encoding of the same data, through
-// both the row reader and the scan-path column reader (which cannot
-// chunk-skip v1 and must decode everything).
+// TestV1BlockReadCompat pins the refusal of version-1 blocks: the row
+// decoder and the scan-path column decoder both reject the fixture as a
+// corrupt block, naming its version.
 func TestV1BlockReadCompat(t *testing.T) {
-	horizon := 2 * timeutil.MillisPerDay
-	rows := genSortedRows(7, 3*chunkRecs+917, horizon)
-	v1 := appendBlockV1(nil, rows)
-	v2 := appendBlock(nil, rows)
-
-	d1, err := decodeBlock(v1)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	d2, err := decodeBlock(v2)
-	if err != nil {
-		t.Fatalf("v2 decode: %v", err)
-	}
-	if len(d1) != len(rows) || len(d2) != len(rows) {
-		t.Fatalf("row counts: v1=%d v2=%d want %d", len(d1), len(d2), len(rows))
-	}
-	for i := range rows {
-		if d1[i] != rows[i] || d2[i] != rows[i] {
-			t.Fatalf("row %d: v1=%+v v2=%+v want %+v", i, d1[i], d2[i], rows[i])
-		}
-	}
-
-	for _, win := range []live.Window{
-		{},
-		{From: horizon / 3},
-		{From: horizon / 4, To: horizon / 2},
-	} {
-		var c1, c2 blockCols
-		if err := decodeBlockCols(v1, win, true, &c1); err != nil {
-			t.Fatalf("v1 column decode win=%+v: %v", win, err)
-		}
-		if err := decodeBlockCols(v2, win, true, &c2); err != nil {
-			t.Fatalf("v2 column decode win=%+v: %v", win, err)
-		}
-		// v1 always yields every row; v2 may skip whole chunks outside the
-		// window. Window-filter both and the survivors must be identical.
-		f1 := filterCols(&c1, win)
-		f2 := filterCols(&c2, win)
-		if len(f1) != len(f2) {
-			t.Fatalf("win=%+v: v1 keeps %d rows, v2 keeps %d", win, len(f1), len(f2))
-		}
-		for i := range f1 {
-			if f1[i] != f2[i] {
-				t.Fatalf("win=%+v row %d: v1=%+v v2=%+v", win, i, f1[i], f2[i])
-			}
+	v1 := appendBlockV1(nil, genSortedRows(7, 3*chunkRecs+917, 2*timeutil.MillisPerDay))
+	_, rowErr := decodeBlock(v1)
+	var cols blockCols
+	colErr := decodeBlockCols(v1, live.Window{}, true, &cols)
+	for name, err := range map[string]error{"row decode": rowErr, "column decode": colErr} {
+		if !errors.Is(err, ErrBlockCorrupt) || !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("%s: %v, want a corrupt-block refusal naming version 1", name, err)
 		}
 	}
 }
@@ -159,8 +121,9 @@ func filterCols(c *blockCols, win live.Window) []colsRow {
 
 // TestV1BlockScanEndToEnd rewrites a real tier's block files in the
 // version-1 layout (manifest untouched — readers never consult it for
-// the format) and asserts the full scan path still serves exactly the
-// oracle rows for windowed and sliced queries.
+// the format) and asserts the scan path refuses every one as a corrupt
+// *BlockReadError naming the file and version 1: a scan skips, counts
+// and quarantines them instead of serving their rows or failing.
 func TestV1BlockScanEndToEnd(t *testing.T) {
 	horizon := 2 * timeutil.MillisPerDay
 	stream := genStream(23, 6000, horizon)
@@ -190,18 +153,28 @@ func TestV1BlockScanEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wins := []live.Window{
-		{},
-		{From: horizon / 2},
-		{From: horizon / 8, To: 5 * horizon / 8},
+	blocks := s2.snapshotManifest().Blocks
+	if len(blocks) < 2 {
+		t.Fatalf("%d blocks: the tier is too small to pin the scan", len(blocks))
 	}
-	for _, key := range testKeys {
-		for _, win := range wins {
-			requireScan(t, s2, stream, key, win)
+	for i := range blocks {
+		for _, win := range []live.Window{{}, {From: blocks[i].MinTime + 1}} {
+			_, err := s2.scanBlock(&blocks[i], live.AllSlices, win)
+			var bre *BlockReadError
+			if !errors.As(err, &bre) || !bre.Corrupt() || bre.File != blocks[i].File || !strings.Contains(err.Error(), "version 1") {
+				t.Fatalf("block %s win=%+v: %v, want a corrupt *BlockReadError naming version 1", blocks[i].File, win, err)
+			}
 		}
 	}
-	if st := s2.Stats(); st.CorruptBlocks != 0 {
-		t.Fatalf("v1 blocks misclassified as corrupt: %d", st.CorruptBlocks)
+	times, _, _, err := s2.ScanWindow(live.AllSlices, live.Window{})
+	if err != nil || len(times) != 0 {
+		t.Fatalf("scan over version-1 blocks: %d rows, %v; want none and no error", len(times), err)
+	}
+	if st := s2.Stats(); st.CorruptBlocks != uint64(len(blocks)) {
+		t.Fatalf("%d corrupt blocks counted, want %d", st.CorruptBlocks, len(blocks))
+	}
+	if q := s2.Quarantined(); len(q) != len(blocks) {
+		t.Fatalf("quarantined %v, want all %d blocks", q, len(blocks))
 	}
 }
 
