@@ -17,6 +17,8 @@ import (
 	"log/slog"
 	"math"
 	"os"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -60,27 +62,33 @@ func run(args []string, stdout io.Writer) error {
 	noChart := fs.Bool("nochart", false, "suppress the ASCII chart")
 	by := fs.String("by", "", "compare slices on one chart: action, usertype, quartile, or period (normalized estimator)")
 	ci := fs.Bool("ci", false, "compute bootstrap confidence bounds (moving 6h blocks, 40 replicates, 90%)")
-	workers := fs.Int("workers", 0, "worker goroutines for estimation and bootstrap (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "worker goroutines for TBIN decoding, estimation and bootstrap (0 = GOMAXPROCS)")
 	stream := fs.Bool("stream", false, "read the input twice instead of loading it; same curve, memory of the open slots (normalized mode only; -in must be a file or WAL directory; incompatible with -quartile, -ci and -by)")
 	traceFlag := fs.Bool("trace", false, "print a stage-timing span tree to stderr when done")
 	traceOut := fs.String("trace-out", "", "also write the span tree as JSON to this path")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
 	_ = fs.Parse(args) // ExitOnError: -h exits 0 and a bad flag exits 2
 
-	if *stream {
-		// Refused before any input is read.
-		switch {
-		case *in == "-":
-			return fmt.Errorf("-stream reads its input twice and cannot read stdin")
-		case *mode != "normalized":
-			return fmt.Errorf("-stream supports -mode normalized only")
-		case *quartile != "":
-			return fmt.Errorf("-stream cannot compute quartiles (needs a full pass over users)")
-		case *ci:
-			return fmt.Errorf("-stream and -ci are mutually exclusive")
-		case *by != "":
-			return fmt.Errorf("-stream and -by are mutually exclusive")
-		}
+	// Every refusal comes before any input is read.
+	switch {
+	case *mode != "normalized" && *mode != "plain" && *mode != "biased":
+		return fmt.Errorf("unknown mode %q", *mode)
+	case *stream && *in == "-":
+		return fmt.Errorf("-stream reads its input twice and cannot read stdin")
+	case *stream && *mode != "normalized":
+		return fmt.Errorf("-stream supports -mode normalized only")
+	case *stream && *quartile != "":
+		return fmt.Errorf("-stream cannot compute quartiles (needs a full pass over users)")
+	case *stream && *ci:
+		return fmt.Errorf("-stream and -ci are mutually exclusive")
+	case *stream && *by != "":
+		return fmt.Errorf("-stream and -by are mutually exclusive")
+	case *ci && *mode == "biased":
+		return fmt.Errorf("-ci supports -mode normalized or plain, not biased")
+	case *by != "" && *ci:
+		return fmt.Errorf("-by and -ci are mutually exclusive")
+	case *by != "" && *mode != "normalized":
+		return fmt.Errorf("-by compares normalized curves only, not -mode %s", *mode)
 	}
 
 	log, err := obs.NewLogger(os.Stderr, *logLevel)
@@ -128,10 +136,11 @@ func run(args []string, stdout io.Writer) error {
 	// telemetry.Reader, or — when -in names a directory — a sensd WAL
 	// replayed frame by frame.
 	var iterate func(fn func(telemetry.Record) error) error
-	if fi, err := os.Stat(*in); *in != "-" && err == nil && fi.IsDir() {
-		walDir := *in
+	fi, statErr := os.Stat(*in)
+	walDir := *in != "-" && statErr == nil && fi.IsDir()
+	if walDir {
 		iterate = func(fn func(telemetry.Record) error) error {
-			return wal.Replay(nil, walDir, fn)
+			return wal.Replay(nil, *in, fn)
 		}
 	} else {
 		// A file is reopened on every call, so -stream can read it twice.
@@ -215,23 +224,49 @@ func run(args []string, stdout io.Writer) error {
 		return emit(stdout, curve, nil, *noChart, *ref, *mode, *probesFlag, *csvOut, *jsonOut)
 	}
 
+	// TBIN from a file or stdin is read whole and decoded block-parallel
+	// into one exactly-sized slice; every other input is appended record by
+	// record.
 	readSp := root.StartChild("read_input")
 	var records []telemetry.Record
-	if err := iterate(func(rec telemetry.Record) error {
-		records = append(records, rec)
-		return nil
-	}); err != nil {
+	decodeWorkers := 1
+	if !walDir && f == telemetry.TBIN {
+		var data []byte
+		if *in == "-" {
+			data, err = io.ReadAll(os.Stdin)
+		} else {
+			data, err = os.ReadFile(*in)
+		}
+		if err == nil {
+			readSp.SetAttr("bytes", len(data))
+			decodeWorkers = *workers
+			if decodeWorkers <= 0 {
+				decodeWorkers = runtime.GOMAXPROCS(0)
+			}
+			records, err = telemetry.DecodeTBIN(data, decodeWorkers)
+		}
+	} else {
+		if !walDir && statErr == nil {
+			readSp.SetAttr("bytes", fi.Size())
+		}
+		err = iterate(func(rec telemetry.Record) error {
+			records = append(records, rec)
+			return nil
+		})
+	}
+	if err != nil {
 		readSp.End()
 		return err
 	}
+	readSp.SetAttr("decode_workers", decodeWorkers)
 	readSp.SetAttr("records", len(records))
-	records = telemetry.Successful(records)
+	records = slices.DeleteFunc(records, func(r telemetry.Record) bool { return r.Failed })
 	readSp.SetAttr("successful", len(records))
 	readSp.End()
 	logger.Info("records loaded", "successful", len(records))
 
-	// Slice selection. Quartiles are assigned over the full population
-	// before any other filter, as in the paper.
+	// Slice selection, in place. Quartiles are assigned over the full
+	// population before any other filter, as in the paper.
 	sliceSp := root.StartChild("slice_records")
 	defer sliceSp.End() // End is idempotent; the happy path ends it below.
 	if *quartile != "" {
@@ -252,12 +287,13 @@ func run(args []string, stdout io.Writer) error {
 		default:
 			return fmt.Errorf("unknown quartile %q", *quartile)
 		}
-		groups := telemetry.ByQuartile(records, assign)
-		records = groups[q]
+		prev := keep
+		// Every user left here has an assignment.
+		keep = func(r telemetry.Record) bool { return assign[r.UserID] == q && prev(r) }
 		logger.Info("quartile cuts assigned",
 			"q1_ms", cuts[0], "q2_ms", cuts[1], "q3_ms", cuts[2])
 	}
-	records = telemetry.Filter(records, keep)
+	records = slices.DeleteFunc(records, func(r telemetry.Record) bool { return !keep(r) })
 	sliceSp.SetAttr("records", len(records))
 	sliceSp.End()
 	if len(records) == 0 {
@@ -266,9 +302,6 @@ func run(args []string, stdout io.Writer) error {
 	logger.Info("analyzing", "records", len(records))
 
 	if *by != "" {
-		if *ci {
-			return fmt.Errorf("-by and -ci are mutually exclusive")
-		}
 		return runComparison(stdout, records, opts, *by, *action, *probesFlag, *noChart, *workers, root)
 	}
 
@@ -292,8 +325,6 @@ func run(args []string, stdout io.Writer) error {
 		curve, err = est.Estimate(records)
 	case "biased":
 		curve, err = est.BiasedOnly(records)
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
 	}
 	if err != nil {
 		return err

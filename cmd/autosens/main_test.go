@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -125,17 +126,14 @@ func TestEmitRejectsBadProbes(t *testing.T) {
 	}
 }
 
-// writeInputs writes the CLI test records as a TBIN file and as a WAL
-// directory, the two inputs -stream can read twice.
-func writeInputs(t *testing.T) (tbinPath, walDir string) {
+// writeFile writes the CLI test records to path in the given format.
+func writeFile(t *testing.T, path string, format telemetry.Format) {
 	t.Helper()
-	dir := t.TempDir()
-	tbinPath = filepath.Join(dir, "telemetry.tbin")
-	f, err := os.Create(tbinPath)
+	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := telemetry.NewWriter(f, telemetry.TBIN)
+	w := telemetry.NewWriter(f, format)
 	if err := w.WriteAll(records(t)); err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +143,15 @@ func writeInputs(t *testing.T) (tbinPath, walDir string) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// writeInputs writes the CLI test records as a TBIN file and as a WAL
+// directory, the two inputs -stream can read twice.
+func writeInputs(t *testing.T) (tbinPath, walDir string) {
+	t.Helper()
+	dir := t.TempDir()
+	tbinPath = filepath.Join(dir, "telemetry.tbin")
+	writeFile(t, tbinPath, telemetry.TBIN)
 
 	walDir = filepath.Join(dir, "wal")
 	log, _, err := wal.Open(wal.Options{Dir: walDir, Sync: wal.SyncOff, SegmentMaxBytes: 1 << 20})
@@ -164,8 +171,15 @@ func writeInputs(t *testing.T) (tbinPath, walDir string) {
 }
 
 // runCLI runs the command and returns its stdout and the curve JSON it
-// wrote.
+// wrote; a missing curve file fails the test.
 func runCLI(t *testing.T, args ...string) (stdout, curve []byte) {
+	t.Helper()
+	return runCLIWithCurve(t, true, args...)
+}
+
+// runCLIWithCurve is runCLI for commands that write a curve file only when
+// wantCurve is set (-by writes none); the file's presence must match.
+func runCLIWithCurve(t *testing.T, wantCurve bool, args ...string) (stdout, curve []byte) {
 	t.Helper()
 	jsonPath := filepath.Join(t.TempDir(), "curve.json")
 	var out bytes.Buffer
@@ -173,10 +187,172 @@ func runCLI(t *testing.T, args ...string) (stdout, curve []byte) {
 		t.Fatalf("autosens %v: %v", args, err)
 	}
 	curve, err := os.ReadFile(jsonPath)
-	if err != nil {
+	switch {
+	case !wantCurve && os.IsNotExist(err):
+		return out.Bytes(), nil
+	case !wantCurve && err == nil:
+		t.Fatalf("autosens %v wrote a curve file", args)
+	case err != nil:
 		t.Fatal(err)
 	}
 	return out.Bytes(), curve
+}
+
+// TestRunFormatsAgree: the benchmark's five invocations print the same
+// bytes and write the same curve over one record set stored as TBIN, which
+// is decoded whole and block-parallel, and as JSONL, which is read record
+// by record — at any worker count.
+func TestRunFormatsAgree(t *testing.T) {
+	dir := t.TempDir()
+	tbinPath, jsonlPath := filepath.Join(dir, "t.tbin"), filepath.Join(dir, "t.jsonl")
+	writeFile(t, tbinPath, telemetry.TBIN)
+	writeFile(t, jsonlPath, telemetry.JSONL)
+	for _, argv := range [][]string{
+		{"-by", "action"},
+		{"-by", "usertype"},
+		{"-by", "quartile"},
+		{"-by", "period"},
+		{"-action", "SelectMail", "-ci"},
+	} {
+		var wantOut, wantCurve []byte
+		for _, workers := range []string{"1", "2", "8"} {
+			for _, input := range [][]string{
+				{"-in", jsonlPath, "-format", "jsonl"},
+				{"-in", tbinPath, "-format", "tbin"},
+			} {
+				args := append(append(append([]string(nil), input...), argv...), "-nochart", "-workers", workers)
+				gotOut, gotCurve := runCLIWithCurve(t, argv[0] != "-by", args...)
+				if wantOut == nil {
+					wantOut, wantCurve = gotOut, gotCurve
+					continue
+				}
+				if !bytes.Equal(gotOut, wantOut) {
+					t.Fatalf("%v: stdout differs:\n%s\nJSONL at -workers 1:\n%s", args, gotOut, wantOut)
+				}
+				if !bytes.Equal(gotCurve, wantCurve) {
+					t.Fatalf("%v: curve JSON differs from JSONL at -workers 1", args)
+				}
+			}
+		}
+	}
+}
+
+// TestRunQuartileOverSuccessfulRecords: -quartile assigns quartiles over
+// every successful record, and only then applies the other filters.
+func TestRunQuartileOverSuccessfulRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.tbin")
+	writeFile(t, path, telemetry.TBIN)
+	_, got := runCLI(t, "-in", path, "-format", "tbin", "-quartile", "Q2", "-action", "Search", "-nochart")
+
+	recs := telemetry.Successful(records(t))
+	assign, _, err := telemetry.AssignQuartiles(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs = telemetry.Filter(recs, func(r telemetry.Record) bool {
+		return assign[r.UserID] == telemetry.Q2 && r.Action == telemetry.Search
+	})
+	est, err := core.NewEstimator(core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	curve, err := est.EstimateTimeNormalized(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := curve.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("-quartile Q2 -action Search curve differs from quartiles assigned over all successful records")
+	}
+}
+
+// TestRunTruncatedTBIN: a torn TBIN file fails with the streaming reader's
+// error text and prints nothing.
+func TestRunTruncatedTBIN(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "t.tbin")
+	writeFile(t, full, telemetry.TBIN)
+	data, err := os.ReadFile(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := data[:len(data)/2]
+	_, want := telemetry.NewReader(bytes.NewReader(torn), telemetry.TBIN).ReadAll()
+	if want == nil {
+		t.Fatal("streaming reader accepts the torn file")
+	}
+	path := filepath.Join(dir, "torn.tbin")
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	jsonPath := filepath.Join(dir, "curve.json")
+	for _, workers := range []string{"1", "8"} {
+		var out bytes.Buffer
+		err := run([]string{"-in", path, "-format", "tbin", "-action", "SelectMail", "-workers", workers,
+			"-json", jsonPath, "-log-level", "error"}, &out)
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("-workers %s: err = %v, streaming reader says %v", workers, err, want)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("-workers %s: a failed load printed output:\n%s", workers, out.String())
+		}
+		if _, err := os.Stat(jsonPath); !os.IsNotExist(err) {
+			t.Fatalf("-workers %s: a failed load wrote a curve (stat: %v)", workers, err)
+		}
+	}
+}
+
+// TestRunReadInputSpan: the read_input span reports the input's size and
+// how many goroutines decoded it — the -workers bound for TBIN, one for a
+// record-by-record JSONL read.
+func TestRunReadInputSpan(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		format  telemetry.Format
+		workers string
+		want    float64
+	}{
+		{telemetry.TBIN, "3", 3},
+		{telemetry.JSONL, "3", 1},
+	} {
+		path := filepath.Join(dir, "t."+c.format.String())
+		writeFile(t, path, c.format)
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracePath := filepath.Join(dir, "trace.json")
+		var out bytes.Buffer
+		if err := run([]string{"-in", path, "-format", c.format.String(), "-action", "SelectMail", "-nochart",
+			"-workers", c.workers, "-trace-out", tracePath, "-log-level", "error"}, &out); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace struct {
+			Children []struct {
+				Name  string         `json:"name"`
+				Attrs map[string]any `json:"attrs"`
+			} `json:"children"`
+		}
+		if err := json.Unmarshal(raw, &trace); err != nil {
+			t.Fatal(err)
+		}
+		var attrs map[string]any
+		for _, sp := range trace.Children {
+			if sp.Name == "read_input" {
+				attrs = sp.Attrs
+			}
+		}
+		if attrs["bytes"] != float64(info.Size()) || attrs["decode_workers"] != c.want {
+			t.Fatalf("%v: read_input attrs %v, want bytes=%d decode_workers=%v", c.format, attrs, info.Size(), c.want)
+		}
+	}
 }
 
 // TestRunStreamMatchesInMemory pins -stream's contract at the command: over
@@ -226,6 +402,30 @@ func TestRunStreamRefusals(t *testing.T) {
 		err := run(append(args, "-stream", "-nochart", "-log-level", "error"), &out)
 		if err == nil || !strings.Contains(err.Error(), "-stream") {
 			t.Fatalf("%v: err = %v, want a -stream refusal", args, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%v: refusal printed output:\n%s", args, out.String())
+		}
+	}
+}
+
+// TestRunModeRefusals: -mode values an invocation cannot honour are refused
+// before any input is read — the input path here does not exist — with an
+// error and no output.
+func TestRunModeRefusals(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.tbin")
+	for _, args := range [][]string{
+		{"-action", "SelectMail", "-mode", "bogus"},
+		{"-action", "SelectMail", "-ci", "-mode", "bogus"},
+		{"-action", "SelectMail", "-ci", "-mode", "biased"},
+		{"-by", "usertype", "-mode", "plain"},
+		{"-by", "usertype", "-mode", "biased"},
+		{"-by", "action", "-ci"},
+	} {
+		var out bytes.Buffer
+		err := run(append(args, "-in", missing, "-nochart", "-log-level", "error"), &out)
+		if err == nil || os.IsNotExist(err) || strings.Contains(err.Error(), "missing.tbin") {
+			t.Fatalf("%v: err = %v, want a refusal before reading", args, err)
 		}
 		if out.Len() != 0 {
 			t.Fatalf("%v: refusal printed output:\n%s", args, out.String())

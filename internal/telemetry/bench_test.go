@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -72,6 +73,25 @@ func benchmarkDecode(b *testing.B, format Format) {
 
 func BenchmarkDecodeJSONLFast(b *testing.B) { benchmarkDecode(b, JSONL) }
 func BenchmarkDecodeTBIN(b *testing.B)      { benchmarkDecode(b, TBIN) }
+
+// BenchmarkDecodeTBINWhole decodes the same stream as BenchmarkDecodeTBIN
+// from memory with DecodeTBIN, result allocation included.
+func BenchmarkDecodeTBINWhole(b *testing.B) {
+	recs := genRecords(5000, 3)
+	data := encodeAll(b, recs, TBIN)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, err := DecodeTBIN(data, workers)
+				if err != nil || len(got) != len(recs) {
+					b.Fatalf("decoded %d want %d: %v", len(got), len(recs), err)
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkEncodeJSONLStdlib is the pre-optimization baseline: one
 // json.Marshal per record, as the Writer did before AppendRecordJSON.

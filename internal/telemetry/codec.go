@@ -242,7 +242,7 @@ func (r *Reader) Read() (Record, error) {
 			if err := rec.Validate(); err != nil {
 				return Record{}, fmt.Errorf("telemetry: line %d: %w", r.line, err)
 			}
-			observeDecoded()
+			observeDecoded(1)
 			return rec, nil
 		}
 	case CSV:
@@ -262,7 +262,7 @@ func (r *Reader) Read() (Record, error) {
 			if err != nil {
 				return Record{}, fmt.Errorf("telemetry: line %d: %w", r.line, err)
 			}
-			observeDecoded()
+			observeDecoded(1)
 			return rec, nil
 		}
 	case TBIN:
@@ -272,9 +272,9 @@ func (r *Reader) Read() (Record, error) {
 		}
 		r.line++
 		if err := rec.Validate(); err != nil {
-			return Record{}, fmt.Errorf("telemetry: tbin record %d: %w", r.line, err)
+			return Record{}, tbinRecordErr(r.line, err)
 		}
-		observeDecoded()
+		observeDecoded(1)
 		return rec, nil
 	default:
 		return Record{}, fmt.Errorf("telemetry: unknown format %d", r.format)
@@ -283,8 +283,8 @@ func (r *Reader) Read() (Record, error) {
 
 // SkipBlock discards the next TBIN block without decoding it, returning
 // the number of records skipped; io.EOF marks the end of the stream. It
-// is the primitive for samplers and parallel readers that shard a file by
-// block. Only valid for TBIN readers positioned on a block boundary.
+// is the primitive for samplers that shard a file by block. Only valid for
+// TBIN readers positioned on a block boundary.
 func (r *Reader) SkipBlock() (int, error) {
 	if r.format != TBIN {
 		return 0, fmt.Errorf("telemetry: SkipBlock requires TBIN input, have %v", r.format)

@@ -71,13 +71,25 @@ func FuzzRecordRoundTrip(f *testing.F) {
 // FuzzReaderNoCrash feeds arbitrary bytes to every Reader and requires
 // termination without panics: malformed input must never take down the
 // collector. The fast JSONL path additionally must agree with
-// encoding/json whenever it claims success.
+// encoding/json whenever it claims success, and DecodeTBIN with the
+// streaming TBIN reader: the same records or the same error text.
 func FuzzReaderNoCrash(f *testing.F) {
 	f.Add([]byte(`{"t":1,"a":0,"l":5,"u":1,"ut":0,"tz":0}` + "\n"))
 	f.Add([]byte("time_ms,action,latency_ms,user_id,user_type,tz_offset_ms,failed\n1,SelectMail,5,1,business,0,false\n"))
 	f.Add([]byte(tbinMagic))
 	f.Add([]byte(tbinMagic + "\x01\x03\x00ab"))
 	f.Add([]byte("{\"t\":"))
+	var blocks bytes.Buffer // two small TBIN blocks
+	w := NewWriter(&blocks, TBIN)
+	for _, part := range [][]Record{genRecords(3, 1), genRecords(4, 2)} {
+		if err := w.WriteAll(part); err != nil {
+			f.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(blocks.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, format := range []Format{JSONL, CSV, TBIN} {
 			r := NewReader(bytes.NewReader(data), format)
@@ -92,5 +104,6 @@ func FuzzReaderNoCrash(f *testing.F) {
 			}
 			r.Close()
 		}
+		checkDecodeTBIN(t, data)
 	})
 }

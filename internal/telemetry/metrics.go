@@ -37,9 +37,9 @@ func EnableMetrics(reg *obs.Registry) {
 	ingestPtr.Store(m)
 }
 
-func observeDecoded() {
+func observeDecoded(n int) {
 	if m := ingestPtr.Load(); m != nil {
-		m.decoded.Inc()
+		m.decoded.Add(uint64(n))
 	}
 }
 

@@ -1,11 +1,14 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"autosens/internal/timeutil"
 )
@@ -30,7 +33,7 @@ import (
 // byte. Each block resets the time base and dictionary and announces its
 // record count and byte length up front, so a reader can skip blocks
 // without parsing them and workers can decode different blocks in
-// parallel.
+// parallel (DecodeTBIN).
 
 const tbinMagic = "TBN1"
 
@@ -42,6 +45,9 @@ const (
 	// tbinMaxPayload bounds the payload length a reader will buffer, so a
 	// corrupt frame cannot provoke a huge allocation.
 	tbinMaxPayload = 1 << 24
+	// tbinMinRecordBytes is the smallest encoded record: tag, three
+	// one-byte varints and the 8 latency bytes.
+	tbinMinRecordBytes = 12
 )
 
 // bufPool recycles the scratch buffers behind writers and readers; Close
@@ -202,32 +208,44 @@ func (t *tbinReader) readHeader() error {
 	return nil
 }
 
+// readFrame reads the next frame header, consuming the stream magic first
+// if it is still unread, and checks it: the payload length against the cap,
+// and the record count against what the payload can hold. io.EOF means a
+// clean end of stream.
+func (t *tbinReader) readFrame() (count, size uint64, err error) {
+	if !t.header {
+		if err := t.readHeader(); err != nil {
+			return 0, 0, err
+		}
+	}
+	count, err = binary.ReadUvarint(t.br)
+	if err == io.EOF {
+		return 0, 0, io.EOF
+	}
+	if err != nil {
+		return 0, 0, t.errf("frame count: %v", err)
+	}
+	size, err = binary.ReadUvarint(t.br)
+	if err != nil {
+		return 0, 0, t.errf("frame length: %v", err)
+	}
+	if size > tbinMaxPayload {
+		return 0, 0, t.errf("payload length %d exceeds cap %d", size, tbinMaxPayload)
+	}
+	// A count the payload cannot hold is corruption, not data, and is
+	// refused before anything is sized by it.
+	if count == 0 || count > size/tbinMinRecordBytes {
+		return 0, 0, t.errf("implausible record count %d for %d payload bytes", count, size)
+	}
+	return count, size, nil
+}
+
 // nextBlock loads and validates the next frame. io.EOF means a clean end
 // of stream.
 func (t *tbinReader) nextBlock() error {
-	if !t.header {
-		if err := t.readHeader(); err != nil {
-			return err
-		}
-	}
-	count, err := binary.ReadUvarint(t.br)
-	if err == io.EOF {
-		return io.EOF
-	}
+	count, size, err := t.readFrame()
 	if err != nil {
-		return t.errf("frame count: %v", err)
-	}
-	size, err := binary.ReadUvarint(t.br)
-	if err != nil {
-		return t.errf("frame length: %v", err)
-	}
-	if size > tbinMaxPayload {
-		return t.errf("payload length %d exceeds cap %d", size, tbinMaxPayload)
-	}
-	// Every record costs at least 12 bytes, so a count wildly out of
-	// proportion to the payload is corruption, not data.
-	if count == 0 || count > size {
-		return t.errf("implausible record count %d for %d payload bytes", count, size)
+		return err
 	}
 	if cap(t.payload) < int(size) {
 		t.payload = make([]byte, size)
@@ -236,10 +254,16 @@ func (t *tbinReader) nextBlock() error {
 	if _, err := io.ReadFull(t.r, t.payload); err != nil {
 		return t.errf("payload: %v", err)
 	}
+	return t.startBlock(int(count))
+}
+
+// startBlock parses the tz dictionary at the head of t.payload and leaves
+// t on the first of the block's count records.
+func (t *tbinReader) startBlock(count int) error {
 	t.pos = 0
 	t.prevTime = 0
 	dictLen, ok := t.uvarint()
-	if !ok || dictLen > size {
+	if !ok || dictLen > uint64(len(t.payload)) {
 		return t.errf("bad tz dictionary length")
 	}
 	t.dict = t.dict[:0]
@@ -250,7 +274,7 @@ func (t *tbinReader) nextBlock() error {
 		}
 		t.dict = append(t.dict, unzigzag(v))
 	}
-	t.remain = int(count)
+	t.remain = count
 	t.block++
 	return nil
 }
@@ -321,24 +345,9 @@ func (t *tbinReader) skipBlock() (int, error) {
 	if t.remain != 0 {
 		return 0, t.errf("skip mid-block (%d records pending)", t.remain)
 	}
-	if !t.header {
-		if err := t.readHeader(); err != nil {
-			return 0, err
-		}
-	}
-	count, err := binary.ReadUvarint(t.br)
-	if err == io.EOF {
-		return 0, io.EOF
-	}
+	count, size, err := t.readFrame()
 	if err != nil {
-		return 0, t.errf("frame count: %v", err)
-	}
-	size, err := binary.ReadUvarint(t.br)
-	if err != nil {
-		return 0, t.errf("frame length: %v", err)
-	}
-	if size > tbinMaxPayload {
-		return 0, t.errf("payload length %d exceeds cap %d", size, tbinMaxPayload)
+		return 0, err
 	}
 	if _, err := io.CopyN(io.Discard, t.r, int64(size)); err != nil {
 		return 0, t.errf("skip payload: %v", err)
@@ -353,4 +362,112 @@ func (t *tbinReader) release() {
 		putBuf(t.payload)
 		t.payload = nil
 	}
+}
+
+// tbinRecordErr reports a decoded record that fails Validate, numbered by
+// its 1-based position in the stream.
+func tbinRecordErr(n int, err error) error {
+	return fmt.Errorf("telemetry: tbin record %d: %w", n, err)
+}
+
+// DecodeTBIN decodes a whole TBIN stream held in memory. It walks the frame
+// headers without parsing payloads, allocates the result once from their
+// record counts, and decodes the blocks on up to workers goroutines (0
+// means GOMAXPROCS), each block into its own index range. Blocks are
+// independent because each one resets its time base and tz dictionary.
+//
+// The result is what draining NewReader(bytes.NewReader(data), TBIN)
+// yields: the same records in the same order, or the first error that
+// reader would return, with the same text. So a record error in one block
+// wins over a frame error in a later one, and a record failing Validate is
+// numbered by its position in the whole stream. The allocation is bounded
+// by the input: a frame's count must fit its payload at 12 bytes a record.
+func DecodeTBIN(data []byte, workers int) ([]Record, error) {
+	blocks, n, frameErr := walkTBIN(data)
+	out := make([]Record, n)
+	errs := make([]error, len(blocks))
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(blocks)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(blocks); i = int(next.Add(1) - 1) {
+				b := blocks[i]
+				errs[i] = b.decode(i, out[b.first:b.first+b.count])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	if frameErr != nil {
+		return nil, frameErr
+	}
+	return out, nil
+}
+
+// tbinBlock is one frame of a whole stream: its payload, and the stream
+// position and number of its records.
+type tbinBlock struct {
+	payload      []byte
+	first, count int
+}
+
+// walkTBIN reads the frame headers of a whole stream with the streaming
+// reader's checks and slices out each payload. It stops at the first bad
+// frame and returns that frame's error with the blocks before it, whose
+// records the streaming reader would reach first.
+func walkTBIN(data []byte) (blocks []tbinBlock, records int, err error) {
+	r := bytes.NewReader(data)
+	t := tbinReader{r: r, br: r}
+	for {
+		count, size, err := t.readFrame()
+		if err == io.EOF {
+			return blocks, records, nil
+		}
+		if err != nil {
+			return blocks, records, err
+		}
+		off := len(data) - r.Len()
+		if rest := r.Len(); uint64(rest) < size {
+			// io.ReadFull's error, as the streaming reader reports it.
+			cause := io.ErrUnexpectedEOF
+			if rest == 0 {
+				cause = io.EOF
+			}
+			return blocks, records, t.errf("payload: %v", cause)
+		}
+		_, _ = r.Seek(int64(size), io.SeekCurrent) // in range: checked above
+		blocks = append(blocks, tbinBlock{payload: data[off : off+int(size)], first: records, count: int(count)})
+		t.block++
+		records += int(count)
+	}
+}
+
+// decode decodes the block, the stream's index'th, into dst, which holds
+// exactly its records, with the streaming reader's per-record code.
+func (b tbinBlock) decode(index int, dst []Record) error {
+	t := tbinReader{payload: b.payload, block: index}
+	if err := t.startBlock(len(dst)); err != nil {
+		return err
+	}
+	for i := range dst {
+		rec, err := t.read()
+		if err != nil {
+			return err
+		}
+		if err := rec.Validate(); err != nil {
+			return tbinRecordErr(b.first+i+1, err)
+		}
+		dst[i] = rec
+	}
+	observeDecoded(len(dst))
+	return nil
 }

@@ -2,7 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -199,6 +202,150 @@ func TestSkipBlockRequiresTBIN(t *testing.T) {
 	r := NewReader(strings.NewReader(""), JSONL)
 	if _, err := r.SkipBlock(); err == nil {
 		t.Fatal("SkipBlock on JSONL allowed")
+	}
+}
+
+// checkDecodeTBIN requires DecodeTBIN, at one worker and at four, to return
+// what draining the streaming reader over the same bytes returns: the same
+// records (latency compared by bits, so NaN counts as equal) or an error
+// with the same text.
+func checkDecodeTBIN(t testing.TB, data []byte) {
+	t.Helper()
+	r := NewReader(bytes.NewReader(data), TBIN)
+	want, wantErr := r.ReadAll()
+	r.Close()
+	for _, workers := range []int{1, 4} {
+		got, err := DecodeTBIN(data, workers)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("workers=%d over %q: err = %v, streaming reader says %v", workers, data, err, wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("workers=%d over %q: %v, streaming reader decodes %d records", workers, data, err, len(want))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d records, streaming reader %d", workers, len(got), len(want))
+		}
+		for i := range want {
+			a, b := got[i], want[i]
+			if math.Float64bits(a.LatencyMS) != math.Float64bits(b.LatencyMS) {
+				t.Fatalf("workers=%d record %d: latency %v, streaming reader %v", workers, i, a.LatencyMS, b.LatencyMS)
+			}
+			a.LatencyMS, b.LatencyMS = 0, 0
+			if a != b {
+				t.Fatalf("workers=%d record %d: %+v, streaming reader %+v", workers, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// tbinFixture is three blocks holding a failed record, two tz values and a
+// negative time delta, and the offset of the first record's tag byte.
+func tbinFixture(t *testing.T) (data []byte, firstTag int) {
+	t.Helper()
+	blocks := [][]Record{
+		{
+			{Time: 1000, Action: SelectMail, LatencyMS: 120, UserID: 7, TZOffset: -5 * 3600000},
+			{Time: 900, Action: Search, LatencyMS: 340.5, UserID: 300, UserType: Consumer, TZOffset: 3600000},
+			{Time: 2500, Action: ComposeSend, LatencyMS: 80, UserID: 7, TZOffset: -5 * 3600000, Failed: true},
+		},
+		{
+			{Time: 4000, Action: SwitchFolder, LatencyMS: 95, UserID: 12, UserType: Consumer},
+			{Time: 4001, Action: SelectMail, LatencyMS: 0, UserID: 1 << 40},
+		},
+		{
+			{Time: 9000, Action: Search, LatencyMS: 2200, UserID: 300, UserType: Consumer, TZOffset: 3600000},
+			{Time: 8000, Action: SelectMail, LatencyMS: 61.25, UserID: 12, TZOffset: -5 * 3600000},
+			{Time: 8500, Action: SwitchFolder, LatencyMS: 150, UserID: 7, Failed: true},
+		},
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf, TBIN)
+	for _, b := range blocks {
+		if err := w.WriteAll(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil { // one block per group
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data = buf.Bytes()
+	walked, n, err := walkTBIN(data)
+	if err != nil || len(walked) != 3 || n != 8 {
+		t.Fatalf("fixture walks to %d blocks, %d records, %v", len(walked), n, err)
+	}
+	// The payload aliases data, so their capacities end together.
+	tr := tbinReader{payload: walked[0].payload}
+	if err := tr.startBlock(walked[0].count); err != nil {
+		t.Fatal(err)
+	}
+	return data, cap(data) - cap(walked[0].payload) + tr.pos
+}
+
+// TestDecodeTBINMatchesStreamingReader: every truncation, and every
+// single-bit and whole-byte flip, of a three-block stream decodes, at any worker count, to
+// the streaming reader's records or its first error text.
+func TestDecodeTBINMatchesStreamingReader(t *testing.T) {
+	data, firstTag := tbinFixture(t)
+	checkDecodeTBIN(t, data)
+	for cut := 0; cut < len(data); cut++ {
+		checkDecodeTBIN(t, data[:cut])
+	}
+	for i := range data {
+		for _, mask := range []byte{1, 2, 4, 8, 16, 32, 64, 128, 0xff} {
+			mut := bytes.Clone(data)
+			mut[i] ^= mask
+			checkDecodeTBIN(t, mut)
+		}
+	}
+
+	// A record error in the first block wins over a torn third block.
+	mut := bytes.Clone(data[:len(data)-1])
+	mut[firstTag] = 0xff
+	checkDecodeTBIN(t, mut)
+	if _, err := DecodeTBIN(mut, 4); err == nil || !strings.Contains(err.Error(), "tbin block 1: invalid tag byte") {
+		t.Fatalf("err = %v, want the first block's tag error", err)
+	}
+
+	// A record failing Validate is numbered by its place in the stream.
+	mut = bytes.Clone(data)
+	mut[len(mut)-1] ^= 0x80 // the sign of the eighth record's latency
+	checkDecodeTBIN(t, mut)
+	if _, err := DecodeTBIN(mut, 4); err == nil || !strings.Contains(err.Error(), "tbin record 8: telemetry: negative latency") {
+		t.Fatalf("err = %v, want record 8's validation error", err)
+	}
+
+	for _, empty := range []string{"", tbinMagic} {
+		if rs, err := DecodeTBIN([]byte(empty), 0); err != nil || len(rs) != 0 {
+			t.Fatalf("DecodeTBIN(%q) = %d records, %v", empty, len(rs), err)
+		}
+	}
+}
+
+// TestDecodeTBINOverclaimingFrameAllocatesNothing: a frame whose record
+// count its payload cannot hold is refused from its header, before the
+// result is sized by it.
+func TestDecodeTBINOverclaimingFrameAllocatesNothing(t *testing.T) {
+	const claimed = 1 << 20 // 56 MiB of records, in a 1 MiB payload
+	data := binary.AppendUvarint([]byte(tbinMagic), claimed)
+	data = binary.AppendUvarint(data, claimed)
+	data = append(data, make([]byte, claimed)...)
+	checkDecodeTBIN(t, data)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeTBIN(data, 2)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "implausible record count") {
+		t.Fatalf("err = %v, want an implausible-count refusal", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("refusal allocated %d bytes", alloc)
 	}
 }
 
