@@ -168,13 +168,14 @@ bench-store-gate:
 	$(GO) test -bench='BenchmarkStoreQueryWindowDirty' -benchmem -run=^$$ ./internal/store/ | \
 		$(GO) run ./cmd/benchjson -against BENCH_store.json -names BenchmarkStoreQueryWindowDirty -require-baseline
 
-# fuzz runs each telemetry, merge-kernel, cluster-partial and cold-block
-# fuzz target for a short bounded burst.
+# fuzz runs each telemetry, merge-kernel, column-codec, cluster-partial
+# and cold-block fuzz target for a short bounded burst.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzRecordRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run=^$$ -fuzz='^FuzzReaderNoCrash$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run=^$$ -fuzz='^FuzzMergeColumns$$' -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run=^$$ -fuzz='^FuzzColumnRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/colcodec/
 	$(GO) test -run=^$$ -fuzz='^FuzzPartialRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/collector/api/
 	$(GO) test -run=^$$ -fuzz='^FuzzPartialMergeNoCrash$$' -fuzztime=$(FUZZTIME) ./internal/cluster/
 	$(GO) test -run=^$$ -fuzz='^FuzzBlockRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/store/

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 
+	"autosens/internal/colcodec"
 	"autosens/internal/histogram"
 	"autosens/internal/timeutil"
 )
@@ -60,17 +61,17 @@ type Partial struct {
 // Len returns the number of records the partial carries.
 func (p *Partial) Len() int { return len(p.Times) }
 
-// Partial wire form, version 1:
+// Partial wire form, version 1 (the columns are defined once, in package
+// colcodec):
 //
 //	magic "ASPA" + 1 version byte
 //	u64le  slice version
 //	if version 2: zigzag-varint window from, zigzag-varint window to
 //	    (half-open [from, to) in unix millis; to == 0 means unbounded)
 //	uvarint record count n
-//	n × zigzag-varint time deltas (running; first delta is from 0)
-//	n × f64le latencies
-//	n × zigzag-varint seq deltas (seqs are NOT monotone in time order,
-//	    so the deltas are signed)
+//	n times      colcodec delta column
+//	n latencies  colcodec float column
+//	n seqs       colcodec delta column
 //	1 byte histogram flag
 //	if 1: f64le min, f64le max, f64le width, uvarint bin count,
 //	      bins × f64le counts
@@ -109,19 +110,9 @@ func AppendPartial(dst []byte, p *Partial) []byte {
 		dst = binary.AppendVarint(dst, int64(p.WindowTo))
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(p.Times)))
-	var last int64
-	for _, t := range p.Times {
-		dst = binary.AppendVarint(dst, int64(t)-last)
-		last = int64(t)
-	}
-	for _, v := range p.Lats {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	var lastSeq int64
-	for _, s := range p.Seqs {
-		dst = binary.AppendVarint(dst, int64(s)-lastSeq)
-		lastSeq = int64(s)
-	}
+	dst = colcodec.AppendDeltas(dst, p.Times)
+	dst = colcodec.AppendFloats(dst, p.Lats)
+	dst = colcodec.AppendDeltas(dst, p.Seqs)
 	if p.Hist == nil {
 		return append(dst, 0)
 	}
@@ -164,8 +155,15 @@ func (r *partialReader) f64() (float64, error) {
 	return math.Float64frombits(v), err
 }
 
+// advance moves the cursor past a column a colcodec decoder read.
+func (r *partialReader) advance(n int, err error) error {
+	r.off += n
+	return err
+}
+
 // uvarint and varint accept only the minimal encoding (no zero-padded
-// final group): the format has exactly one encoding per value.
+// final group): the format has exactly one encoding per value, as in the
+// colcodec columns.
 func (r *partialReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.data[r.off:])
 	if n <= 0 || (n > 1 && r.data[r.off+n-1] == 0) {
@@ -232,34 +230,14 @@ func DecodePartial(data []byte) (*Partial, error) {
 	p.Times = make([]timeutil.Millis, n)
 	p.Lats = make([]float64, n)
 	p.Seqs = make([]uint64, n)
-	var last int64
-	for i := 0; i < n; i++ {
-		d, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		last += d
-		p.Times[i] = timeutil.Millis(last)
+	if err := r.advance(colcodec.Deltas(p.Times, data[r.off:])); err != nil {
+		return nil, fmt.Errorf("%w: time column: %w", ErrPartialCorrupt, err)
 	}
-	for i := 0; i < n; i++ {
-		if p.Lats[i], err = r.f64(); err != nil {
-			return nil, err
-		}
-		if math.IsNaN(p.Lats[i]) {
-			return nil, fmt.Errorf("%w: NaN latency at record %d", ErrPartialCorrupt, i)
-		}
+	if err := r.advance(colcodec.Floats(p.Lats, data[r.off:])); err != nil {
+		return nil, fmt.Errorf("%w: latency column: %w", ErrPartialCorrupt, err)
 	}
-	var lastSeq int64
-	for i := 0; i < n; i++ {
-		d, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		lastSeq += d
-		if lastSeq < 0 {
-			return nil, fmt.Errorf("%w: negative seq at record %d", ErrPartialCorrupt, i)
-		}
-		p.Seqs[i] = uint64(lastSeq)
+	if err := r.advance(colcodec.Deltas(p.Seqs, data[r.off:])); err != nil {
+		return nil, fmt.Errorf("%w: seq column: %w", ErrPartialCorrupt, err)
 	}
 	for i := 1; i < n; i++ {
 		if p.Times[i] < p.Times[i-1] ||

@@ -69,6 +69,10 @@ func (e *Engine) SetBaseSeq(seq uint64) { e.seq.Store(seq) }
 // period derivation).
 func TagOf(r telemetry.Record) uint8 { return tagOf(r) }
 
+// TagDims unpacks a dictionary byte's action and user-type indices, the
+// dimensions the cold tier's zone maps record per block.
+func TagDims(tag uint8) (action, userType int) { return tagAction(tag), tagUser(tag) }
+
 // MatchesTag reports whether a stored dictionary byte falls in the slice.
 func (k SliceKey) MatchesTag(tag uint8) bool { return k.matchesTag(tag) }
 

@@ -2,6 +2,8 @@ package store
 
 import (
 	"encoding/binary"
+	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,7 +14,9 @@ import (
 // bytes must never panic the decoder, and anything it accepts must
 // re-encode to an equally decodable block holding the same rows. Rows
 // derived from the fuzz input must survive an encode → decode round trip
-// bit for bit — times, latencies, seqs, users and tags.
+// bit for bit — times, latencies, seqs, users and tags. Whatever the
+// decoder accepts with user IDs it must accept without them (the scan
+// path's decode), with identical time, latency, seq and tag columns.
 func FuzzBlockRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("ASBK\x01"))
@@ -24,6 +28,7 @@ func FuzzBlockRoundTrip(f *testing.F) {
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if rows, err := decodeBlock(data); err == nil {
+			requireUsersIrrelevant(t, data)
 			re := appendBlock(nil, rows)
 			rows2, err := decodeBlock(re)
 			if err != nil {
@@ -39,7 +44,33 @@ func FuzzBlockRoundTrip(f *testing.F) {
 			t.Fatalf("round trip rejected: %v", err)
 		}
 		requireRowsEqual(t, rows, got)
+		requireUsersIrrelevant(t, enc)
 	})
+}
+
+// requireUsersIrrelevant decodes an accepted block with and without user
+// IDs and requires both to succeed with the same other columns.
+func requireUsersIrrelevant(t *testing.T, data []byte) {
+	t.Helper()
+	var with, without blockCols
+	if err := decodeBlockCols(data, allTime, allCols, &with); err != nil {
+		t.Fatalf("decode with user IDs: %v", err)
+	}
+	if err := decodeBlockCols(data, allTime, tagCols, &without); err != nil {
+		t.Fatalf("decode without user IDs refused an accepted block: %v", err)
+	}
+	if !slices.Equal(with.Times, without.Times) || !slices.Equal(with.Seqs, without.Seqs) ||
+		!slices.Equal(with.tags, without.tags) || len(with.Lats) != len(without.Lats) {
+		t.Fatal("decodes with and without user IDs disagree")
+	}
+	for i := range with.Lats {
+		if math.Float64bits(with.Lats[i]) != math.Float64bits(without.Lats[i]) {
+			t.Fatalf("latency %d: %v with user IDs, %v without", i, with.Lats[i], without.Lats[i])
+		}
+	}
+	if len(without.users) != 0 {
+		t.Fatalf("decode without user IDs parsed %d of them", len(without.users))
+	}
 }
 
 // rowsFromFuzz shapes raw fuzz bytes into a valid row set: (time, seq)

@@ -116,3 +116,73 @@ func TestCorruptBlockQuarantine(t *testing.T) {
 		t.Fatalf("missing-file error should unwrap to fs.ErrNotExist: %v", err)
 	}
 }
+
+// TestChunkEdgeInversionQuarantined pins the (time, seq) rule across a
+// chunk edge on the scan path. The planted block holds chunkRecs+1 rows at
+// one time whose seq drops from the last row of the first chunk to the
+// only row of the second: each chunk is sorted, the block is not, and
+// every curve is a function of that order. The cached whole-block decode
+// and the chunk-skipping windowed decode must both refuse it as a corrupt
+// *BlockReadError naming the file, and ScanWindow must serve none of its
+// rows, count it and quarantine it.
+func TestChunkEdgeInversionQuarantined(t *testing.T) {
+	horizon := 2 * timeutil.MillisPerDay
+	stream := genStream(43, 6000, horizon)
+	walDir, coldDir := t.TempDir(), t.TempDir()
+	writeWAL(t, nil, walDir, stream, 16<<10)
+	cfg := Config{Dir: coldDir, WALDir: walDir, BlockRecords: 512, CacheBytes: 64 << 20}
+	s1, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s1.CompactOnce(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := s.snapshotManifest().Blocks
+	if len(blocks) < 3 {
+		t.Fatalf("want several blocks, got %d", len(blocks))
+	}
+	victim := blocks[len(blocks)/2]
+
+	const base = 1 << 40 // far from every real seq
+	rows := make([]row, chunkRecs+1)
+	for i := range rows {
+		rows[i] = row{time: victim.MinTime, lat: 100, seq: base + 100 + uint64(i), user: 1}
+	}
+	rows[chunkRecs].seq = base + 3
+	if err := os.WriteFile(filepath.Join(coldDir, victim.File), appendBlock(nil, rows), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The unbounded window covers the block (the cached decode); the one
+	// ending at its max time does not (the chunk-skipping decode).
+	for _, win := range []live.Window{{}, {From: victim.MinTime, To: victim.MaxTime}} {
+		_, err := s.scanBlock(&victim, live.AllSlices, win)
+		var bre *BlockReadError
+		if !errors.As(err, &bre) || !bre.Corrupt() || bre.File != victim.File {
+			t.Fatalf("win=%+v: %v, want a corrupt *BlockReadError naming %s", win, err, victim.File)
+		}
+	}
+
+	oracle := refRows(stream, live.AllSlices, live.Window{})
+	times, _, seqs, err := s.ScanWindow(live.AllSlices, live.Window{})
+	if err != nil {
+		t.Fatalf("scan with one corrupt block must not fail: %v", err)
+	}
+	if want := len(oracle) - victim.Records; len(times) != want {
+		t.Fatalf("scan rows = %d, want oracle minus the planted block = %d", len(times), want)
+	}
+	for _, sq := range seqs {
+		if sq >= base {
+			t.Fatalf("served seq %d from the planted block", sq)
+		}
+	}
+	st := s.Stats()
+	if st.CorruptBlocks != 1 || len(st.Quarantined) != 1 || st.Quarantined[0] != victim.File {
+		t.Fatalf("CorruptBlocks = %d, Quarantined = %v; want 1 and [%s]", st.CorruptBlocks, st.Quarantined, victim.File)
+	}
+}

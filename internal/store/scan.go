@@ -149,7 +149,7 @@ func (s *Store) scanBlock(b *BlockMeta, key live.SliceKey, win live.Window) (cor
 		// Decode everything (tags included, so any future slice can filter
 		// against the cached copy) into storage the cache will own.
 		cols := new(blockCols)
-		if err := decodeBlockCols(data, live.Window{}, true, cols); err != nil {
+		if err := decodeBlockCols(data, allTime, tagCols, cols); err != nil {
 			return core.Columns{}, &BlockReadError{File: b.File, Err: err}
 		}
 		s.cache.put(b.File, cols)
@@ -159,8 +159,12 @@ func (s *Store) scanBlock(b *BlockMeta, key live.SliceKey, win live.Window) (cor
 	// Uncached path: chunk-skipping decode into pooled scratch, kept rows
 	// copied out exactly sized. Tags are only decoded when the slice needs
 	// them; user IDs never are.
+	cs := scanCols
+	if !matchAll {
+		cs = tagCols
+	}
 	sc.cols.reset()
-	if err := decodeBlockCols(data, win, !matchAll, &sc.cols); err != nil {
+	if err := decodeBlockCols(data, win, cs, &sc.cols); err != nil {
 		return core.Columns{}, &BlockReadError{File: b.File, Err: err}
 	}
 	return clipFilter(&sc.cols, key, win, matchAll, true), nil
