@@ -332,3 +332,40 @@ func TestCoordinatorServesCurvesHandler(t *testing.T) {
 		t.Fatalf("responses missing curve payload")
 	}
 }
+
+// TestCoordinatorWindowedCacheBounded drives more distinct windows through
+// a 3-node coordinator than live.MaxWindowedCache, as a dashboard asking
+// for at=now does: the coordinator must retain at most that many windowed
+// slots, and a window asked for again within the bound must stay a cache
+// hit.
+func TestCoordinatorWindowedCacheBounded(t *testing.T) {
+	stream := genStream(7, 3000, timeutil.MillisPerDay)
+	_, _, coord := newLocalCluster(t, 3, stream)
+	key := live.AllSlices
+	pinned := live.Window{From: 1, To: 12 * timeutil.MillisPerHour}
+	if _, err := coord.QueryWindow(key, live.ModePlain, false, pinned); err != nil {
+		t.Fatal(err)
+	}
+	distinct := live.MaxWindowedCache + live.MaxWindowedCache/2
+	for i := 1; i <= distinct; i++ {
+		from := timeutil.Millis(i) * timeutil.MillisPerMinute
+		win := live.Window{From: from, To: from + 6*timeutil.MillisPerHour}
+		if _, err := coord.QueryWindow(key, live.ModePlain, false, win); err != nil {
+			t.Fatalf("window %d: %v", i, err)
+		}
+		if i%(live.MaxWindowedCache/4) != 0 {
+			continue
+		}
+		res, err := coord.QueryWindow(key, live.ModePlain, false, pinned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Cached {
+			t.Fatalf("pinned window missed the cache after %d other windows", i)
+		}
+	}
+	if _, slots := coord.cache.Len(); slots > live.MaxWindowedCache {
+		t.Fatalf("coordinator retains %d windowed slots after %d windows, bound %d",
+			slots, distinct+1, live.MaxWindowedCache)
+	}
+}

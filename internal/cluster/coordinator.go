@@ -11,8 +11,6 @@ import (
 	"autosens/internal/core"
 	"autosens/internal/histogram"
 	"autosens/internal/live"
-	"autosens/internal/telemetry"
-	"autosens/internal/timeutil"
 )
 
 // DefaultPollInterval is how often a cached-hit query triggers a
@@ -25,7 +23,7 @@ const DefaultPollInterval = 500 * time.Millisecond
 // CoordinatorConfig parameterizes a Coordinator.
 type CoordinatorConfig struct {
 	// Sources are the cluster's nodes, one per ring member (required).
-	// Index order is the coordinator's version-vector order.
+	// Index order is the order partials are merged in.
 	Sources []PartialSource
 	// Options configures the estimator; it must match the nodes' engine
 	// options (same binning, smoothing and seed), or merged histograms
@@ -54,15 +52,19 @@ type CoordinatorConfig struct {
 //
 // # Caching
 //
-// Each (slice, mode, ci) entry caches its last merged result together
-// with the per-node version vector it was computed at. A cached result is
-// served only while every node's known version still equals its stamp in
-// that vector; since stamps are taken before each node gathers its
-// columns and known versions only ever rise, versions only understate —
-// the coordinator can serve stale-by-at-most-a-poll-interval data but can
+// Results are cached in the same live.ResultCache the engine uses, so the
+// coordinator's windowed slots are bounded exactly like a node's. A
+// result is stamped with the sum of the per-node versions its partials
+// carried, and served while that sum still equals the sum of every node's
+// known version. Each fetched version is raised into the node's known
+// version before the result is stored, and known versions only rise, so
+// known[i] ≥ fetched[i] for every node: the sums are equal only when every
+// gap is zero, which is the per-node vector compare. Since stamps are taken
+// before each node gathers its columns, versions only understate — the
+// coordinator can serve stale-by-at-most-a-poll-interval data but can
 // never claim freshness it doesn't have. The hit path is entirely
-// in-process (an atomic load plus a vector compare), which is what keeps
-// cached cluster queries within an order of magnitude of single-node
+// in-process (an atomic load plus a sum of known versions), which is what
+// keeps cached cluster queries within an order of magnitude of single-node
 // cached serving. Known versions rise on every partial fetch, every
 // SliceVersion call, and the rate-limited background polls.
 type Coordinator struct {
@@ -72,50 +74,62 @@ type Coordinator struct {
 	ci    core.CIOptions
 	poll  time.Duration
 	epoch atomic.Uint64
+	cache live.ResultCache
+	bufs  chan *recomputeBuf // idle recompute buffers
 
-	mu      sync.Mutex
-	entries map[coordKey]*coordEntry
-	combos  map[int]*comboVersions
+	mu       sync.Mutex
+	versions map[live.SliceKey]*sliceVersions
 }
 
-// coordKey identifies one cache entry. win is the zero live.Window for
-// unwindowed queries; windowed entries carry their exact bounds so
-// distinct windows never share a slot (and partials from different
-// windows are never merged together).
-type coordKey struct {
-	combo int
-	mode  live.Mode
-	ci    bool
-	win   live.Window
-}
-
-// comboVersions is one combo's per-node known-version state, shared by
-// every (mode, ci) entry over that combo so one poll freshens them all.
-type comboVersions struct {
+// sliceVersions is one slice's per-node known-version state, shared by
+// every (mode, ci, window) slot over that slice so one poll freshens them
+// all.
+type sliceVersions struct {
 	known    []atomic.Uint64
 	lastPoll atomic.Int64 // UnixNano of the newest completed/started poll
 	polling  atomic.Bool
 }
 
-// coordEntry is one (slice, mode, ci) cache slot: val holds the last
-// published result, mu serializes recomputes (single-flight), and the
-// remaining fields are pooled recompute scratch guarded by mu.
-type coordEntry struct {
-	mu  sync.Mutex
-	val atomic.Pointer[coordResult]
-
-	key    live.SliceKey
-	parts  []*core.Summary
-	merged core.Summary
-	plan   core.UnbiasedPlan
-	sc     core.Scratch
-	vec    []uint64
+// version sums the known per-node versions: the slice version cached
+// results are stamped against.
+func (cv *sliceVersions) version() uint64 {
+	var sum uint64
+	for i := range cv.known {
+		sum += cv.known[i].Load()
+	}
+	return sum
 }
 
-// coordResult pairs a served result with the version vector it reflects.
-type coordResult struct {
-	res live.Result
-	vec []uint64
+// recomputeBuf is one recompute's merge buffers and estimator scratch,
+// pooled on the coordinator so a cache slot retains only its Result.
+type recomputeBuf struct {
+	merged core.Summary
+	sc     core.Scratch
+}
+
+// maxIdleBufs bounds the idle recompute buffers kept; concurrent
+// recomputes past it allocate their own and drop them afterwards. A
+// sync.Pool would not do: the garbage a dirty query makes (every node's
+// partial) empties it within a GC cycle or two, and each recompute would
+// then regrow its merged columns and redraw its key plan.
+const maxIdleBufs = 4
+
+func (c *Coordinator) getBuf() *recomputeBuf {
+	select {
+	case buf := <-c.bufs:
+		return buf
+	default:
+		buf := &recomputeBuf{}
+		buf.merged.B = histogram.MustNew(0, c.opts.MaxLatencyMS, c.opts.BinWidthMS)
+		return buf
+	}
+}
+
+func (c *Coordinator) putBuf(buf *recomputeBuf) {
+	select {
+	case c.bufs <- buf:
+	default:
+	}
 }
 
 // NewCoordinator builds a coordinator over the given sources.
@@ -145,13 +159,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, err
 	}
 	return &Coordinator{
-		srcs:    cfg.Sources,
-		est:     est,
-		opts:    cfg.Options,
-		ci:      cfg.CI,
-		poll:    cfg.PollInterval,
-		entries: make(map[coordKey]*coordEntry),
-		combos:  make(map[int]*comboVersions),
+		srcs:     cfg.Sources,
+		est:      est,
+		opts:     cfg.Options,
+		ci:       cfg.CI,
+		poll:     cfg.PollInterval,
+		bufs:     make(chan *recomputeBuf, maxIdleBufs),
+		versions: make(map[live.SliceKey]*sliceVersions),
 	}, nil
 }
 
@@ -159,33 +173,16 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // watch store surface).
 func (c *Coordinator) Options() core.Options { return c.opts }
 
-// combosFor returns (creating if needed) a combo's known-version state.
-func (c *Coordinator) combosFor(combo int) *comboVersions {
+// versionsFor returns (creating if needed) a slice's known-version state.
+func (c *Coordinator) versionsFor(key live.SliceKey) *sliceVersions {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cv, ok := c.combos[combo]
+	cv, ok := c.versions[key]
 	if !ok {
-		cv = &comboVersions{known: make([]atomic.Uint64, len(c.srcs))}
-		c.combos[combo] = cv
+		cv = &sliceVersions{known: make([]atomic.Uint64, len(c.srcs))}
+		c.versions[key] = cv
 	}
 	return cv
-}
-
-// entryFor returns (creating if needed) a query's cache entry.
-func (c *Coordinator) entryFor(qk coordKey, key live.SliceKey) *coordEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ce, ok := c.entries[qk]
-	if !ok {
-		ce = &coordEntry{
-			key:   key,
-			parts: make([]*core.Summary, len(c.srcs)),
-			vec:   make([]uint64, len(c.srcs)),
-		}
-		ce.merged.B = histogram.MustNew(0, c.opts.MaxLatencyMS, c.opts.BinWidthMS)
-		c.entries[qk] = ce
-	}
-	return ce
 }
 
 // raiseKnown lifts one node's known version, monotonically: a concurrent
@@ -200,22 +197,11 @@ func raiseKnown(known *atomic.Uint64, v uint64) {
 	}
 }
 
-// fresh reports whether a cached result's version vector still matches
-// every node's known version.
-func fresh(cv *comboVersions, vec []uint64) bool {
-	for i := range vec {
-		if cv.known[i].Load() != vec[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// maybePoll spawns one rate-limited background version poll for a combo.
+// maybePoll spawns one rate-limited background version poll for a slice.
 // The calling query is never blocked: it serves its (possibly stale)
-// cached answer while the poll freshens the known vector for the next
+// cached answer while the poll freshens the known versions for the next
 // query.
-func (c *Coordinator) maybePoll(cv *comboVersions, key live.SliceKey) {
+func (c *Coordinator) maybePoll(cv *sliceVersions, key live.SliceKey) {
 	if c.poll <= 0 {
 		return
 	}
@@ -231,10 +217,10 @@ func (c *Coordinator) maybePoll(cv *comboVersions, key live.SliceKey) {
 	}()
 }
 
-// pollVersions polls every source's slice version and raises the combo's
-// known vector. Source errors leave that node's known version untouched —
-// understating, never overstating.
-func (c *Coordinator) pollVersions(cv *comboVersions, key live.SliceKey) {
+// pollVersions polls every source's slice version and raises the slice's
+// known versions. Source errors leave that node's known version untouched
+// — understating, never overstating.
+func (c *Coordinator) pollVersions(cv *sliceVersions, key live.SliceKey) {
 	var wg sync.WaitGroup
 	for i, src := range c.srcs {
 		wg.Add(1)
@@ -249,19 +235,10 @@ func (c *Coordinator) pollVersions(cv *comboVersions, key live.SliceKey) {
 }
 
 // Refresh synchronously polls every source's version for the slice,
-// raising the known vector so the next Query observes any new data.
+// raising the known versions so the next Query observes any new data.
 // Tests and tick-driven callers use it in place of the background polls.
 func (c *Coordinator) Refresh(key live.SliceKey) {
-	c.pollVersions(c.combosFor(comboOf(key)), key)
-}
-
-// comboOf densely encodes the three slice axes (with -1, "any", in slot
-// 0 of each) into one map key, mirroring the live engine's combo index.
-func comboOf(key live.SliceKey) int {
-	userAxis := telemetry.NumUserTypes + 1
-	periodAxis := timeutil.NumPeriods + 1
-	return ((int(key.Action)+1)*userAxis+(int(key.UserType)+1))*periodAxis +
-		(int(key.Period) + 1)
+	c.pollVersions(c.versionsFor(key), key)
 }
 
 // SliceVersion synchronously polls every node and returns the summed
@@ -270,13 +247,9 @@ func comboOf(key live.SliceKey) int {
 // known version — understating, so the watcher at worst recomputes one
 // tick late, never serves data as fresher than it is.
 func (c *Coordinator) SliceVersion(key live.SliceKey) uint64 {
-	cv := c.combosFor(comboOf(key))
+	cv := c.versionsFor(key)
 	c.pollVersions(cv, key)
-	var sum uint64
-	for i := range cv.known {
-		sum += cv.known[i].Load()
-	}
-	return sum
+	return cv.version()
 }
 
 // Query answers one curve query over the cluster. Clean slices are an
@@ -289,124 +262,73 @@ func (c *Coordinator) Query(key live.SliceKey, mode live.Mode, ci bool) (*live.R
 // QueryWindow answers one windowed curve query over the cluster: every
 // node contributes its windowed partial (hot store clipped to the window
 // plus its cold tier's scan), and the merge/finish path is the very same
-// one unwindowed queries take. Windowed entries cache under their exact
-// bounds with the same version-vector staleness rule — node versions
-// cover hot appends, and each node's cold tier is immutable below its
-// cutover. Implements live.WindowQuerier; a zero win is exactly Query.
+// one unwindowed queries take. Windowed slots cache under their exact
+// bounds with the same staleness rule — node versions cover hot appends,
+// and each node's cold tier is immutable below its cutover. Implements
+// live.WindowQuerier; a zero win is exactly Query.
 func (c *Coordinator) QueryWindow(key live.SliceKey, mode live.Mode, ci bool, win live.Window) (*live.Result, error) {
-	combo := comboOf(key)
-	cv := c.combosFor(combo)
-	ce := c.entryFor(coordKey{combo: combo, mode: mode, ci: ci, win: win}, key)
-
-	if r := ce.val.Load(); r != nil && fresh(cv, r.vec) {
+	cv := c.versionsFor(key)
+	res, err := c.cache.Query(key, mode, ci, win, cv.version,
+		func(bool) (*live.Result, error) { return c.recompute(cv, key, mode, ci, win) })
+	if err == nil && res.Cached {
 		c.maybePoll(cv, key)
-		hit := r.res
-		hit.Cached = true
-		return &hit, nil
 	}
-	ce.mu.Lock()
-	defer ce.mu.Unlock()
-	// Another query may have recomputed while this one waited.
-	if r := ce.val.Load(); r != nil && fresh(cv, r.vec) {
-		hit := r.res
-		hit.Cached = true
-		return &hit, nil
-	}
-	res, err := c.recompute(cv, ce, key, mode, ci, win)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return res, err
 }
 
-// fetchPartials gathers every node's partial for the slice (restricted
-// to win when non-zero) concurrently into ce.parts (as summaries) and
-// stamps ce.vec. Network-bound, so one goroutine per source regardless
-// of Workers.
-func (c *Coordinator) fetchPartials(cv *comboVersions, ce *coordEntry, key live.SliceKey, win live.Window) error {
+// gather fetches every node's partial for the slice inside win (the zero
+// window is full history), raising each node's known version to the one
+// its partial carries, and returns the partials index-aligned with the
+// sources plus their summed versions. Network-bound, so one goroutine per
+// source regardless of Workers.
+func (c *Coordinator) gather(cv *sliceVersions, key live.SliceKey, win live.Window) ([]*api.Partial, uint64, error) {
+	parts := make([]*api.Partial, len(c.srcs))
 	errs := make([]error, len(c.srcs))
 	var wg sync.WaitGroup
 	for i, src := range c.srcs {
 		wg.Add(1)
 		go func(i int, src PartialSource) {
 			defer wg.Done()
-			p, err := src.PartialWindow(key, win)
-			if err != nil {
-				errs[i] = err
-				return
+			if parts[i], errs[i] = src.PartialWindow(key, win); errs[i] == nil {
+				raiseKnown(&cv.known[i], parts[i].Version)
 			}
-			ce.vec[i] = p.Version
-			raiseKnown(&cv.known[i], p.Version)
-			if ce.parts[i] == nil {
-				ce.parts[i] = &core.Summary{}
-			}
-			ce.parts[i].Columns, ce.parts[i].B = partialColumns(p), p.Hist
 		}(i, src)
 	}
 	wg.Wait()
 	// Scatter-gather is all-or-nothing: a merged curve missing one node's
 	// records would silently misestimate, which is worse than failing.
+	var version uint64
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("cluster: node %d: %w", i, err)
+			return nil, 0, fmt.Errorf("cluster: node %d: %w", i, err)
 		}
+		version += parts[i].Version
 	}
-	return nil
+	return parts, version, nil
 }
 
-// recompute fetches, merges, and finishes one (mode, ci, window) slot.
-// Caller holds ce.mu.
-func (c *Coordinator) recompute(cv *comboVersions, ce *coordEntry, key live.SliceKey, mode live.Mode, ci bool, win live.Window) (*live.Result, error) {
-	if err := c.fetchPartials(cv, ce, key, win); err != nil {
+// recompute gathers, merges, and finishes one (mode, ci, window) slot,
+// stamped with the summed versions of the partials it merged.
+func (c *Coordinator) recompute(cv *sliceVersions, key live.SliceKey, mode live.Mode, ci bool, win live.Window) (*live.Result, error) {
+	parts, version, err := c.gather(cv, key, win)
+	if err != nil {
 		return nil, err
 	}
-	if err := core.MergeSummaries(&ce.merged, ce.parts...); err != nil {
+	sums := make([]*core.Summary, len(parts))
+	for i, p := range parts {
+		sums[i] = &core.Summary{Columns: partialColumns(p), B: p.Hist}
+	}
+	buf := c.getBuf()
+	defer c.putBuf(buf)
+	if err := core.MergeSummaries(&buf.merged, sums...); err != nil {
 		return nil, err
 	}
-	n := ce.merged.Len()
-	if n == 0 {
-		return nil, live.ErrNoRecords
+	res, err := live.Finish(c.est, c.ci, key, mode, ci, &buf.merged, &buf.sc)
+	if err != nil {
+		return nil, err
 	}
-	res := &live.Result{Slice: key.String(), Mode: mode.String(), Records: n}
-	switch {
-	case ci:
-		opts := c.ci
-		opts.TimeNormalized = mode == live.ModeNormalized
-		band, err := c.est.EstimateCIColumns(ce.merged.Times, ce.merged.Lats, opts)
-		if err != nil {
-			return nil, err
-		}
-		if res.Curve, err = band.Curve.MarshalJSON(); err != nil {
-			return nil, err
-		}
-		if res.CI, err = band.MarshalBoundsJSON(); err != nil {
-			return nil, err
-		}
-	case mode == live.ModeNormalized:
-		curve, err := c.est.EstimateTimeNormalizedColumns(ce.merged.Times, ce.merged.Lats)
-		if err != nil {
-			return nil, err
-		}
-		if res.Curve, err = curve.MarshalJSON(); err != nil {
-			return nil, err
-		}
-	default:
-		curve, err := c.est.EstimateSummary(&ce.merged, &ce.plan, &ce.sc)
-		if err != nil {
-			return nil, err
-		}
-		var jsonErr error
-		if res.Curve, jsonErr = curve.MarshalJSON(); jsonErr != nil {
-			return nil, jsonErr
-		}
-	}
-	var sum uint64
-	for _, v := range ce.vec {
-		sum += v
-	}
-	res.Version = sum
+	res.Version = version
 	res.Epoch = c.epoch.Add(1)
-	ce.val.Store(&coordResult{res: *res, vec: append([]uint64(nil), ce.vec...)})
 	return res, nil
 }
 
@@ -418,27 +340,12 @@ func (c *Coordinator) recompute(cv *comboVersions, ce *coordEntry, key live.Slic
 // cross-shard analysis sees per-node contributions. An empty cluster-wide
 // slice returns live.ErrNoRecords like the engine does.
 func (c *Coordinator) SnapshotSliceWindow(key live.SliceKey, win live.Window) (*live.SliceSnapshot, error) {
-	cv := c.combosFor(comboOf(key))
-	parts := make([]*api.Partial, len(c.srcs))
-	errs := make([]error, len(c.srcs))
-	var wg sync.WaitGroup
-	for i, src := range c.srcs {
-		wg.Add(1)
-		go func(i int, src PartialSource) {
-			defer wg.Done()
-			parts[i], errs[i] = src.PartialWindow(key, win)
-		}(i, src)
+	parts, version, err := c.gather(c.versionsFor(key), key, win)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: node %d: %w", i, err)
-		}
-	}
-	snap := &live.SliceSnapshot{Shards: make([]core.Columns, len(parts))}
+	snap := &live.SliceSnapshot{Version: version, Shards: make([]core.Columns, len(parts))}
 	for i, p := range parts {
-		snap.Version += p.Version
-		raiseKnown(&cv.known[i], p.Version)
 		snap.Shards[i] = partialColumns(p)
 	}
 	var merged core.Columns
@@ -454,13 +361,6 @@ func (c *Coordinator) SnapshotSliceWindow(key live.SliceKey, win live.Window) (*
 // free of a core import, so the conversion lives on this side).
 func partialColumns(p *api.Partial) core.Columns {
 	return core.Columns{Times: p.Times, Lats: p.Lats, Seqs: p.Seqs}
-}
-
-// Stats snapshots the coordinator's serving counters.
-func (c *Coordinator) Stats() (entries int, epoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries), c.epoch.Load()
 }
 
 var _ live.Querier = (*Coordinator)(nil)

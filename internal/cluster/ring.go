@@ -18,11 +18,12 @@
 //
 // Every version in the system understates: a node stamps a partial with
 // its slice version BEFORE gathering the columns, and the coordinator
-// caches a merged curve under the vector of those per-node stamps. A
-// cached curve is served only while every node's known version still
-// equals its cached stamp, so the coordinator can never claim a curve
-// reflects data it might not contain — the single-node cache invariant,
-// preserved per node.
+// caches a merged curve under the sum of those per-node stamps. A cached
+// curve is served only while the sum of every node's known version still
+// equals it; known versions are raised to the fetched stamps before the
+// curve is cached and only rise, so the sums match only when every node's
+// does, and the coordinator can never claim a curve reflects data it might
+// not contain — the single-node cache invariant, preserved per node.
 package cluster
 
 import (

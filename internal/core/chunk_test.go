@@ -162,7 +162,7 @@ func chunkScenarios() map[string][]chunkFold {
 // 8 with chunks of a few hundred keys: each estimate's curve, its
 // aux-dependent ranks and its bootstrap band must be the same bytes at every
 // worker count, and equal to the batch estimators' over the same columns
-// (EstimateColumns, EstimateSummary with a retained plan, EstimateCIColumns).
+// (EstimateColumns, EstimateSummary with a retained scratch, EstimateCIColumns).
 func TestIncrementalChunkedSweeps(t *testing.T) {
 	splitSmall(t, 256)
 	opts := DefaultCIOptions()
@@ -182,7 +182,7 @@ func TestIncrementalChunkedSweeps(t *testing.T) {
 				opts.Workers = workers
 				inc := e.NewIncremental()
 				ref := &Summary{}
-				plan := &UnbiasedPlan{}
+				sc := &Scratch{}
 				var got []snapshot
 				for step, f := range folds {
 					if err := inc.Fold(f.ts, f.ls, f.qs); err != nil {
@@ -209,7 +209,7 @@ func TestIncrementalChunkedSweeps(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					summary, err := e.EstimateSummary(&Summary{Columns: ref.Columns}, plan, nil)
+					summary, err := e.EstimateSummary(&Summary{Columns: ref.Columns}, sc)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -90,16 +90,6 @@ func (sc *Scratch) RetainedBytes() int {
 // to Estimate over records with the same times and latencies. sc may be
 // nil; a non-nil scratch is reused across calls.
 func (e *Estimator) EstimateColumns(times []timeutil.Millis, lats []float64, sc *Scratch) (*Curve, error) {
-	return e.EstimateFromParts(nil, times, lats, sc)
-}
-
-// EstimateFromParts is EstimateColumns for callers that additionally
-// maintain the biased histogram incrementally: b, when non-nil, must hold
-// exactly the counts of lats under e's binning (the biased histogram is a
-// pure append, so an incrementally maintained copy is exact) and is used
-// read-only in place of a fresh build. The unbiased distribution depends
-// on the whole timeline and draw count, so it is always resampled here.
-func (e *Estimator) EstimateFromParts(b *histogram.Histogram, times []timeutil.Millis, lats []float64, sc *Scratch) (*Curve, error) {
 	defer observeEstimate(time.Now())
 	sp := e.trace.StartChild("estimate")
 	defer sp.End()
@@ -107,20 +97,18 @@ func (e *Estimator) EstimateFromParts(b *histogram.Histogram, times []timeutil.M
 		return nil, err
 	}
 	sp.SetAttr("records", len(times))
-	return e.estimateColumns(sp, b, times, lats, sc, nil)
+	return e.estimateColumns(sp, nil, times, lats, sc)
 }
 
 // estimateColumns is the shared plain-estimator core over sorted columns.
-// A nil b builds the biased histogram here; a nil plan is sc's, or with a
-// nil sc too a private one.
-func (e *Estimator) estimateColumns(sp *obs.Span, b *histogram.Histogram, times []timeutil.Millis, lats []float64, sc *Scratch, plan *UnbiasedPlan) (*Curve, error) {
+// A nil b builds the biased histogram here; a nil sc is a private one.
+func (e *Estimator) estimateColumns(sp *obs.Span, b *histogram.Histogram, times []timeutil.Millis, lats []float64, sc *Scratch) (*Curve, error) {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	if b == nil {
 		bSp := sp.StartChild("build_biased_histogram")
-		if sc != nil {
-			b = sc.biased(e)
-		} else {
-			b = e.newHist()
-		}
+		b = sc.biased(e)
 		for _, v := range lats {
 			b.Add(v)
 		}
@@ -129,18 +117,8 @@ func (e *Estimator) estimateColumns(sp *obs.Span, b *histogram.Histogram, times 
 	}
 
 	uSp := sp.StartChild("sample_unbiased")
-	var u *histogram.Histogram
-	if sc != nil {
-		u = sc.unbiased(e)
-		if plan == nil {
-			plan = &sc.plan
-		}
-	} else {
-		u = e.newHist()
-		if plan == nil {
-			plan = new(UnbiasedPlan)
-		}
-	}
+	u := sc.unbiased(e)
+	plan := &sc.plan
 	lo := times[0]
 	hi := times[len(times)-1] + 1
 	draws := drawCount(len(times), e.opts.UnbiasedPerSample)

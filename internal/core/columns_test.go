@@ -72,10 +72,10 @@ func TestEstimateColumnsMatchesEstimate(t *testing.T) {
 }
 
 // An incrementally maintained biased histogram (appends in arrival order,
-// not time order) must produce the identical curve via EstimateFromParts:
-// weight-1.0 adds are exact integer arithmetic in float64, so the counts
-// are order-independent.
-func TestEstimateFromPartsIncrementalHistogram(t *testing.T) {
+// not time order) handed to EstimateSummary as Summary.B must produce the
+// identical curve: weight-1.0 adds are exact integer arithmetic in float64,
+// so the counts are order-independent.
+func TestEstimateSummaryPrebuiltHistogram(t *testing.T) {
 	src := rng.New(21)
 	records := genRecords(src, 2*timeutil.MillisPerDay,
 		func(timeutil.Millis) float64 { return 400 }, 0.4,
@@ -95,12 +95,17 @@ func TestEstimateFromPartsIncrementalHistogram(t *testing.T) {
 	for _, i := range perm {
 		b.Add(lats[i])
 	}
-	got, err := e.EstimateFromParts(b, times, lats, &Scratch{})
+	seqs := make([]uint64, len(times))
+	for i := range seqs {
+		seqs[i] = uint64(i)
+	}
+	s := &Summary{Columns: Columns{Times: times, Lats: lats, Seqs: seqs}, B: b}
+	got, err := e.EstimateSummary(s, &Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(curveBytes(t, want), curveBytes(t, got)) {
-		t.Fatal("EstimateFromParts with incremental histogram differs")
+		t.Fatal("EstimateSummary with incremental histogram differs")
 	}
 }
 

@@ -425,7 +425,7 @@ func (e *Estimator) Estimate(records []telemetry.Record) (*Curve, error) {
 	sp.SetAttr("records", len(records))
 	telemetry.SortByTime(records)
 	times, lats := columnsOf(records)
-	return e.estimateColumns(sp, nil, times, lats, nil, nil)
+	return e.estimateColumns(sp, nil, times, lats, nil)
 }
 
 // usable filters out failed records (the paper analyzes successful actions

@@ -120,15 +120,16 @@ func MergeSummaries(dst *Summary, parts ...*Summary) error {
 
 // EstimateSummary computes the plain pooled NLP curve (Sections 2.2–2.3)
 // over a delta-maintained Summary, bit-identical to EstimateColumns over
-// the same columns. s.B, when non-nil, stands in for the O(n) biased
-// histogram build; plan retains the unbiased draw-key schedule across calls
-// so a re-estimation after a small fold regenerates no keys unless the
-// observation window moved (see UnbiasedPlan) — a nil plan is sc's own; sc
-// reuses the output-side histograms. With all three retained by the
-// caller, a re-estimation costs one linear sweep over the columns plus
-// curve finishing — no sort, no per-epoch key generation, and no
-// allocation beyond the returned Curve.
-func (e *Estimator) EstimateSummary(s *Summary, plan *UnbiasedPlan, sc *Scratch) (*Curve, error) {
+// the same columns. s.B, when non-nil, must hold exactly the counts of
+// s.Lats under e's binning and stands in for the O(n) biased histogram
+// build; a nil s.B is built here. sc retains the unbiased draw-key plan
+// across calls, so a re-estimation after a small fold regenerates no keys
+// unless the observation window moved (see UnbiasedPlan), and reuses the
+// output-side histograms. With s.B and sc retained by the caller, a
+// re-estimation costs one linear sweep over the columns plus curve
+// finishing — no sort, no per-epoch key generation, and no allocation
+// beyond the returned Curve. A nil sc is a private one.
+func (e *Estimator) EstimateSummary(s *Summary, sc *Scratch) (*Curve, error) {
 	defer observeEstimate(time.Now())
 	sp := e.trace.StartChild("estimate_summary")
 	defer sp.End()
@@ -139,5 +140,5 @@ func (e *Estimator) EstimateSummary(s *Summary, plan *UnbiasedPlan, sc *Scratch)
 		return nil, err
 	}
 	sp.SetAttr("records", s.Len())
-	return e.estimateColumns(sp, s.B, s.Times, s.Lats, sc, plan)
+	return e.estimateColumns(sp, s.B, s.Times, s.Lats, sc)
 }

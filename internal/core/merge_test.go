@@ -174,14 +174,13 @@ func TestMergeSummaries(t *testing.T) {
 }
 
 // The load-bearing byte-identity property: a summary grown fold by fold,
-// re-estimated after every fold with a retained plan + scratch + maintained
-// histogram, must match EstimateColumns from scratch at every step.
+// re-estimated after every fold with a retained scratch (and its plan) and a
+// maintained histogram, must match EstimateColumns from scratch at every step.
 func TestEstimateSummaryIncrementalMatchesBatch(t *testing.T) {
 	e := testEstimator(t, nil)
 	times, lats, seqs := genSeqColumns(11, 1200, 2*timeutil.MillisPerDay, 0.2)
 
 	s := &Summary{B: e.newHist()}
-	plan := &UnbiasedPlan{}
 	sc := &Scratch{}
 	at := 0
 	src := rng.New(5)
@@ -198,7 +197,7 @@ func TestEstimateSummaryIncrementalMatchesBatch(t *testing.T) {
 		at = end
 		step++
 
-		got, err := e.EstimateSummary(s, plan, sc)
+		got, err := e.EstimateSummary(s, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,12 +209,12 @@ func TestEstimateSummaryIncrementalMatchesBatch(t *testing.T) {
 			t.Fatalf("step %d (n=%d): incremental estimate differs from batch", step, s.Len())
 		}
 	}
-	if plan.reused == 0 {
+	if sc.plan.reused == 0 {
 		t.Fatal("final step never reused retained keys — extension path untested")
 	}
 
-	// A nil plan must also work (plain delegation).
-	got, err := e.EstimateSummary(s, nil, sc)
+	// A nil scratch must also work (a private one).
+	got, err := e.EstimateSummary(s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +223,7 @@ func TestEstimateSummaryIncrementalMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(curveBytes(t, want), curveBytes(t, got)) {
-		t.Fatal("nil-plan EstimateSummary differs from batch")
+		t.Fatal("nil-scratch EstimateSummary differs from batch")
 	}
 }
 
@@ -237,12 +236,11 @@ func TestUnbiasedPlanInvalidation(t *testing.T) {
 	if err := s.Fold(sortedSummary(times, lats, seqs).Columns); err != nil {
 		t.Fatal(err)
 	}
-	plan := &UnbiasedPlan{}
 	sc := &Scratch{}
-	if _, err := e.EstimateSummary(s, plan, sc); err != nil {
+	if _, err := e.EstimateSummary(s, sc); err != nil {
 		t.Fatal(err)
 	}
-	if plan.reused != 0 {
+	if sc.plan.reused != 0 {
 		t.Fatal("first estimation cannot reuse keys")
 	}
 
@@ -252,11 +250,11 @@ func TestUnbiasedPlanInvalidation(t *testing.T) {
 	if err := s.Fold(d.Columns); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.EstimateSummary(s, plan, sc)
+	got, err := e.EstimateSummary(s, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.reused != 0 {
+	if sc.plan.reused != 0 {
 		t.Fatal("span change must invalidate the retained keys")
 	}
 	want, err := e.EstimateColumns(s.Times, s.Lats, nil)
@@ -309,7 +307,7 @@ func TestSummaryFoldErrors(t *testing.T) {
 	if err := s.Fold(Columns{Times: []timeutil.Millis{1}}); err != errColumnsRagged {
 		t.Fatalf("ragged delta: %v", err)
 	}
-	if _, err := testEstimator(t, nil).EstimateSummary(&Summary{}, nil, nil); err == nil {
+	if _, err := testEstimator(t, nil).EstimateSummary(&Summary{}, nil); err == nil {
 		t.Fatal("empty summary must error")
 	}
 }
@@ -371,9 +369,8 @@ func BenchmarkEstimateSummaryIncremental(b *testing.B) {
 	if err := s.Fold(sortedSummary(times, lats, seqs).Columns); err != nil {
 		b.Fatal(err)
 	}
-	plan := &UnbiasedPlan{}
 	sc := &Scratch{}
-	if _, err := e.EstimateSummary(s, plan, sc); err != nil {
+	if _, err := e.EstimateSummary(s, sc); err != nil {
 		b.Fatal(err)
 	}
 	src := rng.New(29)
@@ -388,7 +385,7 @@ func BenchmarkEstimateSummaryIncremental(b *testing.B) {
 		if err := s.Fold(d); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.EstimateSummary(s, plan, sc); err != nil {
+		if _, err := e.EstimateSummary(s, sc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,22 +17,27 @@
 // Queries return byte-for-byte the curve the batch `autosens` CLI would
 // compute over the same acked records. The batch path stable-sorts the
 // ack-ordered stream by time; the engine stores each record's global ack
-// sequence number and keeps every per-shard view sorted by (time, seq),
-// so the k-way shard merge reproduces the stable sort exactly. The biased
-// histogram is a pure append of weight-1 counts (exact integer arithmetic
-// in float64, hence order-independent), so per-shard histograms summed at
-// query time equal the batch-built histogram bit for bit; the unbiased
-// sweep and curve finishing then run through the very same core column
-// entry points the batch estimator uses.
+// sequence number, so (time, seq) order reproduces the stable sort
+// exactly. A query decodes each shard's store suffix since its last
+// recompute, sorts it by (time, seq), merges the per-shard deltas into one
+// delta and folds it into the combo's core.Incremental, which keeps the
+// sorted columns, the biased histogram and the unbiased sweep up to date.
+// The biased histogram is a pure append of weight-1 counts (exact integer
+// arithmetic in float64, hence order-independent), so the folded one
+// equals the batch-built histogram bit for bit. The per-shard views, each
+// sorted by (time, seq) and carrying its own histogram, serve only curve
+// partials and watcher snapshots.
 //
 // # Epochs and dirty tracking
 //
-// Every (combo, mode) query result is cached with the combo's version —
-// a monotone counter of matching appends — stamped before the recompute
-// gathers its inputs. A later query is served from cache iff the version
-// still matches; otherwise only shards whose per-combo version moved
-// rebuild their view (on the shared core worker pool), clean shards reuse
-// theirs, and curve finishing runs once over the merged columns.
+// Every (combo, mode, ci, window) query result is cached in a ResultCache
+// with the combo's version — a monotone counter of matching appends —
+// stamped before the recompute gathers its inputs. A later query is served
+// from cache iff the version still matches; otherwise the recompute folds
+// only what arrived since the combo's last one (on the shared core worker
+// pool) and finishes the curve once. A cluster coordinator serves its
+// merged curves through the same ResultCache and the same stateless
+// Finish.
 package live
 
 import (
@@ -87,12 +92,7 @@ type Engine struct {
 
 	epoch atomic.Uint64 // recomputes performed; stamps cache entries
 
-	// cache holds the unwindowed query slots, one per (combo, mode, ci);
-	// wcache/wprev are the two generations of the windowed ones, bounded
-	// because window bounds are caller-chosen (see cacheFor).
-	cmu           sync.Mutex
-	cache         map[queryKey]*comboCache
-	wcache, wprev map[queryKey]*comboCache
+	cache ResultCache
 
 	// cold is the optional cold tier serving records compacted out of the
 	// WAL before this incarnation's cutover; nil means hot-only.
@@ -164,8 +164,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg:    cfg,
 		est:    est,
 		shards: make([]*shard, cfg.Shards),
-		cache:  make(map[queryKey]*comboCache),
-		wcache: make(map[queryKey]*comboCache),
 		states: make(map[int]*comboState),
 
 		wsBudget: maxWindowStateBytes,
@@ -376,15 +374,8 @@ func (e *Engine) StoreBytes() int {
 // Epoch returns the number of curve recomputes performed so far.
 func (e *Engine) Epoch() uint64 { return e.epoch.Load() }
 
-// cachedCurves returns the number of live cache entries.
+// cachedCurves returns the number of unwindowed curves cached.
 func (e *Engine) cachedCurves() int {
-	e.cmu.Lock()
-	defer e.cmu.Unlock()
-	n := 0
-	for _, cc := range e.cache {
-		if cc.val.Load() != nil {
-			n++
-		}
-	}
+	n, _ := e.cache.Len()
 	return n
 }

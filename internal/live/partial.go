@@ -31,7 +31,7 @@ var partialBufPool = sync.Pool{New: func() any {
 //	GET /v1/partials?slice=action:SelectMail&versions=1 → {slice, version}
 //
 // The versions=1 form is the cheap staleness poll: coordinators compare
-// it against the version vector a cached merged curve was computed at.
+// it against the node versions a cached merged curve was computed at.
 //
 // Windowed partials restrict the columns the same two ways /v1/curves
 // does (window= duration plus optional at= RFC3339) or — the

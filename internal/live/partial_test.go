@@ -23,9 +23,7 @@ func finishPartial(t *testing.T, p *api.Partial, opts core.Options) []byte {
 		t.Fatal(err)
 	}
 	s := &core.Summary{Columns: core.Columns{Times: p.Times, Lats: p.Lats, Seqs: p.Seqs}, B: p.Hist}
-	var plan core.UnbiasedPlan
-	var sc core.Scratch
-	c, err := est.EstimateSummary(s, &plan, &sc)
+	c, err := est.EstimateSummary(s, &core.Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}

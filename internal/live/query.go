@@ -140,9 +140,9 @@ func (k SliceKey) matchesTag(tag uint8) bool {
 // ErrNoRecords is returned when a slice holds no usable records.
 var ErrNoRecords = errors.New("live: no records in slice")
 
-// queryKey identifies one cache entry. win is the zero Window for the
-// unwindowed cache; windowed entries carry their exact bounds so distinct
-// windows never share a slot.
+// queryKey identifies one cached query: a slice's combo, its estimator,
+// and its window — the zero Window for unwindowed queries; windowed slots
+// carry their exact bounds so distinct windows never share one.
 type queryKey struct {
 	combo int
 	mode  Mode
@@ -150,11 +150,11 @@ type queryKey struct {
 	win   Window
 }
 
-// comboCache is one (combo, mode, ci) cache slot: val holds the last
-// published result, mu serializes recomputes (single-flight — concurrent
-// dirty queries for the same slot wait for one recompute instead of each
-// running their own).
-type comboCache struct {
+// cacheSlot is one query's cache slot: val holds the last published
+// result, mu serializes recomputes (single-flight — concurrent dirty
+// queries for the same slot wait for one recompute instead of each running
+// their own).
+type cacheSlot struct {
 	mu  sync.Mutex
 	val atomic.Pointer[Result]
 }
@@ -182,42 +182,102 @@ type Result struct {
 	CI json.RawMessage
 }
 
-// maxWindowedCache bounds the windowed query cache: window bounds are
-// caller-chosen (a dashboard defaulting at=now mints a fresh window every
-// request), so unlike the combo-keyed unwindowed cache this one would
-// otherwise grow without bound. It is kept as two generations of half the
-// bound each: a lookup checks the current one, then the previous (promoting
-// on a hit), and a full current generation rotates — so sliding traffic
-// ages out one-shot windows while a window asked for again within the
-// bound (a pinned dashboard) keeps its slot and its still-valid result.
-const maxWindowedCache = 512
+// MaxWindowedCache bounds the windowed slots a ResultCache retains: window
+// bounds are caller-chosen (a dashboard defaulting at=now mints a fresh
+// window every request), so unlike the slice-keyed unwindowed slots these
+// would otherwise grow without bound. They are kept as two generations of
+// half the bound each: a lookup checks the current one, then the previous
+// (promoting on a hit), and a full current generation rotates — so sliding
+// traffic ages out one-shot windows while a window asked for again within
+// the bound (a pinned dashboard) keeps its slot and its still-valid result.
+const MaxWindowedCache = 512
 
-// cacheFor returns (creating if needed) the cache slot for a query.
-func (e *Engine) cacheFor(qk queryKey) *comboCache {
-	e.cmu.Lock()
-	defer e.cmu.Unlock()
+// ResultCache is the /v1/curves query front the engine and the cluster
+// coordinator share: one single-flight slot per (slice, mode, ci, window),
+// unwindowed slots kept for good, windowed ones bounded by
+// MaxWindowedCache. A cached result is served while its Version equals
+// the caller's current slice version; the caller's compute stamps that
+// Version with a value read before it gathered its inputs, so a stamp can
+// only understate and a result can never be served as fresher than it is.
+// The zero value is ready to use.
+type ResultCache struct {
+	mu            sync.Mutex
+	slots         map[queryKey]*cacheSlot
+	wcache, wprev map[queryKey]*cacheSlot
+}
+
+// slot returns (creating if needed) the cache slot for a query.
+func (c *ResultCache) slot(qk queryKey) *cacheSlot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if qk.win.IsZero() {
-		cc, ok := e.cache[qk]
+		s, ok := c.slots[qk]
 		if !ok {
-			cc = &comboCache{}
-			e.cache[qk] = cc
+			if c.slots == nil {
+				c.slots = make(map[queryKey]*cacheSlot)
+			}
+			s = &cacheSlot{}
+			c.slots[qk] = s
 		}
-		return cc
+		return s
 	}
-	cc, ok := e.wcache[qk]
+	s, ok := c.wcache[qk]
 	if ok {
-		return cc
+		return s
 	}
-	if cc, ok = e.wprev[qk]; ok {
-		delete(e.wprev, qk)
+	if s, ok = c.wprev[qk]; ok {
+		delete(c.wprev, qk)
 	} else {
-		cc = &comboCache{}
+		s = &cacheSlot{}
 	}
-	if len(e.wcache) >= maxWindowedCache/2 {
-		e.wprev, e.wcache = e.wcache, make(map[queryKey]*comboCache, maxWindowedCache/2)
+	if c.wcache == nil || len(c.wcache) >= MaxWindowedCache/2 {
+		c.wprev, c.wcache = c.wcache, make(map[queryKey]*cacheSlot, MaxWindowedCache/2)
 	}
-	e.wcache[qk] = cc
-	return cc
+	c.wcache[qk] = s
+	return s
+}
+
+// Query serves the slot's cached result while its Version equals
+// version(), else runs compute once for every concurrent caller of the slot
+// and caches what it returns. compute must stamp Result.Version itself;
+// repeated reports whether the slot held a result before (it merely went
+// stale). Neither function is retained.
+func (c *ResultCache) Query(key SliceKey, mode Mode, ci bool, win Window,
+	version func() uint64, compute func(repeated bool) (*Result, error)) (*Result, error) {
+	s := c.slot(queryKey{combo: key.combo(), mode: mode, ci: ci, win: win})
+	if r := s.val.Load(); r != nil && r.Version == version() {
+		hit := *r
+		hit.Cached = true
+		return &hit, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// Another query may have recomputed while this one waited.
+	prev := s.val.Load()
+	if prev != nil && prev.Version == version() {
+		hit := *prev
+		hit.Cached = true
+		return &hit, nil
+	}
+	res, err := compute(prev != nil)
+	if err != nil {
+		return nil, err
+	}
+	s.val.Store(res)
+	return res, nil
+}
+
+// Len reports how many unwindowed slots hold a result, and how many
+// windowed slots the cache retains.
+func (c *ResultCache) Len() (curves, windowed int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.slots {
+		if s.val.Load() != nil {
+			curves++
+		}
+	}
+	return curves, len(c.wcache) + len(c.wprev)
 }
 
 // Query answers one curve query over the full history the engine holds:
@@ -234,10 +294,17 @@ func (e *Engine) Query(key SliceKey, mode Mode, ci bool) (*Result, error) {
 // way the estimated columns are exactly the stable by-time sort of the
 // acked stream's window, so the finished curve is byte-identical to the
 // batch estimator run over the same records.
+//
+// The combo version covers hot appends; the cold tier below the cutover is
+// immutable for the life of the process (retention only removes data the
+// handler already clamps windows away from), so the hot version alone
+// decides staleness for windowed slots too.
 func (e *Engine) QueryWindow(key SliceKey, mode Mode, ci bool, win Window) (*Result, error) {
 	start := time.Now()
 	qk := queryKey{combo: key.combo(), mode: mode, ci: ci, win: win}
-	res, err := e.queryCached(e.cacheFor(qk), key, qk)
+	res, err := e.cache.Query(key, mode, ci, win,
+		func() uint64 { return e.comboVersion(qk.combo) },
+		func(repeated bool) (*Result, error) { return e.recompute(key, qk, repeated) })
 	e.nQueries.Add(1)
 	if err == nil {
 		if res.Cached {
@@ -258,39 +325,6 @@ func (e *Engine) QueryWindow(key SliceKey, mode Mode, ci bool, win Window) (*Res
 		}
 	}
 	return res, err
-}
-
-// queryCached serves a version-checked cache hit, else a single-flight
-// recompute. The combo version covers hot appends; the cold tier below the
-// cutover is immutable for the life of the process (retention only removes
-// data the handler already clamps windows away from), so the hot version
-// alone decides staleness for windowed slots too.
-func (e *Engine) queryCached(cc *comboCache, key SliceKey, qk queryKey) (*Result, error) {
-	if r := cc.val.Load(); r != nil && r.Version == e.comboVersion(qk.combo) {
-		hit := *r
-		hit.Cached = true
-		return &hit, nil
-	}
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	// Another query may have recomputed while this one waited.
-	prev := cc.val.Load()
-	if prev != nil && prev.Version == e.comboVersion(qk.combo) {
-		hit := *prev
-		hit.Cached = true
-		return &hit, nil
-	}
-	// Stamp the version before gathering: appends racing with the
-	// recompute below may or may not be included, and the understated
-	// stamp guarantees the next query notices and recomputes.
-	v0 := e.comboVersion(qk.combo)
-	res, err := e.recompute(key, qk, prev != nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Version = v0
-	cc.val.Store(res)
-	return res, nil
 }
 
 // comboState is one delta-maintained estimation state: a combo's, shared
@@ -322,7 +356,7 @@ func (cs *comboState) drop() {
 // scratch is one recompute's reusable buffers: per-shard decoded delta
 // columns and block snapshots, the runs of them a fold merges, the merged
 // delta (or a window's merged view), and — for stateless windows — the
-// draw-key plan and histograms the columns kernel estimates with. Scratch
+// estimator scratch (draw-key plan and histograms) Finish uses. Scratch
 // is pooled on the engine, not kept per state, so what a state retains is
 // its folded columns only and the steady-state dirty path still allocates
 // nothing here.
@@ -331,7 +365,6 @@ type scratch struct {
 	snaps [][]blockSnap
 	runs  []core.Columns // sh, each clipped to the window being folded
 	all   core.Columns
-	plan  core.UnbiasedPlan
 	est   core.Scratch
 	size  int // bytes accounted to poolBytes while idle
 }
@@ -356,7 +389,7 @@ func (e *Engine) getScratch() *scratch {
 }
 
 func (e *Engine) putScratch(sc *scratch) {
-	sc.size = 24*cap(sc.all.Times) + sc.plan.RetainedBytes() + sc.est.RetainedBytes()
+	sc.size = 24*cap(sc.all.Times) + sc.est.RetainedBytes()
 	for i := range sc.sh {
 		sc.size += 24 * cap(sc.sh[i].Times)
 	}
@@ -391,11 +424,15 @@ func (e *Engine) stateFor(combo int) *comboState {
 }
 
 // recompute brings the estimation state behind one query slot up to date
-// and re-finishes its curve. repeated reports whether the slot was
-// answered before (its result merely went stale) — what decides whether a
-// window is worth keeping state for.
+// and re-finishes its curve, stamped with the combo version read before
+// gathering: appends racing with the recompute may or may not be included,
+// and the understated stamp guarantees the next query notices and
+// recomputes. repeated reports whether the slot was answered before (its
+// result merely went stale) — what decides whether a window is worth
+// keeping state for.
 func (e *Engine) recompute(key SliceKey, qk queryKey, repeated bool) (res *Result, err error) {
 	start := time.Now()
+	v0 := e.comboVersion(qk.combo)
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	label := "combo_recompute"
@@ -416,7 +453,7 @@ func (e *Engine) recompute(key SliceKey, qk queryKey, repeated bool) (res *Resul
 		cs.mu.Lock()
 		defer cs.mu.Unlock()
 		if dirty, folded, err = e.foldDelta(cs, key, Window{}, sc); err == nil {
-			res, err = e.finish(cs, core.Columns{}, sc, key, qk.mode, qk.ci)
+			res, err = e.finish(cs, key, qk)
 		}
 	})
 	e.nDirty.Add(1)
@@ -430,6 +467,7 @@ func (e *Engine) recompute(key SliceKey, qk queryKey, repeated bool) (res *Resul
 	if err != nil {
 		return nil, err
 	}
+	res.Version = v0
 	res.Epoch = e.epoch.Add(1)
 	return res, nil
 }
@@ -469,52 +507,78 @@ func (e *Engine) foldDelta(st *comboState, key SliceKey, win Window, sc *scratch
 	return dirty, folded, st.inc.Fold(sc.all.Times, sc.all.Lats, sc.all.Seqs)
 }
 
-// finish estimates one (mode, ci) slot: over cs's folded state through the
-// delta-maintained entry points, or — cs nil, a stateless window — over the
-// view v through the columns kernel with sc's pooled plan and histograms.
-// Both produce the bytes the batch estimator would over the same columns.
-func (e *Engine) finish(cs *comboState, v core.Columns, sc *scratch, key SliceKey, mode Mode, ci bool) (*Result, error) {
-	if cs != nil {
-		v.Times, v.Lats = cs.inc.Columns()
-	}
-	if v.Len() == 0 {
+// finish estimates one (mode, ci) slot over cs's folded state through the
+// delta-maintained entry points, which produce the bytes Finish — and so
+// the batch estimator — would over the same columns.
+func (e *Engine) finish(cs *comboState, key SliceKey, qk queryKey) (*Result, error) {
+	times, _ := cs.inc.Columns()
+	if len(times) == 0 {
 		return nil, ErrNoRecords
 	}
-	res := &Result{Slice: key.String(), Mode: mode.String(), Records: v.Len()}
 	var curve *core.Curve
+	var band *core.CurveCI
 	var err error
 	switch {
-	case ci:
-		var band *core.CurveCI
+	case qk.ci:
 		opts := e.cfg.CI
-		opts.TimeNormalized = mode == ModeNormalized
-		if cs != nil {
-			band, err = e.est.EstimateCIIncremental(cs.inc, opts)
-		} else {
-			band, err = e.est.EstimateCIColumns(v.Times, v.Lats, opts)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if res.CI, err = band.MarshalBoundsJSON(); err != nil {
-			return nil, err
-		}
-		curve = band.Curve
-	case mode == ModeNormalized && cs != nil:
+		opts.TimeNormalized = qk.mode == ModeNormalized
+		band, err = e.est.EstimateCIIncremental(cs.inc, opts)
+	case qk.mode == ModeNormalized:
 		curve, err = cs.inc.EstimateTimeNormalized()
 		e.countNormalized(cs)
-	case mode == ModeNormalized:
-		curve, err = e.est.EstimateTimeNormalizedColumns(v.Times, v.Lats)
-	case cs != nil:
-		curve, err = cs.inc.EstimatePlain()
 	default:
-		curve, err = e.est.EstimateSummary(&core.Summary{Columns: v}, &sc.plan, &sc.est)
+		curve, err = cs.inc.EstimatePlain()
 	}
 	if err != nil {
 		return nil, err
 	}
-	res.Curve, err = curve.MarshalJSON()
-	return res, err
+	return newResult(key, qk.mode, len(times), curve, band)
+}
+
+// Finish is the stateless curve finisher the engine's first-seen windows
+// and the cluster coordinator share: it estimates one (mode, ci) curve over
+// s, a slice's (time, seq)-sorted columns, into an unstamped Result. s.B,
+// when non-nil, must hold exactly the counts of s.Lats under est's binning
+// (a coordinator's summed partial histograms); nil builds it. sc is the
+// plain estimator's reusable scratch and ciOpts configures ci=1 bounds.
+// Every path is a batch column entry point, so the bytes are the batch
+// estimator's over the same rows.
+func Finish(est *core.Estimator, ciOpts core.CIOptions, key SliceKey, mode Mode, ci bool, s *core.Summary, sc *core.Scratch) (*Result, error) {
+	if s.Len() == 0 {
+		return nil, ErrNoRecords
+	}
+	var curve *core.Curve
+	var band *core.CurveCI
+	var err error
+	switch {
+	case ci:
+		ciOpts.TimeNormalized = mode == ModeNormalized
+		band, err = est.EstimateCIColumns(s.Times, s.Lats, ciOpts)
+	case mode == ModeNormalized:
+		curve, err = est.EstimateTimeNormalizedColumns(s.Times, s.Lats)
+	default:
+		curve, err = est.EstimateSummary(s, sc)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return newResult(key, mode, s.Len(), curve, band)
+}
+
+// newResult marshals a finished curve — band's, when band is non-nil, with
+// its bounds — into a Result over n records.
+func newResult(key SliceKey, mode Mode, n int, curve *core.Curve, band *core.CurveCI) (res *Result, err error) {
+	res = &Result{Slice: key.String(), Mode: mode.String(), Records: n}
+	if band != nil {
+		if res.CI, err = band.MarshalBoundsJSON(); err != nil {
+			return nil, err
+		}
+		curve = band.Curve
+	}
+	if res.Curve, err = curve.MarshalJSON(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // countNormalized adds cs's latest delta-maintained normalized estimate to

@@ -227,7 +227,7 @@ func (e *Engine) recomputeWindow(key SliceKey, qk queryKey, repeated bool, sc *s
 		e.nWinPath[winStateless].Add(1)
 		var v core.Columns
 		if v, _, dirty, folded, err = e.windowView(key, qk.win, sc, nil); err == nil {
-			res, err = e.finish(nil, v, sc, key, qk.mode, qk.ci)
+			res, err = Finish(e.est, e.cfg.CI, key, qk.mode, qk.ci, &core.Summary{Columns: v}, &sc.est)
 		}
 		return res, dirty, folded, err
 	}
@@ -251,7 +251,7 @@ func (e *Engine) recomputeWindow(key SliceKey, qk queryKey, repeated bool, sc *s
 		e.retainWindowState(k, ws, 0)
 		return nil, dirty, folded, err
 	}
-	res, err = e.finish(&ws.comboState, core.Columns{}, sc, key, qk.mode, qk.ci)
+	res, err = e.finish(&ws.comboState, key, qk)
 	e.retainWindowState(k, ws, ws.inc.RetainedBytes())
 	return res, dirty, folded, err
 }
