@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -448,5 +450,51 @@ func TestRunComparisonByAction(t *testing.T) {
 	}
 	if err := runComparison(&out, recs, opts, "bogus", "", "500", true, 0, nil); err == nil {
 		t.Fatal("unknown dimension accepted")
+	}
+}
+
+// TestRunNormalizedBandGolden pins the bytes of the time-normalized band
+// the benchmark's -ci invocation prints (chart and probe table), writes as
+// CSV (with its ci_lower/ci_upper columns) and as curve JSON, at several
+// worker counts. The hashes were recorded when every bootstrap replicate
+// reran the batch estimator from scratch.
+func TestRunNormalizedBandGolden(t *testing.T) {
+	const (
+		wantOut  = "9dde65c5d34f1e2cb1b26afdf9a57cb83e7b3ef30d4217a6976a5d6452db9d4e"
+		wantCSV  = "41a04bc37308afb2726b03f39065f85cca6829bf7281cc3666ceaa2c3f3b80f9"
+		wantJSON = "26fc07de2702f3def15566ea8677106b75e3504e02a109eb7dc8d1cedf38ccbb"
+	)
+	dir := t.TempDir()
+	tbinPath := filepath.Join(dir, "t.tbin")
+	writeFile(t, tbinPath, telemetry.TBIN)
+	hash := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	for _, workers := range []string{"1", "2", "8"} {
+		csvPath, jsonPath := filepath.Join(dir, "c.csv"), filepath.Join(dir, "c.json")
+		var out bytes.Buffer
+		args := []string{"-in", tbinPath, "-format", "tbin", "-action", "SelectMail", "-ci",
+			"-workers", workers, "-csv", csvPath, "-json", jsonPath, "-log-level", "error"}
+		if err := run(args, &out); err != nil {
+			t.Fatalf("autosens %v: %v", args, err)
+		}
+		csvBytes, err := os.ReadFile(csvPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jsonBytes, err := os.ReadFile(jsonPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct{ what, got, want string }{
+			{"stdout", hash(out.Bytes()), wantOut},
+			{"csv", hash(csvBytes), wantCSV},
+			{"json", hash(jsonBytes), wantJSON},
+		} {
+			if c.got != c.want {
+				t.Errorf("-workers %s: %s sha256 = %s, want %s", workers, c.what, c.got, c.want)
+			}
+		}
 	}
 }
