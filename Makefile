@@ -169,12 +169,14 @@ bench-store-gate:
 		$(GO) run ./cmd/benchjson -against BENCH_store.json -names BenchmarkStoreQueryWindowDirty -require-baseline
 
 # fuzz runs each telemetry, merge-kernel, column-codec, cluster-partial
-# and cold-block fuzz target for a short bounded burst.
+# and cold-block fuzz target, and the normalized-bootstrap differential
+# one, for a short bounded burst.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzRecordRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run=^$$ -fuzz='^FuzzReaderNoCrash$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run=^$$ -fuzz='^FuzzMergeColumns$$' -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run=^$$ -fuzz='^FuzzNormalizedReplicateMatchesBatch$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=^$$ -fuzz='^FuzzColumnRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/colcodec/
 	$(GO) test -run=^$$ -fuzz='^FuzzPartialRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/collector/api/
 	$(GO) test -run=^$$ -fuzz='^FuzzPartialMergeNoCrash$$' -fuzztime=$(FUZZTIME) ./internal/cluster/

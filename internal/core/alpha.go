@@ -179,20 +179,10 @@ func (e *Estimator) poolOneReference(sp *obs.Span, slots []*slotData, ref *slotD
 // unbiased draws.
 func (e *Estimator) buildSlots(sp *obs.Span, times []timeutil.Millis, lats []float64, src *rng.Source) []*slotData {
 	partSp := sp.StartChild("partition_slots")
-	windowLo := times[0]
-	windowHi := times[len(times)-1] + 1
-	var slots []*slotData
-	for i := 0; i < len(times); {
-		slot := e.slotOf(times[i])
-		j := i
-		for j < len(times) && e.slotOf(times[j]) == slot {
-			j++
-		}
-		if sd := e.retainSlot(slot, j-i, windowLo, windowHi); sd != nil {
-			sd.times, sd.lats = times[i:j], lats[i:j]
-			slots = append(slots, sd)
-		}
-		i = j
+	cuts, _ := e.cutSlots(nil, times)
+	slots := make([]*slotData, len(cuts))
+	for k, c := range cuts {
+		slots[k] = &slotData{slot: c.slot, count: c.j - c.i, times: times[c.i:c.j], lats: lats[c.i:c.j], lo: c.lo, hi: c.hi}
 	}
 	partSp.SetAttr("slots", len(slots))
 	partSp.End()
@@ -220,6 +210,43 @@ func (e *Estimator) buildSlots(sp *obs.Span, times []timeutil.Millis, lats []flo
 // slotOf is the index of the time slot holding instant t.
 func (e *Estimator) slotOf(t timeutil.Millis) int { return int(t / e.opts.SlotDuration) }
 
+// slotBounds is slot's span clipped to the window [windowLo, windowHi).
+func (e *Estimator) slotBounds(slot int, windowLo, windowHi timeutil.Millis) (lo, hi timeutil.Millis) {
+	dur := e.opts.SlotDuration
+	return max(timeutil.Millis(slot)*dur, windowLo), min(timeutil.Millis(slot+1)*dur, windowHi)
+}
+
+// slotCut is one retained slot of a partition of time-sorted columns.
+type slotCut struct {
+	slot   int
+	i, j   int             // the slot's records are columns [i, j)
+	lo, hi timeutil.Millis // slot bounds clipped to the window
+}
+
+// cutSlots partitions time-sorted columns into slots, keeps those holding at
+// least MinSlotActions records and clips their bounds to the window; totalDur
+// is the retained slots' summed span, which their draw quotas divide
+// (drawQuota). The batch, delta-maintained and bootstrap estimators all slot
+// their columns here. The result reuses dst's storage.
+func (e *Estimator) cutSlots(dst []slotCut, times []timeutil.Millis) (cuts []slotCut, totalDur timeutil.Millis) {
+	n := len(times)
+	windowLo, windowHi := times[0], times[n-1]+1
+	cuts = dst[:0]
+	for i := 0; i < n; {
+		slot := e.slotOf(times[i])
+		// Times ascend and t/dur is monotone in t, so the slot's end is the
+		// first record mapping elsewhere.
+		j := i + sort.Search(n-i, func(k int) bool { return e.slotOf(times[i+k]) != slot })
+		if j-i >= e.opts.MinSlotActions {
+			lo, hi := e.slotBounds(slot, windowLo, windowHi)
+			cuts = append(cuts, slotCut{slot: slot, i: i, j: j, lo: lo, hi: hi})
+			totalDur += hi - lo
+		}
+		i = j
+	}
+	return cuts, totalDur
+}
+
 // retainSlot returns the state of a slot holding count of the records of
 // the window [windowLo, windowHi), its bounds clipped to the window, or nil
 // when the slot is too thin to keep.
@@ -227,28 +254,32 @@ func (e *Estimator) retainSlot(slot, count int, windowLo, windowHi timeutil.Mill
 	if count < e.opts.MinSlotActions {
 		return nil
 	}
-	return &slotData{
-		slot:  slot,
-		count: count,
-		lo:    maxMillis(timeutil.Millis(slot)*e.opts.SlotDuration, windowLo),
-		hi:    minMillis(timeutil.Millis(slot+1)*e.opts.SlotDuration, windowHi),
-	}
+	lo, hi := e.slotBounds(slot, windowLo, windowHi)
+	return &slotData{slot: slot, count: count, lo: lo, hi: hi}
 }
 
-// slotDraws gives each retained slot of an n-record estimate its unbiased
-// draw quota and its RNG stream src.Split(i); draws is the quotas' sum.
-// They depend on the slots' bounds and n alone, never on the records.
+// drawQuota is the unbiased draw quota of a retained slot spanning span of
+// an n-record estimate whose retained slots span totalDur in all: its share
+// of ceil(n·UnbiasedPerSample), rounded up. It depends on the slots' bounds
+// and n alone, never on the records.
 //
 // Unbiased draws are allotted per unit of slot *time*, not per action:
 // after α normalization the pooled biased counts weight every slot's time
 // equally, so the pooled unbiased distribution must too — otherwise busy
 // (and typically slow) slots would dominate U and skew the ratio.
+func (e *Estimator) drawQuota(n int, span, totalDur timeutil.Millis) int {
+	totalDraws := math.Ceil(float64(n) * e.opts.UnbiasedPerSample)
+	return int(math.Ceil(totalDraws * float64(span) / float64(totalDur)))
+}
+
+// slotDraws gives each retained slot of an n-record estimate its unbiased
+// draw quota (drawQuota) and its RNG stream src.Split(i); draws is the
+// quotas' sum.
 //
 // Quotas and streams are derived serially in slot order (Split advances
 // src), so the fills that consume them — the expensive part — may run in
 // any order on any number of workers with bit-identical results.
 func (e *Estimator) slotDraws(slots []*slotData, n int, src *rng.Source) (quotas []int, srcs []*rng.Source, draws int) {
-	totalDraws := math.Ceil(float64(n) * e.opts.UnbiasedPerSample)
 	var totalDur timeutil.Millis
 	for _, sd := range slots {
 		totalDur += sd.hi - sd.lo
@@ -256,7 +287,7 @@ func (e *Estimator) slotDraws(slots []*slotData, n int, src *rng.Source) (quotas
 	quotas = make([]int, len(slots))
 	srcs = make([]*rng.Source, len(slots))
 	for i, sd := range slots {
-		quotas[i] = int(math.Ceil(totalDraws * float64(sd.hi-sd.lo) / float64(totalDur)))
+		quotas[i] = e.drawQuota(n, sd.hi-sd.lo, totalDur)
 		draws += quotas[i]
 		srcs[i] = src.Split(uint64(i))
 	}
@@ -280,6 +311,17 @@ func (e *Estimator) fillSlotBiased(sd *slotData) {
 	for _, v := range sd.lats {
 		sd.fine.Add(v)
 		sd.coarse.Add(v)
+	}
+}
+
+// fillSlotBiasedIndexed is fillSlotBiased over records binned once: fine and
+// coarse are the slot's records' bin indices.
+func (e *Estimator) fillSlotBiasedIndexed(sd *slotData, fine, coarse []uint16) {
+	e.resetHist(&sd.fine, e.opts.BinWidthMS)
+	e.resetHist(&sd.coarse, e.opts.AlphaBinWidthMS)
+	for k := range fine {
+		sd.fine.AddIndex(int(fine[k]), 1)
+		sd.coarse.AddIndex(int(coarse[k]), 1)
 	}
 }
 
@@ -405,18 +447,4 @@ func averageCurves(cs []*Curve) *Curve {
 		}
 	}
 	return out
-}
-
-func maxMillis(a, b timeutil.Millis) timeutil.Millis {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minMillis(a, b timeutil.Millis) timeutil.Millis {
-	if a < b {
-		return a
-	}
-	return b
 }

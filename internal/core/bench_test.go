@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -209,12 +210,28 @@ func BenchmarkEstimateCIWorkers8(b *testing.B) {
 	benchmarkEstimateCI(b, 8)
 }
 
+// BenchmarkEstimateCINormalized measures the time-normalized band — the
+// full method's point curve plus its replicates — serially and across
+// GOMAXPROCS workers.
+func BenchmarkEstimateCINormalized(b *testing.B) {
+	for _, workers := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			benchmarkEstimateCIMode(b, workers, true)
+		})
+	}
+}
+
 func benchmarkEstimateCI(b *testing.B, workers int) {
+	benchmarkEstimateCIMode(b, workers, false)
+}
+
+func benchmarkEstimateCIMode(b *testing.B, workers int, normalized bool) {
 	b.Helper()
 	records := benchRecords(b)
 	e := benchEstimator(b)
 	opts := benchCIOpts()
 	opts.Workers = workers
+	opts.TimeNormalized = normalized
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"autosens/internal/histogram"
@@ -46,6 +45,7 @@ type normState struct {
 	parent rng.Source   // rng.New(seed), advanced by one Split per entry of splits
 	splits []rng.Source // splits[i]: origin of retained slot i's key stream
 	slots  map[int]*normSlot
+	cuts   []slotCut   // partition scratch
 	cur    []slotWork  // retained slots of the running estimate, in time order
 	out    []*slotData // the same, as poolNormalized takes them
 	last   NormalizedStats
@@ -107,10 +107,9 @@ type normSlot struct {
 
 // slotWork is one retained slot's share of the running estimate.
 type slotWork struct {
-	ns     *normSlot
-	i, j   int // the slot's records are columns [i, j)
-	lo, hi timeutil.Millis
-	path   SlotPath
+	slotCut
+	ns   *normSlot
+	path SlotPath
 }
 
 // EstimateTimeNormalized computes the full time-normalized NLP curve
@@ -156,7 +155,7 @@ func (inc *Incremental) NormalizedStats() (last NormalizedStats, tableBytes int)
 // retainedBytes approximates the heap the slot states hold between
 // estimates: the draw tables plus six histograms a slot.
 func (nz *normState) retainedBytes() int {
-	n := 16*cap(nz.splits) + 48*cap(nz.cur) + 8*cap(nz.out)
+	n := 16*cap(nz.splits) + 40*cap(nz.cuts) + 56*cap(nz.cur) + 8*cap(nz.out)
 	for _, ns := range nz.slots {
 		n += drawEntryBytes*cap(ns.table) + 256
 		if ns.fine != nil {
@@ -166,45 +165,29 @@ func (nz *normState) retainedBytes() int {
 	return n
 }
 
-// refresh partitions the columns into slots exactly as buildSlots does —
-// slot edges found by binary search, the same thin-slot rule, clipping and
-// quota arithmetic — and brings every retained slot's state current.
+// refresh partitions the columns into slots exactly as buildSlots does
+// (cutSlots, drawQuota) and brings every retained slot's state current.
 func (nz *normState) refresh(e *Estimator, times []timeutil.Millis, lats []float64) []*slotData {
 	n := len(times)
-	dur := e.opts.SlotDuration
-	windowLo, windowHi := times[0], times[n-1]+1
+	cuts, totalDur := e.cutSlots(nz.cuts, times)
+	nz.cuts = cuts
 	nz.cur = nz.cur[:0]
-	var totalDur timeutil.Millis
-	for i := 0; i < n; {
-		slot := int(times[i] / dur)
-		// Times ascend and t/dur is monotone in t, so the slot's end is the
-		// first record mapping elsewhere.
-		j := i + sort.Search(n-i, func(k int) bool { return int(times[i+k]/dur) != slot })
-		if j-i >= e.opts.MinSlotActions {
-			ns := nz.slots[slot]
-			if ns == nil {
-				ns = &normSlot{slotData: slotData{slot: slot}}
-				nz.slots[slot] = ns
-			}
-			w := slotWork{
-				ns: ns, i: i, j: j,
-				lo: maxMillis(timeutil.Millis(slot)*dur, windowLo),
-				hi: minMillis(timeutil.Millis(slot+1)*dur, windowHi),
-			}
-			totalDur += w.hi - w.lo
-			nz.cur = append(nz.cur, w)
+	for _, c := range cuts {
+		ns := nz.slots[c.slot]
+		if ns == nil {
+			ns = &normSlot{slotData: slotData{slot: c.slot}}
+			nz.slots[c.slot] = ns
 		}
-		i = j
+		nz.cur = append(nz.cur, slotWork{slotCut: c, ns: ns})
 	}
 	// Split advances the parent stream, so origins are derived serially, in
 	// retained order, once each.
 	for len(nz.splits) < len(nz.cur) {
 		nz.splits = append(nz.splits, *nz.parent.Split(uint64(len(nz.splits))))
 	}
-	totalDraws := math.Ceil(float64(n) * e.opts.UnbiasedPerSample)
 	e.forEachIndex(len(nz.cur), func(r int) {
 		w := &nz.cur[r]
-		quota := int(math.Ceil(totalDraws * float64(w.hi-w.lo) / float64(totalDur)))
+		quota := e.drawQuota(n, w.hi-w.lo, totalDur)
 		w.path = w.ns.update(e, r, times[w.i:w.j], lats[w.i:w.j], w.lo, w.hi, quota, &nz.splits[r])
 	})
 	nz.last = NormalizedStats{}
@@ -258,14 +241,30 @@ func (ns *normSlot) refill(e *Estimator, grew, moved bool, ridx int, lo, hi time
 // generate draws and sorts the slot's key table for quota draws plus
 // headroom — quotas drift with every fold, and a drift inside the headroom
 // costs no RNG and no sort. It reports false, leaving no table, when the
-// table's 32-bit fields cannot hold the slot or a raw word of the stream
-// was rejected (then the seed for quota q no longer sits at word 2q).
+// table cannot be drawn (drawTable) or the slot's record indices overflow
+// the table's adopt field.
 func (ns *normSlot) generate(origin *rng.Source, span uint64, quota int) bool {
 	table := ns.table[:0]
 	ns.table = nil
-	g := quota + quota/8 + 16
-	if span > math.MaxUint32 || g > math.MaxInt32 || ns.count > math.MaxInt32 {
+	if ns.count > math.MaxInt32 {
 		return false
+	}
+	table, ok := drawTable(table, origin, span, quota+quota/8+16)
+	if ok {
+		ns.table = table
+	}
+	return ok
+}
+
+// drawTable fills table (reusing its storage) with the first g keys of the
+// stream at origin over span, tagged with their generation and sorted
+// (drawKeys), adopt left zero. It reports false when the table's 32-bit
+// fields cannot hold span or g, or a raw word of the stream was rejected:
+// only an intact stream puts the tie-break seed of every quota q ≤ g at word
+// 2q from origin (streamIntact).
+func drawTable(table []drawEntry, origin *rng.Source, span uint64, g int) ([]drawEntry, bool) {
+	if span > math.MaxUint32 || g > math.MaxInt32 {
+		return table[:0], false
 	}
 	sc := slotSweepPool.Get().(*sweepScratch)
 	defer slotSweepPool.Put(sc)
@@ -273,7 +272,7 @@ func (ns *normSlot) generate(origin *rng.Source, span uint64, quota int) bool {
 	src := *origin
 	drawKeys(&src, span, keys, tmp, true)
 	if !streamIntact(origin, &src, g) {
-		return false
+		return table[:0], false
 	}
 	if cap(table) < g {
 		table = make([]drawEntry, g)
@@ -282,8 +281,7 @@ func (ns *normSlot) generate(origin *rng.Source, span uint64, quota int) bool {
 	for i, k := range keys {
 		table[i] = drawEntry{off: uint32(k >> 32), gen: uint32(k)}
 	}
-	ns.table = table
-	return true
+	return table, true
 }
 
 // streamIntact reports whether drawing g keys took the stream from origin to
@@ -375,4 +373,45 @@ func (ns *normSlot) sweep(e *Estimator, origin *rng.Source, quota int, readopt b
 	// batch sweep's interleaved order.
 	_ = ns.fineU.AddHistogram(ns.stFine) // same binning by construction
 	_ = ns.coarseU.AddHistogram(ns.stCoarse)
+}
+
+// sweepTable adds to fineU and coarseU the first quota draws of a full-slot
+// table — the draws fillSlotUnbiased makes from the table's origin over
+// [lo, lo+span) — adopting among the slot's records times, binned once into
+// fine and coarse. The table is read only: the draws of the quota are its
+// entries with generation below it, in table order (the prefix filter), and
+// auxSeed must be the quota's tie-break seed, the word 2·quota from the
+// origin.
+func sweepTable(table []drawEntry, quota int, auxSeed uint64, times []timeutil.Millis, fine, coarse []uint16, lo timeutil.Millis, fineU, coarseU *histogram.Histogram) {
+	add := func(k int, m float64) {
+		fineU.AddIndex(int(fine[k]), m)
+		coarseU.AddIndex(int(coarse[k]), m)
+	}
+	q := uint32(quota)
+	idx, rank := 0, 0
+	run, m := 0, 0 // m pending tie-free draws adopting record run
+	for _, en := range table {
+		if en.gen >= q {
+			continue
+		}
+		t := lo + timeutil.Millis(en.off)
+		for idx < len(times) && times[idx] < t {
+			idx++
+		}
+		j, mid := nearestAt(times, idx, t)
+		if mid || tied(times, j) {
+			add(pickTied(times, j, mid, rng.Mix64(auxSeed+uint64(rank))), 1)
+		} else {
+			if j != run && m > 0 {
+				add(run, float64(m))
+				m = 0
+			}
+			run = j
+			m++
+		}
+		rank++
+	}
+	if m > 0 {
+		add(run, float64(m))
+	}
 }

@@ -93,36 +93,60 @@ func TestEstimateCIBootstrapSpan(t *testing.T) {
 		func(timeutil.Millis) float64 { return 400 }, 0.3,
 		func(timeutil.Millis) float64 { return 2 })
 
-	est := testEstimator(t, nil)
-	tr := obs.NewTracer("test")
-	est.SetTrace(tr.Root())
-	opts := DefaultCIOptions()
-	opts.Resamples = 4
-	band, err := est.EstimateCI(records, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := tr.Finish()
+	for _, normalized := range []bool{false, true} {
+		est := testEstimator(t, nil)
+		tr := obs.NewTracer("test")
+		est.SetTrace(tr.Root())
+		opts := DefaultCIOptions()
+		opts.Resamples = 4
+		opts.TimeNormalized = normalized
+		band, err := est.EstimateCI(records, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := tr.Finish()
 
-	ci := root.Find("estimate_ci")
-	if ci == nil {
-		t.Fatal("no estimate_ci span")
-	}
-	boot := ci.Find("bootstrap")
-	if boot == nil {
-		t.Fatal("no bootstrap span")
-	}
-	if v, ok := boot.Attr("replicates"); !ok || v.(int) != band.Replicates {
-		t.Fatalf("replicates attr = %v, want %d", v, band.Replicates)
-	}
-	// Replicates run untraced: the bootstrap span must not accumulate
-	// per-replicate stage children.
-	if len(boot.Children()) != 0 {
-		t.Fatalf("bootstrap span has %d children", len(boot.Children()))
-	}
-	// The point estimate is traced under estimate_ci.
-	if ci.Find("estimate") == nil {
-		t.Fatal("point estimate span missing under estimate_ci")
+		ci := root.Find("estimate_ci")
+		if ci == nil {
+			t.Fatal("no estimate_ci span")
+		}
+		boot := ci.Find("bootstrap")
+		if boot == nil {
+			t.Fatal("no bootstrap span")
+		}
+		if v, ok := boot.Attr("replicates"); !ok || v.(int) != band.Replicates {
+			t.Fatalf("replicates attr = %v, want %d", v, band.Replicates)
+		}
+		// Replicates run untraced: the bootstrap span must not accumulate
+		// per-replicate stage children.
+		if len(boot.Children()) != 0 {
+			t.Fatalf("bootstrap span has %d children", len(boot.Children()))
+		}
+		// The point estimate is traced under estimate_ci.
+		point := "estimate"
+		if normalized {
+			point = "estimate_time_normalized"
+		}
+		if ci.Find(point) == nil {
+			t.Fatalf("point estimate span %s missing under estimate_ci", point)
+		}
+
+		// Normalized replicate slots, summed over the 4 replicates: 48
+		// hourly slots each, swept from the shared tables but for the edge
+		// slots clipped to a replicate's window (one replicate's last block
+		// runs past its last retained hour, which is then full). The window
+		// starts 36 ms past an hour, so each of the 8 block positions holds 5
+		// whole hours, whose biased histograms are reused.
+		want := map[string]int{"table_slots": 185, "fallback_slots": 7, "biased_reused": 160}
+		for name, n := range want {
+			v, ok := boot.Attr(name)
+			switch {
+			case !normalized && ok:
+				t.Fatalf("plain bootstrap span carries %s", name)
+			case normalized && (!ok || v.(int) != n):
+				t.Fatalf("%s attr = %v, want %d", name, v, n)
+			}
+		}
 	}
 }
 

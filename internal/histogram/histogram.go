@@ -100,6 +100,16 @@ func (h *Histogram) AddWeighted(v, w float64) {
 	h.total += w
 }
 
+// AddIndex accumulates weight w into bin i, an Index result: AddWeighted
+// for callers that binned their values once and add them many times.
+func (h *Histogram) AddIndex(i int, w float64) {
+	if w < 0 || math.IsNaN(w) {
+		panic(fmt.Sprintf("histogram: invalid weight %v", w))
+	}
+	h.counts[i] += w
+	h.total += w
+}
+
 // Sub removes one previously added weight-1 observation. Weight-1 adds and
 // subtracts are exact integer arithmetic in float64, so delta-maintained
 // histograms that retract stale observations stay bit-identical to a

@@ -73,6 +73,24 @@ func TestAddAndTotal(t *testing.T) {
 	}
 }
 
+// TestAddIndexMatchesAddWeighted: adding at a value's Index is adding the
+// value, clamped bins included.
+func TestAddIndexMatchesAddWeighted(t *testing.T) {
+	a, b := MustNew(0, 100, 10), MustNew(0, 100, 10)
+	for _, v := range []float64{-5, 0, 5, 15, 99.9, 100, 250} {
+		a.AddWeighted(v, 2)
+		b.AddIndex(b.Index(v), 2)
+	}
+	for i := 0; i < a.Bins(); i++ {
+		if a.Count(i) != b.Count(i) {
+			t.Fatalf("bin %d: AddIndex %v, AddWeighted %v", i, b.Count(i), a.Count(i))
+		}
+	}
+	if a.Total() != b.Total() {
+		t.Fatalf("total: AddIndex %v, AddWeighted %v", b.Total(), a.Total())
+	}
+}
+
 func TestNegativeWeightPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
