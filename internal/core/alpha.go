@@ -48,13 +48,11 @@ func (e *Estimator) EstimateTimeNormalized(records []telemetry.Record) (*Curve, 
 	defer observeEstimate(time.Now())
 	sp := e.trace.StartChild("estimate_time_normalized")
 	defer sp.End()
-	records = usable(records)
-	if len(records) == 0 {
-		return nil, errors.New("core: no usable records")
+	times, lats := UsableColumns(records)
+	if len(times) == 0 {
+		return nil, errEmptyRecords
 	}
-	sp.SetAttr("records", len(records))
-	telemetry.SortByTime(records)
-	times, lats := columnsOf(records)
+	sp.SetAttr("records", len(times))
 	return e.estimateTimeNormalizedColumns(sp, times, lats)
 }
 

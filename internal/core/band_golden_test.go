@@ -23,9 +23,7 @@ func owasimColumns(t testing.TB, days, business, consumer int, seed uint64) ([]t
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := usable(telemetry.ByAction(res.Records, telemetry.SelectMail))
-	telemetry.SortByTime(recs)
-	return columnsOf(recs)
+	return UsableColumns(telemetry.ByAction(res.Records, telemetry.SelectMail))
 }
 
 // tieColumns is a tie-heavy stream for 64 ms slots: records sit on even

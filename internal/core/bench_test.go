@@ -113,7 +113,7 @@ func BenchmarkEstimateTimeNormalized(b *testing.B) {
 func BenchmarkIncrementalNormalized(b *testing.B) {
 	records := benchRecords(b)
 	e := benchEstimator(b)
-	times, lats := columnsOf(records)
+	times, lats := UsableColumns(records)
 	seqs := make([]uint64, len(times))
 	for i := range seqs {
 		seqs[i] = uint64(i + 1)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"time"
 
 	"autosens/internal/histogram"
@@ -23,15 +25,48 @@ var (
 	errColumnsUnsorted = errors.New("core: times are not ascending")
 )
 
-// columnsOf extracts the flat time/latency columns of time-sorted records.
-func columnsOf(sorted []telemetry.Record) ([]timeutil.Millis, []float64) {
-	times := make([]timeutil.Millis, len(sorted))
-	lats := make([]float64, len(sorted))
-	for i := range sorted {
-		times[i] = sorted[i].Time
-		lats[i] = sorted[i].LatencyMS
+// UsableColumns returns the time and latency columns of records'
+// successful rows, stably sorted by time: the columns every record entry
+// point estimates from.
+func UsableColumns(records []telemetry.Record) ([]timeutil.Millis, []float64) {
+	n := 0
+	for i := range records {
+		if !records[i].Failed {
+			n++
+		}
 	}
+	times := make([]timeutil.Millis, 0, n)
+	lats := make([]float64, 0, n)
+	for i := range records {
+		if !records[i].Failed {
+			times = append(times, records[i].Time)
+			lats = append(lats, records[i].LatencyMS)
+		}
+	}
+	SortColumns(times, lats)
 	return times, lats
+}
+
+// SortColumns stably sorts the parallel time and latency columns by time,
+// in place: rows with equal times keep their order. Columns already in
+// order cost one check pass.
+func SortColumns(times []timeutil.Millis, lats []float64) {
+	if !slices.IsSorted(times) {
+		sort.Stable(byTime{times, lats})
+	}
+}
+
+// byTime sorts parallel time and latency columns by time.
+type byTime struct {
+	times []timeutil.Millis
+	lats  []float64
+}
+
+func (c byTime) Len() int           { return len(c.times) }
+func (c byTime) Less(i, j int) bool { return c.times[i] < c.times[j] }
+func (c byTime) Swap(i, j int) {
+	c.times[i], c.times[j] = c.times[j], c.times[i]
+	c.lats[i], c.lats[j] = c.lats[j], c.lats[i]
 }
 
 // checkColumns validates the shared column preconditions.

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"autosens/internal/rng"
+	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
 
@@ -34,6 +36,41 @@ func TestCheckColumns(t *testing.T) {
 	}
 }
 
+// TestUsableColumnsMatchesSortByTime: the records-to-columns helper keeps
+// exactly the successful records, in telemetry.SortByTime's stable order,
+// over sorted, reversed, tied and shuffled inputs.
+func TestUsableColumnsMatchesSortByTime(t *testing.T) {
+	src := rng.New(5)
+	for _, n := range []int{0, 1, 2, 7, 20, 21, 300} {
+		for shape := 0; shape < 4; shape++ {
+			recs := make([]telemetry.Record, n)
+			for i := range recs {
+				tm := timeutil.Millis(i)
+				switch shape {
+				case 1:
+					tm = timeutil.Millis(n - i)
+				case 2:
+					tm = timeutil.Millis(src.Intn(5)) // heavy ties
+				case 3:
+					tm = timeutil.Millis(src.Intn(1000)) - 500
+				}
+				recs[i] = telemetry.Record{Time: tm, LatencyMS: float64(i), Failed: src.Intn(4) == 0}
+			}
+			want := telemetry.Successful(recs)
+			telemetry.SortByTime(want)
+			times, lats := UsableColumns(recs)
+			if len(times) != len(want) || len(lats) != len(want) {
+				t.Fatalf("n=%d shape %d: %d/%d columns, want %d rows", n, shape, len(times), len(lats), len(want))
+			}
+			for i, r := range want {
+				if times[i] != r.Time || math.Float64bits(lats[i]) != math.Float64bits(r.LatencyMS) {
+					t.Fatalf("n=%d shape %d row %d: (%d, %v), want (%d, %v)", n, shape, i, times[i], lats[i], r.Time, r.LatencyMS)
+				}
+			}
+		}
+	}
+}
+
 // Column entry points must be bit-identical to their record-based
 // counterparts — the live engine's byte-identity guarantee rests on this.
 func TestEstimateColumnsMatchesEstimate(t *testing.T) {
@@ -48,7 +85,7 @@ func TestEstimateColumnsMatchesEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times, lats := columnsOf(records)
+	times, lats := UsableColumns(records)
 
 	got, err := e.EstimateColumns(times, lats, nil)
 	if err != nil {
@@ -81,7 +118,7 @@ func TestEstimateSummaryPrebuiltHistogram(t *testing.T) {
 		func(timeutil.Millis) float64 { return 400 }, 0.4,
 		func(timeutil.Millis) float64 { return 10 })
 	e := testEstimator(t, nil)
-	times, lats := columnsOf(records)
+	times, lats := UsableColumns(records)
 
 	want, err := e.EstimateColumns(times, lats, nil)
 	if err != nil {
@@ -121,7 +158,7 @@ func TestEstimateTimeNormalizedColumnsMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times, lats := columnsOf(records)
+	times, lats := UsableColumns(records)
 	got, err := e.EstimateTimeNormalizedColumns(times, lats)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +181,7 @@ func TestEstimateCIColumnsMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	times, lats := columnsOf(records)
+	times, lats := UsableColumns(records)
 	got, err := e.EstimateCIColumns(times, lats, opts)
 	if err != nil {
 		t.Fatal(err)

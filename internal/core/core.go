@@ -391,17 +391,23 @@ func interpolateHoles(xs []float64, valid []bool) []float64 {
 // reference latency — the estimate one would get with no exposure
 // correction at all. It exists as a baseline to show what B/U fixes.
 func (e *Estimator) BiasedOnly(records []telemetry.Record) (*Curve, error) {
+	_, lats := UsableColumns(records)
+	return e.BiasedOnlyColumns(lats)
+}
+
+// BiasedOnlyColumns is BiasedOnly over the latencies of usable records, in
+// any order.
+func (e *Estimator) BiasedOnlyColumns(lats []float64) (*Curve, error) {
 	defer observeEstimate(time.Now())
 	sp := e.trace.StartChild("biased_only")
 	defer sp.End()
-	records = usable(records)
-	if len(records) == 0 {
-		return nil, errors.New("core: no usable records")
+	if len(lats) == 0 {
+		return nil, errEmptyRecords
 	}
-	sp.SetAttr("records", len(records))
+	sp.SetAttr("records", len(lats))
 	b := e.newHist()
-	for _, r := range records {
-		b.Add(r.LatencyMS)
+	for _, v := range lats {
+		b.Add(v)
 	}
 	// Use a flat pseudo-unbiased distribution so the ratio equals B's
 	// shape (up to a constant, removed by normalization).
@@ -409,7 +415,7 @@ func (e *Estimator) BiasedOnly(records []telemetry.Record) (*Curve, error) {
 	for i := 0; i < u.Bins(); i++ {
 		u.SetCount(i, math.Max(e.opts.MinUnbiasedCount, 1))
 	}
-	return e.finishCurve(sp, b, u, len(records), 0)
+	return e.finishCurve(sp, b, u, len(lats), 0)
 }
 
 // Estimate computes the NLP curve with the whole-window unbiased
@@ -418,13 +424,11 @@ func (e *Estimator) Estimate(records []telemetry.Record) (*Curve, error) {
 	defer observeEstimate(time.Now())
 	sp := e.trace.StartChild("estimate")
 	defer sp.End()
-	records = usable(records)
-	if len(records) == 0 {
-		return nil, errors.New("core: no usable records")
+	times, lats := UsableColumns(records)
+	if len(times) == 0 {
+		return nil, errEmptyRecords
 	}
-	sp.SetAttr("records", len(records))
-	telemetry.SortByTime(records)
-	times, lats := columnsOf(records)
+	sp.SetAttr("records", len(times))
 	return e.estimateColumns(sp, nil, times, lats, nil)
 }
 

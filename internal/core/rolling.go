@@ -103,12 +103,10 @@ func (e *Estimator) Rolling(records []telemetry.Record, opts RollingOptions) (*R
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	records = usable(records)
-	if len(records) == 0 {
-		return nil, errors.New("core: no usable records")
+	times, lats := UsableColumns(records)
+	if len(times) == 0 {
+		return nil, errEmptyRecords
 	}
-	telemetry.SortByTime(records)
-	times, lats := columnsOf(records)
 	return e.rollingColumns(times, lats, opts)
 }
 

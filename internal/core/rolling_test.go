@@ -130,9 +130,7 @@ func TestRollingColumnsMatchesRolling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted := usable(records)
-	telemetry.SortByTime(sorted)
-	times, lats := columnsOf(sorted)
+	times, lats := UsableColumns(records)
 	got, err := e.RollingColumns(times, lats, rollingOpts())
 	if err != nil {
 		t.Fatal(err)
