@@ -18,7 +18,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -171,31 +170,31 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// Build the slice predicate shared by the batch and streaming paths.
-	keep := func(r telemetry.Record) bool { return !r.Failed }
+	// The slice's row filter, shared by every input path: the successful
+	// records of the selected action, user type and period. The -by
+	// families that slice one action slice this one.
+	familyAction := telemetry.SelectMail
 	if *action != "" {
-		a, err := telemetry.ParseActionType(*action)
-		if err != nil {
+		if familyAction, err = telemetry.ParseActionType(*action); err != nil {
 			return err
 		}
-		prev := keep
-		keep = func(r telemetry.Record) bool { return prev(r) && r.Action == a }
 	}
+	var u telemetry.UserType
 	if *usertype != "" {
-		u, err := telemetry.ParseUserType(*usertype)
-		if err != nil {
+		if u, err = telemetry.ParseUserType(*usertype); err != nil {
 			return err
 		}
-		prev := keep
-		keep = func(r telemetry.Record) bool { return prev(r) && r.UserType == u }
 	}
+	var per timeutil.Period
 	if *period != "" {
-		p, err := parsePeriod(*period)
-		if err != nil {
+		if per, err = parsePeriod(*period); err != nil {
 			return err
 		}
-		prev := keep
-		keep = func(r telemetry.Record) bool { return prev(r) && timeutil.PeriodOf(r.Time, r.TZOffset) == p }
+	}
+	anyAction, anyUser, anyPeriod := *action == "", *usertype == "", *period == ""
+	keep := func(r pipeline.Row) bool {
+		return !r.Failed && (anyAction || r.Action == familyAction) &&
+			(anyUser || r.UserType == u) && (anyPeriod || r.Period == per)
 	}
 
 	opts := core.DefaultOptions()
@@ -212,7 +211,7 @@ func run(args []string, stdout io.Writer) error {
 	if *stream {
 		curve, err := est.EstimateTimeNormalizedTwoPass(func(fn func(telemetry.Record) error) error {
 			return iterate(func(rec telemetry.Record) error {
-				if !keep(rec) {
+				if !keep(pipeline.RowOf(rec)) {
 					return nil
 				}
 				return fn(rec)
@@ -224,11 +223,26 @@ func run(args []string, stdout io.Writer) error {
 		return emit(stdout, curve, nil, *noChart, *ref, *mode, *probesFlag, *csvOut, *jsonOut)
 	}
 
+	// The input loads straight into a columnar partition holding what the
+	// analysis reads: action-major for -by, in input order for one slice.
+	// -quartile ranks users over every successful record before the other
+	// filters apply, so it holds them all. The -by families that slice one
+	// action hold only that action's rows.
+	load := pipeline.Load{Keep: keep, InputOrder: *by == "", Workers: *workers}
+	switch {
+	case *quartile != "":
+		load.Keep = func(r pipeline.Row) bool { return !r.Failed }
+		load.InputOrder = true
+	case *by == "usertype" || *by == "segment" || *by == "period":
+		load.Store = func(r pipeline.Row) bool { return r.Action == familyAction }
+	}
+
 	// TBIN from a file or stdin is read whole and decoded block-parallel
-	// into one exactly-sized slice; every other input is appended record by
+	// straight into the partition; every other input is read record by
 	// record.
 	readSp := root.StartChild("read_input")
-	var records []telemetry.Record
+	var part *pipeline.Partition
+	var seen pipeline.Loaded
 	decodeWorkers := 1
 	if !walDir && f == telemetry.TBIN {
 		var data []byte
@@ -243,34 +257,31 @@ func run(args []string, stdout io.Writer) error {
 			if decodeWorkers <= 0 {
 				decodeWorkers = runtime.GOMAXPROCS(0)
 			}
-			records, err = telemetry.DecodeTBIN(data, decodeWorkers)
+			part, seen, err = load.TBIN(data)
 		}
 	} else {
 		if !walDir && statErr == nil {
 			readSp.SetAttr("bytes", fi.Size())
 		}
-		err = iterate(func(rec telemetry.Record) error {
-			records = append(records, rec)
-			return nil
-		})
+		part, seen, err = load.Iterate(iterate)
 	}
 	if err != nil {
 		readSp.End()
 		return err
 	}
 	readSp.SetAttr("decode_workers", decodeWorkers)
-	readSp.SetAttr("records", len(records))
-	records = slices.DeleteFunc(records, func(r telemetry.Record) bool { return r.Failed })
-	readSp.SetAttr("successful", len(records))
+	readSp.SetAttr("records", seen.Records)
+	readSp.SetAttr("successful", seen.Successful)
 	readSp.End()
-	logger.Info("records loaded", "successful", len(records))
+	logger.Info("records loaded", "successful", seen.Successful)
 
-	// Slice selection, in place. Quartiles are assigned over the full
-	// population before any other filter, as in the paper.
+	// Quartiles are assigned over the full population before any other
+	// filter, as in the paper.
 	sliceSp := root.StartChild("slice_records")
 	defer sliceSp.End() // End is idempotent; the happy path ends it below.
+	kept := seen.Kept
 	if *quartile != "" {
-		assign, cuts, err := telemetry.AssignQuartiles(records)
+		cuts, err := part.QuartileCuts()
 		if err != nil {
 			return err
 		}
@@ -287,29 +298,31 @@ func run(args []string, stdout io.Writer) error {
 		default:
 			return fmt.Errorf("unknown quartile %q", *quartile)
 		}
-		prev := keep
-		// Every user left here has an assignment.
-		keep = func(r telemetry.Record) bool { return assign[r.UserID] == q && prev(r) }
+		if part, err = part.SelectQuartile(q, keep, *by == ""); err != nil {
+			return err
+		}
+		kept = part.Len()
 		logger.Info("quartile cuts assigned",
 			"q1_ms", cuts[0], "q2_ms", cuts[1], "q3_ms", cuts[2])
 	}
-	records = slices.DeleteFunc(records, func(r telemetry.Record) bool { return !keep(r) })
-	sliceSp.SetAttr("records", len(records))
+	sliceSp.SetAttr("records", kept)
 	sliceSp.End()
-	if len(records) == 0 {
+	if kept == 0 {
 		return fmt.Errorf("no records left after slicing")
 	}
-	logger.Info("analyzing", "records", len(records))
+	logger.Info("analyzing", "records", kept)
 
 	if *by != "" {
-		return runComparison(stdout, records, opts, *by, *action, *probesFlag, *noChart, *workers, root)
+		return runComparison(stdout, part, opts, *by, familyAction, *probesFlag, *noChart, *workers, root)
 	}
+
+	times, lats := part.Columns()
 
 	if *ci {
 		ciOpts := core.DefaultCIOptions()
 		ciOpts.TimeNormalized = *mode == "normalized"
 		ciOpts.Workers = *workers
-		band, err := est.EstimateCI(records, ciOpts)
+		band, err := est.EstimateCIColumns(times, lats, ciOpts)
 		if err != nil {
 			return err
 		}
@@ -320,11 +333,11 @@ func run(args []string, stdout io.Writer) error {
 	var curve *core.Curve
 	switch *mode {
 	case "normalized":
-		curve, err = est.EstimateTimeNormalized(records)
+		curve, err = est.EstimateTimeNormalizedColumns(times, lats)
 	case "plain":
-		curve, err = est.Estimate(records)
+		curve, err = est.EstimateColumns(times, lats, nil)
 	case "biased":
-		curve, err = est.BiasedOnly(records)
+		curve, err = est.BiasedOnlyColumns(lats)
 	}
 	if err != nil {
 		return err
@@ -447,52 +460,34 @@ func emit(out io.Writer, curve *core.Curve, band *core.CurveCI, noChart bool, re
 	return nil
 }
 
-// runComparison estimates several slices with the full method and renders
-// them on one chart with a probe table. A non-nil trace span receives one
-// child per slice from the pipeline.
-func runComparison(out io.Writer, records []telemetry.Record, opts core.Options, by, actionFlag, probesFlag string, noChart bool, workers int, trace *obs.Span) error {
+// runComparison estimates one -by family of slices of the partition with
+// the full method and renders them on one chart with a probe table; the
+// families below the action level slice the given action. A non-nil trace
+// span receives a partition span for the slicing and one child per slice
+// from the pipeline.
+func runComparison(out io.Writer, part *pipeline.Partition, opts core.Options, by string, action telemetry.ActionType, probesFlag string, noChart bool, workers int, trace *obs.Span) error {
+	partSp := trace.StartChild("partition")
+	defer partSp.End() // End is idempotent; the happy path ends it below.
 	var slices []pipeline.Slice
-	part := pipeline.NewPartition(records)
 	switch by {
 	case "action":
 		slices = part.ByActionType()
 	case "usertype", "segment":
-		action := telemetry.SelectMail
-		if actionFlag != "" {
-			a, err := telemetry.ParseActionType(actionFlag)
-			if err != nil {
-				return err
-			}
-			action = a
-		}
 		slices = part.BySegment(action)
 	case "quartile":
-		action := telemetry.SelectMail
-		if actionFlag != "" {
-			a, err := telemetry.ParseActionType(actionFlag)
-			if err != nil {
-				return err
-			}
-			action = a
-		}
 		var err error
-		slices, err = part.ByQuartile(action)
-		if err != nil {
+		if slices, err = part.ByQuartile(action); err != nil {
 			return err
 		}
 	case "period":
-		action := telemetry.SelectMail
-		if actionFlag != "" {
-			a, err := telemetry.ParseActionType(actionFlag)
-			if err != nil {
-				return err
-			}
-			action = a
-		}
 		slices = part.ByPeriod(action)
 	default:
 		return fmt.Errorf("unknown -by dimension %q", by)
 	}
+	partSp.SetAttr("rows", part.Len())
+	partSp.SetAttr("groups", len(slices))
+	partSp.SetAttr("quartile_users", part.QuartileUsers())
+	partSp.End()
 	results, err := pipeline.Run(pipeline.Request{Options: opts, TimeNormalized: true, Slices: slices, Workers: workers, Trace: trace})
 	if err != nil {
 		return err

@@ -34,7 +34,7 @@ var probes = []float64{500, 700, 1000, 1500, 2000}
 // renders the NLP chart plus a probe-value table.
 func runSlices(ctx *Context, w io.Writer, title string, slices []pipeline.Slice) (*Outcome, error) {
 	for i := range slices {
-		if len(slices[i].Records) == 0 {
+		if slices[i].Rows == 0 {
 			return nil, fmt.Errorf("experiments: slice %q is empty: %w", slices[i].Name, errNoData)
 		}
 	}

@@ -120,8 +120,8 @@ func runFig9(ctx *Context, w io.Writer) (*Outcome, error) {
 		}
 		mid := recs[len(recs)/2].Time
 		slices = append(slices,
-			pipeline.Slice{Name: fmt.Sprintf("%s/H1", a), Records: telemetry.ByTimeRange(recs, 0, mid)},
-			pipeline.Slice{Name: fmt.Sprintf("%s/H2", a), Records: telemetry.ByTimeRange(recs, mid, 1<<62)},
+			pipeline.SliceOf(fmt.Sprintf("%s/H1", a), telemetry.ByTimeRange(recs, 0, mid)),
+			pipeline.SliceOf(fmt.Sprintf("%s/H2", a), telemetry.ByTimeRange(recs, mid, 1<<62)),
 		)
 	}
 	out, err := runSlices(ctx, w, "NLP stability across months (business users)", slices)

@@ -15,12 +15,24 @@ import (
 	"autosens/internal/core"
 	"autosens/internal/obs"
 	"autosens/internal/telemetry"
+	"autosens/internal/timeutil"
 )
 
-// Slice is a named subset of records to estimate a curve for.
+// Slice is a named subset of records to estimate a curve for, held as the
+// estimator's columns: the successful records' times and latencies, stably
+// sorted by time.
 type Slice struct {
-	Name    string
-	Records []telemetry.Record
+	Name  string
+	Times []timeutil.Millis
+	Lats  []float64
+	// Rows counts the records the slice selected, failed ones included.
+	Rows int
+}
+
+// SliceOf makes a slice of records with core.UsableColumns.
+func SliceOf(name string, records []telemetry.Record) Slice {
+	times, lats := core.UsableColumns(records)
+	return Slice{Name: name, Times: times, Lats: lats, Rows: len(records)}
 }
 
 // Result is the outcome of estimating one slice.
@@ -96,7 +108,7 @@ func Run(req Request) ([]Result, error) {
 				sp := req.Trace.StartChild("slice:" + s.Name)
 				sp.SetAttr("worker", worker)
 				sp.SetAttr("queue_wait_ms", float64(time.Since(enqueuedAt[i]))/float64(time.Millisecond))
-				sp.SetAttr("records", len(s.Records))
+				sp.SetAttr("records", s.Rows)
 				sp.SetAttr("estimator_workers", req.Options.Workers)
 				results[i] = estimateOne(req, s, sp)
 				sp.End()
@@ -121,9 +133,9 @@ func estimateOne(req Request, s Slice, sp *obs.Span) Result {
 	}
 	est.SetTrace(sp)
 	if req.TimeNormalized {
-		res.Curve, res.Err = est.EstimateTimeNormalized(s.Records)
+		res.Curve, res.Err = est.EstimateTimeNormalizedColumns(s.Times, s.Lats)
 	} else {
-		res.Curve, res.Err = est.Estimate(s.Records)
+		res.Curve, res.Err = est.EstimateColumns(s.Times, s.Lats, nil)
 	}
 	if res.Err != nil {
 		res.Err = fmt.Errorf("pipeline: slice %q: %w", s.Name, res.Err)

@@ -58,7 +58,7 @@ func TestRunEstimatesAllSlices(t *testing.T) {
 }
 
 func TestRunTimeNormalizedMode(t *testing.T) {
-	slices := []Slice{{Name: "all-selectmail", Records: telemetry.ByAction(records(t), telemetry.SelectMail)}}
+	slices := []Slice{SliceOf("all-selectmail", telemetry.ByAction(records(t), telemetry.SelectMail))}
 	results, err := Run(Request{Options: testOptions(), TimeNormalized: true, Slices: slices})
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +76,8 @@ func TestRunNoSlices(t *testing.T) {
 
 func TestRunPerSliceErrors(t *testing.T) {
 	slices := []Slice{
-		{Name: "good", Records: telemetry.ByAction(records(t), telemetry.SelectMail)},
-		{Name: "empty", Records: nil},
+		SliceOf("good", telemetry.ByAction(records(t), telemetry.SelectMail)),
+		SliceOf("empty", nil),
 	}
 	results, err := Run(Request{Options: testOptions(), Slices: slices})
 	if err != nil {
@@ -97,7 +97,7 @@ func TestRunPerSliceErrors(t *testing.T) {
 func TestRunBadOptions(t *testing.T) {
 	bad := testOptions()
 	bad.BinWidthMS = 0
-	results, err := Run(Request{Options: bad, Slices: []Slice{{Name: "x", Records: records(t)}}})
+	results, err := Run(Request{Options: bad, Slices: []Slice{SliceOf("x", records(t))}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +122,12 @@ func TestRunWorkerLimit(t *testing.T) {
 func TestByActionTypeCoversAll(t *testing.T) {
 	slices := NewPartition(records(t)).ByActionType()
 	total := 0
-	for _, s := range slices {
-		for _, r := range s.Records {
-			if r.Action.String() != s.Name {
-				t.Fatalf("record of type %v in slice %s", r.Action, s.Name)
-			}
+	for i, s := range slices {
+		a := telemetry.ActionTypes()[i]
+		if want := len(telemetry.ByAction(records(t), a)); s.Name != a.String() || s.Rows != want || len(s.Times) != want {
+			t.Fatalf("slice %s holds %d rows (%d columns), want %s with %d", s.Name, s.Rows, len(s.Times), a, want)
 		}
-		total += len(s.Records)
+		total += s.Rows
 	}
 	if total != len(records(t)) {
 		t.Fatalf("slices cover %d of %d records", total, len(records(t)))
@@ -144,7 +143,7 @@ func TestBySegmentNames(t *testing.T) {
 		t.Fatalf("names: %s, %s", slices[0].Name, slices[1].Name)
 	}
 	for _, s := range slices {
-		if len(s.Records) == 0 {
+		if len(s.Times) == 0 {
 			t.Fatalf("slice %s empty", s.Name)
 		}
 	}
@@ -159,7 +158,7 @@ func TestByQuartileSlices(t *testing.T) {
 		t.Fatalf("%d slices", len(slices))
 	}
 	for _, s := range slices {
-		if len(s.Records) == 0 {
+		if len(s.Times) == 0 {
 			t.Fatalf("slice %s empty", s.Name)
 		}
 	}
@@ -170,12 +169,12 @@ func TestByPeriodSlices(t *testing.T) {
 	if len(slices) != timeutil.NumPeriods {
 		t.Fatalf("%d slices", len(slices))
 	}
+	total := 0
 	for _, s := range slices {
-		for _, r := range s.Records[:min(5, len(s.Records))] {
-			if r.Action != telemetry.SelectMail {
-				t.Fatalf("wrong action in %s", s.Name)
-			}
-		}
+		total += len(s.Times)
+	}
+	if want := len(telemetry.ByAction(records(t), telemetry.SelectMail)); total != want {
+		t.Fatalf("period slices hold %d rows, want the %d SelectMail records", total, want)
 	}
 }
 
@@ -188,13 +187,6 @@ func TestByMonthSingleMonth(t *testing.T) {
 	if slices[0].Name != "SelectMail/Jan" {
 		t.Fatalf("name %s", slices[0].Name)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // TestRunDeterministicAcrossWorkers pins that the two-level worker budget

@@ -58,7 +58,7 @@ func TestRunRecordsPerSliceSpans(t *testing.T) {
 }
 
 func TestRunUntracedMatchesTraced(t *testing.T) {
-	slices := []Slice{{Name: "sm", Records: telemetry.ByAction(records(t), telemetry.SelectMail)}}
+	slices := []Slice{SliceOf("sm", telemetry.ByAction(records(t), telemetry.SelectMail))}
 	plain, err := Run(Request{Options: testOptions(), Slices: slices})
 	if err != nil {
 		t.Fatal(err)
