@@ -177,6 +177,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzReaderNoCrash$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run=^$$ -fuzz='^FuzzMergeColumns$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=^$$ -fuzz='^FuzzNormalizedReplicateMatchesBatch$$' -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run=^$$ -fuzz='^FuzzPartitionMatchesRecords$$' -fuzztime=$(FUZZTIME) ./internal/pipeline/
 	$(GO) test -run=^$$ -fuzz='^FuzzColumnRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/colcodec/
 	$(GO) test -run=^$$ -fuzz='^FuzzPartialRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/collector/api/
 	$(GO) test -run=^$$ -fuzz='^FuzzPartialMergeNoCrash$$' -fuzztime=$(FUZZTIME) ./internal/cluster/

@@ -1,0 +1,135 @@
+package pipeline
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"autosens/internal/telemetry"
+	"autosens/internal/timeutil"
+)
+
+// fuzzRecords turns fuzz bytes into records, six bytes each: time steps
+// that go back as well as forward and tie, actions and user types with
+// out-of-range values, few users and latencies (so medians and times
+// tie), failed rows, and times that cross month boundaries.
+func fuzzRecords(data []byte) []telemetry.Record {
+	var recs []telemetry.Record
+	t := 20 * timeutil.MillisPerDay
+	for ; len(data) >= 6; data = data[6:] {
+		t += timeutil.Millis(int8(data[0])) * timeutil.MillisPerHour / 4
+		r := telemetry.Record{
+			Time:      t,
+			Action:    telemetry.ActionType(data[1] % 6),
+			LatencyMS: float64(data[2] % 16 * 25),
+			UserID:    uint64(data[3]%9) + 1,
+			UserType:  telemetry.UserType(data[4] % 3),
+			TZOffset:  timeutil.Millis(int(data[5]%27)-13) * timeutil.MillisPerHour,
+			Failed:    data[5]&0x80 != 0,
+		}
+		switch r.Action {
+		case 4:
+			r.Action = 9
+		case 5:
+			r.Action = -1
+		}
+		if r.UserType == 2 {
+			r.UserType = 7
+		}
+		recs = append(recs, r)
+	}
+	return recs
+}
+
+// requireFamiliesEqual compares every slice family two partitions serve
+// for every action, including out-of-range ones.
+func requireFamiliesEqual(t *testing.T, what string, got, want *Partition) {
+	t.Helper()
+	requireSlicesEqual(t, what+" action", got.ByActionType(), want.ByActionType())
+	for _, a := range append(telemetry.ActionTypes(), 9, -1) {
+		requireSlicesEqual(t, what+" segment", got.BySegment(a), want.BySegment(a))
+		requireSlicesEqual(t, what+" period", got.ByPeriod(a), want.ByPeriod(a))
+		requireSlicesEqual(t, what+" month", got.ByMonth(a), want.ByMonth(a))
+		gq, gotErr := got.ByQuartile(a)
+		wq, wantErr := want.ByQuartile(a)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s quartile: error %v, want %v", what, gotErr, wantErr)
+		}
+		requireSlicesEqual(t, what+" quartile", gq, wq)
+	}
+}
+
+// FuzzPartitionMatchesRecords: every family a partition serves equals the
+// legacy record slicers' groups after core.UsableColumns (successful rows,
+// stably time-sorted), and a partition built from TBIN bytes on the decode
+// workers, with row filters or without, equals NewPartition over the same
+// records filtered the same way.
+func FuzzPartitionMatchesRecords(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{4, 0, 3, 1, 0, 0x05, 0xfc, 1, 9, 2, 1, 0x8e}, 20))
+	// A month holding only failed rows between two that hold successful
+	// ones, and users only in other actions.
+	var months []byte
+	for i := range 60 {
+		failed := byte(0)
+		if i >= 20 && i < 40 {
+			failed = 0x80
+		}
+		months = append(months, 127, byte(i%2*2), byte(i), byte(i), byte(i%2), failed|byte(i%27))
+	}
+	f.Add(months)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs := fuzzRecords(data)
+		p := NewPartition(recs)
+		requireSlicesEqual(t, "action", p.ByActionType(), legacyByActionType(recs))
+		for _, a := range append(telemetry.ActionTypes(), 9, -1) {
+			requireSlicesEqual(t, "segment", p.BySegment(a), legacyBySegment(recs, a))
+			requireSlicesEqual(t, "period", p.ByPeriod(a), legacyByPeriod(recs, a))
+			requireSlicesEqual(t, "month", p.ByMonth(a), legacyByMonth(recs, a))
+			got, gotErr := p.ByQuartile(a)
+			want, wantErr := legacyByQuartile(recs, a)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("quartile: error %v, want %v", gotErr, wantErr)
+			}
+			requireSlicesEqual(t, "quartile", got, want)
+		}
+
+		// TBIN carries valid records only.
+		valid := telemetry.Filter(recs, func(r telemetry.Record) bool { return r.Validate() == nil })
+		var buf bytes.Buffer
+		w := telemetry.NewWriter(&buf, telemetry.TBIN)
+		if err := w.WriteAll(valid); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		keep := func(r Row) bool { return r.UserType == telemetry.Business || r.Period == timeutil.Period8pm2am }
+		store := func(r Row) bool { return r.Action != telemetry.Search }
+		for _, workers := range []int{1, 4} {
+			got, seen, err := Load{Workers: workers}.TBIN(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen.Records != len(valid) || seen.Kept != len(valid) || got.Len() != len(valid) {
+				t.Fatalf("workers=%d: loaded %+v into %d rows, want %d records", workers, seen, got.Len(), len(valid))
+			}
+			requireFamiliesEqual(t, "tbin", got, NewPartition(valid))
+
+			got, _, err = Load{Keep: keep, Store: store, Workers: workers}.TBIN(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := telemetry.Filter(valid, func(r telemetry.Record) bool { return keep(RowOf(r)) && store(RowOf(r)) })
+			requireFamiliesEqual(t, "filtered tbin", got, NewPartition(held))
+
+			flat, _, err := Load{InputOrder: true, Workers: workers}.TBIN(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			times, lats := flat.Columns()
+			requireSlicesEqual(t, "input-order columns",
+				[]Slice{{Name: "all", Times: times, Lats: lats, Rows: flat.Len()}}, []Slice{SliceOf("all", valid)})
+		}
+	})
+}
