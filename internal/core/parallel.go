@@ -1,25 +1,6 @@
 package core
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
-
-// workerCount resolves a Workers knob against the number of independent
-// units: 0 means GOMAXPROCS, and the result never exceeds n.
-func workerCount(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
+import "autosens/internal/parallel"
 
 // forEachIndex runs fn(i) for every i in [0, n) across the estimator's
 // worker pool. fn must be safe to call concurrently for distinct indices
@@ -27,37 +8,5 @@ func workerCount(workers, n int) int {
 // randomness up front (rng.Source.Split with the index as key), so the
 // output is bit-identical at any worker count.
 func (e *Estimator) forEachIndex(n int, fn func(int)) {
-	ForEachIndex(e.opts.Workers, n, fn)
-}
-
-// ForEachIndex runs fn(i) for every i in [0, n) on a pool of workers
-// goroutines (0 means GOMAXPROCS; the pool never exceeds n). fn must be
-// safe to call concurrently for distinct indices and must not depend on
-// invocation order. This is the same pool the estimator's internal stages
-// run on; other packages (the live query engine's dirty-shard recompute)
-// reuse it so per-index work is scheduled identically everywhere.
-func ForEachIndex(workers, n int, fn func(int)) {
-	workers = workerCount(workers, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
+	parallel.ForEach(e.opts.Workers, n, fn)
 }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"autosens/internal/parallel"
 	"autosens/internal/rng"
 )
 
@@ -163,7 +164,7 @@ var keyChunkMin = 1 << 15
 // keyChunks is how many chunks a schedule of n keys is drawn and swept in:
 // one per estimator worker, each at least keyChunkMin keys.
 func (e *Estimator) keyChunks(n int) int {
-	return workerCount(e.opts.Workers, n/keyChunkMin)
+	return parallel.Workers(e.opts.Workers, n/keyChunkMin)
 }
 
 // drawKeys is drawKeysChunked in one chunk: the schedule of callers that
@@ -244,7 +245,7 @@ func drawPartitioned(chunks int, src *rng.Source, span uint64, keys []uint64, sc
 	bounds := func(w int) (lo, hi int) { return w * n / chunks, (w + 1) * n / chunks }
 	at := make([][]int, chunks) // chunk w's count per bucket, then its next slot
 	ends := make([]rng.Source, chunks)
-	ForEachIndex(chunks, chunks, func(w int) {
+	parallel.ForEach(chunks, chunks, func(w int) {
 		lo, hi := bounds(w)
 		s := *src
 		s.Advance(2 * uint64(lo))
@@ -280,7 +281,7 @@ func drawPartitioned(chunks int, src *rng.Source, span uint64, keys []uint64, sc
 	}
 	tmp := extend((*scratch)[:0], n)
 	*scratch = tmp
-	ForEachIndex(chunks, chunks, func(w int) {
+	parallel.ForEach(chunks, chunks, func(w int) {
 		lo, hi := bounds(w)
 		next := at[w]
 		for _, k := range keys[lo:hi] {
@@ -288,7 +289,7 @@ func drawPartitioned(chunks int, src *rng.Source, span uint64, keys []uint64, sc
 			next[k>>shift]++
 		}
 	})
-	ForEachIndex(chunks, buckets, func(b int) {
+	parallel.ForEach(chunks, buckets, func(b int) {
 		lo, hi := edges[b], edges[b+1]
 		ping := keys[lo:hi:hi]
 		radixSortUint64(tmp[lo:hi], &ping, payload)

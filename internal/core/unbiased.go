@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"autosens/internal/histogram"
+	"autosens/internal/parallel"
 	"autosens/internal/rng"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
@@ -255,7 +256,7 @@ func (e *Estimator) splitSweep(chunks, n int, u *histogram.Histogram, dep *[]int
 	}
 	us := make([]*histogram.Histogram, chunks)
 	deps := make([][]int32, chunks)
-	ForEachIndex(chunks, chunks, func(w int) {
+	parallel.ForEach(chunks, chunks, func(w int) {
 		uw, dw := u, dep
 		if w > 0 {
 			uw, dw = e.newHist(), &deps[w]

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"autosens/internal/core"
+	"autosens/internal/parallel"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
@@ -478,7 +479,7 @@ func (e *Engine) recompute(key SliceKey, qk queryKey, repeated bool) (res *Resul
 // (time, seq)-sorted delta, and folds it into st's Incremental. Returns how
 // many shards were dirty and how many records were folded.
 func (e *Engine) foldDelta(st *comboState, key SliceKey, win Window, sc *scratch) (dirty, folded int, err error) {
-	core.ForEachIndex(e.cfg.Workers, len(e.shards), func(i int) {
+	parallel.ForEach(e.cfg.Workers, len(e.shards), func(i int) {
 		d := &sc.sh[i]
 		d.Reset()
 		if e.shards[i].deltaSince(&st.cps[i], key, d, &sc.snaps[i]) > 0 {
@@ -638,7 +639,7 @@ func AllSliceKeys() []SliceKey {
 func (e *Engine) QueryMany(keys []SliceKey, mode Mode, ci bool) (results []*Result, errs []error) {
 	results = make([]*Result, len(keys))
 	errs = make([]error, len(keys))
-	core.ForEachIndex(e.cfg.Workers, len(keys), func(i int) {
+	parallel.ForEach(e.cfg.Workers, len(keys), func(i int) {
 		results[i], errs[i] = e.Query(keys[i], mode, ci)
 	})
 	return results, errs

@@ -6,6 +6,7 @@ import (
 
 	"autosens/internal/collector/api"
 	"autosens/internal/core"
+	"autosens/internal/parallel"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
@@ -269,7 +270,7 @@ func (e *Engine) runsFor(label string, key SliceKey, win Window) (views []*shard
 	pprof.Do(context.Background(), pprof.Labels(
 		"live", label, "slice", key.String(),
 	), func(context.Context) {
-		core.ForEachIndex(e.cfg.Workers, len(e.shards), func(i int) {
+		parallel.ForEach(e.cfg.Workers, len(e.shards), func(i int) {
 			views[i], _ = e.shards[i].viewFor(combo, key, e.newHist)
 		})
 	})

@@ -8,8 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"autosens/internal/core"
 	"autosens/internal/live"
+	"autosens/internal/parallel"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 	"autosens/internal/wal"
@@ -87,7 +87,7 @@ func (s *Store) CompactOnce() (int, error) {
 	errs := make([]error, len(pending))
 	walBytes := s.takeRowBufs(pending, segs)
 	defer s.keepRowBufs(segs)
-	core.ForEachIndex(s.cfg.ScanWorkers, len(pending), func(i int) {
+	parallel.ForEach(s.cfg.ScanWorkers, len(pending), func(i int) {
 		sg := &segs[i]
 		errs[i] = wal.ReplaySegment(s.fs, s.cfg.WALDir, pending[i], func(r telemetry.Record) error {
 			thisSeq := sg.total
@@ -126,7 +126,7 @@ func (s *Store) CompactOnce() (int, error) {
 		bases[i] = seq
 		seq += segs[i].total
 	}
-	core.ForEachIndex(s.cfg.ScanWorkers, len(segs), func(i int) {
+	parallel.ForEach(s.cfg.ScanWorkers, len(segs), func(i int) {
 		rows, base := segs[i].rows, bases[i]
 		for j := range rows {
 			rows[j].seq += base
@@ -161,7 +161,7 @@ func (s *Store) CompactOnce() (int, error) {
 	}
 	metas := make([]BlockMeta, len(extents))
 	werrs := make([]error, len(extents))
-	core.ForEachIndex(s.cfg.ScanWorkers, len(extents), func(i int) {
+	parallel.ForEach(s.cfg.ScanWorkers, len(extents), func(i int) {
 		buf := encodeBufPool.Get().(*[]byte)
 		var meta BlockMeta
 		meta, *buf, werrs[i] = writeBlock(s.fs, s.cfg.Dir, next.NextBlockID+uint64(i), extents[i], *buf)

@@ -7,6 +7,7 @@ import (
 
 	"autosens/internal/core"
 	"autosens/internal/live"
+	"autosens/internal/parallel"
 	"autosens/internal/timeutil"
 )
 
@@ -91,7 +92,7 @@ func (s *Store) scanWindowOnce(key live.SliceKey, win live.Window) ([]timeutil.M
 	// cached (immutable) storage.
 	parts := make([]core.Columns, len(survivors))
 	errs := make([]error, len(survivors))
-	core.ForEachIndex(s.cfg.ScanWorkers, len(survivors), func(i int) {
+	parallel.ForEach(s.cfg.ScanWorkers, len(survivors), func(i int) {
 		parts[i], errs[i] = s.scanBlock(survivors[i], key, win)
 	})
 	for i, err := range errs {

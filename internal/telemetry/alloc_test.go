@@ -86,10 +86,10 @@ func TestEncodeJSONLFastAllocsPinned(t *testing.T) {
 func TestUserMediansAllocsBounded(t *testing.T) {
 	small := genRecords(10000, 19)
 	large := append(append([]Record(nil), small...), genRecords(10000, 23)...)
-	aSmall := testing.AllocsPerRun(5, func() { UserMedians(small) })
-	aLarge := testing.AllocsPerRun(5, func() { UserMedians(large) })
+	aSmall := testing.AllocsPerRun(5, func() { recordMedians(small) })
+	aLarge := testing.AllocsPerRun(5, func() { recordMedians(large) })
 	if aLarge > aSmall*1.5+16 {
-		t.Fatalf("UserMedians allocs scale with records: %d recs -> %.0f allocs, %d recs -> %.0f allocs",
+		t.Fatalf("per-user medians' allocs scale with records: %d recs -> %.0f allocs, %d recs -> %.0f allocs",
 			len(small), aSmall, len(large), aLarge)
 	}
 }

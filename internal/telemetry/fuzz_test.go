@@ -71,8 +71,9 @@ func FuzzRecordRoundTrip(f *testing.F) {
 // FuzzReaderNoCrash feeds arbitrary bytes to every Reader and requires
 // termination without panics: malformed input must never take down the
 // collector. The fast JSONL path additionally must agree with
-// encoding/json whenever it claims success, and DecodeTBIN with the
-// streaming TBIN reader: the same records or the same error text.
+// encoding/json whenever it claims success, and the whole-stream TBIN
+// decode and the column build with the streaming TBIN reader: the same
+// records or the same error text.
 func FuzzReaderNoCrash(f *testing.F) {
 	f.Add([]byte(`{"t":1,"a":0,"l":5,"u":1,"ut":0,"tz":0}` + "\n"))
 	f.Add([]byte("time_ms,action,latency_ms,user_id,user_type,tz_offset_ms,failed\n1,SelectMail,5,1,business,0,false\n"))
