@@ -100,6 +100,13 @@ var batchPool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// tbinReaders recycles TBIN beacon decoders beside the batch buffers, so
+// a request reuses a decoder's input buffer and block payload instead of
+// allocating them; Reset binds one to each request body.
+var tbinReaders = sync.Pool{New: func() any {
+	return telemetry.NewReader(nil, telemetry.TBIN)
+}}
+
 // serverMetrics bundles the registry handles the hot path uses.
 type serverMetrics struct {
 	batches      *obs.Counter
@@ -360,7 +367,8 @@ func (s *Server) handleBeacons(w http.ResponseWriter, r *http.Request) {
 		*scratch = (*scratch)[:0]
 		batchPool.Put(scratch)
 	}()
-	batch, status, code, msg := s.readBatch(w, r, (*scratch)[:0])
+	tbin := r.Header.Get("Content-Type") == ContentTypeTBIN
+	batch, status, code, msg := s.readBatch(w, r, tbin, (*scratch)[:0])
 	*scratch = batch[:0] // keep any capacity the decode grew
 	if status != 0 {
 		s.m.badRequests.Inc()
@@ -371,14 +379,17 @@ func (s *Server) handleBeacons(w http.ResponseWriter, r *http.Request) {
 
 	// Validate up front: the writer goroutine only ever sees clean
 	// records, and rejects are counted whether or not the sink survives.
-	valid := batch[:0]
-	rejected := 0
-	for _, rec := range batch {
-		if rec.Validate() != nil {
-			rejected++
-			continue
+	// The TBIN reader has already validated every record it returned.
+	valid, rejected := batch, 0
+	if !tbin {
+		valid = batch[:0]
+		for _, rec := range batch {
+			if rec.Validate() != nil {
+				rejected++
+				continue
+			}
+			valid = append(valid, rec)
 		}
-		valid = append(valid, rec)
 	}
 
 	resp := api.BatchResponse{Rejected: rejected}
@@ -438,12 +449,12 @@ func (s *Server) submit(batch []telemetry.Record) (writeRes, bool) {
 	return <-req.done, true
 }
 
-// readBatch decodes the request body into dst, choosing the decoder from
-// the Content-Type header. A zero status means success; otherwise status,
-// code and msg describe the v1 error to return.
-func (s *Server) readBatch(w http.ResponseWriter, r *http.Request, dst []telemetry.Record) (batch []telemetry.Record, status int, code, msg string) {
+// readBatch decodes the request body into dst, as TBIN or as a JSON
+// array. A zero status means success; otherwise status, code and msg
+// describe the v1 error to return.
+func (s *Server) readBatch(w http.ResponseWriter, r *http.Request, tbin bool, dst []telemetry.Record) (batch []telemetry.Record, status int, code, msg string) {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
-	if r.Header.Get("Content-Type") == ContentTypeTBIN {
+	if tbin {
 		return s.readBatchTBIN(body, dst)
 	}
 	return s.readBatchJSON(body, dst)
@@ -504,10 +515,15 @@ func (s *Server) readBatchJSON(body io.Reader, dst []telemetry.Record) ([]teleme
 	return dst, 0, "", ""
 }
 
-// readBatchTBIN streams a TBIN beacon body into dst.
+// readBatchTBIN streams a TBIN beacon body into dst through a pooled
+// reader.
 func (s *Server) readBatchTBIN(body io.Reader, dst []telemetry.Record) ([]telemetry.Record, int, string, string) {
-	tr := telemetry.NewReader(body, telemetry.TBIN)
-	defer tr.Close()
+	tr := tbinReaders.Get().(*telemetry.Reader)
+	tr.Reset(body)
+	defer func() {
+		tr.Reset(nil) // hold no reference to the request
+		tbinReaders.Put(tr)
+	}()
 	for {
 		rec, err := tr.Read()
 		if err == io.EOF {

@@ -43,9 +43,9 @@ func observeDecoded(n int) {
 	}
 }
 
-func observeEncoded() {
+func observeEncoded(n int) {
 	if m := ingestPtr.Load(); m != nil {
-		m.encoded.Inc()
+		m.encoded.Add(uint64(n))
 	}
 }
 

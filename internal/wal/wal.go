@@ -37,7 +37,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -233,8 +232,8 @@ type WAL struct {
 	broken bool // active segment took a write error; rotate before reuse
 	closed bool
 
-	scratch []byte       // frame assembly buffer
-	tbinBuf bytes.Buffer // TBIN payload scratch
+	scratch []byte                // frame assembly buffer
+	tbin    telemetry.TBINEncoder // TBIN payload encoder, kept for its scratch
 
 	activeBytes atomic.Int64
 	dirty       atomic.Bool // frames written since the last fsync
@@ -357,20 +356,15 @@ func (w *WAL) Append(batch []telemetry.Record) error {
 	if len(batch) == 0 {
 		return nil
 	}
-	for i := range batch {
-		if err := batch[i].Validate(); err != nil {
-			return err
-		}
-	}
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return fmt.Errorf("wal: closed")
-	}
 	frame, err := w.encodeFrameLocked(batch)
 	if err != nil {
 		return err
+	}
+	if w.closed {
+		return fmt.Errorf("wal: closed")
 	}
 	if w.broken || w.f == nil ||
 		(w.size > int64(segHeaderLen) && w.size+int64(len(frame)) > w.opts.SegmentMaxBytes) ||
@@ -418,24 +412,23 @@ func (w *WAL) Append(batch []telemetry.Record) error {
 	return nil
 }
 
-// encodeFrameLocked builds [header][payload] for batch in w.scratch.
+// encodeFrameLocked builds [header][payload] for batch in w.scratch, the
+// payload encoded in place after the header. It validates every record
+// first: the first invalid one fails the batch.
 func (w *WAL) encodeFrameLocked(batch []telemetry.Record) ([]byte, error) {
-	buf := w.scratch[:0]
-	buf = append(buf, make([]byte, frameHdrLen)...)
+	buf := append(w.scratch[:0], make([]byte, frameHdrLen)...)
+	var err error
 	switch w.opts.Format {
 	case telemetry.TBIN:
-		w.tbinBuf.Reset()
-		tw := telemetry.NewWriter(&w.tbinBuf, telemetry.TBIN)
-		if err := tw.WriteAll(batch); err != nil {
-			tw.Close()
+		if buf, err = w.tbin.Append(buf, batch); err != nil {
 			return nil, err
 		}
-		if err := tw.Close(); err != nil {
-			return nil, err
-		}
-		buf = append(buf, w.tbinBuf.Bytes()...)
 	default: // JSONL
-		var err error
+		for i := range batch {
+			if err := batch[i].Validate(); err != nil {
+				return nil, err
+			}
+		}
 		for _, rec := range batch {
 			if buf, err = telemetry.AppendRecordJSON(buf, rec); err != nil {
 				return nil, err
