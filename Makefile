@@ -76,10 +76,10 @@ bench-json:
 	mv BENCH_core.json.tmp BENCH_core.json
 
 # bench-ingest-json appends a labelled ingest data-plane benchmark run
-# (codecs, collector, slicers) to BENCH_ingest.json.
+# (codecs, collector, WAL append, slicers) to BENCH_ingest.json.
 bench-ingest-json:
-	$(GO) test -bench='Decode|Encode|Ingest|UserMedians|AssignQuartiles|Slicers' \
-		-benchmem -run=^$$ ./internal/telemetry/ ./internal/collector/ ./internal/pipeline/ | \
+	$(GO) test -bench='Decode|Encode|Ingest|WALAppend|UserMedians|AssignQuartiles|Slicers' \
+		-benchmem -run=^$$ ./internal/telemetry/ ./internal/collector/ ./internal/wal/ ./internal/pipeline/ | \
 		$(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)" -prev BENCH_ingest.json > BENCH_ingest.json.tmp
 	mv BENCH_ingest.json.tmp BENCH_ingest.json
 
@@ -175,6 +175,8 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzRecordRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run=^$$ -fuzz='^FuzzReaderNoCrash$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/
+	$(GO) test -run=^$$ -fuzz='^FuzzTBINAppendMatchesWriter$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/
+	$(GO) test -run=^$$ -fuzz='^FuzzReaderResetMatchesFresh$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/
 	$(GO) test -run=^$$ -fuzz='^FuzzMergeColumns$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=^$$ -fuzz='^FuzzNormalizedReplicateMatchesBatch$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=^$$ -fuzz='^FuzzPartitionMatchesRecords$$' -fuzztime=$(FUZZTIME) ./internal/pipeline/
