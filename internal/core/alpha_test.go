@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"autosens/internal/rng"
@@ -183,6 +184,36 @@ func TestAlphaByPeriodFlatAcrossBins(t *testing.T) {
 	}
 	if maxDev > 0.6 {
 		t.Fatalf("alpha varies %.0f%% across bins; expected roughly flat", maxDev*100)
+	}
+}
+
+// TestAlphaByPeriodDeterministic pins that α is a function of the input:
+// repeated calls on one multi-timezone input give the same bits, whatever
+// order the (period, tz) groups are held in.
+func TestAlphaByPeriodDeterministic(t *testing.T) {
+	records := append(periodRecords(22, -6*timeutil.MillisPerHour), periodRecords(23, 3*timeutil.MillisPerHour)...)
+	records = append(records, periodRecords(24, 0)...)
+	telemetry.SortByTime(records)
+	e := testEstimator(t, nil)
+	bits := func() []uint64 {
+		prof, err := e.AlphaByPeriod(slices.Clone(records), timeutil.Period8am2pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []uint64
+		for p := range prof.PerBin {
+			out = append(out, math.Float64bits(prof.Mean[p]))
+			for _, v := range prof.PerBin[p] {
+				out = append(out, math.Float64bits(v))
+			}
+		}
+		return out
+	}
+	want := bits()
+	for i := 0; i < 5; i++ {
+		if got := bits(); !slices.Equal(got, want) {
+			t.Fatalf("call %d: alpha bits differ from the first call's", i+2)
+		}
 	}
 }
 

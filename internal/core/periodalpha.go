@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 
 	"autosens/internal/histogram"
@@ -125,7 +127,17 @@ func (e *Estimator) AlphaByPeriod(records []telemetry.Record, ref timeutil.Perio
 		biased[p] = histogram.MustNew(0, e.opts.MaxLatencyMS, e.opts.AlphaBinWidthMS)
 		unbiased[p] = histogram.MustNew(0, e.opts.MaxLatencyMS, e.opts.AlphaBinWidthMS)
 	}
-	for k, rs := range groups {
+	// Groups are visited in (period, tz) order, each drawing from its own
+	// split stream, so α does not depend on map order.
+	keys := make([]key, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.p, b.p), cmp.Compare(a.tz, b.tz))
+	})
+	for i, k := range keys {
+		rs, gsrc := groups[k], src.Split(uint64(i))
 		for _, r := range rs {
 			biased[k.p].Add(r.LatencyMS)
 		}
@@ -136,8 +148,8 @@ func (e *Estimator) AlphaByPeriod(records []telemetry.Record, ref timeutil.Perio
 		sampler := newUnbiasedSampler(rs)
 		times := newIntervalSampler(ivs)
 		draws := int(math.Ceil(float64(len(rs)) * e.opts.UnbiasedPerSample))
-		for i := 0; i < draws; i++ {
-			unbiased[k.p].Add(sampler.nearest(times.draw(src), src))
+		for j := 0; j < draws; j++ {
+			unbiased[k.p].Add(sampler.nearest(times.draw(gsrc), gsrc))
 		}
 	}
 
