@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,23 +24,29 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	scaleFlag := flag.String("scale", "small", "simulation scale: small or paper")
-	runFlag := flag.String("run", "", "comma-separated experiment IDs (default: all)")
-	seed := flag.Uint64("seed", 1, "simulation seed")
-	outdir := flag.String("outdir", "", "directory for CSV series output (optional)")
-	list := flag.Bool("list", false, "list available experiments and exit")
-	flag.Parse()
+// run writes the experiments' results to stdout and its progress and
+// timing lines to stderr, so stdout is a function of the flags alone.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scaleFlag := fs.String("scale", "small", "simulation scale: small or paper")
+	runFlag := fs.String("run", "", "comma-separated experiment IDs (default: all)")
+	seed := fs.Uint64("seed", 1, "simulation seed")
+	outdir := fs.String("outdir", "", "directory for CSV series output (optional)")
+	list := fs.Bool("list", false, "list available experiments and exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *list {
 		for _, e := range experiments.All() {
-			fmt.Printf("%-16s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-16s %s\n", e.ID, e.Title)
 		}
 		return nil
 	}
@@ -67,13 +74,13 @@ func run() error {
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "experiments: simulating workload (scale=%s, seed=%d)...\n", *scaleFlag, *seed)
+	fmt.Fprintf(stderr, "experiments: simulating workload (scale=%s, seed=%d)...\n", *scaleFlag, *seed)
 	start := time.Now()
 	ctx, err := experiments.NewContext(scale, *seed)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "experiments: %d records in %v\n", len(ctx.Records), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "experiments: %d records in %v\n", len(ctx.Records), time.Since(start).Round(time.Millisecond))
 
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
@@ -82,15 +89,15 @@ func run() error {
 	}
 
 	for _, e := range selected {
-		fmt.Printf("\n================================================================================\n")
-		fmt.Printf("%s — %s\n", e.ID, e.Title)
-		fmt.Printf("================================================================================\n\n")
+		fmt.Fprintf(stdout, "\n================================================================================\n")
+		fmt.Fprintf(stdout, "%s — %s\n", e.ID, e.Title)
+		fmt.Fprintf(stdout, "================================================================================\n\n")
 		t0 := time.Now()
-		out, err := e.Run(ctx, os.Stdout)
+		out, err := e.Run(ctx, stdout)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		fmt.Printf("\n[%s completed in %v]\n", e.ID, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintf(stderr, "experiments: %s completed in %v\n", e.ID, time.Since(t0).Round(time.Millisecond))
 		if *outdir != "" && out != nil {
 			if err := writeCSVs(*outdir, e.ID, out); err != nil {
 				return err
