@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -247,4 +248,61 @@ func BenchmarkIngestJSON(b *testing.B) {
 func BenchmarkIngestTBIN(b *testing.B) {
 	batch := benchBatch(b, 1000)
 	benchmarkIngest(b, ContentTypeTBIN, encodeTBIN(b, batch), len(batch))
+}
+
+// TestConcurrentTBINBeaconsShareReaders posts valid and invalid TBIN bodies
+// from several goroutines at once, so pooled readers pass between handlers
+// mid-flight; every response must be the one its own body earns, and the
+// sink must hold exactly the accepted records.
+func TestConcurrentTBINBeaconsShareReaders(t *testing.T) {
+	srv, buf, ts := newTestServerCfg(t, ServerConfig{MaxBatchRecords: 50})
+	valid := tbinBody(t, testRecords(40), 15)
+	invalid := negateLatencyAt(t, 40, 30, 15)
+	const workers, posts = 6, 20
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		go func(g int) {
+			for i := 0; i < posts; i++ {
+				body, want := valid, http.StatusAccepted
+				if (g+i)%3 == 0 {
+					body, want = invalid, http.StatusBadRequest
+				}
+				resp, err := http.Post(ts.URL+"/v1/beacons", ContentTypeTBIN, bytes.NewReader(body))
+				if err != nil {
+					errs <- err
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body) // drain, so the connection is reused
+				resp.Body.Close()
+				if resp.StatusCode != want {
+					errs <- fmt.Errorf("worker %d post %d: status %d, want %d", g, i, resp.StatusCode, want)
+					return
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < workers; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := telemetry.NewReader(buf, telemetry.JSONL).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := 0
+	for g := 0; g < workers; g++ {
+		for i := 0; i < posts; i++ {
+			if (g+i)%3 != 0 {
+				accepted += 40
+			}
+		}
+	}
+	if len(got) != accepted {
+		t.Fatalf("sink holds %d records, want %d", len(got), accepted)
+	}
 }
