@@ -69,8 +69,9 @@ func run(args []string, stdout io.Writer) error {
 	_ = fs.Parse(args) // ExitOnError: -h exits 0 and a bad flag exits 2
 
 	// Every refusal comes before any input is read.
+	estMode, modeErr := core.ParseMode(*mode)
 	switch {
-	case *mode != "normalized" && *mode != "plain" && *mode != "biased":
+	case modeErr != nil:
 		return fmt.Errorf("unknown mode %q", *mode)
 	case *stream && *in == "-":
 		return fmt.Errorf("-stream reads its input twice and cannot read stdin")
@@ -220,7 +221,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return emit(stdout, curve, nil, *noChart, *ref, *mode, *probesFlag, *csvOut, *jsonOut)
+		return emit(stdout, &core.CurveCI{Curve: curve}, *noChart, *ref, *mode, *probesFlag, *csvOut, *jsonOut)
 	}
 
 	// The input loads straight into a columnar partition holding what the
@@ -317,37 +318,25 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	times, lats := part.Columns()
-
-	if *ci {
-		ciOpts := core.DefaultCIOptions()
-		ciOpts.TimeNormalized = *mode == "normalized"
-		ciOpts.Workers = *workers
-		band, err := est.EstimateCIColumns(times, lats, ciOpts)
-		if err != nil {
-			return err
-		}
-		logger.Info("bootstrap complete", "replicates", band.Replicates)
-		return emit(stdout, band.Curve, band, *noChart, *ref, *mode, *probesFlag, *csvOut, *jsonOut)
-	}
-
-	var curve *core.Curve
-	switch *mode {
-	case "normalized":
-		curve, err = est.EstimateTimeNormalizedColumns(times, lats)
-	case "plain":
-		curve, err = est.EstimateColumns(times, lats, nil)
-	case "biased":
-		curve, err = est.BiasedOnlyColumns(lats)
-	}
+	ciOpts := core.DefaultCIOptions()
+	ciOpts.Workers = *workers
+	res, err := est.Finish(core.Request{Mode: estMode, CI: *ci, CIOptions: ciOpts},
+		&core.Summary{Columns: core.Columns{Times: times, Lats: lats}}, nil)
 	if err != nil {
 		return err
 	}
-	return emit(stdout, curve, nil, *noChart, *ref, *mode, *probesFlag, *csvOut, *jsonOut)
+	return emit(stdout, res, *noChart, *ref, *mode, *probesFlag, *csvOut, *jsonOut)
 }
 
-// emit renders the curve (and optional confidence band) as chart, probe
-// table, and CSV.
-func emit(out io.Writer, curve *core.Curve, band *core.CurveCI, noChart bool, ref float64, mode, probesFlag, csvOut, jsonOut string) error {
+// emit renders the curve, and its confidence band when it has one, as
+// chart, probe table, and CSV.
+func emit(out io.Writer, res *core.CurveCI, noChart bool, ref float64, mode, probesFlag, csvOut, jsonOut string) error {
+	curve := res.Curve
+	var band *core.CurveCI
+	if res.Lower != nil {
+		band = res
+		logger.Info("bootstrap complete", "replicates", band.Replicates)
+	}
 	if !noChart {
 		var xs, ys []float64
 		for i, v := range curve.NLP {

@@ -70,7 +70,7 @@ func TestEmitRendersChartTableAndFiles(t *testing.T) {
 	csvPath := filepath.Join(dir, "curve.csv")
 	jsonPath := filepath.Join(dir, "curve.json")
 	var out bytes.Buffer
-	if err := emit(&out, curve, nil, false, 300, "plain", "500,1000", csvPath, jsonPath); err != nil {
+	if err := emit(&out, &core.CurveCI{Curve: curve}, false, 300, "plain", "500,1000", csvPath, jsonPath); err != nil {
 		t.Fatal(err)
 	}
 	text := out.String()
@@ -108,7 +108,7 @@ func TestEmitWithBandShowsCI(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := emit(&out, band.Curve, band, true, 300, "plain", "500", "", ""); err != nil {
+	if err := emit(&out, band, true, 300, "plain", "500", "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "90% CI") {
@@ -124,7 +124,7 @@ func TestEmitRejectsBadProbes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := emit(&out, curve, nil, true, 300, "plain", "50x0", "", ""); err == nil {
+	if err := emit(&out, &core.CurveCI{Curve: curve}, true, 300, "plain", "50x0", "", ""); err == nil {
 		t.Fatal("bad probe accepted")
 	}
 }

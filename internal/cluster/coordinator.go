@@ -323,7 +323,7 @@ func (c *Coordinator) recompute(cv *sliceVersions, key live.SliceKey, mode live.
 	if err := core.MergeSummaries(&buf.merged, sums...); err != nil {
 		return nil, err
 	}
-	res, err := live.Finish(c.est, c.ci, key, mode, ci, &buf.merged, &buf.sc)
+	res, err := live.Finish(c.est, core.Request{Mode: mode, CI: ci, CIOptions: c.ci}, key, &buf.merged, &buf.sc)
 	if err != nil {
 		return nil, err
 	}

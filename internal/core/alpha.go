@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"autosens/internal/histogram"
 	"autosens/internal/obs"
@@ -31,8 +30,9 @@ type slotData struct {
 	coarseU *histogram.Histogram
 }
 
-// EstimateTimeNormalized computes the NLP curve with the full
-// time-confounder mitigation of Section 2.4.1:
+// EstimateTimeNormalized is the time-normalized estimate (ModeNormalized)
+// over records' usable rows: the full time-confounder mitigation of
+// Section 2.4.1,
 //
 //  1. discretize time into SlotDuration slots and drop slots with fewer
 //     than MinSlotActions actions;
@@ -45,22 +45,11 @@ type slotData struct {
 //  4. average the per-reference results, smooth, and normalize at the
 //     reference latency.
 func (e *Estimator) EstimateTimeNormalized(records []telemetry.Record) (*Curve, error) {
-	defer observeEstimate(time.Now())
-	sp := e.trace.StartChild("estimate_time_normalized")
-	defer sp.End()
-	times, lats := UsableColumns(records)
-	if len(times) == 0 {
-		return nil, errEmptyRecords
-	}
-	sp.SetAttr("records", len(times))
-	return e.estimateTimeNormalizedColumns(sp, times, lats)
+	return pointOf(e.finishRecords(Request{Mode: ModeNormalized}, records))
 }
 
-// estimateTimeNormalizedColumns is EstimateTimeNormalized minus the
-// usable-filter and sort, for callers who already hold the filtered,
-// time-sorted columns (the bootstrap's resampled replicates are sorted by
-// construction, so re-sorting them every replicate would be pure waste;
-// the live engine's shard merge yields sorted columns directly).
+// estimateTimeNormalizedColumns is the time-normalized estimator's core
+// over validated sorted columns, recording its stage spans under sp.
 func (e *Estimator) estimateTimeNormalizedColumns(sp *obs.Span, times []timeutil.Millis, lats []float64) (*Curve, error) {
 	src := rng.New(e.opts.Seed)
 	slots := e.buildSlots(sp, times, lats, src)

@@ -130,7 +130,7 @@ func TestNormalizedBandBytesGolden(t *testing.T) {
 			opts.Resamples = c.resamples
 			opts.BlockLen = c.blockLen
 			opts.Workers = w
-			ci, err := e.EstimateCIColumns(c.times, c.lats, opts)
+			ci, err := e.Finish(bandRequest(opts), summaryOf(c.times, c.lats), nil)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", c.name, w, err)
 			}

@@ -122,7 +122,7 @@ func BenchmarkIncrementalNormalized(b *testing.B) {
 	if err := inc.Fold(times, lats, seqs); err != nil {
 		b.Fatal(err)
 	}
-	if _, err := inc.EstimateTimeNormalized(); err != nil {
+	if _, err := inc.Finish(Request{Mode: ModeNormalized}); err != nil {
 		b.Fatal(err)
 	}
 	const batch = 5
@@ -139,7 +139,7 @@ func BenchmarkIncrementalNormalized(b *testing.B) {
 		if err := inc.Fold(dt, dl, ds); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := inc.EstimateTimeNormalized(); err != nil {
+		if _, err := inc.Finish(Request{Mode: ModeNormalized}); err != nil {
 			b.Fatal(err)
 		}
 	}

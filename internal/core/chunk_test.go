@@ -161,8 +161,8 @@ func chunkScenarios() map[string][]chunkFold {
 // TestIncrementalChunkedSweeps replays every scenario under Workers 1, 2 and
 // 8 with chunks of a few hundred keys: each estimate's curve, its
 // aux-dependent ranks and its bootstrap band must be the same bytes at every
-// worker count, and equal to the batch estimators' over the same columns
-// (EstimateColumns, EstimateSummary with a retained scratch, EstimateCIColumns).
+// worker count, and equal to the stateless finisher's over the same columns
+// (plain, plain with a retained scratch, and with a band).
 func TestIncrementalChunkedSweeps(t *testing.T) {
 	splitSmall(t, 256)
 	opts := DefaultCIOptions()
@@ -195,7 +195,7 @@ func TestIncrementalChunkedSweeps(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					band, err := e.EstimateCIIncremental(inc, opts)
+					band, err := inc.Finish(bandRequest(opts))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -205,15 +205,15 @@ func TestIncrementalChunkedSweeps(t *testing.T) {
 					}
 					got = append(got, s)
 
-					batch, err := e.EstimateColumns(ref.Times, ref.Lats, nil)
+					batch, err := pointOf(e.Finish(Request{}, summaryOf(ref.Times, ref.Lats), nil))
 					if err != nil {
 						t.Fatal(err)
 					}
-					summary, err := e.EstimateSummary(&Summary{Columns: ref.Columns}, sc)
+					summary, err := pointOf(e.Finish(Request{}, ref, sc))
 					if err != nil {
 						t.Fatal(err)
 					}
-					batchBand, err := e.EstimateCIColumns(ref.Times, ref.Lats, opts)
+					batchBand, err := e.Finish(bandRequest(opts), summaryOf(ref.Times, ref.Lats), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -223,13 +223,13 @@ func TestIncrementalChunkedSweeps(t *testing.T) {
 					}
 					switch {
 					case !bytes.Equal(s.curve, curveBytes(t, batch)):
-						t.Fatalf("workers=%d step %d: incremental curve differs from EstimateColumns", workers, step)
+						t.Fatalf("workers=%d step %d: incremental curve differs from the stateless one", workers, step)
 					case !bytes.Equal(s.curve, curveBytes(t, summary)):
-						t.Fatalf("workers=%d step %d: EstimateSummary differs", workers, step)
+						t.Fatalf("workers=%d step %d: stateless curve with a retained scratch differs", workers, step)
 					case !bytes.Equal(s.curve, curveBytes(t, batchBand.Curve)):
-						t.Fatalf("workers=%d step %d: EstimateCIColumns point differs", workers, step)
+						t.Fatalf("workers=%d step %d: stateless band's point differs", workers, step)
 					case !bytes.Equal(s.band, batchBounds):
-						t.Fatalf("workers=%d step %d: incremental band differs from EstimateCIColumns", workers, step)
+						t.Fatalf("workers=%d step %d: incremental band differs from the stateless one", workers, step)
 					}
 				}
 				if base == nil {
@@ -288,7 +288,7 @@ func TestKeyScheduleObservability(t *testing.T) {
 	if _, err := inc.EstimatePlain(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.EstimateColumns(ts, ls, nil); err != nil {
+	if _, err := e.Finish(Request{}, summaryOf(ts, ls), nil); err != nil {
 		t.Fatal(err)
 	}
 	root := tr.Finish()

@@ -470,62 +470,66 @@ func (e *Estimator) normalizedReplicate(bb *bootBlocks, nb *normBoot, sc *ciScra
 	return e.poolNormalized(nil, sc.ptrs, len(times))
 }
 
-// EstimateCI computes the NLP curve together with moving-block bootstrap
-// confidence bounds: the observation window is cut into BlockLen blocks and
-// blocks are resampled with replacement. A plain replicate is the sum of its
-// picked blocks' histogram pairs (see sumBlocks); a time-normalized
-// replicate re-times the picked blocks' records and estimates the result
-// from per-slot work shared by all replicates (see normBoot), bit-identical
-// to rerunning the estimator over it.
+// EstimateCI is the estimate with bootstrap bounds over records' usable
+// rows: time-normalized when opts.TimeNormalized, plain otherwise.
 //
-// Replicates run on a pool of opts.Workers goroutines. Each replicate
-// draws its block picks from an independent stream split off the bootstrap
-// seed, so the result is bit-identical whatever the worker count.
+// The observation window is cut into BlockLen blocks and blocks are
+// resampled with replacement. A plain replicate is the sum of its picked
+// blocks' histogram pairs (see sumBlocks); a time-normalized replicate
+// re-times the picked blocks' records and estimates the result from
+// per-slot work shared by all replicates (see normBoot), bit-identical to
+// rerunning the estimator over it. Replicates run on a pool of opts.Workers
+// goroutines. Each replicate draws its block picks from an independent
+// stream split off the bootstrap seed, so the result is bit-identical
+// whatever the worker count.
 func (e *Estimator) EstimateCI(records []telemetry.Record, opts CIOptions) (*CurveCI, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	times, lats := UsableColumns(records)
-	if len(times) == 0 {
-		return nil, errEmptyRecords
-	}
-	return e.estimateCI(times, lats, opts)
+	return e.finishRecords(Request{Mode: ModeOf(opts.TimeNormalized), CI: true, CIOptions: opts}, records)
 }
 
-// EstimateCIColumns is EstimateCI directly over time-sorted columns of
-// usable records, bit-identical to EstimateCI over records with the same
-// times and latencies.
-func (e *Estimator) EstimateCIColumns(times []timeutil.Millis, lats []float64, opts CIOptions) (*CurveCI, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkColumns(times, lats); err != nil {
-		return nil, err
-	}
-	return e.estimateCI(times, lats, opts)
-}
-
-// estimateCI is the shared bootstrap core over validated sorted columns.
-func (e *Estimator) estimateCI(times []timeutil.Millis, lats []float64, opts CIOptions) (*CurveCI, error) {
-	defer observeEstimate(time.Now())
-	sp := e.trace.StartChild("estimate_ci")
-	defer sp.End()
-	sp.SetAttr("records", len(times))
-
-	bb, err := partitionBlocks(times, lats, opts.BlockLen)
+// finishBand answers a band request over s: the moving-block bootstrap
+// around the point estimate. A non-nil inc holds s and answers a plain
+// point from its delta-maintained state; the block sums then come from one
+// split sweep of the schedule that estimate just brought current, and
+// nothing is retained between calls.
+func (e *Estimator) finishBand(req Request, s *Summary, inc *Incremental) (*CurveCI, error) {
+	opts, err := req.ciOptions()
 	if err != nil {
 		return nil, err
 	}
-	// The point estimate's stage spans nest under estimate_ci; the
+	if err := checkColumns(s.Times, s.Lats); err != nil {
+		return nil, err
+	}
+	if opts.TimeNormalized {
+		inc = nil // replicates re-partition resampled series into slots
+	}
+	name := "estimate_ci"
+	if inc != nil {
+		name = "estimate_ci_incremental"
+	}
+	defer observeEstimate(time.Now())
+	sp := e.trace.StartChild(name)
+	defer sp.End()
+	sp.SetAttr("records", s.Len())
+
+	bb, err := partitionBlocks(s.Times, s.Lats, opts.BlockLen)
+	if err != nil {
+		return nil, err
+	}
+	// The point estimate's stage spans nest under the band's; the
 	// bootstrap replicates run untraced (40 replicates × 6 stages of
 	// span noise would drown the report) and are summarized by a single
 	// bootstrap span instead.
 	var point *Curve
-	if opts.TimeNormalized {
+	switch {
+	case opts.TimeNormalized:
 		traced := *e
 		traced.trace = sp
-		point, err = traced.EstimateTimeNormalizedColumns(times, lats)
-	} else {
+		point, err = pointOf(traced.Finish(Request{Mode: ModeNormalized}, s, nil))
+	case inc != nil:
+		if point, err = inc.EstimatePlain(); err == nil {
+			e.sumBlocks(bb, inc.plan.sorted, inc.plan.auxSeed)
+		}
+	default:
 		point, err = e.plainPointFromBlocks(sp, bb)
 	}
 	if err != nil {
@@ -536,7 +540,7 @@ func (e *Estimator) estimateCI(times []timeutil.Millis, lats []float64, opts CIO
 
 // plainPointFromBlocks draws the plain estimate's key schedule, splits its
 // one sweep over bb's blocks and finishes the point curve from the block
-// sums — the bytes EstimateColumns produces over the same columns.
+// sums — the bytes the plain point estimate has over the same columns.
 func (e *Estimator) plainPointFromBlocks(sp *obs.Span, bb *bootBlocks) (*Curve, error) {
 	estSp := sp.StartChild("estimate")
 	defer estSp.End()
@@ -566,48 +570,11 @@ func (e *Estimator) plainPointFromBlocks(sp *obs.Span, bb *bootBlocks) (*Curve, 
 	return e.finishCurve(estSp, b, u, n, len(keys))
 }
 
-// EstimateCIIncremental computes the plain NLP curve with moving-block
-// bootstrap bounds over an Incremental's folded records, bit-identical to
-// EstimateCIColumns over the same columns: the point curve is the
-// delta-maintained EstimatePlain, and the block sums come from one split
-// sweep of the schedule that estimate just brought current. Nothing is
-// retained between calls.
-//
-// Normalized replicates re-partition their resampled series into slots:
-// normalized requests run the batch bootstrap over the maintained columns.
-func (e *Estimator) EstimateCIIncremental(inc *Incremental, opts CIOptions) (*CurveCI, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	times, lats := inc.Columns()
-	if opts.TimeNormalized {
-		return e.EstimateCIColumns(times, lats, opts)
-	}
-	if err := checkColumns(times, lats); err != nil {
-		return nil, err
-	}
-	defer observeEstimate(time.Now())
-	sp := e.trace.StartChild("estimate_ci_incremental")
-	defer sp.End()
-	sp.SetAttr("records", len(times))
-
-	bb, err := partitionBlocks(times, lats, opts.BlockLen)
-	if err != nil {
-		return nil, err
-	}
-	point, err := inc.EstimatePlain()
-	if err != nil {
-		return nil, err
-	}
-	e.sumBlocks(bb, inc.plan.sorted, inc.plan.auxSeed)
-	return e.bootstrapCI(sp, point, bb, opts)
-}
-
 // bootstrapCI runs the replicate pool over a prepared block partition and
-// aggregates per-bin bounds. It is shared verbatim by the batch path
-// (estimateCI) and the delta-maintained path (EstimateCIIncremental), which
-// is what keeps the two bit-identical: replicate randomness, scheduling and
-// aggregation order are all decided here.
+// aggregates per-bin bounds. It is shared verbatim by the stateless and
+// the delta-maintained band, which is what keeps the two bit-identical:
+// replicate randomness, scheduling and aggregation order are all decided
+// here.
 func (e *Estimator) bootstrapCI(sp *obs.Span, point *Curve, bb *bootBlocks, opts CIOptions) (*CurveCI, error) {
 	if opts.MinSupport == 0 {
 		opts.MinSupport = 0.5

@@ -236,18 +236,18 @@ func TestBlockSumsEqualPointEstimate(t *testing.T) {
 				t.Fatalf("block U histograms hold %v draws, want %d", gotU.Total(), draws)
 			}
 
-			// And so the batch bootstrap's point curve is EstimateColumns'.
+			// And so the batch bootstrap's point curve is the plain estimate's.
 			opts := smallCIOptions()
 			opts.BlockLen = blockLen
-			ci, err := e.EstimateCIColumns(times, lats, opts)
+			ci, err := e.Finish(bandRequest(opts), summaryOf(times, lats), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := e.EstimateColumns(times, lats, nil)
+			want, err := pointOf(e.Finish(Request{}, summaryOf(times, lats), nil))
 			if err != nil {
 				t.Fatal(err)
 			}
-			curvesEqual(t, "ci point vs EstimateColumns", want, ci.Curve)
+			curvesEqual(t, "ci point vs plain point", want, ci.Curve)
 		})
 	}
 }
@@ -293,7 +293,7 @@ func TestEstimateCISkipsEmptyReplicates(t *testing.T) {
 	if empty == 0 {
 		t.Fatal("no replicate picks only record-free blocks; the fixture tests nothing")
 	}
-	ci, err := e.EstimateCIColumns(times, lats, opts)
+	ci, err := e.Finish(bandRequest(opts), summaryOf(times, lats), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestEstimateCIIncrementalAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&before)
-			if _, err := e.EstimateCIIncremental(inc, opts); err != nil {
+			if _, err := inc.Finish(bandRequest(opts)); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)

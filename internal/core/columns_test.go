@@ -71,8 +71,8 @@ func TestUsableColumnsMatchesSortByTime(t *testing.T) {
 	}
 }
 
-// Column entry points must be bit-identical to their record-based
-// counterparts — the live engine's byte-identity guarantee rests on this.
+// The record form is the finisher over UsableColumns, and a reused
+// scratch changes no byte across repeated estimations.
 func TestEstimateColumnsMatchesEstimate(t *testing.T) {
 	src := rng.New(20)
 	records := genRecords(src, 3*timeutil.MillisPerDay,
@@ -86,32 +86,22 @@ func TestEstimateColumnsMatchesEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	times, lats := UsableColumns(records)
-
-	got, err := e.EstimateColumns(times, lats, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(curveBytes(t, want), curveBytes(t, got)) {
-		t.Fatal("EstimateColumns differs from Estimate")
-	}
-
-	// Scratch reuse must not change results across repeated estimations.
 	sc := &Scratch{}
 	for i := 0; i < 3; i++ {
-		got, err = e.EstimateColumns(times, lats, sc)
+		got, err := pointOf(e.Finish(Request{}, summaryOf(times, lats), sc))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(curveBytes(t, want), curveBytes(t, got)) {
-			t.Fatalf("EstimateColumns with reused scratch differs on pass %d", i)
+			t.Fatalf("Finish with a reused scratch differs from Estimate on pass %d", i)
 		}
 	}
 }
 
 // An incrementally maintained biased histogram (appends in arrival order,
-// not time order) handed to EstimateSummary as Summary.B must produce the
-// identical curve: weight-1.0 adds are exact integer arithmetic in float64,
-// so the counts are order-independent.
+// not time order) handed to Finish as Summary.B must produce the identical
+// curve: weight-1.0 adds are exact integer arithmetic in float64, so the
+// counts are order-independent.
 func TestEstimateSummaryPrebuiltHistogram(t *testing.T) {
 	src := rng.New(21)
 	records := genRecords(src, 2*timeutil.MillisPerDay,
@@ -120,7 +110,7 @@ func TestEstimateSummaryPrebuiltHistogram(t *testing.T) {
 	e := testEstimator(t, nil)
 	times, lats := UsableColumns(records)
 
-	want, err := e.EstimateColumns(times, lats, nil)
+	want, err := pointOf(e.Finish(Request{}, summaryOf(times, lats), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,72 +122,80 @@ func TestEstimateSummaryPrebuiltHistogram(t *testing.T) {
 	for _, i := range perm {
 		b.Add(lats[i])
 	}
-	seqs := make([]uint64, len(times))
-	for i := range seqs {
-		seqs[i] = uint64(i)
-	}
-	s := &Summary{Columns: Columns{Times: times, Lats: lats, Seqs: seqs}, B: b}
-	got, err := e.EstimateSummary(s, &Scratch{})
+	s := &Summary{Columns: Columns{Times: times, Lats: lats}, B: b}
+	got, err := pointOf(e.Finish(Request{}, s, &Scratch{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(curveBytes(t, want), curveBytes(t, got)) {
-		t.Fatal("EstimateSummary with incremental histogram differs")
+		t.Fatal("Finish with an incremental histogram differs")
 	}
 }
 
-func TestEstimateTimeNormalizedColumnsMatches(t *testing.T) {
-	src := rng.New(22)
-	records := genRecords(src, 3*timeutil.MillisPerDay,
-		func(tm timeutil.Millis) float64 { return 250 + 150*float64((tm/(6*timeutil.MillisPerHour))%3) },
-		0.3,
-		func(tm timeutil.Millis) float64 { return 6 + float64((tm/timeutil.MillisPerHour)%4) })
-	e := testEstimator(t, nil)
+// TestFinishRequests pins the request surface: mode names round-trip, a
+// point request carries no bounds, the band's estimator follows Mode
+// whatever CIOptions.TimeNormalized says, and the requests no estimator
+// answers are refused by both finishers with the same text.
+func TestFinishRequests(t *testing.T) {
+	for m := ModePlain; m < numModes; m++ {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Fatalf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if _, err := ParseMode("pooled"); err == nil {
+		t.Fatal("ParseMode accepted an unknown name")
+	}
 
-	want, err := e.EstimateTimeNormalized(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	times, lats := UsableColumns(records)
-	got, err := e.EstimateTimeNormalizedColumns(times, lats)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(curveBytes(t, want), curveBytes(t, got)) {
-		t.Fatal("EstimateTimeNormalizedColumns differs from EstimateTimeNormalized")
-	}
-}
-
-func TestEstimateCIColumnsMatches(t *testing.T) {
 	src := rng.New(23)
 	records := genRecords(src, 3*timeutil.MillisPerDay,
 		func(timeutil.Millis) float64 { return 350 }, 0.35,
 		func(timeutil.Millis) float64 { return 8 })
 	e := testEstimator(t, nil)
-	opts := DefaultCIOptions()
-	opts.Resamples = 8
-
-	want, err := e.EstimateCI(records, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	times, lats := UsableColumns(records)
-	got, err := e.EstimateCIColumns(times, lats, opts)
+	s := summaryOf(times, lats)
+	seqs := make([]uint64, len(times))
+	for i := range seqs {
+		seqs[i] = uint64(i)
+	}
+	inc := e.NewIncremental()
+	if err := inc.Fold(times, lats, seqs); err != nil {
+		t.Fatal(err)
+	}
+
+	point, err := e.Finish(Request{Mode: ModeBiased}, s, nil)
+	if err != nil || point.Lower != nil || point.Upper != nil || point.Replicates != 0 {
+		t.Fatalf("point request: bounds %v/%v, %d replicates, err %v", point.Lower, point.Upper, point.Replicates, err)
+	}
+
+	opts := DefaultCIOptions()
+	opts.Resamples = 4
+	opts.TimeNormalized = true // Mode decides, not this
+	plain, err := e.Finish(Request{Mode: ModePlain, CI: true, CIOptions: opts}, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(curveBytes(t, want.Curve), curveBytes(t, got.Curve)) {
-		t.Fatal("EstimateCIColumns point estimate differs")
-	}
-	wb, err := want.MarshalBoundsJSON()
-	if err != nil {
+	opts.TimeNormalized = false
+	if want, err := e.EstimateCI(records, opts); err != nil {
 		t.Fatal(err)
+	} else if !bytes.Equal(curveBytes(t, plain.Curve), curveBytes(t, want.Curve)) {
+		t.Fatal("a plain band request ran the time-normalized estimator")
 	}
-	gb, err := got.MarshalBoundsJSON()
-	if err != nil {
-		t.Fatal(err)
+
+	for _, req := range []Request{{Mode: ModeBiased, CI: true, CIOptions: opts}, {Mode: numModes}, {Mode: numModes, CI: true, CIOptions: opts}} {
+		_, err := e.Finish(req, s, nil)
+		_, incErr := inc.Finish(req)
+		if err == nil || incErr == nil || err.Error() != incErr.Error() {
+			t.Fatalf("%+v: stateless error %v, incremental error %v", req, err, incErr)
+		}
 	}
-	if !bytes.Equal(wb, gb) {
-		t.Fatal("EstimateCIColumns bounds differ")
-	}
+}
+
+// summaryOf wraps sorted columns as the stateless finisher's input.
+func summaryOf(times []timeutil.Millis, lats []float64) *Summary {
+	return &Summary{Columns: Columns{Times: times, Lats: lats}}
+}
+
+// bandRequest is the band request opts describe, as EstimateCI makes it.
+func bandRequest(opts CIOptions) Request {
+	return Request{Mode: ModeOf(opts.TimeNormalized), CI: true, CIOptions: opts}
 }

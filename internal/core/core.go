@@ -18,21 +18,16 @@
 // NLP(L) = 0.8 means users are 20% less active at latency L than at the
 // reference, all else equal.
 //
-// Three estimator levels are provided, mirroring the paper's development:
-//
-//   - BiasedOnly: the raw biased PDF (no exposure correction) — useful only
-//     to demonstrate why U is needed;
-//   - Estimate: B/U pooled over the whole window (Section 2.2–2.3);
-//   - EstimateTimeNormalized: B/U with the time-confounder correction of
-//     Section 2.4.1 — per-hour activity factors α computed against several
-//     reference slots in turn and averaged.
+// Three estimator levels mirror the paper's development (see Mode): the
+// raw biased PDF, B/U pooled over the whole window, and B/U with the time
+// confounder corrected. A Request names a level and an optional bootstrap
+// band, and one of two finishers answers it (see columns.go).
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"autosens/internal/histogram"
 	"autosens/internal/obs"
@@ -387,24 +382,9 @@ func interpolateHoles(xs []float64, valid []bool) []float64 {
 	return out
 }
 
-// BiasedOnly returns the biased latency distribution rescaled to 1 at the
-// reference latency — the estimate one would get with no exposure
-// correction at all. It exists as a baseline to show what B/U fixes.
-func (e *Estimator) BiasedOnly(records []telemetry.Record) (*Curve, error) {
-	_, lats := UsableColumns(records)
-	return e.BiasedOnlyColumns(lats)
-}
-
-// BiasedOnlyColumns is BiasedOnly over the latencies of usable records, in
-// any order.
-func (e *Estimator) BiasedOnlyColumns(lats []float64) (*Curve, error) {
-	defer observeEstimate(time.Now())
-	sp := e.trace.StartChild("biased_only")
-	defer sp.End()
-	if len(lats) == 0 {
-		return nil, errEmptyRecords
-	}
-	sp.SetAttr("records", len(lats))
+// biasedOnly is the biased latency distribution rescaled to 1 at the
+// reference latency: the estimate with no exposure correction at all.
+func (e *Estimator) biasedOnly(sp *obs.Span, lats []float64) (*Curve, error) {
 	b := e.newHist()
 	for _, v := range lats {
 		b.Add(v)
@@ -418,28 +398,7 @@ func (e *Estimator) BiasedOnlyColumns(lats []float64) (*Curve, error) {
 	return e.finishCurve(sp, b, u, len(lats), 0)
 }
 
-// Estimate computes the NLP curve with the whole-window unbiased
-// correction but no time-confounder normalization (Sections 2.2–2.3).
+// Estimate is the plain estimate (ModePlain) over records' usable rows.
 func (e *Estimator) Estimate(records []telemetry.Record) (*Curve, error) {
-	defer observeEstimate(time.Now())
-	sp := e.trace.StartChild("estimate")
-	defer sp.End()
-	times, lats := UsableColumns(records)
-	if len(times) == 0 {
-		return nil, errEmptyRecords
-	}
-	sp.SetAttr("records", len(times))
-	return e.estimateColumns(sp, nil, times, lats, nil)
-}
-
-// usable filters out failed records (the paper analyzes successful actions
-// only) and returns a copy safe to sort.
-func usable(records []telemetry.Record) []telemetry.Record {
-	out := make([]telemetry.Record, 0, len(records))
-	for _, r := range records {
-		if !r.Failed {
-			out = append(out, r)
-		}
-	}
-	return out
+	return pointOf(e.finishRecords(Request{Mode: ModePlain}, records))
 }

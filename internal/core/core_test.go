@@ -388,14 +388,15 @@ func TestCurvePrefCurveAndValidRange(t *testing.T) {
 }
 
 func TestBiasedOnlyReflectsRawDistribution(t *testing.T) {
-	// BiasedOnly of a latency-stationary series peaks at the latency
-	// mode regardless of activity, so its NLP curve just mirrors B.
+	// The biased-only baseline of a latency-stationary series peaks at
+	// the latency mode regardless of activity, so its NLP curve just
+	// mirrors B.
 	src := rng.New(16)
 	records := genRecords(src, timeutil.MillisPerDay,
 		func(timeutil.Millis) float64 { return 300 }, 0.2,
 		func(timeutil.Millis) float64 { return 10 })
 	e := testEstimator(t, func(o *Options) { o.ReferenceMS = 300 })
-	c, err := e.BiasedOnly(records)
+	c, err := pointOf(e.finishRecords(Request{Mode: ModeBiased}, records))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +404,7 @@ func TestBiasedOnlyReflectsRawDistribution(t *testing.T) {
 	// zero — the known pathology of skipping the U correction.
 	v, _ := c.At(1500)
 	if v > 0.2 {
-		t.Fatalf("BiasedOnly NLP(1500) = %v, expected near zero", v)
+		t.Fatalf("biased-only NLP(1500) = %v, expected near zero", v)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // latency series of the given records (ordered by time): the ratio for the
 // series as observed, randomly shuffled, and sorted by latency.
 func (e *Estimator) Locality(records []telemetry.Record) (stats.LocalityReport, error) {
-	records = usable(records)
+	records = telemetry.Successful(records)
 	if len(records) < 2 {
 		return stats.LocalityReport{}, errors.New("core: need at least 2 records for locality")
 	}
@@ -38,7 +38,7 @@ func ActivityLatencySeries(records []telemetry.Record, window timeutil.Millis) (
 	if window <= 0 {
 		return nil, errors.New("core: non-positive window")
 	}
-	records = usable(records)
+	records = telemetry.Successful(records)
 	if len(records) == 0 {
 		return nil, errors.New("core: no usable records")
 	}

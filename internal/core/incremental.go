@@ -14,8 +14,8 @@ import (
 // biased histogram, unbiased draw schedule AND the unbiased histogram
 // itself are all folded forward, so re-estimating after a fold of d records
 // costs O(d·log n) maintenance plus curve finishing — not the O(n + draws)
-// rescan-and-resweep of the batch path. The produced curve is bit-identical
-// to EstimateColumns over the same columns.
+// rescan-and-resweep of the batch path. Finish answers every Request with
+// the bytes the stateless (*Estimator).Finish gives over the same columns.
 //
 // The unbiased histogram decomposes into a maintained "stable" part and a
 // small volatile remainder:
@@ -59,7 +59,7 @@ type Incremental struct {
 	uOut      *histogram.Histogram
 
 	// norm is the time-normalized estimator's per-slot state, built by the
-	// first EstimateTimeNormalized (see normState).
+	// first time-normalized Finish (see normState).
 	norm *normState
 }
 
@@ -76,8 +76,7 @@ func (e *Estimator) NewIncremental() *Incremental {
 // Len returns the number of records folded in.
 func (inc *Incremental) Len() int { return inc.sum.Len() }
 
-// Columns exposes the maintained (time, seq)-sorted columns read-only, for
-// estimator paths that are not delta-maintained (the normalized bootstrap).
+// Columns exposes the maintained (time, seq)-sorted columns read-only.
 func (inc *Incremental) Columns() ([]timeutil.Millis, []float64) {
 	return inc.sum.Times, inc.sum.Lats
 }
@@ -235,8 +234,26 @@ func (inc *Incremental) checkDensity() {
 	}
 }
 
+// Finish answers req over the folded records with the bytes — curve, band
+// or refusal — that (*Estimator).Finish gives over the same columns. Plain
+// curves and bands and time-normalized curves are delta-maintained. The
+// biased baseline, and time-normalized bands, whose replicates re-partition
+// resampled series into slots, run the stateless finisher over the
+// maintained columns.
+func (inc *Incremental) Finish(req Request) (*CurveCI, error) {
+	switch {
+	case req.CI:
+		return inc.e.finishBand(req, &inc.sum, inc)
+	case req.Mode == ModePlain:
+		return pointOnly(inc.EstimatePlain())
+	case req.Mode == ModeNormalized:
+		return pointOnly(inc.estimateTimeNormalized())
+	}
+	return inc.e.Finish(req, &inc.sum, nil)
+}
+
 // EstimatePlain computes the plain pooled NLP curve over the folded
-// records, bit-identical to EstimateColumns over the same columns.
+// records: Finish for a plain point estimate.
 func (inc *Incremental) EstimatePlain() (*Curve, error) {
 	defer observeEstimate(time.Now())
 	n := inc.sum.Len()

@@ -84,8 +84,8 @@ func (c *colSorter) Swap(i, j int) {
 }
 
 // TestIncrementalMatchesBatch folds a stream of small in-window deltas and
-// checks that every EstimatePlain is byte-identical to the batch
-// EstimateColumns over the same accumulated columns, while the incremental
+// checks that every EstimatePlain is byte-identical to the stateless
+// Finish over the same accumulated columns, while the incremental
 // sweep state stays live (no silent degradation to full sweeps).
 func TestIncrementalMatchesBatch(t *testing.T) {
 	e := testEstimator(t, nil)
@@ -107,7 +107,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: incremental: %v", step, err)
 		}
-		want, err := e.EstimateColumns(ref.Times, ref.Lats, nil)
+		want, err := pointOf(e.Finish(Request{}, summaryOf(ref.Times, ref.Lats), nil))
 		if err != nil {
 			t.Fatalf("step %d: batch: %v", step, err)
 		}
@@ -184,7 +184,7 @@ func TestIncrementalTieHeavy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := e.EstimateColumns(ref.Times, ref.Lats, nil)
+		want, err := pointOf(e.Finish(Request{}, summaryOf(ref.Times, ref.Lats), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestIncrementalWindowMove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.EstimateColumns(ref.Times, ref.Lats, nil)
+	want, err := pointOf(e.Finish(Request{}, summaryOf(ref.Times, ref.Lats), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,8 +271,9 @@ func boundsEqual(a, b []float64) bool {
 	return true
 }
 
-// TestEstimateCIIncrementalMatchesBatch checks that the node's stateless
-// bootstrap — EstimatePlain plus one split sweep of its retained schedule —
+// TestEstimateCIIncrementalMatchesBatch checks that a plain band request to
+// Incremental.Finish — EstimatePlain plus one split sweep of its retained
+// schedule, nothing kept between calls —
 // returns the point curve AND the bounds of the batch bootstrap bit for bit
 // after every kind of fold: backfill inside the window, arrivals that
 // advance its end, a record earlier than everything held, and on tie-heavy
@@ -297,11 +298,11 @@ func TestEstimateCIIncrementalMatchesBatch(t *testing.T) {
 	}
 	check := func(t *testing.T, f fixture, opts CIOptions, step string) {
 		t.Helper()
-		got, err := e.EstimateCIIncremental(f.inc, opts)
+		got, err := f.inc.Finish(bandRequest(opts))
 		if err != nil {
 			t.Fatalf("%s: incremental CI: %v", step, err)
 		}
-		want, err := e.EstimateCIColumns(f.ref.Times, f.ref.Lats, opts)
+		want, err := e.Finish(bandRequest(opts), summaryOf(f.ref.Times, f.ref.Lats), nil)
 		if err != nil {
 			t.Fatalf("%s: batch CI: %v", step, err)
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"autosens/internal/histogram"
 	"autosens/internal/timeutil"
 )
@@ -116,29 +114,4 @@ func MergeSummaries(dst *Summary, parts ...*Summary) error {
 		}
 	}
 	return nil
-}
-
-// EstimateSummary computes the plain pooled NLP curve (Sections 2.2–2.3)
-// over a delta-maintained Summary, bit-identical to EstimateColumns over
-// the same columns. s.B, when non-nil, must hold exactly the counts of
-// s.Lats under e's binning and stands in for the O(n) biased histogram
-// build; a nil s.B is built here. sc retains the unbiased draw-key plan
-// across calls, so a re-estimation after a small fold regenerates no keys
-// unless the observation window moved (see UnbiasedPlan), and reuses the
-// output-side histograms. With s.B and sc retained by the caller, a
-// re-estimation costs one linear sweep over the columns plus curve
-// finishing — no sort, no per-epoch key generation, and no allocation
-// beyond the returned Curve. A nil sc is a private one.
-func (e *Estimator) EstimateSummary(s *Summary, sc *Scratch) (*Curve, error) {
-	defer observeEstimate(time.Now())
-	sp := e.trace.StartChild("estimate_summary")
-	defer sp.End()
-	if err := s.check(); err != nil {
-		return nil, err
-	}
-	if err := checkColumns(s.Times, s.Lats); err != nil {
-		return nil, err
-	}
-	sp.SetAttr("records", s.Len())
-	return e.estimateColumns(sp, s.B, s.Times, s.Lats, sc)
 }

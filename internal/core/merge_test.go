@@ -175,7 +175,7 @@ func TestMergeSummaries(t *testing.T) {
 
 // The load-bearing byte-identity property: a summary grown fold by fold,
 // re-estimated after every fold with a retained scratch (and its plan) and a
-// maintained histogram, must match EstimateColumns from scratch at every step.
+// maintained histogram, must match a from-scratch Finish at every step.
 func TestEstimateSummaryIncrementalMatchesBatch(t *testing.T) {
 	e := testEstimator(t, nil)
 	times, lats, seqs := genSeqColumns(11, 1200, 2*timeutil.MillisPerDay, 0.2)
@@ -197,11 +197,11 @@ func TestEstimateSummaryIncrementalMatchesBatch(t *testing.T) {
 		at = end
 		step++
 
-		got, err := e.EstimateSummary(s, sc)
+		got, err := pointOf(e.Finish(Request{}, s, sc))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := e.EstimateColumns(s.Times, s.Lats, nil)
+		want, err := pointOf(e.Finish(Request{}, summaryOf(s.Times, s.Lats), nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,16 +214,16 @@ func TestEstimateSummaryIncrementalMatchesBatch(t *testing.T) {
 	}
 
 	// A nil scratch must also work (a private one).
-	got, err := e.EstimateSummary(s, nil)
+	got, err := pointOf(e.Finish(Request{}, s, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.EstimateColumns(s.Times, s.Lats, nil)
+	want, err := pointOf(e.Finish(Request{}, summaryOf(s.Times, s.Lats), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(curveBytes(t, want), curveBytes(t, got)) {
-		t.Fatal("nil-scratch EstimateSummary differs from batch")
+		t.Fatal("nil-scratch Finish differs from batch")
 	}
 }
 
@@ -237,7 +237,7 @@ func TestUnbiasedPlanInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := &Scratch{}
-	if _, err := e.EstimateSummary(s, sc); err != nil {
+	if _, err := e.Finish(Request{}, s, sc); err != nil {
 		t.Fatal(err)
 	}
 	if sc.plan.reused != 0 {
@@ -250,14 +250,14 @@ func TestUnbiasedPlanInvalidation(t *testing.T) {
 	if err := s.Fold(d.Columns); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.EstimateSummary(s, sc)
+	got, err := pointOf(e.Finish(Request{}, s, sc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.plan.reused != 0 {
 		t.Fatal("span change must invalidate the retained keys")
 	}
-	want, err := e.EstimateColumns(s.Times, s.Lats, nil)
+	want, err := pointOf(e.Finish(Request{}, summaryOf(s.Times, s.Lats), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestSummaryFoldErrors(t *testing.T) {
 	if err := s.Fold(Columns{Times: []timeutil.Millis{1}}); err != errColumnsRagged {
 		t.Fatalf("ragged delta: %v", err)
 	}
-	if _, err := testEstimator(t, nil).EstimateSummary(&Summary{}, nil); err == nil {
+	if _, err := testEstimator(t, nil).Finish(Request{}, &Summary{}, nil); err == nil {
 		t.Fatal("empty summary must error")
 	}
 }
@@ -370,7 +370,7 @@ func BenchmarkEstimateSummaryIncremental(b *testing.B) {
 		b.Fatal(err)
 	}
 	sc := &Scratch{}
-	if _, err := e.EstimateSummary(s, sc); err != nil {
+	if _, err := e.Finish(Request{}, s, sc); err != nil {
 		b.Fatal(err)
 	}
 	src := rng.New(29)
@@ -385,7 +385,7 @@ func BenchmarkEstimateSummaryIncremental(b *testing.B) {
 		if err := s.Fold(d); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.EstimateSummary(s, sc); err != nil {
+		if _, err := e.Finish(Request{}, s, sc); err != nil {
 			b.Fatal(err)
 		}
 	}

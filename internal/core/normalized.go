@@ -49,6 +49,7 @@ type normState struct {
 	cur    []slotWork  // retained slots of the running estimate, in time order
 	out    []*slotData // the same, as poolNormalized takes them
 	last   NormalizedStats
+	fresh  bool // last is unreported (see NormalizedStats)
 }
 
 // SlotPath is what bringing one retained slot current took in a
@@ -112,11 +113,11 @@ type slotWork struct {
 	path SlotPath
 }
 
-// EstimateTimeNormalized computes the full time-normalized NLP curve
+// estimateTimeNormalized computes the full time-normalized NLP curve
 // (Section 2.4.1) over the folded records, bit-identical — curve or refusal
-// — to EstimateTimeNormalizedColumns over the same columns, redoing only
-// the per-slot work the folds since the last call invalidated.
-func (inc *Incremental) EstimateTimeNormalized() (*Curve, error) {
+// — to the stateless estimate over the same columns, redoing only the
+// per-slot work the folds since the last call invalidated.
+func (inc *Incremental) estimateTimeNormalized() (*Curve, error) {
 	defer observeEstimate(time.Now())
 	e := inc.e
 	sp := e.trace.StartChild("estimate_time_normalized_incremental")
@@ -140,16 +141,18 @@ func (inc *Incremental) EstimateTimeNormalized() (*Curve, error) {
 	return e.poolNormalized(sp, slots, n)
 }
 
-// NormalizedStats reports how the latest EstimateTimeNormalized brought its
-// slots current, and the bytes the draw tables retain.
-func (inc *Incremental) NormalizedStats() (last NormalizedStats, tableBytes int) {
+// NormalizedStats reports how the latest delta-maintained time-normalized
+// estimate brought its slots current, and the bytes the draw tables retain.
+// fresh says whether such an estimate ran since the previous call.
+func (inc *Incremental) NormalizedStats() (last NormalizedStats, tableBytes int, fresh bool) {
 	if inc.norm == nil {
-		return NormalizedStats{}, 0
+		return NormalizedStats{}, 0, false
 	}
 	for _, ns := range inc.norm.slots {
 		tableBytes += drawEntryBytes * cap(ns.table)
 	}
-	return inc.norm.last, tableBytes
+	fresh, inc.norm.fresh = inc.norm.fresh, false
+	return inc.norm.last, tableBytes, fresh
 }
 
 // retainedBytes approximates the heap the slot states hold between
@@ -190,7 +193,7 @@ func (nz *normState) refresh(e *Estimator, times []timeutil.Millis, lats []float
 		quota := e.drawQuota(n, w.hi-w.lo, totalDur)
 		w.path = w.ns.update(e, r, times[w.i:w.j], lats[w.i:w.j], w.lo, w.hi, quota, &nz.splits[r])
 	})
-	nz.last = NormalizedStats{}
+	nz.last, nz.fresh = NormalizedStats{}, true
 	nz.out = nz.out[:0]
 	for _, w := range nz.cur {
 		nz.last[w.path]++

@@ -64,15 +64,15 @@ func (p *normPair) fold(label string, times []timeutil.Millis, lats []float64, s
 func (p *normPair) check(label string) {
 	p.t.Helper()
 	p.steps++
-	got, gotErr := p.inc.EstimateTimeNormalized()
-	want, wantErr := p.e.EstimateTimeNormalizedColumns(p.ref.Times, p.ref.Lats)
+	got, gotErr := pointOf(p.inc.Finish(Request{Mode: ModeNormalized}))
+	want, wantErr := pointOf(p.e.Finish(Request{Mode: ModeNormalized}, summaryOf(p.ref.Times, p.ref.Lats), nil))
 	where := fmt.Sprintf("step %d (%s, n=%d)", p.steps, label, p.ref.Len())
 	if (gotErr == nil) != (wantErr == nil) ||
 		(gotErr != nil && (gotErr.Error() != wantErr.Error() ||
 			errors.Is(gotErr, ErrUnderIdentified) != errors.Is(wantErr, ErrUnderIdentified))) {
 		p.t.Fatalf("%s: incremental error %v, batch error %v", where, gotErr, wantErr)
 	}
-	last, _ := p.inc.NormalizedStats()
+	last, _, _ := p.inc.NormalizedStats()
 	for path, slots := range last {
 		p.total[path] += slots
 	}
@@ -177,7 +177,7 @@ func TestIncrementalNormalizedWorkBound(t *testing.T) {
 	ts, ls, qs := g.delta(now, now+30*hour, 200)
 	now += 30 * hour
 	p.fold("seed", ts, ls, qs)
-	first, tableBytes := p.inc.NormalizedStats()
+	first, tableBytes, _ := p.inc.NormalizedStats()
 	if first[SlotRegenerated] != 30 || tableBytes == 0 {
 		t.Fatalf("first estimate: %+v, %d table bytes; want 30 regenerated slots", first, tableBytes)
 	}
@@ -191,13 +191,13 @@ func TestIncrementalNormalizedWorkBound(t *testing.T) {
 	}
 
 	p.check("clean")
-	if last, _ := p.inc.NormalizedStats(); last != (NormalizedStats{SlotReused: 30}) {
+	if last, _, _ := p.inc.NormalizedStats(); last != (NormalizedStats{SlotReused: 30}) {
 		t.Fatalf("clean re-query: %+v, want 30 reused", last)
 	}
 
 	ts, ls, qs = g.delta(60*hour+5*60_000, 60*hour+25*60_000, 90)
 	p.fold("in-window", ts, ls, qs)
-	if last, _ := p.inc.NormalizedStats(); last[SlotReswept] != 1 || last[SlotRegenerated] != 0 {
+	if last, _, _ := p.inc.NormalizedStats(); last[SlotReswept] != 1 || last[SlotRegenerated] != 0 {
 		t.Fatalf("in-window fold into one slot: %+v, want 1 reswept, 0 regenerated", last)
 	}
 
@@ -205,7 +205,7 @@ func TestIncrementalNormalizedWorkBound(t *testing.T) {
 		ts, ls, qs = g.delta(now, now+9*60_000, 200)
 		now += 9 * 60_000
 		p.fold("advancing", ts, ls, qs)
-		if last, _ := p.inc.NormalizedStats(); last[SlotRegenerated] > 2 || last[SlotReswept] > 1 {
+		if last, _, _ := p.inc.NormalizedStats(); last[SlotRegenerated] > 2 || last[SlotReswept] > 1 {
 			t.Fatalf("advancing fold %d: %+v, want ≤ 2 regenerated", i, last)
 		}
 	}
@@ -221,12 +221,12 @@ func TestIncrementalNormalizedFallback(t *testing.T) {
 	p := &normPair{t: t, e: e, inc: e.NewIncremental()}
 	ts, ls, qs := g.delta(0, 10*day, 2)
 	p.fold("one slot, clipped to a span a table holds", ts, ls, qs)
-	if last, bytes := p.inc.NormalizedStats(); last != (NormalizedStats{SlotRegenerated: 1}) || bytes == 0 {
+	if last, bytes, _ := p.inc.NormalizedStats(); last != (NormalizedStats{SlotRegenerated: 1}) || bytes == 0 {
 		t.Fatalf("clipped slot: %+v, %d table bytes; want a table", last, bytes)
 	}
 	ts, ls, qs = g.delta(10*day, 55*day, 2)
 	p.fold("the slot grows wide", ts, ls, qs)
-	if last, bytes := p.inc.NormalizedStats(); last != (NormalizedStats{SlotFallback: 1}) || bytes != 0 {
+	if last, bytes, _ := p.inc.NormalizedStats(); last != (NormalizedStats{SlotFallback: 1}) || bytes != 0 {
 		t.Fatalf("wide slot: %+v, %d table bytes; want the table dropped", last, bytes)
 	}
 	ts, ls, qs = g.delta(55*day, 70*day, 2)
@@ -234,7 +234,7 @@ func TestIncrementalNormalizedFallback(t *testing.T) {
 	ts, ls, qs = g.delta(10*day, 11*day, 5)
 	p.fold("backfill into the wide slot", ts, ls, qs)
 	p.check("clean")
-	if last, bytes := p.inc.NormalizedStats(); last != (NormalizedStats{SlotReused: 2}) || bytes == 0 {
+	if last, bytes, _ := p.inc.NormalizedStats(); last != (NormalizedStats{SlotReused: 2}) || bytes == 0 {
 		t.Fatalf("clean re-query: %+v, %d table bytes", last, bytes)
 	}
 	if p.total[SlotFallback] != 3 || p.ok != p.steps {

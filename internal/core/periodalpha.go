@@ -101,7 +101,7 @@ func (s *intervalSampler) draw(src *rng.Source) timeutil.Millis {
 // each period's unbiased distribution is sampled from random times inside
 // that period's absolute intervals, per represented timezone.
 func (e *Estimator) AlphaByPeriod(records []telemetry.Record, ref timeutil.Period) (*AlphaProfile, error) {
-	records = usable(records)
+	records = telemetry.Successful(records)
 	if len(records) == 0 {
 		return nil, errors.New("core: no usable records")
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
 
@@ -98,22 +97,8 @@ func (r *RollingSeries) MaxDrift(j int) float64 {
 	return worst
 }
 
-// Rolling estimates NLP over sliding windows of the record stream.
-func (e *Estimator) Rolling(records []telemetry.Record, opts RollingOptions) (*RollingSeries, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	times, lats := UsableColumns(records)
-	if len(times) == 0 {
-		return nil, errEmptyRecords
-	}
-	return e.rollingColumns(times, lats, opts)
-}
-
 // RollingColumns estimates NLP over sliding windows of time-sorted columns
-// of usable records — the incremental-friendly form of Rolling used by the
-// live watcher, bit-identical to Rolling over records with the same times
-// and latencies. A shared Scratch is reused across windows, so a series
+// of usable records. A shared Scratch is reused across windows, so a series
 // over w windows allocates w output curves, not w estimator states.
 func (e *Estimator) RollingColumns(times []timeutil.Millis, lats []float64, opts RollingOptions) (*RollingSeries, error) {
 	if err := opts.Validate(); err != nil {
@@ -122,21 +107,11 @@ func (e *Estimator) RollingColumns(times []timeutil.Millis, lats []float64, opts
 	if err := checkColumns(times, lats); err != nil {
 		return nil, err
 	}
-	return e.rollingColumns(times, lats, opts)
-}
-
-// rollingColumns is the shared sliding-window core over sorted columns.
-func (e *Estimator) rollingColumns(times []timeutil.Millis, lats []float64, opts RollingOptions) (*RollingSeries, error) {
 	lo := times[0]
 	hi := times[len(times)-1]
 
+	req := Request{Mode: ModeOf(opts.TimeNormalized)}
 	var sc Scratch
-	estimate := func(t []timeutil.Millis, l []float64) (*Curve, error) {
-		if opts.TimeNormalized {
-			return e.EstimateTimeNormalizedColumns(t, l)
-		}
-		return e.EstimateColumns(t, l, &sc)
-	}
 	out := &RollingSeries{Probes: opts.Probes}
 	for start := lo; start+opts.Window <= hi+1; start += opts.Step {
 		end := start + opts.Window
@@ -146,7 +121,7 @@ func (e *Estimator) rollingColumns(times []timeutil.Millis, lats []float64, opts
 			out.Skipped++
 			continue
 		}
-		curve, err := estimate(times[i:j], lats[i:j])
+		curve, err := e.Finish(req, &Summary{Columns: Columns{Times: times[i:j], Lats: lats[i:j]}}, &sc)
 		if err != nil {
 			out.Skipped++
 			continue

@@ -81,7 +81,7 @@ type Draw struct {
 // the nearest sample. Failed records are excluded. The result is sorted by
 // draw time.
 func UnbiasedDraws(records []telemetry.Record, n int, seed uint64) ([]Draw, error) {
-	records = usable(records)
+	records = telemetry.Successful(records)
 	if len(records) == 0 {
 		return nil, errEmptyRecords
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 
+	"autosens/internal/core"
 	"autosens/internal/owasim"
 	"autosens/internal/report"
 	"autosens/internal/telemetry"
@@ -150,10 +151,12 @@ func runAblationNaive(ctx *Context, w io.Writer) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	biasedOnly, err := est.BiasedOnly(recs)
+	times, lats := core.UsableColumns(recs)
+	biased, err := est.Finish(core.Request{Mode: core.ModeBiased}, &core.Summary{Columns: core.Columns{Times: times, Lats: lats}}, nil)
 	if err != nil {
 		return nil, err
 	}
+	biasedOnly := biased.Curve
 	pooled, err := est.Estimate(recs)
 	if err != nil {
 		return nil, err

@@ -194,7 +194,7 @@ func (e *Engine) shardIndexOf(userID uint64) int {
 //
 // Failed records are not stored: the estimator analyzes successful
 // actions only, and dropping them here keeps the stored stream exactly
-// equal to the batch path's usable() filter. Records with out-of-range
+// equal to the batch path's UsableColumns filter. Records with out-of-range
 // enum values (impossible through the validating collector) are skipped
 // defensively.
 func (e *Engine) Append(recs []telemetry.Record) {

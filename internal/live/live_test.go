@@ -49,7 +49,7 @@ func testOptions() core.Options {
 
 // batchFilter returns the records a batch run over the slice would load,
 // in stream (ack) order. Failed records stay in: the batch estimator
-// drops them itself via its usable() filter, exactly as the engine drops
+// drops them itself via UsableColumns, exactly as the engine drops
 // them at append.
 func batchFilter(stream []telemetry.Record, key SliceKey) []telemetry.Record {
 	return telemetry.Filter(stream, func(r telemetry.Record) bool {

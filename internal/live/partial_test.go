@@ -23,7 +23,7 @@ func finishPartial(t *testing.T, p *api.Partial, opts core.Options) []byte {
 		t.Fatal(err)
 	}
 	s := &core.Summary{Columns: core.Columns{Times: p.Times, Lats: p.Lats, Seqs: p.Seqs}, B: p.Hist}
-	c, err := est.EstimateSummary(s, &core.Scratch{})
+	c, err := est.Finish(core.Request{}, s, &core.Scratch{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,23 +18,15 @@ import (
 	"autosens/internal/timeutil"
 )
 
-// Mode selects the estimator a query runs.
-type Mode uint8
+// Mode selects the estimator a query runs: core's plain pooled estimate or
+// the full time-normalized method. Queries do not serve the biased-only
+// baseline.
+type Mode = core.Mode
 
 const (
-	// ModePlain is the pooled estimator (no α time-normalization).
-	ModePlain Mode = iota
-	// ModeNormalized is the full time-normalized method.
-	ModeNormalized
+	ModePlain      = core.ModePlain
+	ModeNormalized = core.ModeNormalized
 )
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	if m == ModeNormalized {
-		return "normalized"
-	}
-	return "plain"
-}
 
 // ParseMode converts a query-string mode value.
 func ParseMode(s string) (Mode, error) {
@@ -508,84 +500,68 @@ func (e *Engine) foldDelta(st *comboState, key SliceKey, win Window, sc *scratch
 	return dirty, folded, st.inc.Fold(sc.all.Times, sc.all.Lats, sc.all.Seqs)
 }
 
-// finish estimates one (mode, ci) slot over cs's folded state through the
-// delta-maintained entry points, which produce the bytes Finish — and so
-// the batch estimator — would over the same columns.
+// finish answers one (mode, ci) slot from cs's delta-maintained state,
+// which gives the bytes Finish — and so the batch estimator — would over
+// the same columns.
 func (e *Engine) finish(cs *comboState, key SliceKey, qk queryKey) (*Result, error) {
-	times, _ := cs.inc.Columns()
-	if len(times) == 0 {
+	n := cs.inc.Len()
+	if n == 0 {
 		return nil, ErrNoRecords
 	}
-	var curve *core.Curve
-	var band *core.CurveCI
-	var err error
-	switch {
-	case qk.ci:
-		opts := e.cfg.CI
-		opts.TimeNormalized = qk.mode == ModeNormalized
-		band, err = e.est.EstimateCIIncremental(cs.inc, opts)
-	case qk.mode == ModeNormalized:
-		curve, err = cs.inc.EstimateTimeNormalized()
-		e.countNormalized(cs)
-	default:
-		curve, err = cs.inc.EstimatePlain()
-	}
+	out, err := cs.inc.Finish(e.request(qk))
+	e.countNormalized(cs)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(key, qk.mode, len(times), curve, band)
+	return newResult(key, qk.mode, n, out)
+}
+
+// request is the estimate qk asks for.
+func (e *Engine) request(qk queryKey) core.Request {
+	return core.Request{Mode: qk.mode, CI: qk.ci, CIOptions: e.cfg.CI}
 }
 
 // Finish is the stateless curve finisher the engine's first-seen windows
-// and the cluster coordinator share: it estimates one (mode, ci) curve over
-// s, a slice's (time, seq)-sorted columns, into an unstamped Result. s.B,
-// when non-nil, must hold exactly the counts of s.Lats under est's binning
-// (a coordinator's summed partial histograms); nil builds it. sc is the
-// plain estimator's reusable scratch and ciOpts configures ci=1 bounds.
-// Every path is a batch column entry point, so the bytes are the batch
-// estimator's over the same rows.
-func Finish(est *core.Estimator, ciOpts core.CIOptions, key SliceKey, mode Mode, ci bool, s *core.Summary, sc *core.Scratch) (*Result, error) {
+// and the cluster coordinator share: it answers req over s, a slice's
+// (time, seq)-sorted columns, with an unstamped Result. s.B, when non-nil,
+// must hold exactly the counts of s.Lats under est's binning (a
+// coordinator's summed partial histograms); nil builds it. sc is the plain
+// estimator's reusable scratch. The bytes are the batch estimator's over
+// the same rows.
+func Finish(est *core.Estimator, req core.Request, key SliceKey, s *core.Summary, sc *core.Scratch) (*Result, error) {
 	if s.Len() == 0 {
 		return nil, ErrNoRecords
 	}
-	var curve *core.Curve
-	var band *core.CurveCI
-	var err error
-	switch {
-	case ci:
-		ciOpts.TimeNormalized = mode == ModeNormalized
-		band, err = est.EstimateCIColumns(s.Times, s.Lats, ciOpts)
-	case mode == ModeNormalized:
-		curve, err = est.EstimateTimeNormalizedColumns(s.Times, s.Lats)
-	default:
-		curve, err = est.EstimateSummary(s, sc)
-	}
+	out, err := est.Finish(req, s, sc)
 	if err != nil {
 		return nil, err
 	}
-	return newResult(key, mode, s.Len(), curve, band)
+	return newResult(key, req.Mode, s.Len(), out)
 }
 
-// newResult marshals a finished curve — band's, when band is non-nil, with
-// its bounds — into a Result over n records.
-func newResult(key SliceKey, mode Mode, n int, curve *core.Curve, band *core.CurveCI) (res *Result, err error) {
+// newResult marshals a finished curve, with its bounds when it has them,
+// into a Result over n records.
+func newResult(key SliceKey, mode Mode, n int, out *core.CurveCI) (res *Result, err error) {
 	res = &Result{Slice: key.String(), Mode: mode.String(), Records: n}
-	if band != nil {
-		if res.CI, err = band.MarshalBoundsJSON(); err != nil {
+	if out.Lower != nil {
+		if res.CI, err = out.MarshalBoundsJSON(); err != nil {
 			return nil, err
 		}
-		curve = band.Curve
 	}
-	if res.Curve, err = curve.MarshalJSON(); err != nil {
+	if res.Curve, err = out.Curve.MarshalJSON(); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// countNormalized adds cs's latest delta-maintained normalized estimate to
-// the engine's slot-path counters and records what its tables hold.
+// countNormalized adds cs's delta-maintained normalized estimate, if its
+// last finish ran one, to the engine's slot-path counters and records what
+// its tables hold.
 func (e *Engine) countNormalized(cs *comboState) {
-	last, tableBytes := cs.inc.NormalizedStats()
+	last, tableBytes, fresh := cs.inc.NormalizedStats()
+	if !fresh {
+		return
+	}
 	cs.normBytes.Store(int64(tableBytes))
 	e.nNormalized.Add(1)
 	for path, n := range last {

@@ -228,7 +228,7 @@ func (e *Engine) recomputeWindow(key SliceKey, qk queryKey, repeated bool, sc *s
 		e.nWinPath[winStateless].Add(1)
 		var v core.Columns
 		if v, _, dirty, folded, err = e.windowView(key, qk.win, sc, nil); err == nil {
-			res, err = Finish(e.est, e.cfg.CI, key, qk.mode, qk.ci, &core.Summary{Columns: v}, &sc.est)
+			res, err = Finish(e.est, e.request(qk), key, &core.Summary{Columns: v}, &sc.est)
 		}
 		return res, dirty, folded, err
 	}

@@ -66,22 +66,11 @@ func (o *windowOracle) columns(key SliceKey, win Window) (times []timeutil.Milli
 func (o *windowOracle) check(t *testing.T, e *Engine, key SliceKey, mode Mode, ci bool, win Window) {
 	t.Helper()
 	times, lats := o.columns(key, win)
-	var curve *core.Curve
 	var band *core.CurveCI
-	var err error
-	switch {
-	case len(times) == 0:
-		err = ErrNoRecords
-	case ci:
-		opts := o.ci
-		opts.TimeNormalized = mode == ModeNormalized
-		if band, err = o.est.EstimateCIColumns(times, lats, opts); err == nil {
-			curve = band.Curve
-		}
-	case mode == ModeNormalized:
-		curve, err = o.est.EstimateTimeNormalizedColumns(times, lats)
-	default:
-		curve, err = o.est.EstimateColumns(times, lats, nil)
+	err := ErrNoRecords
+	if len(times) > 0 {
+		req := core.Request{Mode: mode, CI: ci, CIOptions: o.ci}
+		band, err = o.est.Finish(req, &core.Summary{Columns: core.Columns{Times: times, Lats: lats}}, nil)
 	}
 	res, gotErr := e.QueryWindow(key, mode, ci, win)
 	if err != nil {
@@ -93,7 +82,7 @@ func (o *windowOracle) check(t *testing.T, e *Engine, key SliceKey, mode Mode, c
 	if gotErr != nil {
 		t.Fatalf("%s/%s ci=%v %+v: %v (oracle has %d records)", key, mode, ci, win, gotErr, len(times))
 	}
-	want, _ := curve.MarshalJSON()
+	want, _ := band.Curve.MarshalJSON()
 	if res.Records != len(times) || !bytes.Equal(want, res.Curve) {
 		t.Fatalf("%s/%s ci=%v %+v: curve differs from batch (%d records, oracle %d, cached=%v)",
 			key, mode, ci, win, res.Records, len(times), res.Cached)
@@ -362,7 +351,7 @@ func TestWindowStateRetentionBounded(t *testing.T) {
 			t.Fatalf("after %d windows: %d states retain %d bytes, budget %d", i+1, n, b, e.wsBudget)
 		}
 		if ws := e.windowStateFor(winStateKey{combo: AllSlices.combo(), win: slide}, false); ws != nil && i%4 == 0 {
-			_, tableBytes := ws.inc.NormalizedStats()
+			_, tableBytes, _ := ws.inc.NormalizedStats()
 			if tableBytes == 0 || ws.bytes < tableBytes {
 				t.Fatalf("window %d: state accounts %d bytes, its slot tables hold %d", i, ws.bytes, tableBytes)
 			}

@@ -46,8 +46,8 @@ type Result struct {
 type Request struct {
 	// Options configures the estimator.
 	Options core.Options
-	// TimeNormalized selects EstimateTimeNormalized (the full method)
-	// over the plain pooled estimate.
+	// TimeNormalized selects the full method (core.ModeNormalized) over
+	// the plain pooled estimate.
 	TimeNormalized bool
 	// Slices are the record subsets to analyze.
 	Slices []Slice
@@ -132,13 +132,11 @@ func estimateOne(req Request, s Slice, sp *obs.Span) Result {
 		return res
 	}
 	est.SetTrace(sp)
-	if req.TimeNormalized {
-		res.Curve, res.Err = est.EstimateTimeNormalizedColumns(s.Times, s.Lats)
-	} else {
-		res.Curve, res.Err = est.EstimateColumns(s.Times, s.Lats, nil)
+	out, err := est.Finish(core.Request{Mode: core.ModeOf(req.TimeNormalized)}, &core.Summary{Columns: core.Columns{Times: s.Times, Lats: s.Lats}}, nil)
+	if err != nil {
+		res.Err = fmt.Errorf("pipeline: slice %q: %w", s.Name, err)
+		return res
 	}
-	if res.Err != nil {
-		res.Err = fmt.Errorf("pipeline: slice %q: %w", s.Name, res.Err)
-	}
+	res.Curve = out.Curve
 	return res
 }

@@ -31,7 +31,7 @@ func newTestEngine(t testing.TB) *live.Engine {
 
 // batchCurve runs the batch estimator the way the autosens CLI does —
 // over the stream's slice ∩ window in ack order, failed records left for
-// the estimator's own usable() filter — and returns the curve's
+// the estimator's own UsableColumns filter — and returns the curve's
 // canonical JSON.
 func batchCurve(t *testing.T, stream []telemetry.Record, key live.SliceKey, mode live.Mode, win live.Window) []byte {
 	t.Helper()
