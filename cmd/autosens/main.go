@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 
+	"autosens/internal/cell"
 	"autosens/internal/core"
 	"autosens/internal/obs"
 	"autosens/internal/pipeline"
@@ -174,29 +175,25 @@ func run(args []string, stdout io.Writer) error {
 	// The slice's row filter, shared by every input path: the successful
 	// records of the selected action, user type and period. The -by
 	// families that slice one action slice this one.
+	key := cell.All
 	familyAction := telemetry.SelectMail
 	if *action != "" {
 		if familyAction, err = telemetry.ParseActionType(*action); err != nil {
 			return err
 		}
+		key.Action = familyAction
 	}
-	var u telemetry.UserType
 	if *usertype != "" {
-		if u, err = telemetry.ParseUserType(*usertype); err != nil {
+		if key.UserType, err = telemetry.ParseUserType(*usertype); err != nil {
 			return err
 		}
 	}
-	var per timeutil.Period
 	if *period != "" {
-		if per, err = parsePeriod(*period); err != nil {
-			return err
+		if key.Period, err = timeutil.ParsePeriod(*period); err != nil {
+			return fmt.Errorf("unknown period %q", *period)
 		}
 	}
-	anyAction, anyUser, anyPeriod := *action == "", *usertype == "", *period == ""
-	keep := func(r pipeline.Row) bool {
-		return !r.Failed && (anyAction || r.Action == familyAction) &&
-			(anyUser || r.UserType == u) && (anyPeriod || r.Period == per)
-	}
+	keep := pipeline.InSlice(key)
 
 	opts := core.DefaultOptions()
 	opts.ReferenceMS = *ref
@@ -235,7 +232,7 @@ func run(args []string, stdout io.Writer) error {
 		load.Keep = func(r pipeline.Row) bool { return !r.Failed }
 		load.InputOrder = true
 	case *by == "usertype" || *by == "segment" || *by == "period":
-		load.Store = func(r pipeline.Row) bool { return r.Action == familyAction }
+		load.Store = func(r pipeline.Row) bool { return r.Cell.Action() == familyAction }
 	}
 
 	// TBIN from a file or stdin is read whole and decoded block-parallel
@@ -538,13 +535,4 @@ func runComparison(out io.Writer, part *pipeline.Partition, opts core.Options, b
 	}
 	fmt.Fprintln(out)
 	return (report.Table{Headers: headers}).Render(out, rows)
-}
-
-func parsePeriod(s string) (timeutil.Period, error) {
-	for p := 0; p < timeutil.NumPeriods; p++ {
-		if timeutil.Period(p).String() == s {
-			return timeutil.Period(p), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown period %q", s)
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,16 +19,19 @@ import (
 	"autosens/internal/wal"
 )
 
+// TestParsePeriod: -period takes every period's name, and refuses any
+// other before reading the input, with the CLI's own error text.
 func TestParsePeriod(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.jsonl")
 	for p := 0; p < timeutil.NumPeriods; p++ {
-		want := timeutil.Period(p)
-		got, err := parsePeriod(want.String())
-		if err != nil || got != want {
-			t.Fatalf("parsePeriod(%q) = %v, %v", want.String(), got, err)
+		err := run([]string{"-in", missing, "-period", timeutil.Period(p).String(), "-log-level", "error"}, io.Discard)
+		if !os.IsNotExist(err) {
+			t.Fatalf("-period %v: err = %v, want the missing input's", timeutil.Period(p), err)
 		}
 	}
-	if _, err := parsePeriod("brunch"); err == nil {
-		t.Fatal("bogus period parsed")
+	err := run([]string{"-in", missing, "-period", "brunch", "-log-level", "error"}, io.Discard)
+	if err == nil || err.Error() != `unknown period "brunch"` {
+		t.Fatalf("-period brunch: err = %v", err)
 	}
 }
 

@@ -50,6 +50,7 @@ import (
 	"syscall"
 	"time"
 
+	"autosens/internal/cell"
 	"autosens/internal/cluster"
 	"autosens/internal/collector"
 	"autosens/internal/collector/api"
@@ -327,7 +328,7 @@ func run() error {
 		}
 		if *livePrewarm {
 			warmStart := time.Now()
-			_, errs := engine.QueryMany(live.AllSliceKeys(), live.ModePlain, false)
+			_, errs := engine.QueryMany(cell.Keys(), live.ModePlain, false)
 			warmed := 0
 			for _, err := range errs {
 				if err == nil {

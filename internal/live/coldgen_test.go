@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"autosens/internal/cell"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
@@ -17,7 +18,7 @@ type fakeCold struct {
 	times []timeutil.Millis
 	lats  []float64
 	seqs  []uint64
-	tags  []uint8 // per-row dictionary bytes; nil means every row matches every slice
+	cells []cell.Cell // per-row cells; nil means every row matches every slice
 	gen   atomic.Uint64
 	scans atomic.Int64
 	fail  atomic.Bool // scans error out
@@ -32,7 +33,7 @@ func (f *fakeCold) ScanWindow(key SliceKey, win Window) ([]timeutil.Millis, []fl
 	var ls []float64
 	var sq []uint64
 	for i, t := range f.times {
-		if (win.IsZero() || win.Contains(t)) && (f.tags == nil || key.MatchesTag(f.tags[i])) {
+		if (win.IsZero() || win.Contains(t)) && (f.cells == nil || key.Matches(f.cells[i])) {
 			ts = append(ts, t)
 			ls = append(ls, f.lats[i])
 			sq = append(sq, f.seqs[i])

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"autosens/internal/cell"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
@@ -84,10 +85,7 @@ func TestQueryManyPrewarm(t *testing.T) {
 	e := newTestEngine(t)
 	e.Append(stream)
 
-	keys := AllSliceKeys()
-	if len(keys) != numCombos {
-		t.Fatalf("AllSliceKeys returned %d keys, want %d", len(keys), numCombos)
-	}
+	keys := cell.Keys()
 	results, errs := e.QueryMany(keys, ModePlain, false)
 	warmed := 0
 	for i, key := range keys {

@@ -46,6 +46,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"autosens/internal/cell"
 	"autosens/internal/core"
 	"autosens/internal/histogram"
 	"autosens/internal/obs"
@@ -85,10 +86,10 @@ type Engine struct {
 
 	seq atomic.Uint64 // next global ack sequence number
 
-	// cells[tag] is the global count of stored records in that cell; the
-	// version of combo c is the sum over comboTags[c] (cheap for the rare
-	// version read, one counter bump for the hot append).
-	cells [numCells]atomic.Uint64
+	// counts[c] is the global count of stored records in cell c; a slice's
+	// version is the sum over its cells (cheap for the rare version read,
+	// one counter bump for the hot append).
+	counts [cell.NumCells]atomic.Uint64
 
 	epoch atomic.Uint64 // recomputes performed; stamps cache entries
 
@@ -99,7 +100,7 @@ type Engine struct {
 	cold ColdTier
 
 	smu    sync.Mutex
-	states map[int]*comboState
+	states map[SliceKey]*comboState
 
 	// wstates are the windowed delta-maintained estimation states, keyed
 	// by (combo, window) and evicted least-recently-used once their
@@ -164,7 +165,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:    cfg,
 		est:    est,
 		shards: make([]*shard, cfg.Shards),
-		states: make(map[int]*comboState),
+		states: make(map[SliceKey]*comboState),
 
 		wsBudget: maxWindowStateBytes,
 	}
@@ -252,8 +253,8 @@ func (e *Engine) appendChunk(recs []telemetry.Record, owns func(uint64) bool) {
 	// the flush immediately marks dirty again.
 	var (
 		next      [appendChunk]int16
-		tags      [appendChunk]uint8
-		cellDelta [numCells]uint32
+		cells     [appendChunk]cell.Cell
+		cellDelta [cell.NumCells]uint32
 	)
 	sc := scratchPool.Get().(*appendScratch)
 	if cap(sc.head) < len(e.shards) {
@@ -269,9 +270,8 @@ func (e *Engine) appendChunk(recs []telemetry.Record, owns func(uint64) bool) {
 	stored, skipped := 0, 0
 	for i := range recs {
 		r := &recs[i]
-		if r.Failed ||
-			r.Action < 0 || int(r.Action) >= telemetry.NumActionTypes ||
-			r.UserType < 0 || int(r.UserType) >= telemetry.NumUserTypes {
+		c, ok := cell.Of(*r)
+		if !ok {
 			skipped++
 			continue
 		}
@@ -280,8 +280,8 @@ func (e *Engine) appendChunk(recs []telemetry.Record, owns func(uint64) bool) {
 			// so positions match every other node's view of the stream.
 			continue
 		}
-		tags[i] = tagOf(*r)
-		cellDelta[tags[i]]++
+		cells[i] = c
+		cellDelta[c]++
 		si := e.shardIndexOf(r.UserID)
 		if head[si] == 0 {
 			head[si] = int16(i + 1)
@@ -293,13 +293,13 @@ func (e *Engine) appendChunk(recs []telemetry.Record, owns func(uint64) bool) {
 		stored++
 	}
 	for _, si := range touched {
-		e.shards[si].appendRun(recs, base, head[si], &next, &tags)
+		e.shards[si].appendRun(recs, base, head[si], &next, &cells)
 	}
 	sc.touched = touched[:0]
 	scratchPool.Put(sc)
-	for tag := range cellDelta {
-		if d := cellDelta[tag]; d != 0 {
-			e.cells[tag].Add(uint64(d))
+	for c, d := range cellDelta {
+		if d != 0 {
+			e.counts[c].Add(uint64(d))
 		}
 	}
 	if skipped != 0 {
@@ -337,15 +337,17 @@ func (e *Engine) WarmOwned(dir string, owns func(userID uint64) bool) (int, erro
 	return n, nil
 }
 
-// comboVersion reads the current global version of a combo: the sum of
-// its cell counters. Counters are monotone, and a concurrent append bumps
-// its counter only after the record's data write, so a sum read here never
-// claims a record the store doesn't yet hold — it can only understate,
-// which makes a cache entry stamped with it recompute on the next query.
-func (e *Engine) comboVersion(combo int) uint64 {
+// SliceVersion returns the slice's current ingest version: a monotone
+// counter of matching appends, the sum of its cells' counters. It is a
+// handful of atomic loads, so pollers (the watcher's per-tick staleness
+// check) can call it at any rate. A concurrent append bumps its counter
+// only after the record's data write, so a sum read here never claims a
+// record the store doesn't yet hold — it can only understate, which makes
+// a cache entry stamped with it recompute on the next query.
+func (e *Engine) SliceVersion(key SliceKey) uint64 {
 	var sum uint64
-	for _, tag := range comboTags[combo] {
-		sum += e.cells[tag].Load()
+	for _, c := range key.Cells() {
+		sum += e.counts[c].Load()
 	}
 	return sum
 }

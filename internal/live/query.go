@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"autosens/internal/cell"
 	"autosens/internal/core"
 	"autosens/internal/parallel"
 	"autosens/internal/telemetry"
@@ -41,14 +42,10 @@ func ParseMode(s string) (Mode, error) {
 
 // SliceKey names a record subset along the three slice dimensions; -1 on
 // an axis means "any".
-type SliceKey struct {
-	Action   telemetry.ActionType
-	UserType telemetry.UserType
-	Period   timeutil.Period
-}
+type SliceKey = cell.Key
 
 // AllSlices matches every record.
-var AllSlices = SliceKey{Action: -1, UserType: -1, Period: -1}
+var AllSlices = cell.All
 
 // ParseSliceKey parses the /v1/curves slice syntax: a comma-separated
 // list of dim:value terms ("action:SelectMail,usertype:Business,
@@ -78,9 +75,9 @@ func ParseSliceKey(s string) (SliceKey, error) {
 			}
 			key.UserType = u
 		case "period":
-			p, err := parsePeriod(val)
+			p, err := timeutil.ParsePeriod(val)
 			if err != nil {
-				return key, err
+				return key, fmt.Errorf("live: unknown period %q", val)
 			}
 			key.Period = p
 		default:
@@ -90,57 +87,17 @@ func ParseSliceKey(s string) (SliceKey, error) {
 	return key, nil
 }
 
-func parsePeriod(s string) (timeutil.Period, error) {
-	for p := 0; p < timeutil.NumPeriods; p++ {
-		if timeutil.Period(p).String() == s {
-			return timeutil.Period(p), nil
-		}
-	}
-	return 0, fmt.Errorf("live: unknown period %q", s)
-}
-
-// String renders the key in the parseable syntax.
-func (k SliceKey) String() string {
-	var terms []string
-	if k.Action >= 0 {
-		terms = append(terms, "action:"+k.Action.String())
-	}
-	if k.UserType >= 0 {
-		terms = append(terms, "usertype:"+k.UserType.String())
-	}
-	if k.Period >= 0 {
-		terms = append(terms, "period:"+k.Period.String())
-	}
-	if len(terms) == 0 {
-		return "all"
-	}
-	return strings.Join(terms, ",")
-}
-
-// combo returns the key's combo index.
-func (k SliceKey) combo() int {
-	return comboIndex(int(k.Action), int(k.UserType), int(k.Period))
-}
-
-// matchesTag reports whether a stored record's dictionary byte falls in
-// this slice.
-func (k SliceKey) matchesTag(tag uint8) bool {
-	return (k.Action < 0 || int(k.Action) == tagAction(tag)) &&
-		(k.UserType < 0 || int(k.UserType) == tagUser(tag)) &&
-		(k.Period < 0 || int(k.Period) == tagPeriod(tag))
-}
-
 // ErrNoRecords is returned when a slice holds no usable records.
 var ErrNoRecords = errors.New("live: no records in slice")
 
-// queryKey identifies one cached query: a slice's combo, its estimator,
-// and its window — the zero Window for unwindowed queries; windowed slots
-// carry their exact bounds so distinct windows never share one.
+// queryKey identifies one cached query: a slice, its estimator, and its
+// window — the zero Window for unwindowed queries; windowed slots carry
+// their exact bounds so distinct windows never share one.
 type queryKey struct {
-	combo int
-	mode  Mode
-	ci    bool
-	win   Window
+	key  SliceKey
+	mode Mode
+	ci   bool
+	win  Window
 }
 
 // cacheSlot is one query's cache slot: val holds the last published
@@ -237,7 +194,7 @@ func (c *ResultCache) slot(qk queryKey) *cacheSlot {
 // stale). Neither function is retained.
 func (c *ResultCache) Query(key SliceKey, mode Mode, ci bool, win Window,
 	version func() uint64, compute func(repeated bool) (*Result, error)) (*Result, error) {
-	s := c.slot(queryKey{combo: key.combo(), mode: mode, ci: ci, win: win})
+	s := c.slot(queryKey{key: key, mode: mode, ci: ci, win: win})
 	if r := s.val.Load(); r != nil && r.Version == version() {
 		hit := *r
 		hit.Cached = true
@@ -294,10 +251,10 @@ func (e *Engine) Query(key SliceKey, mode Mode, ci bool) (*Result, error) {
 // decides staleness for windowed slots too.
 func (e *Engine) QueryWindow(key SliceKey, mode Mode, ci bool, win Window) (*Result, error) {
 	start := time.Now()
-	qk := queryKey{combo: key.combo(), mode: mode, ci: ci, win: win}
+	qk := queryKey{key: key, mode: mode, ci: ci, win: win}
 	res, err := e.cache.Query(key, mode, ci, win,
-		func() uint64 { return e.comboVersion(qk.combo) },
-		func(repeated bool) (*Result, error) { return e.recompute(key, qk, repeated) })
+		func() uint64 { return e.SliceVersion(key) },
+		func(repeated bool) (*Result, error) { return e.recompute(qk, repeated) })
 	e.nQueries.Add(1)
 	if err == nil {
 		if res.Cached {
@@ -401,17 +358,17 @@ func (e *Engine) scratchPoolBytes() int {
 	return e.poolBytes
 }
 
-// stateFor returns (creating if needed) the combo's estimation state.
-func (e *Engine) stateFor(combo int) *comboState {
+// stateFor returns (creating if needed) the slice's estimation state.
+func (e *Engine) stateFor(key SliceKey) *comboState {
 	e.smu.Lock()
 	defer e.smu.Unlock()
-	cs, ok := e.states[combo]
+	cs, ok := e.states[key]
 	if !ok {
 		cs = &comboState{
 			inc: e.est.NewIncremental(),
 			cps: make([]checkpoint, len(e.shards)),
 		}
-		e.states[combo] = cs
+		e.states[key] = cs
 	}
 	return cs
 }
@@ -423,9 +380,10 @@ func (e *Engine) stateFor(combo int) *comboState {
 // recomputes. repeated reports whether the slot was answered before (its
 // result merely went stale) — what decides whether a window is worth
 // keeping state for.
-func (e *Engine) recompute(key SliceKey, qk queryKey, repeated bool) (res *Result, err error) {
+func (e *Engine) recompute(qk queryKey, repeated bool) (res *Result, err error) {
 	start := time.Now()
-	v0 := e.comboVersion(qk.combo)
+	key := qk.key
+	v0 := e.SliceVersion(key)
 	sc := e.getScratch()
 	defer e.putScratch(sc)
 	label := "combo_recompute"
@@ -439,14 +397,14 @@ func (e *Engine) recompute(key SliceKey, qk queryKey, repeated bool) (res *Resul
 		"live", label, "slice", key.String(), "mode", qk.mode.String(),
 	), func(context.Context) {
 		if !qk.win.IsZero() {
-			res, dirty, folded, err = e.recomputeWindow(key, qk, repeated, sc)
+			res, dirty, folded, err = e.recomputeWindow(qk, repeated, sc)
 			return
 		}
-		cs := e.stateFor(qk.combo)
+		cs := e.stateFor(key)
 		cs.mu.Lock()
 		defer cs.mu.Unlock()
 		if dirty, folded, err = e.foldDelta(cs, key, Window{}, sc); err == nil {
-			res, err = e.finish(cs, key, qk)
+			res, err = e.finish(cs, qk)
 		}
 	})
 	e.nDirty.Add(1)
@@ -503,7 +461,7 @@ func (e *Engine) foldDelta(st *comboState, key SliceKey, win Window, sc *scratch
 // finish answers one (mode, ci) slot from cs's delta-maintained state,
 // which gives the bytes Finish — and so the batch estimator — would over
 // the same columns.
-func (e *Engine) finish(cs *comboState, key SliceKey, qk queryKey) (*Result, error) {
+func (e *Engine) finish(cs *comboState, qk queryKey) (*Result, error) {
 	n := cs.inc.Len()
 	if n == 0 {
 		return nil, ErrNoRecords
@@ -513,7 +471,7 @@ func (e *Engine) finish(cs *comboState, key SliceKey, qk queryKey) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	return newResult(key, qk.mode, n, out)
+	return newResult(qk.key, qk.mode, n, out)
 }
 
 // request is the estimate qk asks for.
@@ -589,28 +547,10 @@ func (e *Engine) normalizedTableBytes() int {
 	return int(n)
 }
 
-// AllSliceKeys enumerates every queryable slice — each of the three axes
-// at a concrete value or "any" — in a stable order.
-func AllSliceKeys() []SliceKey {
-	keys := make([]SliceKey, 0, numCombos)
-	for a := -1; a < telemetry.NumActionTypes; a++ {
-		for u := -1; u < telemetry.NumUserTypes; u++ {
-			for p := -1; p < timeutil.NumPeriods; p++ {
-				keys = append(keys, SliceKey{
-					Action:   telemetry.ActionType(a),
-					UserType: telemetry.UserType(u),
-					Period:   timeutil.Period(p),
-				})
-			}
-		}
-	}
-	return keys
-}
-
 // QueryMany answers one query per key, finishing curves for distinct
 // combos in parallel on the engine's worker pool (per-combo recomputes are
 // independent). Results align with keys; a slice with no records yields a
-// nil result and ErrNoRecords in errs. Use with AllSliceKeys to prewarm
+// nil result and ErrNoRecords in errs. Use with cell.Keys to prewarm
 // every curve after a WAL replay.
 func (e *Engine) QueryMany(keys []SliceKey, mode Mode, ci bool) (results []*Result, errs []error) {
 	results = make([]*Result, len(keys))

@@ -5,73 +5,12 @@ import (
 	"sort"
 	"sync"
 
+	"autosens/internal/cell"
 	"autosens/internal/core"
 	"autosens/internal/histogram"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
-
-// Slice-dimension combo space: every record belongs to one (action,
-// usertype, period) cell, and a query names a cell or "any" along each
-// axis. Combos are indexed with each axis shifted by one so that -1 (any)
-// maps to 0.
-const (
-	actionAxis   = telemetry.NumActionTypes + 1
-	userTypeAxis = telemetry.NumUserTypes + 1
-	periodAxis   = timeutil.NumPeriods + 1
-	numCombos    = actionAxis * userTypeAxis * periodAxis
-)
-
-// comboIndex maps a slice key (−1 meaning any on an axis) to its combo.
-func comboIndex(action, userType, period int) int {
-	return ((action+1)*userTypeAxis+(userType+1))*periodAxis + (period + 1)
-}
-
-// numCells is the size of the tag space: the dictionary byte packs action
-// (2 bits), user type (1 bit) and period (2 bits) densely, so tags are
-// exact cell indices in [0, 32).
-const numCells = 1 << 5
-
-// comboTags[c] lists the cells whose records fall in combo c. Version
-// counters are kept per cell — one bump per stored record — and a combo's
-// version is the sum over its cells; sums of monotone counters are
-// monotone, so "version unchanged" still means "no matching append".
-var comboTags = func() [numCombos][]uint8 {
-	var m [numCombos][]uint8
-	var combos [8]int
-	for tag := 0; tag < numCells; tag++ {
-		for _, c := range combosOf(uint8(tag), combos[:]) {
-			m[c] = append(m[c], uint8(tag))
-		}
-	}
-	return m
-}()
-
-// tagOf packs a record's slice-dimension cell into one dictionary byte:
-// bits 0-1 action, bit 2 user type, bits 3-4 local period. The period is
-// derived once here, at ingest, exactly as the batch slicers derive it.
-func tagOf(r telemetry.Record) uint8 {
-	per := uint8(timeutil.PeriodOf(r.Time, r.TZOffset))
-	return uint8(r.Action) | uint8(r.UserType)<<2 | per<<3
-}
-
-func tagAction(tag uint8) int { return int(tag & 0b11) }
-func tagUser(tag uint8) int   { return int(tag >> 2 & 0b1) }
-func tagPeriod(tag uint8) int { return int(tag >> 3 & 0b11) }
-
-// combosOf lists the 8 combos a tag belongs to (each axis: its own value
-// or any) into dst, which must have room for 8 entries.
-func combosOf(tag uint8, dst []int) []int {
-	dst = dst[:0]
-	for _, a := range [2]int{tagAction(tag), -1} {
-		for _, u := range [2]int{tagUser(tag), -1} {
-			for _, p := range [2]int{tagPeriod(tag), -1} {
-				dst = append(dst, comboIndex(a, u, p))
-			}
-		}
-	}
-	return dst
-}
 
 // blockRecs is the record capacity of one store block. Blocks keep append
 // cost flat: a full block is sealed and a fresh one started, so the hot
@@ -82,11 +21,11 @@ const blockRecs = 4096
 // chains (time, seq) run across block boundaries — a block is purely a
 // storage unit, not a decode restart point.
 type block struct {
-	n    int
-	tbuf []byte // zigzag-varint time deltas, ack order
-	sbuf []byte // uvarint seq deltas (seqs strictly increase per shard)
-	lats []float64
-	tags []uint8
+	n     int
+	tbuf  []byte // zigzag-varint time deltas, ack order
+	sbuf  []byte // uvarint seq deltas (seqs strictly increase per shard)
+	lats  []float64
+	cells []cell.Cell
 }
 
 func newBlock() *block {
@@ -94,10 +33,10 @@ func newBlock() *block {
 		// Typical deltas are small (ack order is near time order): ~3
 		// bytes of time delta and ~2 of seq delta per record. Outliers
 		// just grow the byte slices past the hint.
-		tbuf: make([]byte, 0, 3*blockRecs),
-		sbuf: make([]byte, 0, 2*blockRecs),
-		lats: make([]float64, 0, blockRecs),
-		tags: make([]uint8, 0, blockRecs),
+		tbuf:  make([]byte, 0, 3*blockRecs),
+		sbuf:  make([]byte, 0, 2*blockRecs),
+		lats:  make([]float64, 0, blockRecs),
+		cells: make([]cell.Cell, 0, blockRecs),
 	}
 }
 
@@ -105,7 +44,7 @@ func newBlock() *block {
 // records whose user hashes to it. Storage is TBIN-style compact columns
 // in ack order: times and ack sequence numbers as varint deltas (ack order
 // is near time order, so time deltas are small), the slice-dimension cell
-// as one dictionary byte, and latencies as raw float64.
+// as one byte, and latencies as raw float64.
 type shard struct {
 	mu sync.Mutex
 
@@ -114,20 +53,20 @@ type shard struct {
 	lastT  timeutil.Millis
 	lastS  uint64
 
-	// cells[tag] counts stored records in that cell; the version of combo
-	// c is the sum over comboTags[c]. A view built at version v is exact
-	// iff the sum still equals v (cell counters are monotone, so equality
-	// ⟺ nothing matching arrived since).
-	cells [numCells]uint64
+	// counts[c] counts stored records in cell c; a slice's version is the
+	// sum over its cells. A view built at version v is exact iff the sum
+	// still equals v (cell counters are monotone, so equality ⟺ nothing
+	// matching arrived since).
+	counts [cell.NumCells]uint64
 
-	// views caches, per queried combo, the shard's matching records as
+	// views caches, per queried slice, the shard's matching records as
 	// (time, seq)-sorted flat columns plus their biased histogram — the
 	// per-shard half of a curve recompute. A clean shard answers the next
 	// recompute from here without touching the record store.
-	views map[int]*shardView
+	views map[SliceKey]*shardView
 }
 
-// shardView is one combo's materialized sorted columns within one shard.
+// shardView is one slice's materialized sorted columns within one shard.
 // Views are immutable once installed: an incremental update builds a fresh
 // view, so concurrent readers of the old one are never disturbed.
 type shardView struct {
@@ -157,11 +96,11 @@ type checkpoint struct {
 // concurrent appends only write past those bounds (or into a fresh backing
 // array after growth), so decoding a snapshot outside the lock is safe.
 type blockSnap struct {
-	n    int
-	tbuf []byte
-	sbuf []byte
-	lats []float64
-	tags []uint8
+	n     int
+	tbuf  []byte
+	sbuf  []byte
+	lats  []float64
+	cells []cell.Cell
 }
 
 // appendRun stores one chunk's run of records for this shard under a
@@ -169,7 +108,7 @@ type blockSnap struct {
 // (values are index+1, zero terminates), built front to back, so records
 // land in chunk order; the caller guarantees base+index is strictly
 // greater than every seq already in this shard.
-func (s *shard) appendRun(recs []telemetry.Record, base uint64, first int16, next *[appendChunk]int16, tags *[appendChunk]uint8) {
+func (s *shard) appendRun(recs []telemetry.Record, base uint64, first int16, next *[appendChunk]int16, cells *[appendChunk]cell.Cell) {
 	s.mu.Lock()
 	var blk *block
 	if k := len(s.blocks); k > 0 && s.blocks[k-1].n < blockRecs {
@@ -190,25 +129,25 @@ func (s *shard) appendRun(recs []telemetry.Record, base uint64, first int16, nex
 		s.lastT = r.Time
 		s.lastS = seq
 		blk.lats = append(blk.lats, r.LatencyMS)
-		blk.tags = append(blk.tags, tags[i-1])
+		blk.cells = append(blk.cells, cells[i-1])
 		blk.n++
 		s.n++
-		s.cells[tags[i-1]]++
+		s.counts[cells[i-1]]++
 	}
 	s.mu.Unlock()
 }
 
-// comboVerLocked sums the cell counters of one combo. Caller holds s.mu.
-func (s *shard) comboVerLocked(combo int) uint64 {
+// versionLocked sums the cell counters of one slice. Caller holds s.mu.
+func (s *shard) versionLocked(key SliceKey) uint64 {
 	var sum uint64
-	for _, tag := range comboTags[combo] {
-		sum += s.cells[tag]
+	for _, c := range key.Cells() {
+		sum += s.counts[c]
 	}
 	return sum
 }
 
-// viewFor returns the shard's sorted column view for a combo, rebuilding
-// it only when appends dirtied the combo since the last build. newHist
+// viewFor returns the shard's sorted column view for a slice, rebuilding
+// it only when appends dirtied the slice since the last build. newHist
 // allocates a biased histogram with the engine's binning. The returned
 // view is immutable (a rebuild installs a fresh one). rebuilt reports
 // whether this call had to rebuild.
@@ -218,10 +157,10 @@ func (s *shard) comboVerLocked(combo int) uint64 {
 // and to install the result. The decode resumes from the previous view's
 // checkpoint, so its cost is proportional to the records appended since
 // the last build — not the store size — and appends never stall behind it.
-func (s *shard) viewFor(combo int, key SliceKey, newHist func() *histogram.Histogram) (v *shardView, rebuilt bool) {
+func (s *shard) viewFor(key SliceKey, newHist func() *histogram.Histogram) (v *shardView, rebuilt bool) {
 	s.mu.Lock()
-	cur := s.comboVerLocked(combo)
-	old := s.views[combo]
+	cur := s.versionLocked(key)
+	old := s.views[key]
 	if old != nil && old.ver == cur {
 		s.mu.Unlock()
 		return old, false
@@ -237,13 +176,13 @@ func (s *shard) viewFor(combo int, key SliceKey, newHist func() *histogram.Histo
 
 	s.mu.Lock()
 	if s.views == nil {
-		s.views = make(map[int]*shardView)
+		s.views = make(map[SliceKey]*shardView)
 	}
 	// A concurrent rebuild may have installed a newer view; keep the
 	// newest. Ours is still an exact snapshot at cur, which is what this
 	// recompute stamped, so it is returned either way.
-	if exist := s.views[combo]; exist == nil || exist.ver < v.ver {
-		s.views[combo] = v
+	if exist := s.views[key]; exist == nil || exist.ver < v.ver {
+		s.views[key] = v
 	}
 	s.mu.Unlock()
 	return v, true
@@ -257,7 +196,7 @@ func (s *shard) viewFor(combo int, key SliceKey, newHist func() *histogram.Histo
 func (s *shard) snapLocked(from int, sn []blockSnap) []blockSnap {
 	sn = sn[:0]
 	for _, blk := range s.blocks[from:] {
-		sn = append(sn, blockSnap{n: blk.n, tbuf: blk.tbuf, sbuf: blk.sbuf, lats: blk.lats, tags: blk.tags})
+		sn = append(sn, blockSnap{n: blk.n, tbuf: blk.tbuf, sbuf: blk.sbuf, lats: blk.lats, cells: blk.cells})
 	}
 	return sn
 }
@@ -280,7 +219,7 @@ func decodeSuffix(cp *checkpoint, sn []blockSnap, key SliceKey, dst *core.Column
 			soff += ns
 			cp.t += dt
 			cp.seq += ds
-			if !key.matchesTag(blk.tags[rec]) {
+			if !key.Matches(blk.cells[rec]) {
 				continue
 			}
 			dst.Times = append(dst.Times, timeutil.Millis(cp.t))
@@ -353,7 +292,7 @@ func (s *shard) bytes() int {
 	defer s.mu.Unlock()
 	total := 0
 	for _, blk := range s.blocks {
-		total += len(blk.tbuf) + len(blk.sbuf) + 8*len(blk.lats) + len(blk.tags)
+		total += len(blk.tbuf) + len(blk.sbuf) + 8*len(blk.lats) + len(blk.cells)
 	}
 	return total
 }

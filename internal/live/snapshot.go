@@ -31,13 +31,6 @@ type SliceSnapshot struct {
 // binning and smoothing.
 func (e *Engine) Options() core.Options { return e.cfg.Options }
 
-// SliceVersion returns the slice's current ingest version: a monotone
-// counter of matching appends. It is a handful of atomic loads, so pollers
-// (the watcher's per-tick staleness check) can call it at any rate.
-func (e *Engine) SliceVersion(key SliceKey) uint64 {
-	return e.comboVersion(key.combo())
-}
-
 // LiveStats snapshots the engine's operational counters for /v1/status —
 // one JSON read for operators instead of scraping /metrics. Counters are
 // maintained by the engine itself, so they are present with or without a

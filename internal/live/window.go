@@ -7,7 +7,6 @@ import (
 	"autosens/internal/collector/api"
 	"autosens/internal/core"
 	"autosens/internal/parallel"
-	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
 
@@ -64,19 +63,6 @@ func (e *Engine) AttachCold(c ColdTier) { e.cold = c }
 // in the global ack order — the invariant the hot/cold merge relies on.
 func (e *Engine) SetBaseSeq(seq uint64) { e.seq.Store(seq) }
 
-// TagOf exposes the record→cell dictionary byte to the cold tier, which
-// persists the very same tag per record so both tiers share one
-// definition of every slice dimension (including the ingest-time local
-// period derivation).
-func TagOf(r telemetry.Record) uint8 { return tagOf(r) }
-
-// TagDims unpacks a dictionary byte's action and user-type indices, the
-// dimensions the cold tier's zone maps record per block.
-func TagDims(tag uint8) (action, userType int) { return tagAction(tag), tagUser(tag) }
-
-// MatchesTag reports whether a stored dictionary byte falls in the slice.
-func (k SliceKey) MatchesTag(tag uint8) bool { return k.matchesTag(tag) }
-
 // The paths a windowed recompute can take, counted in nWinPath.
 const (
 	winStateless = iota // first-seen window: estimated from a view, nothing retained
@@ -85,12 +71,12 @@ const (
 	numWinPaths
 )
 
-// winStateKey identifies one windowed combo's delta-maintained state:
-// the combo plus the exact window bounds (distinct windows hold distinct
+// winStateKey identifies one windowed slice's delta-maintained state:
+// the slice plus the exact window bounds (distinct windows hold distinct
 // column subsets, so they can never share folded state).
 type winStateKey struct {
-	combo int
-	win   Window
+	key SliceKey
+	win Window
 }
 
 // maxWindowStateBytes bounds what the windowed estimation states retain
@@ -193,7 +179,7 @@ func (e *Engine) windowView(key SliceKey, win Window, sc *scratch, cps []checkpo
 			return v, 0, 0, 0, err
 		}
 	}
-	cs := e.stateFor(key.combo())
+	cs := e.stateFor(key)
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if dirty, folded, err = e.foldDelta(cs, key, Window{}, sc); err != nil {
@@ -221,8 +207,9 @@ func (e *Engine) windowView(key SliceKey, win Window, sc *scratch, cps []checkpo
 // and forces a reseed. Every path estimates over the same rows in the same
 // (time, seq) order, so all three are byte-identical to the batch estimator
 // over the window's records.
-func (e *Engine) recomputeWindow(key SliceKey, qk queryKey, repeated bool, sc *scratch) (res *Result, dirty, folded int, err error) {
-	k := winStateKey{combo: qk.combo, win: qk.win}
+func (e *Engine) recomputeWindow(qk queryKey, repeated bool, sc *scratch) (res *Result, dirty, folded int, err error) {
+	key := qk.key
+	k := winStateKey{key: key, win: qk.win}
 	ws := e.windowStateFor(k, repeated)
 	if ws == nil {
 		e.nWinPath[winStateless].Add(1)
@@ -252,7 +239,7 @@ func (e *Engine) recomputeWindow(key SliceKey, qk queryKey, repeated bool, sc *s
 		e.retainWindowState(k, ws, 0)
 		return nil, dirty, folded, err
 	}
-	res, err = e.finish(&ws.comboState, key, qk)
+	res, err = e.finish(&ws.comboState, qk)
 	e.retainWindowState(k, ws, ws.inc.RetainedBytes())
 	return res, dirty, folded, err
 }
@@ -265,13 +252,12 @@ func (e *Engine) recomputeWindow(key SliceKey, qk queryKey, repeated bool, sc *s
 // cold tier also returns the tier's scan; the zero Window is the whole of
 // every view and never consults the tier.
 func (e *Engine) runsFor(label string, key SliceKey, win Window) (views []*shardView, runs []core.Columns, cold core.Columns, err error) {
-	combo := key.combo()
 	views = make([]*shardView, len(e.shards))
 	pprof.Do(context.Background(), pprof.Labels(
 		"live", label, "slice", key.String(),
 	), func(context.Context) {
 		parallel.ForEach(e.cfg.Workers, len(e.shards), func(i int) {
-			views[i], _ = e.shards[i].viewFor(combo, key, e.newHist)
+			views[i], _ = e.shards[i].viewFor(key, e.newHist)
 		})
 	})
 	runs = make([]core.Columns, len(views))
@@ -320,7 +306,7 @@ func (e *Engine) PartialWindow(key SliceKey, win Window) (*api.Partial, error) {
 	// Stamp before gathering, as Query does: racing appends may or may not
 	// be included, and the understated stamp keeps staleness detectable at
 	// the coordinator exactly as it is locally.
-	v0 := e.comboVersion(key.combo())
+	v0 := e.SliceVersion(key)
 	label := "partial_export"
 	if !win.IsZero() {
 		label = "partial_window"
@@ -364,7 +350,7 @@ func (e *Engine) PartialWindow(key SliceKey, win Window) (*api.Partial, error) {
 func (e *Engine) SnapshotSliceWindow(key SliceKey, win Window) (*SliceSnapshot, error) {
 	// Stamp before gathering, as Query does: racing appends may or may not
 	// be included, and the understated stamp keeps staleness detectable.
-	v0 := e.comboVersion(key.combo())
+	v0 := e.SliceVersion(key)
 	label := "slice_snapshot"
 	if !win.IsZero() {
 		label = "slice_snapshot_window"

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"autosens/internal/cell"
 	"autosens/internal/core"
 	"autosens/internal/rng"
 	"autosens/internal/telemetry"
@@ -29,14 +30,14 @@ type oracleRow struct {
 	t   timeutil.Millis
 	lat float64
 	seq uint64
-	tag uint8
+	c   cell.Cell
 }
 
 // add records stream[i] at sequence base+i, skipping what the engine skips.
 func (o *windowOracle) add(stream []telemetry.Record, base uint64) {
 	for i, r := range stream {
-		if !r.Failed {
-			o.rows = append(o.rows, oracleRow{r.Time, r.LatencyMS, base + uint64(i), tagOf(r)})
+		if c, ok := cell.Of(r); ok {
+			o.rows = append(o.rows, oracleRow{r.Time, r.LatencyMS, base + uint64(i), c})
 		}
 	}
 }
@@ -45,7 +46,7 @@ func (o *windowOracle) add(stream []telemetry.Record, base uint64) {
 func (o *windowOracle) columns(key SliceKey, win Window) (times []timeutil.Millis, lats []float64) {
 	var in []oracleRow
 	for _, r := range o.rows {
-		if win.Contains(r.t) && key.matchesTag(r.tag) {
+		if win.Contains(r.t) && key.Matches(r.c) {
 			in = append(in, r)
 		}
 	}
@@ -144,10 +145,10 @@ func setCold(cold *fakeCold, rows []oracleRow) {
 		}
 		return rows[i].seq < rows[j].seq
 	})
-	cold.times, cold.lats, cold.seqs, cold.tags = nil, nil, nil, nil
+	cold.times, cold.lats, cold.seqs, cold.cells = nil, nil, nil, nil
 	for _, r := range rows {
 		cold.times, cold.lats = append(cold.times, r.t), append(cold.lats, r.lat)
-		cold.seqs, cold.tags = append(cold.seqs, r.seq), append(cold.tags, r.tag)
+		cold.seqs, cold.cells = append(cold.seqs, r.seq), append(cold.cells, r.c)
 	}
 }
 
@@ -324,7 +325,7 @@ func TestWindowStateRetentionBounded(t *testing.T) {
 	e.wsBudget = 1 << 20
 	tail := telemetry.Successful(stream[2500:])
 	pin := Window{From: horizon / 8, To: horizon/8 + 6*timeutil.MillisPerHour}
-	pinKey := winStateKey{combo: AllSlices.combo(), win: pin}
+	pinKey := winStateKey{key: AllSlices, win: pin}
 	query := func(win Window, mode Mode) *Result {
 		t.Helper()
 		res, err := e.QueryWindow(AllSlices, mode, false, win)
@@ -350,7 +351,7 @@ func TestWindowStateRetentionBounded(t *testing.T) {
 		if n, b := e.windowStates(); b > e.wsBudget || n < 1 {
 			t.Fatalf("after %d windows: %d states retain %d bytes, budget %d", i+1, n, b, e.wsBudget)
 		}
-		if ws := e.windowStateFor(winStateKey{combo: AllSlices.combo(), win: slide}, false); ws != nil && i%4 == 0 {
+		if ws := e.windowStateFor(winStateKey{key: AllSlices, win: slide}, false); ws != nil && i%4 == 0 {
 			_, tableBytes, _ := ws.inc.NormalizedStats()
 			if tableBytes == 0 || ws.bytes < tableBytes {
 				t.Fatalf("window %d: state accounts %d bytes, its slot tables hold %d", i, ws.bytes, tableBytes)

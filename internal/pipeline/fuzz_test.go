@@ -3,8 +3,10 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
+	"autosens/internal/cell"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
@@ -61,9 +63,11 @@ func requireFamiliesEqual(t *testing.T, what string, got, want *Partition) {
 
 // FuzzPartitionMatchesRecords: every family a partition serves equals the
 // legacy record slicers' groups after core.UsableColumns (successful rows,
-// stably time-sorted), and a partition built from TBIN bytes on the decode
-// workers, with row filters or without, equals NewPartition over the same
-// records filtered the same way.
+// stably time-sorted), every row holds its record's cell byte, a Load.Keep
+// built from a slice key as the CLI builds it holds exactly the records the
+// key's per-axis filter takes, and a partition built from TBIN bytes on the
+// decode workers, with row filters or without, equals NewPartition over the
+// same records filtered the same way.
 func FuzzPartitionMatchesRecords(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{4, 0, 3, 1, 0, 0x05, 0xfc, 1, 9, 2, 1, 0x8e}, 20))
@@ -94,6 +98,41 @@ func FuzzPartitionMatchesRecords(f *testing.F) {
 			requireSlicesEqual(t, "quartile", got, want)
 		}
 
+		// An input-order partition holds the successful rows in input
+		// order, then the failed ones; each row's byte is its record's
+		// cell, the stored cell for every record cell.Of accepts.
+		flat, _ := Load{InputOrder: true}.Records(recs)
+		var cells []cell.Cell
+		for _, failed := range []bool{false, true} {
+			for _, r := range recs {
+				if r.Failed == failed {
+					c, ok := cell.Of(r)
+					if ok && c >= cell.NumCells {
+						t.Fatalf("cell.Of accepted %+v with cell %#x", r, c)
+					}
+					cells = append(cells, c)
+				}
+			}
+		}
+		if !slices.Equal(flat.class, cells) {
+			t.Fatalf("row cells %v, want %v", flat.class, cells)
+		}
+		for _, key := range cell.Keys() {
+			in := func(r telemetry.Record) bool {
+				return !r.Failed && (key.Action < 0 || r.Action == key.Action) &&
+					(key.UserType < 0 || r.UserType == key.UserType) &&
+					(key.Period < 0 || timeutil.PeriodOf(r.Time, r.TZOffset) == key.Period)
+			}
+			got, seen := Load{Keep: InSlice(key), InputOrder: true}.Records(recs)
+			held := telemetry.Filter(recs, in)
+			times, lats := got.Columns()
+			if seen.Kept != len(held) {
+				t.Fatalf("%v: kept %d records, want %d", key, seen.Kept, len(held))
+			}
+			requireSlicesEqual(t, key.String(),
+				[]Slice{{Name: "slice", Times: times, Lats: lats, Rows: got.Len()}}, []Slice{SliceOf("slice", held)})
+		}
+
 		// TBIN carries valid records only.
 		valid := telemetry.Filter(recs, func(r telemetry.Record) bool { return r.Validate() == nil })
 		var buf bytes.Buffer
@@ -104,8 +143,10 @@ func FuzzPartitionMatchesRecords(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		keep := func(r Row) bool { return r.UserType == telemetry.Business || r.Period == timeutil.Period8pm2am }
-		store := func(r Row) bool { return r.Action != telemetry.Search }
+		keep := func(r Row) bool {
+			return r.Cell.UserType() == telemetry.Business || r.Cell.Period() == timeutil.Period8pm2am
+		}
+		store := func(r Row) bool { return r.Cell.Action() != telemetry.Search }
 		for _, workers := range []int{1, 4} {
 			got, seen, err := Load{Workers: workers}.TBIN(buf.Bytes())
 			if err != nil {

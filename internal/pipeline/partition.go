@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"autosens/internal/cell"
 	"autosens/internal/core"
 	"autosens/internal/parallel"
 	"autosens/internal/telemetry"
@@ -14,9 +15,9 @@ import (
 // Partition classifies every record once — action type, user segment and
 // local-time period — and serves all of the paper's slicings from that
 // single pass, as the columns the estimator reads. It holds ~25 bytes a
-// row (time, latency, user and one class byte), action-major: one region
-// per action type in input order, successful rows before failed ones, and a
-// last region for out-of-range action values. A slice gathers the
+// row (time, latency, user and the record's cell byte), action-major: one
+// region per action type in input order, successful rows before failed
+// ones, and a last region for out-of-range action values. A slice gathers the
 // successful rows of its group and sorts them stably by time, exactly the
 // columns the record entry points of core would extract; an action's whole
 // region is handed out without a copy when it is already in time order.
@@ -28,7 +29,7 @@ type Partition struct {
 	times []timeutil.Millis
 	lats  []float64
 	users []uint64
-	class []uint8
+	class []cell.Cell
 	// bound[b]..bound[b+1] holds bucket b's rows: bucket 2r the
 	// successful rows of region r, bucket 2r+1 its failed ones.
 	bound [numBuckets + 1]int
@@ -53,13 +54,6 @@ const (
 	// action values.
 	numRegions = telemetry.NumActionTypes + 1
 	numBuckets = 2 * numRegions
-
-	segShift = 0
-	segMask  = 0b11 // 3 = invalid user type
-	perShift = 2
-	perMask  = 0b11
-	actShift = 4
-	actMask  = 0b111 // telemetry.NumActionTypes = invalid action
 )
 
 // monthStarts are the cumulative month boundaries of the simulated year
@@ -86,17 +80,24 @@ func monthOf(t timeutil.Millis) int {
 	return m
 }
 
-// Row is what a load's filters see of one record.
+// Row is what a load's filters see of one record: its cell, which flags
+// an out-of-range action or user type, and whether it failed.
 type Row struct {
-	Action   telemetry.ActionType
-	UserType telemetry.UserType
-	Period   timeutil.Period
-	Failed   bool
+	Cell   cell.Cell
+	Failed bool
+	action telemetry.ActionType // the raw action, kept for out-of-range ones
 }
 
 // RowOf classifies a record.
 func RowOf(r telemetry.Record) Row {
-	return Row{Action: r.Action, UserType: r.UserType, Period: timeutil.PeriodOf(r.Time, r.TZOffset), Failed: r.Failed}
+	c, _ := cell.Of(r)
+	return Row{Cell: c, Failed: r.Failed, action: r.Action}
+}
+
+// InSlice is the Load.Keep that counts the successful records in key's
+// slice.
+func InSlice(key cell.Key) func(Row) bool {
+	return func(r Row) bool { return !r.Failed && key.Matches(r.Cell) }
 }
 
 func actionIndex(a telemetry.ActionType) int {
@@ -104,14 +105,6 @@ func actionIndex(a telemetry.ActionType) int {
 		return telemetry.NumActionTypes
 	}
 	return int(a)
-}
-
-func (r Row) class() uint8 {
-	seg := uint8(segMask)
-	if r.UserType >= 0 && int(r.UserType) < telemetry.NumUserTypes {
-		seg = uint8(r.UserType)
-	}
-	return seg<<segShift | uint8(r.Period)<<perShift | uint8(actionIndex(r.Action))<<actShift
 }
 
 // Load says how a partition is built from an input's records.
@@ -152,7 +145,7 @@ func (l Load) admit(row Row, t *Loaded) (bucket int, held bool) {
 	}
 	region := 0
 	if !l.InputOrder {
-		region = actionIndex(row.Action)
+		region = actionIndex(row.Cell.Action())
 	}
 	if row.Failed {
 		return 2*region + 1, true
@@ -190,7 +183,7 @@ func (p *Partition) makeRows(n int) {
 	p.times = make([]timeutil.Millis, n)
 	p.lats = make([]float64, n)
 	p.users = make([]uint64, n)
-	p.class = make([]uint8, n)
+	p.class = make([]cell.Cell, n)
 }
 
 // add stages a row of chunk c if the load holds it. Only one-chunk builds
@@ -204,12 +197,12 @@ func (b *builder) add(c *chunk, row Row, t timeutil.Millis, lat float64, user ui
 	}
 	j := c.first + c.held
 	st := b.stage
-	st.times[j], st.lats[j], st.users[j], st.class[j] = t, lat, user, row.class()
-	if actionIndex(row.Action) == telemetry.NumActionTypes {
+	st.times[j], st.lats[j], st.users[j], st.class[j] = t, lat, user, row.Cell
+	if actionIndex(row.Cell.Action()) == telemetry.NumActionTypes {
 		if st.invalid == nil {
 			st.invalid = make(map[int]telemetry.ActionType)
 		}
-		st.invalid[j] = row.Action
+		st.invalid[j] = row.action
 	}
 	b.bucket[j] = uint8(bk)
 	c.n[bk]++
@@ -349,8 +342,8 @@ func (p *Partition) region(a telemetry.ActionType) (lo, mid, hi int, filter bool
 
 // is reports whether row i's action is a.
 func (p *Partition) is(i int, a telemetry.ActionType) bool {
-	if idx := int(p.class[i] >> actShift & actMask); idx < telemetry.NumActionTypes {
-		return idx == int(a)
+	if ca := p.class[i].Action(); int(ca) < telemetry.NumActionTypes {
+		return ca == a
 	}
 	return p.invalid[i] == a
 }
@@ -390,7 +383,7 @@ func (p *Partition) run(lo, hi int) ([]timeutil.Millis, []float64) {
 func (p *Partition) Action(a telemetry.ActionType) Slice {
 	lo, mid, hi, filter := p.region(a)
 	if filter {
-		return p.split(a, []string{a.String()}, p.class, 0, 0)[0]
+		return p.split(a, []string{a.String()}, func(int) uint8 { return 0 })[0]
 	}
 	s := Slice{Name: a.String(), Rows: hi - lo}
 	s.Times, s.Lats = p.run(lo, mid)
@@ -407,16 +400,16 @@ func (p *Partition) ByActionType() []Slice {
 }
 
 // split builds one slice per name from action a's rows: row i belongs to
-// group key[i]>>shift&mask, if that is below len(names). Every row of a
-// group counts toward its Rows; the successful ones are gathered into
-// exactly sized columns and sorted stably by time.
-func (p *Partition) split(a telemetry.ActionType, names []string, key []uint8, shift, mask uint8) []Slice {
+// group(i), if that is below len(names). Every row of a group counts toward
+// its Rows; the successful ones are gathered into exactly sized columns and
+// sorted stably by time.
+func (p *Partition) split(a telemetry.ActionType, names []string, group func(i int) uint8) []Slice {
 	lo, mid, hi, filter := p.region(a)
 	groups := uint8(len(names))
 	var n [16]int
 	out := make([]Slice, len(names))
 	for i := lo; i < hi; i++ {
-		if g := key[i] >> shift & mask; g < groups && (!filter || p.is(i, a)) {
+		if g := group(i); g < groups && (!filter || p.is(i, a)) {
 			out[g].Rows++
 			if i < mid {
 				n[g]++
@@ -429,7 +422,7 @@ func (p *Partition) split(a telemetry.ActionType, names []string, key []uint8, s
 		n[g] = 0
 	}
 	for i := lo; i < mid; i++ {
-		if g := key[i] >> shift & mask; g < groups && (!filter || p.is(i, a)) {
+		if g := group(i); g < groups && (!filter || p.is(i, a)) {
 			out[g].Times[n[g]], out[g].Lats[n[g]] = p.times[i], p.lats[i]
 			n[g]++
 		}
@@ -446,7 +439,7 @@ func (p *Partition) BySegment(action telemetry.ActionType) []Slice {
 	for _, u := range telemetry.UserTypes() {
 		names = append(names, fmt.Sprintf("%s/%s", action, u))
 	}
-	return p.split(action, names, p.class, segShift, segMask)
+	return p.split(action, names, func(i int) uint8 { return uint8(p.class[i].UserType()) })
 }
 
 // ByPeriod builds one slice per user-local 6-hour period within one
@@ -456,7 +449,7 @@ func (p *Partition) ByPeriod(action telemetry.ActionType) []Slice {
 	for per := 0; per < timeutil.NumPeriods; per++ {
 		names = append(names, fmt.Sprintf("%s/%s", action, timeutil.Period(per)))
 	}
-	return p.split(action, names, p.class, perShift, perMask)
+	return p.split(action, names, func(i int) uint8 { return uint8(p.class[i].Period()) })
 }
 
 // ByMonth builds one slice per calendar month within one action type,
@@ -498,7 +491,7 @@ func (p *Partition) ByMonth(action telemetry.ActionType) []Slice {
 	for i := lo; i < hi; i++ {
 		month[i] = group[month[i]]
 	}
-	return p.split(action, names, month, 0, 0xff)
+	return p.split(action, names, func(i int) uint8 { return month[i] })
 }
 
 // quartiles lazily computes every row's quartile over the whole partition
@@ -535,7 +528,7 @@ func (p *Partition) ByQuartile(action telemetry.ActionType) ([]Slice, error) {
 	for q := range telemetry.NumQuartiles {
 		names = append(names, fmt.Sprintf("%s/%s", action, telemetry.Quartile(q)))
 	}
-	return p.split(action, names, p.quart, 0, 0xff), nil
+	return p.split(action, names, func(i int) uint8 { return p.quart[i] }), nil
 }
 
 // SelectQuartile returns a partition of the rows whose user falls in
@@ -557,17 +550,9 @@ func (p *Partition) SelectQuartile(q telemetry.Quartile, keep func(Row) bool, in
 	return sub, nil
 }
 
-// row reads row i's class back. An out-of-range user type reads as 3.
+// row reads row i back.
 func (p *Partition) row(i int) Row {
-	c := p.class[i]
-	row := Row{
-		Action:   telemetry.ActionType(c >> actShift & actMask),
-		UserType: telemetry.UserType(c >> segShift & segMask),
-		Period:   timeutil.Period(c >> perShift & perMask),
-	}
-	if a, ok := p.invalid[i]; ok {
-		row.Action = a
-	}
+	row := Row{Cell: p.class[i], action: p.invalid[i]}
 	for b := 1; b < numBuckets; b += 2 {
 		row.Failed = row.Failed || (p.bound[b] <= i && i < p.bound[b+1])
 	}

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"autosens/internal/cell"
 	"autosens/internal/colcodec"
 	"autosens/internal/core"
 	"autosens/internal/live"
@@ -29,7 +30,7 @@ import (
 //	  uvarint time span (max time − min time)
 //	  n times         colcodec delta column (the chain restarts per chunk)
 //	  n latencies     colcodec float column
-//	  n × tag bytes   (the live engine's dictionary byte)
+//	  n × tag bytes   (each record's cell.Cell)
 //	  n seqs          colcodec delta column (restarts per chunk)
 //	  n × uvarint user IDs
 //
@@ -426,9 +427,9 @@ func writeBlock(fsys wal.FS, dir string, id uint64, rows []row, buf []byte) (Blo
 		if r.user > meta.MaxUser {
 			meta.MaxUser = r.user
 		}
-		action, userType := live.TagDims(r.tag)
-		meta.Actions |= 1 << action
-		meta.UserTypes |= 1 << userType
+		c := cell.Cell(r.tag)
+		meta.Actions |= 1 << c.Action()
+		meta.UserTypes |= 1 << c.UserType()
 	}
 	return meta, data, nil
 }

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"autosens/internal/live"
+	"autosens/internal/cell"
 	"autosens/internal/parallel"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
@@ -92,17 +92,13 @@ func (s *Store) CompactOnce() (int, error) {
 		errs[i] = wal.ReplaySegment(s.fs, s.cfg.WALDir, pending[i], func(r telemetry.Record) error {
 			thisSeq := sg.total
 			sg.total++
-			if r.Failed ||
-				r.Action < 0 || int(r.Action) >= telemetry.NumActionTypes ||
-				r.UserType < 0 || int(r.UserType) >= telemetry.NumUserTypes {
-				return nil
-			}
-			if s.cfg.Owns != nil && !s.cfg.Owns(r.UserID) {
+			c, ok := cell.Of(r)
+			if !ok || s.cfg.Owns != nil && !s.cfg.Owns(r.UserID) {
 				return nil
 			}
 			sg.rows = append(sg.rows, row{
 				time: r.Time, lat: r.LatencyMS, seq: thisSeq,
-				user: r.UserID, tag: live.TagOf(r),
+				user: r.UserID, tag: uint8(c),
 			})
 			return nil
 		})

@@ -5,6 +5,7 @@ import (
 	"io/fs"
 	"sync"
 
+	"autosens/internal/cell"
 	"autosens/internal/core"
 	"autosens/internal/live"
 	"autosens/internal/parallel"
@@ -131,7 +132,7 @@ func (s *Store) scanWindowOnce(key live.SliceKey, win live.Window) ([]timeutil.M
 // the whole block (the only shape worth caching: the watcher's trailing
 // window re-reads the same interior blocks every tick).
 func (s *Store) scanBlock(b *BlockMeta, key live.SliceKey, win live.Window) (core.Columns, error) {
-	matchAll := key.Action < 0 && key.UserType < 0 && key.Period < 0
+	matchAll := key == live.AllSlices
 	covered := win.From <= b.MinTime && (win.To == 0 || b.MaxTime < win.To)
 
 	if cols := s.cache.get(b.File); cols != nil {
@@ -190,7 +191,7 @@ func clipFilter(cols *blockCols, key live.SliceKey, win live.Window, matchAll, c
 	}
 	n := 0
 	for _, tag := range cols.tags[lo:hi] {
-		if key.MatchesTag(tag) {
+		if key.Matches(cell.Cell(tag)) {
 			n++
 		}
 	}
@@ -203,7 +204,7 @@ func clipFilter(cols *blockCols, key live.SliceKey, win live.Window, matchAll, c
 		Seqs:  make([]uint64, 0, n),
 	}
 	for i := lo; i < hi; i++ {
-		if key.MatchesTag(cols.tags[i]) {
+		if key.Matches(cell.Cell(cols.tags[i])) {
 			p.Times = append(p.Times, cols.Times[i])
 			p.Lats = append(p.Lats, cols.Lats[i])
 			p.Seqs = append(p.Seqs, cols.Seqs[i])
@@ -215,19 +216,16 @@ func clipFilter(cols *blockCols, key live.SliceKey, win live.Window, matchAll, c
 // blockMayMatch is the zone-map test: false proves the block holds no
 // matching record, so the scan may skip the file entirely. Period cannot
 // prune (any calendar day spans every period), so only the time range
-// and the action/user-type presence masks participate.
+// and the action/user-type presence masks participate: one of the
+// slice's cells must have an action and a user type the block holds.
 func blockMayMatch(b *BlockMeta, key live.SliceKey, win live.Window) bool {
-	if b.MaxTime < win.From {
+	if b.MaxTime < win.From || win.To != 0 && b.MinTime >= win.To {
 		return false
 	}
-	if win.To != 0 && b.MinTime >= win.To {
-		return false
+	for _, c := range key.Cells() {
+		if b.Actions&(1<<c.Action()) != 0 && b.UserTypes&(1<<c.UserType()) != 0 {
+			return true
+		}
 	}
-	if key.Action >= 0 && b.Actions&(1<<int(key.Action)) == 0 {
-		return false
-	}
-	if key.UserType >= 0 && b.UserTypes&(1<<int(key.UserType)) == 0 {
-		return false
-	}
-	return true
+	return false
 }

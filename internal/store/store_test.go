@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"autosens/internal/cell"
 	"autosens/internal/live"
 	"autosens/internal/rng"
 	"autosens/internal/telemetry"
@@ -76,7 +77,7 @@ func refRows(stream []telemetry.Record, key live.SliceKey, win live.Window) []re
 			r.UserType < 0 || int(r.UserType) >= telemetry.NumUserTypes {
 			continue
 		}
-		if !key.MatchesTag(live.TagOf(r)) {
+		if c, _ := cell.Of(r); !key.Matches(c) {
 			continue
 		}
 		if !win.IsZero() && !win.Contains(r.Time) {

@@ -111,6 +111,16 @@ func (p Period) String() string {
 	}
 }
 
+// ParsePeriod is the inverse of Period.String.
+func ParsePeriod(s string) (Period, error) {
+	for p := range numPeriods {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("timeutil: unknown period %q", s)
+}
+
 // PeriodOf returns the 6-hour period containing the local hour of t.
 func PeriodOf(t Millis, tzOffset Millis) Period {
 	h := HourOfDay(t, tzOffset)

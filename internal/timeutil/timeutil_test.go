@@ -88,6 +88,18 @@ func TestPeriodString(t *testing.T) {
 	}
 }
 
+func TestParsePeriod(t *testing.T) {
+	for p := range numPeriods {
+		got, err := ParsePeriod(p.String())
+		if err != nil || got != p {
+			t.Fatalf("ParsePeriod(%q) = %v, %v", p.String(), got, err)
+		}
+	}
+	if _, err := ParsePeriod("brunch"); err == nil {
+		t.Fatal("bogus period parsed")
+	}
+}
+
 func TestPeriodCoversAllHoursProperty(t *testing.T) {
 	f := func(raw uint32) bool {
 		tm := Millis(raw) * MillisPerMinute
