@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-ingest-json bench-live bench-live-gate bench-watch bench-cluster bench-store bench-store-gate fuzz check fmt vet clean crash-test race-ingest race-live race-watch race-cluster race-store alert-quality coverage reference
+.PHONY: build test race bench bench-json bench-ingest-json bench-live bench-live-gate bench-watch bench-cluster bench-store bench-store-gate fuzz check fmt vet clean crash-test race-ingest race-live race-watch race-cluster race-store alert-quality coverage reference paper
 
 # Label recorded in BENCH_core.json for a bench-json run; override like
 #   make bench-json BENCH_LABEL="after: shared key plan"
@@ -62,6 +62,14 @@ coverage:
 # this is the whole run.
 reference:
 	$(GO) run ./cmd/experiments -scale small -seed 1 | diff -u results_small.txt -
+
+# paper reruns every experiment at paper scale (about two minutes) into a
+# temporary directory and diffs the stdout against the committed
+# results_paper.txt and the CSVs against results/.
+paper:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/experiments -scale paper -seed 1 -outdir "$$tmp/results" > "$$tmp/stdout.txt" && \
+	diff -u results_paper.txt "$$tmp/stdout.txt" && diff -ru results "$$tmp/results"
 
 # crash-test runs the kill-and-recover acceptance test: build a real
 # sensd, stream beacons at it, SIGKILL it mid-write, recover the WAL and
