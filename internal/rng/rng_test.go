@@ -408,3 +408,56 @@ func BenchmarkNormal(b *testing.B) {
 		_ = s.Normal(0, 1)
 	}
 }
+
+// TestModulusMatchesRemainder pins the multiply-based remainder to Go's %
+// at the divisors where one correction step is tightest (1, 2, 3, around
+// 2³², 2⁶³, 2⁶⁴−1) and at random ones, over edge and random dividends.
+func TestModulusMatchesRemainder(t *testing.T) {
+	src := New(41)
+	divisors := []uint64{1, 2, 3, 1<<32 - 1, 1<<32 + 1, 1 << 63, math.MaxUint64}
+	for i := 0; i < 200; i++ {
+		divisors = append(divisors, src.Uint64()>>(src.Uint64()%64))
+	}
+	for _, n := range divisors {
+		if n == 0 {
+			continue
+		}
+		d := newModulus(n)
+		vs := []uint64{0, 1, n - 1, n, n + 1, -n, math.MaxUint64, math.MaxUint64 - 1, math.MaxUint64 / n * n, math.MaxUint64/n*n - 1}
+		for i := 0; i < 500; i++ {
+			vs = append(vs, src.Uint64())
+		}
+		for _, v := range vs {
+			if got, want := d.mod(v), v%n; got != want {
+				t.Fatalf("%d mod %d = %d, want %d", v, n, got, want)
+			}
+		}
+	}
+}
+
+// TestUint64nStream pins Uint64n and FillUint64n to the stream of the
+// divide-based rejection sampler they replace: same values, same state.
+func TestUint64nStream(t *testing.T) {
+	ref := func(s *Source, n uint64) uint64 {
+		threshold := -n % n
+		for {
+			if v := s.Uint64(); v >= threshold {
+				return v % n
+			}
+		}
+	}
+	for _, n := range []uint64{1, 2, 3, 1000, 3_600_000, 1<<32 - 1, 1<<32 + 1, 1 << 40, 1<<63 + 1, math.MaxUint64} {
+		want, one, fill := New(5), New(5), New(5)
+		got := make([]uint64, 2000)
+		fill.FillUint64n(got, n)
+		for i := range got {
+			w := ref(want, n)
+			if v := one.Uint64n(n); v != w || got[i] != w {
+				t.Fatalf("n=%d draw %d: Uint64n %d, FillUint64n %d, want %d", n, i, v, got[i], w)
+			}
+		}
+		if *one != *want || *fill != *want {
+			t.Fatalf("n=%d: generator state diverged from the reference", n)
+		}
+	}
+}
