@@ -184,10 +184,11 @@ bench-store-gate:
 		$(GO) run ./cmd/benchjson -against BENCH_store.json -names BenchmarkStoreQueryWindowDirty -require-baseline
 
 # fuzz runs each telemetry, merge-kernel, column-codec, cluster-partial
-# and cold-block fuzz target, and the normalized-bootstrap and
-# incremental-vs-stateless finisher differential ones, for a short bounded
-# burst. The finisher target's inputs cost tens of milliseconds each, so
-# its new-coverage minimization is capped to keep the burst exploring.
+# and cold-block fuzz target, and the normalized-bootstrap,
+# incremental-vs-stateless finisher and nearest-sample kernel differential
+# ones, for a short bounded burst. The finisher target's inputs cost tens
+# of milliseconds each, and the kernel target finds new coverage often, so
+# their new-coverage minimization is capped to keep the burst exploring.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzRecordRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/telemetry/
@@ -197,6 +198,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz='^FuzzMergeColumns$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=^$$ -fuzz='^FuzzNormalizedReplicateMatchesBatch$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=^$$ -fuzz='^FuzzIncrementalMatchesBatch$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/core/
+	$(GO) test -run=^$$ -fuzz='^FuzzNearestSweep$$' -fuzztime=$(FUZZTIME) -fuzzminimizetime=1s ./internal/core/
 	$(GO) test -run=^$$ -fuzz='^FuzzPartitionMatchesRecords$$' -fuzztime=$(FUZZTIME) ./internal/pipeline/
 	$(GO) test -run=^$$ -fuzz='^FuzzColumnRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/colcodec/
 	$(GO) test -run=^$$ -fuzz='^FuzzPartialRoundTrip$$' -fuzztime=$(FUZZTIME) ./internal/collector/api/

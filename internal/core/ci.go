@@ -309,9 +309,9 @@ type normBoot struct {
 // rankTable is one rank's draw table, drawn by the first replicate slot that
 // needs it; ok is false when the stream cannot hold one (drawTable).
 type rankTable struct {
-	once    sync.Once
-	entries []drawEntry
-	ok      bool
+	once sync.Once
+	keys []uint64
+	ok   bool
 }
 
 // newNormBoot prepares the shared state for the replicates drawn from srcs
@@ -413,18 +413,18 @@ func (nb *normBoot) carriedFrom(bb *bootBlocks, slot int, picks []int, dur timeu
 // table returns rank's draw table when it serves a slot spanning span with
 // quota draws: the slot is a full one and the quota fits. It draws the table
 // on first use.
-func (nb *normBoot) table(rank int, span timeutil.Millis, quota int, dur timeutil.Millis) []drawEntry {
+func (nb *normBoot) table(rank int, span timeutil.Millis, quota int, dur timeutil.Millis) []uint64 {
 	if span != dur || quota > nb.size {
 		return nil
 	}
 	t := &nb.tables[rank]
 	t.once.Do(func() {
-		t.entries, t.ok = drawTable(nil, &nb.origins[rank], uint64(dur), nb.size)
+		t.keys, t.ok = drawTable(nil, &nb.origins[rank], uint64(dur), nb.size)
 	})
 	if !t.ok {
 		return nil
 	}
-	return t.entries
+	return t.keys
 }
 
 // normalizedReplicate is the time-normalized estimate over the resampled

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -144,12 +145,7 @@ func (inc *Incremental) foldIncremental(d Columns) error {
 		}
 		for ; dep < len(inc.auxDep) && int(inc.auxDep[dep]) < i2; dep++ {
 		}
-		classifyKeys(inc.sum.Times, lo, inc.plan.sorted, i1, i2,
-			func(_, j, m int) {
-				if j >= 0 {
-					inc.u.SubWeighted(inc.sum.Lats[j], float64(m))
-				}
-			})
+		classifyKeys(inc.sum.Times, inc.sum.Lats, lo, inc.plan.sorted[i1:i2], i1, inc.u, true, nil)
 	}
 	inc.survivors = append(inc.survivors, inc.auxDep[dep:]...)
 
@@ -178,20 +174,12 @@ func (inc *Incremental) foldIncremental(d Columns) error {
 	inc.auxDep = append(inc.auxDep[:0], inc.survivors...)
 	for _, iv := range inc.intervals {
 		i1, i2 := keyRange(inc.plan.sorted, iv[0], iv[1])
-		classifyKeys(inc.sum.Times, lo, inc.plan.sorted, i1, i2,
-			func(rank, j, m int) {
-				if j < 0 {
-					inc.auxDep = append(inc.auxDep, int32(rank))
-				} else {
-					inc.u.AddWeighted(inc.sum.Lats[j], float64(m))
-				}
-			})
+		classifyKeys(inc.sum.Times, inc.sum.Lats, lo, inc.plan.sorted[i1:i2], i1, inc.u, false, &inc.auxDep)
 	}
 
 	// 6. Staged keys OUTSIDE every interval land in unchanged
-	// neighbourhoods: classify each distinct value once (equal keys share
-	// assignment and dependence, and staged duplicates of a retained value
-	// rank after it).
+	// neighbourhoods: classify each distinct value's staged keys, which rank
+	// after the retained duplicates of it.
 	ivp := 0
 	for i := 0; i < len(tail); {
 		v := tail[i]
@@ -206,21 +194,11 @@ func (inc *Incremental) foldIncremental(d Columns) error {
 		if ivp < len(inc.intervals) && inc.intervals[ivp][0] <= v {
 			continue // inside an interval: already handled by the new pass
 		}
-		first := sort.Search(len(inc.plan.sorted), func(j int) bool { return inc.plan.sorted[j] >= v })
-		eqAll := sort.Search(len(inc.plan.sorted)-first, func(j int) bool { return inc.plan.sorted[first+j] > v })
-		start := first + eqAll - m // staged duplicates sort last
-		classifyKeys(inc.sum.Times, lo, inc.plan.sorted, first, first+1,
-			func(_, j, _ int) {
-				if j < 0 {
-					for r := 0; r < m; r++ {
-						inc.auxDep = append(inc.auxDep, int32(start+r))
-					}
-				} else {
-					inc.u.AddWeighted(inc.sum.Lats[j], float64(m))
-				}
-			})
+		end := sort.Search(len(inc.plan.sorted), func(j int) bool { return inc.plan.sorted[j] > v })
+		start := end - m // staged duplicates sort last
+		classifyKeys(inc.sum.Times, inc.sum.Lats, lo, inc.plan.sorted[start:end], start, inc.u, false, &inc.auxDep)
 	}
-	slices32Sort(inc.auxDep)
+	slices.Sort(inc.auxDep)
 	inc.checkDensity()
 	return nil
 }
@@ -290,10 +268,13 @@ func (inc *Incremental) EstimatePlain() (*Curve, error) {
 	if err := inc.uOut.CopyFrom(inc.u); err != nil {
 		return nil, err
 	}
+	// The tie-broken draws, resolved with the current seed on the records
+	// the kernel finds for them, one forward scan over the ranks.
+	j := 0
 	for _, r := range inc.auxDep {
-		aux := rng.Mix64(inc.plan.auxSeed + uint64(r))
-		j := drawKeyIndex(inc.sum.Times, lo, inc.plan.sorted[r], aux)
-		inc.uOut.Add(inc.sum.Lats[j])
+		t := lo + timeutil.Millis(inc.plan.sorted[r])
+		j = nearestFrom(inc.sum.Times, j, t)
+		inc.uOut.Add(inc.sum.Lats[pickAt(inc.sum.Times, j, t, rng.Mix64(inc.plan.auxSeed+uint64(r)))])
 	}
 	sp.SetAttr("aux_dep", len(inc.auxDep))
 	return e.finishCurve(sp, inc.sum.B, inc.uOut, n, draws)
@@ -310,13 +291,7 @@ func (inc *Incremental) rebuildSweep(chunks int) {
 	inc.auxDep = inc.auxDep[:0]
 	times, lats, keys := inc.sum.Times, inc.sum.Lats, inc.plan.sorted
 	inc.e.splitSweep(chunks, len(keys), inc.u, &inc.auxDep, func(i1, i2 int, u *histogram.Histogram, dep *[]int32) {
-		classifyKeys(times, times[0], keys, i1, i2, func(rank, j, m int) {
-			if j < 0 {
-				*dep = append(*dep, int32(rank))
-			} else {
-				u.AddWeighted(lats[j], float64(m))
-			}
-		})
+		classifyKeys(times, lats, times[0], keys[i1:i2], i1, u, false, dep)
 	})
 	inc.stValid = true
 	inc.checkDensity()
@@ -348,68 +323,18 @@ func keyRange(keys []uint64, a, b uint64) (int, int) {
 	return i1, i2
 }
 
-// classifyKeys evaluates sorted draw keys[i1:i2) against time-sorted
-// columns. A draw whose adoption consumes tie-break randomness (exact
-// midpoint, or an equal-timestamp run longer than one) is reported alone as
-// fn(rank, -1, 1) — the caller re-evaluates it with drawKeyIndex when the aux
-// seed is known. Every other draw adopts one record for certain; sorted keys
-// adopt records in non-decreasing order, so consecutive such draws landing
-// on record j are reported once, as fn(first rank, j, how many).
-func classifyKeys(times []timeutil.Millis, lo timeutil.Millis, keys []uint64, i1, i2 int, fn func(rank, j, m int)) {
-	if i1 >= i2 || len(times) == 0 {
-		return
-	}
-	nRec := len(times)
-	t0 := lo + timeutil.Millis(keys[i1])
-	idx := sort.Search(nRec, func(i int) bool { return times[i] >= t0 })
-	run, m := 0, 0 // m pending draws, the first at rank k-m, adopting record run
-	for k := i1; k < i2; k++ {
-		t := lo + timeutil.Millis(keys[k])
-		for idx < nRec && times[idx] < t {
-			idx++
-		}
-		j, mid := nearestAt(times, idx, t)
-		if mid || tied(times, j) {
-			if m > 0 {
-				fn(k-m, run, m)
-				m = 0
+// classifyKeys sweeps sorted draw keys, the first of rank rank0, into the
+// stable state: draws that adopt a record for certain are added to u (or,
+// with sub, retracted from it) once per record, and the ranks of draws that
+// consume tie-break randomness are appended to *dep (nil drops them) — the
+// caller resolves those when the aux seed is known.
+func classifyKeys(times []timeutil.Millis, lats []float64, lo timeutil.Millis, keys []uint64, rank0 int, u *histogram.Histogram, sub bool, dep *[]int32) {
+	sweepNearest(times, lo, keys, 0, allDraws, rank0, addCounts(lats, sub, u),
+		func(rank, _, _ int, _ timeutil.Millis) {
+			if dep != nil {
+				*dep = append(*dep, int32(rank))
 			}
-			fn(k, -1, 1)
-			continue
-		}
-		if j != run && m > 0 {
-			fn(k-m, run, m)
-			m = 0
-		}
-		run = j
-		m++
-	}
-	if m > 0 {
-		fn(i2-m, run, m)
-	}
-}
-
-// drawKeyIndex evaluates one draw key with an explicit aux word, reproducing
-// sweepSortedKeys' record choice bit for bit.
-func drawKeyIndex(times []timeutil.Millis, lo timeutil.Millis, key uint64, aux uint64) int {
-	t := lo + timeutil.Millis(key)
-	idx := sort.Search(len(times), func(i int) bool { return times[i] >= t })
-	j, mid := nearestAt(times, idx, t)
-	return pickTied(times, j, mid, aux)
-}
-
-// slices32Sort sorts ranks ascending (insertion sort: the slice is the
-// concatenation of a few sorted runs and is nearly ordered).
-func slices32Sort(a []int32) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
-		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
-			j--
-		}
-		a[j+1] = v
-	}
+		})
 }
 
 // RetainedBytes approximates the heap the state holds between estimates:
