@@ -317,3 +317,25 @@ func BenchmarkAdd(b *testing.B) {
 		h.Add(vals[i&1023])
 	}
 }
+
+// TestAddCountsMatchesAddWeighted pins the batch add to one AddWeighted
+// per value: the same bins and total, bit for bit, with zero counts skipped.
+func TestAddCountsMatchesAddWeighted(t *testing.T) {
+	vals := []float64{-5, 0, 9.99, 10, 55, 55, 2999, 3000, 1e9}
+	counts := []uint64{3, 0, 1, 7, 2, 0, 1 << 40, 5, 1}
+	got, want := MustNew(0, 3000, 10), MustNew(0, 3000, 10)
+	got.AddCounts(vals, counts)
+	for i, c := range counts {
+		if c != 0 {
+			want.AddWeighted(vals[i], float64(c))
+		}
+	}
+	for i := 0; i < want.Bins(); i++ {
+		if math.Float64bits(got.Count(i)) != math.Float64bits(want.Count(i)) {
+			t.Fatalf("bin %d: %v, want %v", i, got.Count(i), want.Count(i))
+		}
+	}
+	if math.Float64bits(got.Total()) != math.Float64bits(want.Total()) {
+		t.Fatalf("total %v, want %v", got.Total(), want.Total())
+	}
+}
