@@ -207,12 +207,12 @@ func run(args []string, stdout io.Writer) error {
 	est.SetTrace(root)
 
 	if *stream {
-		curve, err := est.EstimateTimeNormalizedTwoPass(func(fn func(telemetry.Record) error) error {
+		curve, err := est.EstimateTimeNormalizedTwoPass(func(fn func(timeutil.Millis, float64) error) error {
 			return iterate(func(rec telemetry.Record) error {
 				if !keep(pipeline.RowOf(rec)) {
 					return nil
 				}
-				return fn(rec)
+				return fn(rec.Time, rec.LatencyMS)
 			})
 		})
 		if err != nil {

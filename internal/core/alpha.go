@@ -11,7 +11,6 @@ import (
 	"autosens/internal/obs"
 	"autosens/internal/rng"
 	"autosens/internal/stats"
-	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
 
@@ -28,24 +27,6 @@ type slotData struct {
 	fineU   *histogram.Histogram
 	coarse  *histogram.Histogram
 	coarseU *histogram.Histogram
-}
-
-// EstimateTimeNormalized is the time-normalized estimate (ModeNormalized)
-// over records' usable rows: the full time-confounder mitigation of
-// Section 2.4.1,
-//
-//  1. discretize time into SlotDuration slots and drop slots with fewer
-//     than MinSlotActions actions;
-//  2. per slot, build the biased counts c_T^L and the slot-local unbiased
-//     distribution U_T (whose fractions are the time shares f_T^L);
-//  3. for each of the ReferenceSlots busiest slots in turn, estimate each
-//     slot's activity factor α_T as the mean over latency bins of
-//     (c_T^L/f_T^L) / (c_R^L/f_R^L), divide the slot's counts by α_T, pool
-//     all slots, and form the B/U ratio;
-//  4. average the per-reference results, smooth, and normalize at the
-//     reference latency.
-func (e *Estimator) EstimateTimeNormalized(records []telemetry.Record) (*Curve, error) {
-	return pointOf(e.finishRecords(Request{Mode: ModeNormalized}, records))
 }
 
 // estimateTimeNormalizedColumns is the time-normalized estimator's core
@@ -334,7 +315,7 @@ var slotSweepPool = sync.Pool{New: func() any { return new(sweepScratch) }}
 // minCount actions and unbiased support. Returns ok=false when the
 // reference slot itself yields no usable bins.
 func alphaAgainst(slots []*slotData, ref *slotData, minCount float64) ([]float64, bool) {
-	refRate, refOK := binRates(ref, minCount)
+	refRate, refOK := binRates(ref.coarse, ref.coarseU, minCount)
 	if !refOK {
 		return nil, false
 	}
@@ -344,7 +325,7 @@ func alphaAgainst(slots []*slotData, ref *slotData, minCount float64) ([]float64
 			out[i] = 1
 			continue
 		}
-		rate, ok := binRates(sd, minCount)
+		rate, ok := binRates(sd.coarse, sd.coarseU, minCount)
 		if !ok {
 			out[i] = math.NaN()
 			continue
@@ -370,20 +351,21 @@ func alphaAgainst(slots []*slotData, ref *slotData, minCount float64) ([]float64
 }
 
 // binRates returns the per-coarse-bin temporal action rate c^L/f^L of a
-// slot (NaN where under-supported), and whether any bin is usable.
-func binRates(sd *slotData, minCount float64) ([]float64, bool) {
-	bins := sd.coarse.Bins()
+// slot's or a period's coarse biased and unbiased histograms (NaN where
+// under-supported), and whether any bin is usable.
+func binRates(b, u *histogram.Histogram, minCount float64) ([]float64, bool) {
+	bins := b.Bins()
 	out := make([]float64, bins)
-	uTotal := sd.coarseU.Total()
+	uTotal := u.Total()
 	any := false
 	for bin := 0; bin < bins; bin++ {
-		c := sd.coarse.Count(bin)
-		u := sd.coarseU.Count(bin)
-		if c < minCount || u < minCount || uTotal == 0 {
+		c := b.Count(bin)
+		uc := u.Count(bin)
+		if c < minCount || uc < minCount || uTotal == 0 {
 			out[bin] = math.NaN()
 			continue
 		}
-		f := u / uTotal
+		f := uc / uTotal
 		out[bin] = c / f
 		any = true
 	}

@@ -130,10 +130,21 @@ func periodRecords(seed uint64, tz timeutil.Millis) []telemetry.Record {
 	return out
 }
 
+// periodColumns is records' usable rows, stably sorted by time, as the
+// time, latency and timezone-offset columns AlphaByPeriod reads.
+func periodColumns(records []telemetry.Record) (times []timeutil.Millis, lats []float64, tzs []timeutil.Millis) {
+	records = telemetry.Successful(records)
+	telemetry.SortByTime(records)
+	for _, r := range records {
+		times, lats, tzs = append(times, r.Time), append(lats, r.LatencyMS), append(tzs, r.TZOffset)
+	}
+	return times, lats, tzs
+}
+
 func TestAlphaByPeriodOrdering(t *testing.T) {
-	records := periodRecords(20, -6*timeutil.MillisPerHour)
+	times, lats, tzs := periodColumns(periodRecords(20, -6*timeutil.MillisPerHour))
 	e := testEstimator(t, nil)
-	prof, err := e.AlphaByPeriod(records, timeutil.Period8am2pm)
+	prof, err := e.AlphaByPeriod(times, lats, tzs, timeutil.Period8am2pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,11 +169,11 @@ func TestAlphaByPeriodFlatAcrossBins(t *testing.T) {
 	// The activity factor is planted independent of latency, so the
 	// per-bin α estimates should scatter around their mean without trend
 	// — the property Figure 8 checks.
-	records := periodRecords(21, -5*timeutil.MillisPerHour)
+	times, lats, tzs := periodColumns(periodRecords(21, -5*timeutil.MillisPerHour))
 	// Restrict the check to well-supported bins: sparsely populated tail
 	// bins have arbitrarily noisy per-bin α.
 	e := testEstimator(t, func(o *Options) { o.MinAlphaBinCount = 30 })
-	prof, err := e.AlphaByPeriod(records, timeutil.Period8am2pm)
+	prof, err := e.AlphaByPeriod(times, lats, tzs, timeutil.Period8am2pm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +203,10 @@ func TestAlphaByPeriodFlatAcrossBins(t *testing.T) {
 // order the (period, tz) groups are held in.
 func TestAlphaByPeriodDeterministic(t *testing.T) {
 	records := append(periodRecords(22, -6*timeutil.MillisPerHour), periodRecords(23, 3*timeutil.MillisPerHour)...)
-	records = append(records, periodRecords(24, 0)...)
-	telemetry.SortByTime(records)
+	times, lats, tzs := periodColumns(append(records, periodRecords(24, 0)...))
 	e := testEstimator(t, nil)
 	bits := func() []uint64 {
-		prof, err := e.AlphaByPeriod(slices.Clone(records), timeutil.Period8am2pm)
+		prof, err := e.AlphaByPeriod(times, lats, tzs, timeutil.Period8am2pm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,8 +229,11 @@ func TestAlphaByPeriodDeterministic(t *testing.T) {
 
 func TestAlphaByPeriodEmpty(t *testing.T) {
 	e := testEstimator(t, nil)
-	if _, err := e.AlphaByPeriod(nil, timeutil.Period8am2pm); err == nil {
+	if _, err := e.AlphaByPeriod(nil, nil, nil, timeutil.Period8am2pm); err == nil {
 		t.Fatal("empty input accepted")
+	}
+	if _, err := e.AlphaByPeriod([]timeutil.Millis{1}, []float64{1}, nil, timeutil.Period8am2pm); err == nil {
+		t.Fatal("missing timezone column accepted")
 	}
 }
 
@@ -268,6 +281,8 @@ func TestPeriodIntervalsCoverWholeWindow(t *testing.T) {
 	}
 }
 
+// TestIntervalSamplerUniform checks the per-draw reference instant over a
+// union of intervals that the kernel's sweepIntervals is held to.
 func TestIntervalSamplerUniform(t *testing.T) {
 	ivs := []interval{{0, 100}, {1000, 1300}}
 	s := newIntervalSampler(ivs)
@@ -306,7 +321,7 @@ func TestLocalityDiagnostic(t *testing.T) {
 		}, 0.15,
 		func(timeutil.Millis) float64 { return 10 })
 	e := testEstimator(t, nil)
-	rep, err := e.Locality(records)
+	rep, err := e.Locality(UsableColumns(records))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +334,8 @@ func TestLocalityDiagnostic(t *testing.T) {
 }
 
 func TestActivityLatencySeries(t *testing.T) {
-	records := confoundedRecords(24)
-	ts, err := ActivityLatencySeries(records, timeutil.MillisPerHour)
+	times, lats := UsableColumns(confoundedRecords(24))
+	ts, err := ActivityLatencySeries(times, lats, timeutil.MillisPerHour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +348,7 @@ func TestActivityLatencySeries(t *testing.T) {
 			t.Fatalf("normalized values out of range at %d", i)
 		}
 	}
-	if _, err := ActivityLatencySeries(records, 0); err == nil {
+	if _, err := ActivityLatencySeries(times, lats, 0); err == nil {
 		t.Fatal("zero window accepted")
 	}
 }
@@ -358,7 +373,8 @@ func TestDensityLatencyCorrelationSign(t *testing.T) {
 			}
 			return 15
 		})
-	r, err := DensityLatencyCorrelation(pref, timeutil.MillisPerMinute)
+	times, lats := UsableColumns(pref)
+	r, err := DensityLatencyCorrelation(times, lats, timeutil.MillisPerMinute)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -241,43 +241,20 @@ func benchmarkEstimateCIMode(b *testing.B, workers int, normalized bool) {
 	}
 }
 
-// BenchmarkUnbiasedSampling isolates the unbiased-distribution fill on the
-// historical per-draw path: 2× draws over the full window into one
-// histogram, one binary search per draw.
-func BenchmarkUnbiasedSampling(b *testing.B) {
-	records := benchRecords(b)
-	e := benchEstimator(b)
-	src := rng.New(3)
-	lo := records[0].Time
-	hi := records[len(records)-1].Time + 1
-	draws := 2 * len(records)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := newUnbiasedSampler(records)
-		u := e.newHist()
-		for k := 0; k < draws; k++ {
-			u.Add(s.draw(lo, hi, src))
-		}
-	}
-}
-
-// BenchmarkUnbiasedSweep is the batch counterpart of
-// BenchmarkUnbiasedSampling: same draw count, generate-sort-merge instead
-// of per-draw binary searches.
+// BenchmarkUnbiasedSweep isolates the unbiased-distribution fill: 2×
+// draws over the full window into one histogram, drawn, sorted and swept.
 func BenchmarkUnbiasedSweep(b *testing.B) {
-	records := benchRecords(b)
+	times, lats := UsableColumns(benchRecords(b))
 	e := benchEstimator(b)
 	src := rng.New(3)
-	lo := records[0].Time
-	hi := records[len(records)-1].Time + 1
-	draws := 2 * len(records)
+	lo := times[0]
+	hi := times[len(times)-1] + 1
+	draws := 2 * len(times)
 	var sc sweepScratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := newUnbiasedSampler(records)
 		u := e.newHist()
-		fillUnbiasedSweep(s.times, s.latencies, lo, hi, draws, src, &sc, u)
+		fillUnbiasedSweep(times, lats, lo, hi, draws, src, &sc, u)
 	}
 }

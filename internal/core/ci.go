@@ -14,7 +14,7 @@ import (
 	"autosens/internal/obs"
 	"autosens/internal/parallel"
 	"autosens/internal/rng"
-	"autosens/internal/telemetry"
+	"autosens/internal/stats"
 	"autosens/internal/timeutil"
 )
 
@@ -470,22 +470,6 @@ func (e *Estimator) normalizedReplicate(bb *bootBlocks, nb *normBoot, sc *ciScra
 	return e.poolNormalized(nil, sc.ptrs, len(times))
 }
 
-// EstimateCI is the estimate with bootstrap bounds over records' usable
-// rows: time-normalized when opts.TimeNormalized, plain otherwise.
-//
-// The observation window is cut into BlockLen blocks and blocks are
-// resampled with replacement. A plain replicate is the sum of its picked
-// blocks' histogram pairs (see sumBlocks); a time-normalized replicate
-// re-times the picked blocks' records and estimates the result from
-// per-slot work shared by all replicates (see normBoot), bit-identical to
-// rerunning the estimator over it. Replicates run on a pool of opts.Workers
-// goroutines. Each replicate draws its block picks from an independent
-// stream split off the bootstrap seed, so the result is bit-identical
-// whatever the worker count.
-func (e *Estimator) EstimateCI(records []telemetry.Record, opts CIOptions) (*CurveCI, error) {
-	return e.finishRecords(Request{Mode: ModeOf(opts.TimeNormalized), CI: true, CIOptions: opts}, records)
-}
-
 // finishBand answers a band request over s: the moving-block bootstrap
 // around the point estimate. A non-nil inc holds s and answers a plain
 // point from its delta-maintained state; the block sums then come from one
@@ -708,24 +692,9 @@ func (e *Estimator) bootstrapCI(sp *obs.Span, point *Curve, bb *bootBlocks, opts
 			continue
 		}
 		sort.Float64s(vs)
-		out.Lower[i] = quantileSorted(vs, alpha)
-		out.Upper[i] = quantileSorted(vs, 1-alpha)
+		// Two or more values and 0 < alpha < 1/2: no error to check.
+		out.Lower[i], _ = stats.QuantileSorted(vs, alpha)
+		out.Upper[i], _ = stats.QuantileSorted(vs, 1-alpha)
 	}
 	return out, nil
-}
-
-// quantileSorted interpolates the q-quantile of a sorted slice (mirrors
-// stats.Quantile without the copy).
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

@@ -9,7 +9,6 @@ import (
 
 	"autosens/internal/histogram"
 	"autosens/internal/obs"
-	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
 
@@ -25,8 +24,7 @@ import (
 //     last call invalidated, and answers with the bytes (*Estimator).Finish
 //     gives over the same columns, refusals included.
 //
-// The record forms Estimate, EstimateTimeNormalized and EstimateCI are
-// UsableColumns plus Finish.
+// The record forms (records.go) are UsableColumns plus Finish.
 
 // Mode selects one of the paper's three estimator levels.
 type Mode uint8
@@ -131,12 +129,6 @@ var pointSpans = [numModes]string{"estimate", "estimate_time_normalized", "biase
 
 func errUnknownMode(m Mode) error { return fmt.Errorf("core: unknown mode %v", m) }
 
-// finishRecords is Finish over records' usable columns.
-func (e *Estimator) finishRecords(req Request, records []telemetry.Record) (*CurveCI, error) {
-	times, lats := UsableColumns(records)
-	return e.Finish(req, &Summary{Columns: Columns{Times: times, Lats: lats}}, nil)
-}
-
 // pointOnly is a point estimate as a finisher's result.
 func pointOnly(c *Curve, err error) (*CurveCI, error) {
 	if err != nil {
@@ -158,28 +150,6 @@ var (
 	errColumnsUnsorted = errors.New("core: times are not ascending")
 	errBiasedCI        = errors.New("core: the biased-only baseline has no bootstrap band")
 )
-
-// UsableColumns returns the time and latency columns of records'
-// successful rows, stably sorted by time: the columns the record forms
-// finish over.
-func UsableColumns(records []telemetry.Record) ([]timeutil.Millis, []float64) {
-	n := 0
-	for i := range records {
-		if !records[i].Failed {
-			n++
-		}
-	}
-	times := make([]timeutil.Millis, 0, n)
-	lats := make([]float64, 0, n)
-	for i := range records {
-		if !records[i].Failed {
-			times = append(times, records[i].Time)
-			lats = append(lats, records[i].LatencyMS)
-		}
-	}
-	SortColumns(times, lats)
-	return times, lats
-}
 
 // SortColumns stably sorts the parallel time and latency columns by time,
 // in place: rows with equal times keep their order. Columns already in

@@ -33,7 +33,6 @@ import (
 	"autosens/internal/obs"
 	"autosens/internal/prefcurve"
 	"autosens/internal/sgolay"
-	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
 
@@ -396,9 +395,4 @@ func (e *Estimator) biasedOnly(sp *obs.Span, lats []float64) (*Curve, error) {
 		u.SetCount(i, math.Max(e.opts.MinUnbiasedCount, 1))
 	}
 	return e.finishCurve(sp, b, u, len(lats), 0)
-}
-
-// Estimate is the plain estimate (ModePlain) over records' usable rows.
-func (e *Estimator) Estimate(records []telemetry.Record) (*Curve, error) {
-	return pointOf(e.finishRecords(Request{Mode: ModePlain}, records))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"autosens/internal/rng"
@@ -80,48 +81,68 @@ func mkRec(tm timeutil.Millis, lat float64) telemetry.Record {
 	return telemetry.Record{Time: tm, Action: telemetry.SelectMail, LatencyMS: lat, UserID: 1, UserType: telemetry.Business}
 }
 
+// TestUnbiasedSamplerNearest: every draw adopts the latency of the sample
+// nearest its instant, either one at an exact midpoint.
 func TestUnbiasedSamplerNearest(t *testing.T) {
-	rs := []telemetry.Record{mkRec(0, 100), mkRec(100, 200), mkRec(1000, 300)}
-	s := newUnbiasedSampler(rs)
-	src := rng.New(1)
-	cases := []struct {
-		t    timeutil.Millis
-		want float64
-	}{
-		{0, 100}, {40, 100}, {60, 200}, {100, 200}, {500, 200}, {600, 300}, {5000, 300},
+	times, lats := []timeutil.Millis{0, 100, 1000}, []float64{100, 200, 300}
+	draws, err := UnbiasedDraws(times, lats, 5000, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if got := s.nearest(c.t, src); got != c.want {
-			t.Fatalf("nearest(%d) = %v, want %v", c.t, got, c.want)
+	for _, d := range draws {
+		want := []float64{100}
+		switch {
+		case d.At == 50:
+			want = []float64{100, 200}
+		case d.At == 550:
+			want = []float64{200, 300}
+		case d.At > 550:
+			want = []float64{300}
+		case d.At > 50:
+			want = []float64{200}
+		}
+		if !slices.Contains(want, d.LatencyMS) {
+			t.Fatalf("draw at %d adopted %v, want one of %v", d.At, d.LatencyMS, want)
 		}
 	}
 }
 
+// TestUnbiasedSamplerTieAtMidpointSplits: samples at 0 and 2 leave the
+// instant 1, a third of the draws, equally near both; those split evenly.
 func TestUnbiasedSamplerTieAtMidpointSplits(t *testing.T) {
-	rs := []telemetry.Record{mkRec(0, 1), mkRec(100, 2)}
-	s := newUnbiasedSampler(rs)
-	src := rng.New(2)
-	var left int
-	const n = 10000
-	for i := 0; i < n; i++ {
-		if s.nearest(50, src) == 1 {
-			left++
+	draws, err := UnbiasedDraws([]timeutil.Millis{0, 2}, []float64{1, 2}, 30000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left, mid int
+	for _, d := range draws {
+		if d.At == 1 {
+			mid++
+			if d.LatencyMS == 1 {
+				left++
+			}
 		}
 	}
-	frac := float64(left) / n
-	if math.Abs(frac-0.5) > 0.03 {
-		t.Fatalf("midpoint tie split %v, want ~0.5", frac)
+	frac := float64(left) / float64(mid)
+	if mid < 9000 || math.Abs(frac-0.5) > 0.03 {
+		t.Fatalf("midpoint tie split %v over %d draws, want ~0.5", frac, mid)
 	}
 }
 
+// TestUnbiasedSamplerSameTimeRandomPick: three samples at one instant share
+// every draw evenly.
 func TestUnbiasedSamplerSameTimeRandomPick(t *testing.T) {
-	rs := []telemetry.Record{mkRec(10, 1), mkRec(10, 2), mkRec(10, 3)}
-	s := newUnbiasedSampler(rs)
-	src := rng.New(3)
-	counts := map[float64]int{}
 	const n = 30000
-	for i := 0; i < n; i++ {
-		counts[s.nearest(10, src)]++
+	draws, err := UnbiasedDraws([]timeutil.Millis{10, 10, 10}, []float64{1, 2, 3}, n, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[float64]int{}
+	for _, d := range draws {
+		counts[d.LatencyMS]++
+	}
+	if len(counts) != 3 {
+		t.Fatalf("drew %v, want all three samples", counts)
 	}
 	for v, c := range counts {
 		frac := float64(c) / n
@@ -133,25 +154,28 @@ func TestUnbiasedSamplerSameTimeRandomPick(t *testing.T) {
 
 func TestUnbiasedSamplerTimeWeighting(t *testing.T) {
 	// 100 dense samples (latency 100) in [0,1000); one isolated sample
-	// (latency 900) at t=100000. Uniform draws over [0, 200000) should
-	// assign the isolated sample roughly half the mass (its Voronoi cell
-	// spans ~[50500, 200000)), whereas its biased share is under 1%.
-	var rs []telemetry.Record
+	// (latency 900) at t=100000. Uniform draws over the span [0, 100001)
+	// should assign the isolated sample its Voronoi cell [50495, 100001),
+	// about half the mass, whereas its biased share is under 1%.
+	var times []timeutil.Millis
+	var lats []float64
 	for i := 0; i < 100; i++ {
-		rs = append(rs, mkRec(timeutil.Millis(i*10), 100))
+		times, lats = append(times, timeutil.Millis(i*10)), append(lats, 100)
 	}
-	rs = append(rs, mkRec(100000, 900))
-	s := newUnbiasedSampler(rs)
-	src := rng.New(4)
-	var slow int
+	times, lats = append(times, 100000), append(lats, 900)
 	const n = 50000
-	for i := 0; i < n; i++ {
-		if s.draw(0, 200000, src) == 900 {
+	draws, err := UnbiasedDraws(times, lats, n, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slow int
+	for _, d := range draws {
+		if d.LatencyMS == 900 {
 			slow++
 		}
 	}
 	frac := float64(slow) / n
-	want := (200000.0 - 50495.0) / 200000.0
+	want := (100001.0 - 50495.0) / 100001.0
 	if math.Abs(frac-want) > 0.02 {
 		t.Fatalf("isolated-sample unbiased mass %v, want ~%v", frac, want)
 	}

@@ -5,20 +5,20 @@ import (
 
 	"autosens/internal/rng"
 	"autosens/internal/stats"
-	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
 
 // Locality computes the MSD/MAD locality report of Figure 1 for the
-// latency series of the given records (ordered by time): the ratio for the
+// latency series of usable rows as time-sorted columns: the ratio for the
 // series as observed, randomly shuffled, and sorted by latency.
-func (e *Estimator) Locality(records []telemetry.Record) (stats.LocalityReport, error) {
-	records = telemetry.Successful(records)
-	if len(records) < 2 {
+func (e *Estimator) Locality(times []timeutil.Millis, lats []float64) (stats.LocalityReport, error) {
+	if err := checkColumns(times, lats); err != nil {
+		return stats.LocalityReport{}, err
+	}
+	if len(lats) < 2 {
 		return stats.LocalityReport{}, errors.New("core: need at least 2 records for locality")
 	}
-	telemetry.SortByTime(records)
-	return stats.Locality(telemetry.Latencies(records), rng.New(e.opts.Seed))
+	return stats.Locality(lats, rng.New(e.opts.Seed))
 }
 
 // TimeSeries is the per-window activity/latency series of Figure 2.
@@ -32,52 +32,40 @@ type TimeSeries struct {
 	Count []float64
 }
 
-// ActivityLatencySeries aggregates records into fixed windows, returning
-// the mean latency and the action count per non-empty window.
-func ActivityLatencySeries(records []telemetry.Record, window timeutil.Millis) (*TimeSeries, error) {
+// ActivityLatencySeries aggregates usable rows, as time-sorted columns,
+// into fixed windows, returning the mean latency and the action count per
+// non-empty window.
+func ActivityLatencySeries(times []timeutil.Millis, lats []float64, window timeutil.Millis) (*TimeSeries, error) {
 	if window <= 0 {
 		return nil, errors.New("core: non-positive window")
 	}
-	records = telemetry.Successful(records)
-	if len(records) == 0 {
-		return nil, errors.New("core: no usable records")
-	}
-	sums := make(map[int64]float64)
-	counts := make(map[int64]float64)
-	var minW, maxW int64
-	first := true
-	for _, r := range records {
-		w := int64(r.Time / window)
-		sums[w] += r.LatencyMS
-		counts[w]++
-		if first || w < minW {
-			minW = w
-		}
-		if first || w > maxW {
-			maxW = w
-		}
-		first = false
+	if err := checkColumns(times, lats); err != nil {
+		return nil, err
 	}
 	ts := &TimeSeries{}
-	for w := minW; w <= maxW; w++ {
-		c, ok := counts[w]
-		if !ok {
-			continue
+	var sum float64
+	for i, t := range times {
+		n := len(ts.Count)
+		if w := t / window * window; n == 0 || ts.WindowStart[n-1] != w {
+			ts.WindowStart = append(ts.WindowStart, w)
+			ts.MeanLatency = append(ts.MeanLatency, 0)
+			ts.Count = append(ts.Count, 0)
+			n, sum = n+1, 0
 		}
-		ts.WindowStart = append(ts.WindowStart, timeutil.Millis(w)*window)
-		ts.MeanLatency = append(ts.MeanLatency, sums[w]/c)
-		ts.Count = append(ts.Count, c)
+		sum += lats[i]
+		ts.Count[n-1]++
+		ts.MeanLatency[n-1] = sum / ts.Count[n-1]
 	}
 	return ts, nil
 }
 
 // DensityLatencyCorrelation computes the second locality diagnostic of
-// Section 2.1: the Pearson correlation between the temporal density of
-// latency samples (per window) and the mean latency in the window. A
-// negative value indicates that low-latency points cluster in time with
-// high activity.
-func DensityLatencyCorrelation(records []telemetry.Record, window timeutil.Millis) (float64, error) {
-	ts, err := ActivityLatencySeries(records, window)
+// Section 2.1 over usable rows as time-sorted columns: the Pearson
+// correlation between the temporal density of latency samples (per window)
+// and the mean latency in the window. A negative value indicates that
+// low-latency points cluster in time with high activity.
+func DensityLatencyCorrelation(times []timeutil.Millis, lats []float64, window timeutil.Millis) (float64, error) {
+	ts, err := ActivityLatencySeries(times, lats, window)
 	if err != nil {
 		return 0, err
 	}

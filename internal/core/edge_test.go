@@ -53,31 +53,6 @@ func TestCurveCIBoundsSingleBin(t *testing.T) {
 	}
 }
 
-func TestQuantileSortedEdges(t *testing.T) {
-	cases := []struct {
-		name   string
-		sorted []float64
-		q      float64
-		want   float64
-	}{
-		{"single element q=0", []float64{3}, 0, 3},
-		{"single element q=0.5", []float64{3}, 0.5, 3},
-		{"single element q=1", []float64{3}, 1, 3},
-		{"q=0 takes min", []float64{1, 2, 3}, 0, 1},
-		{"q=1 takes max", []float64{1, 2, 3}, 1, 3},
-		{"exact position no interpolation", []float64{1, 2, 3}, 0.5, 2},
-		{"exact position on five", []float64{0, 1, 2, 3, 4}, 0.25, 1},
-		{"interpolated midpoint", []float64{1, 2}, 0.5, 1.5},
-		{"interpolated quarter", []float64{0, 4}, 0.25, 1},
-		{"interpolated between ranks", []float64{10, 20, 40}, 0.75, 30},
-	}
-	for _, tc := range cases {
-		if got := quantileSorted(tc.sorted, tc.q); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("%s: quantileSorted(%v, %v) = %v, want %v", tc.name, tc.sorted, tc.q, got, tc.want)
-		}
-	}
-}
-
 func TestInterpolateHolesEdges(t *testing.T) {
 	eq := func(name string, got, want []float64) {
 		t.Helper()

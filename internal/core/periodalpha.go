@@ -5,12 +5,10 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"sort"
 
 	"autosens/internal/histogram"
 	"autosens/internal/rng"
 	"autosens/internal/stats"
-	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
 
@@ -68,57 +66,52 @@ func periodIntervals(p timeutil.Period, tz timeutil.Millis, windowLo, windowHi t
 	return out
 }
 
-// intervalSampler draws uniform times over a union of disjoint intervals.
-type intervalSampler struct {
-	ivs   []interval
-	cum   []timeutil.Millis // cumulative lengths
-	total timeutil.Millis
-}
-
-func newIntervalSampler(ivs []interval) *intervalSampler {
-	s := &intervalSampler{ivs: ivs, cum: make([]timeutil.Millis, len(ivs))}
-	for i, iv := range ivs {
-		s.total += iv.hi - iv.lo
-		s.cum[i] = s.total
+// sweepIntervals sweeps sorted draw offsets into the union of the
+// ascending, disjoint intervals ivs laid end to end into every histogram in
+// hists: the offsets below the first interval's length fall in it, the
+// next interval's length of them in the next, and so on. Each interval's
+// run of keys is swept from its own start with its first key's rank in the
+// whole schedule, so tie-break randomness is what one sweep over the union
+// would take.
+func sweepIntervals(times []timeutil.Millis, lats []float64, ivs []interval, keys []uint64, auxSeed uint64, hists ...*histogram.Histogram) {
+	a, before := 0, timeutil.Millis(0) // the run's first key, the union's length before it
+	for _, iv := range ivs {
+		b := a + keysBelow(keys[a:], uint64(before+iv.hi-iv.lo))
+		// Offset k of the run is the instant iv.lo + (k - before).
+		sweepSortedKeys(times, lats, iv.lo-before, keys[a:b], a, auxSeed, hists...)
+		a, before = b, before+iv.hi-iv.lo
 	}
-	return s
-}
-
-// draw returns a uniformly random time within the union.
-func (s *intervalSampler) draw(src *rng.Source) timeutil.Millis {
-	off := timeutil.Millis(src.Uint64n(uint64(s.total)))
-	i := sort.Search(len(s.cum), func(k int) bool { return s.cum[k] > off })
-	prev := timeutil.Millis(0)
-	if i > 0 {
-		prev = s.cum[i-1]
-	}
-	return s.ivs[i].lo + (off - prev)
 }
 
 // AlphaByPeriod estimates the time-based activity factor α for each of the
 // four 6-hour local periods relative to the given reference period
-// (Figure 8 uses 8am–2pm). Records are grouped by the user's local period;
-// each period's unbiased distribution is sampled from random times inside
-// that period's absolute intervals, per represented timezone.
-func (e *Estimator) AlphaByPeriod(records []telemetry.Record, ref timeutil.Period) (*AlphaProfile, error) {
-	records = telemetry.Successful(records)
-	if len(records) == 0 {
-		return nil, errors.New("core: no usable records")
+// (Figure 8 uses 8am–2pm), over usable rows as time-sorted time, latency
+// and timezone-offset columns. Rows are grouped by (local period,
+// timezone); each group's unbiased distribution is drawn from uniformly
+// random instants inside that period's absolute intervals for its
+// timezone (sweepIntervals), from the group's own split stream.
+func (e *Estimator) AlphaByPeriod(times []timeutil.Millis, lats []float64, tzs []timeutil.Millis, ref timeutil.Period) (*AlphaProfile, error) {
+	if err := checkColumns(times, lats); err != nil {
+		return nil, err
 	}
-	telemetry.SortByTime(records)
+	if len(tzs) != len(times) {
+		return nil, errColumnLengths
+	}
 	src := rng.New(e.opts.Seed)
-	windowLo := records[0].Time
-	windowHi := records[len(records)-1].Time + 1
+	windowLo := times[0]
+	windowHi := times[len(times)-1] + 1
 
 	// Group by (period, tz).
 	type key struct {
 		p  timeutil.Period
 		tz timeutil.Millis
 	}
-	groups := make(map[key][]telemetry.Record)
-	for _, r := range records {
-		k := key{timeutil.PeriodOf(r.Time, r.TZOffset), r.TZOffset}
-		groups[k] = append(groups[k], r)
+	groups := make(map[key]Columns)
+	for i, t := range times {
+		k := key{timeutil.PeriodOf(t, tzs[i]), tzs[i]}
+		g := groups[k]
+		g.Times, g.Lats = append(g.Times, t), append(g.Lats, lats[i])
+		groups[k] = g
 	}
 
 	// Per-period biased and unbiased coarse histograms.
@@ -136,21 +129,23 @@ func (e *Estimator) AlphaByPeriod(records []telemetry.Record, ref timeutil.Perio
 	slices.SortFunc(keys, func(a, b key) int {
 		return cmp.Or(cmp.Compare(a.p, b.p), cmp.Compare(a.tz, b.tz))
 	})
+	var draws, scratch []uint64
 	for i, k := range keys {
-		rs, gsrc := groups[k], src.Split(uint64(i))
-		for _, r := range rs {
-			biased[k.p].Add(r.LatencyMS)
+		g, gsrc := groups[k], src.Split(uint64(i))
+		for _, v := range g.Lats {
+			biased[k.p].Add(v)
 		}
 		ivs := periodIntervals(k.p, k.tz, windowLo, windowHi)
-		if len(ivs) == 0 {
+		var span timeutil.Millis
+		for _, iv := range ivs {
+			span += iv.hi - iv.lo
+		}
+		if span == 0 {
 			continue
 		}
-		sampler := newUnbiasedSampler(rs)
-		times := newIntervalSampler(ivs)
-		draws := int(math.Ceil(float64(len(rs)) * e.opts.UnbiasedPerSample))
-		for j := 0; j < draws; j++ {
-			unbiased[k.p].Add(sampler.nearest(times.draw(gsrc), gsrc))
-		}
+		draws = extend(draws[:0], drawCount(g.Len(), e.opts.UnbiasedPerSample))
+		auxSeed := drawKeys(gsrc, uint64(span), draws, &scratch, false)
+		sweepIntervals(g.Times, g.Lats, ivs, draws, auxSeed, unbiased[k.p])
 	}
 
 	// Rates and α.
@@ -160,7 +155,7 @@ func (e *Estimator) AlphaByPeriod(records []telemetry.Record, ref timeutil.Perio
 	for i := range prof.BinCenters {
 		prof.BinCenters[i] = biased[0].Center(i)
 	}
-	refRate, ok := periodRates(biased[ref], unbiased[ref], e.opts.MinAlphaBinCount)
+	refRate, ok := binRates(biased[ref], unbiased[ref], e.opts.MinAlphaBinCount)
 	if !ok {
 		return nil, errors.New("core: reference period has no usable latency bins")
 	}
@@ -179,7 +174,7 @@ func (e *Estimator) AlphaByPeriod(records []telemetry.Record, ref timeutil.Perio
 			prof.Mean[p] = 1
 			continue
 		}
-		rate, ok := periodRates(biased[p], unbiased[p], e.opts.MinAlphaBinCount)
+		rate, ok := binRates(biased[p], unbiased[p], e.opts.MinAlphaBinCount)
 		if !ok {
 			for i := range prof.PerBin[p] {
 				prof.PerBin[p][i] = math.NaN()
@@ -201,23 +196,4 @@ func (e *Estimator) AlphaByPeriod(records []telemetry.Record, ref timeutil.Perio
 		}
 	}
 	return prof, nil
-}
-
-// periodRates mirrors binRates for period histograms.
-func periodRates(b, u *histogram.Histogram, minCount float64) ([]float64, bool) {
-	bins := b.Bins()
-	out := make([]float64, bins)
-	uTotal := u.Total()
-	any := false
-	for i := 0; i < bins; i++ {
-		c := b.Count(i)
-		uc := u.Count(i)
-		if c < minCount || uc < minCount || uTotal == 0 {
-			out[i] = math.NaN()
-			continue
-		}
-		out[i] = c / (uc / uTotal)
-		any = true
-	}
-	return out, any
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,24 +11,30 @@ import (
 	"autosens/internal/timeutil"
 )
 
+// randomColumns is k time-sorted rows at random instants in [0, span],
+// with distinct random latencies so a latency names its sample.
+func randomColumns(src *rng.Source, k, span int) ([]timeutil.Millis, []float64) {
+	times, lats := make([]timeutil.Millis, k), make([]float64, k)
+	for i := range times {
+		times[i] = timeutil.Millis(src.Intn(span + 1))
+		lats[i] = 10 + float64(i) + src.Float64()
+	}
+	SortColumns(times, lats)
+	return times, lats
+}
+
 // TestUnbiasedDrawAlwaysFromInput: every unbiased draw must return a
 // latency value that exists in the input sample set.
 func TestUnbiasedDrawAlwaysFromInput(t *testing.T) {
 	src := rng.New(31)
 	f := func(n uint8, span uint16) bool {
-		k := int(n)%200 + 1
-		rs := make([]telemetry.Record, k)
-		seen := make(map[float64]bool, k)
-		for i := range rs {
-			lat := 10 + src.Float64()*2000
-			rs[i] = mkRec(timeutil.Millis(src.Intn(int(span)+1)), lat)
-			seen[lat] = true
+		times, lats := randomColumns(src, int(n)%200+1, int(span))
+		draws, err := UnbiasedDraws(times, lats, 20, src.Uint64())
+		if err != nil {
+			return false
 		}
-		telemetry.SortByTime(rs)
-		s := newUnbiasedSampler(rs)
-		for d := 0; d < 20; d++ {
-			v := s.draw(0, timeutil.Millis(span)+1, src)
-			if !seen[v] {
+		for _, d := range draws {
+			if !slices.Contains(lats, d.LatencyMS) {
 				return false
 			}
 		}
@@ -39,8 +46,8 @@ func TestUnbiasedDrawAlwaysFromInput(t *testing.T) {
 }
 
 func TestUnbiasedDrawsAPI(t *testing.T) {
-	rs := []telemetry.Record{mkRec(0, 100), mkRec(100, 200), mkRec(500, 300)}
-	draws, err := UnbiasedDraws(rs, 50, 9)
+	times, lats := []timeutil.Millis{0, 100, 500}, []float64{100, 200, 300}
+	draws, err := UnbiasedDraws(times, lats, 50, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,54 +67,47 @@ func TestUnbiasedDrawsAPI(t *testing.T) {
 			t.Fatalf("draw latency %v not from input", d.LatencyMS)
 		}
 	}
-	if _, err := UnbiasedDraws(nil, 10, 1); err == nil {
-		t.Fatal("empty records accepted")
+	if _, err := UnbiasedDraws(nil, nil, 10, 1); err == nil {
+		t.Fatal("empty columns accepted")
 	}
-	if _, err := UnbiasedDraws(rs, 0, 1); err == nil {
+	if _, err := UnbiasedDraws(times, lats, 0, 1); err == nil {
 		t.Fatal("zero draws accepted")
 	}
+	if _, err := UnbiasedDraws([]timeutil.Millis{5, 1}, []float64{1, 2}, 10, 1); err == nil {
+		t.Fatal("unsorted times accepted")
+	}
 	// Determinism.
-	again, err := UnbiasedDraws(rs, 50, 9)
+	again, err := UnbiasedDraws(times, lats, 50, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range draws {
-		if draws[i] != again[i] {
-			t.Fatal("draws not deterministic")
-		}
+	if !slices.Equal(draws, again) {
+		t.Fatal("draws not deterministic")
 	}
 }
 
-// TestNearestIsActuallyNearest: for any query time, no sample may be
-// strictly closer in time than the one returned.
+// TestNearestIsActuallyNearest: for every draw, no sample may be strictly
+// closer in time to its instant than the one it adopted.
 func TestNearestIsActuallyNearest(t *testing.T) {
 	src := rng.New(32)
-	f := func(n uint8, q uint16) bool {
-		k := int(n)%50 + 1
-		rs := make([]telemetry.Record, k)
-		for i := range rs {
-			// Distinct latencies so we can identify the sample.
-			rs[i] = mkRec(timeutil.Millis(src.Intn(1000)), float64(i+1))
+	f := func(n uint8, seed uint16) bool {
+		times, lats := randomColumns(src, int(n)%50+1, 999)
+		draws, err := UnbiasedDraws(times, lats, 20, uint64(seed))
+		if err != nil {
+			return false
 		}
-		telemetry.SortByTime(rs)
-		s := newUnbiasedSampler(rs)
-		query := timeutil.Millis(q) % 1200
-		got := s.nearest(query, src)
-		var gotDist timeutil.Millis = -1
-		best := timeutil.Millis(math.MaxInt64)
-		for _, r := range rs {
-			d := r.Time - query
-			if d < 0 {
-				d = -d
-			}
-			if r.LatencyMS == got && (gotDist == -1 || d < gotDist) {
-				gotDist = d
-			}
-			if d < best {
-				best = d
+		dist := func(i int, at timeutil.Millis) timeutil.Millis {
+			return max(times[i]-at, at-times[i])
+		}
+		for _, d := range draws {
+			got := dist(slices.Index(lats, d.LatencyMS), d.At)
+			for i := range times {
+				if dist(i, d.At) < got {
+					return false
+				}
 			}
 		}
-		return gotDist == best
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

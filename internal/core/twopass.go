@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"autosens/internal/rng"
-	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
 
@@ -21,16 +20,16 @@ type passCounts struct {
 	digest uint64
 }
 
-func (c *passCounts) add(slot int, r telemetry.Record) {
-	if c.n == 0 || r.Time < c.lo {
-		c.lo = r.Time
+func (c *passCounts) add(slot int, t timeutil.Millis, lat float64) {
+	if c.n == 0 || t < c.lo {
+		c.lo = t
 	}
-	if c.n == 0 || r.Time > c.hi {
-		c.hi = r.Time
+	if c.n == 0 || t > c.hi {
+		c.hi = t
 	}
 	c.n++
 	c.slots[slot]++
-	c.digest = rng.Mix64(rng.Mix64(c.digest+uint64(r.Time)) + math.Float64bits(r.LatencyMS))
+	c.digest = rng.Mix64(rng.Mix64(c.digest+uint64(t)) + math.Float64bits(lat))
 }
 
 // same reports whether two passes saw the same records in the same order.
@@ -43,9 +42,9 @@ func (c *passCounts) same(o *passCounts) bool {
 var errPassesDiffer = errors.New("core: the input's second pass differs from its first")
 
 // EstimateTimeNormalizedTwoPass is EstimateTimeNormalized over an input read
-// twice instead of held in memory. pass must call fn on every record of the
-// input, in the same order each time it is called, and return the first
-// error fn returns. Failed records are skipped.
+// twice instead of held in memory. pass must call fn with the time and
+// latency of every usable (non-failed) row of the input, in the same order
+// each time it is called, and return the first error fn returns.
 //
 // The first pass counts the usable records of each slot and finds the
 // window bounds: slot retention, draw quotas and RNG streams depend on
@@ -61,17 +60,15 @@ var errPassesDiffer = errors.New("core: the input's second pass differs from its
 // reach poolNormalized in slot order. An input whose second pass differs
 // from its first — in any slot's count, the window or the digest of its
 // records — is an error.
-func (e *Estimator) EstimateTimeNormalizedTwoPass(pass func(fn func(telemetry.Record) error) error) (*Curve, error) {
+func (e *Estimator) EstimateTimeNormalizedTwoPass(pass func(fn func(t timeutil.Millis, lat float64) error) error) (*Curve, error) {
 	defer observeEstimate(time.Now())
 	sp := e.trace.StartChild("estimate_time_normalized_two_pass")
 	defer sp.End()
 
 	firstSp := sp.StartChild("count_slots")
 	first := passCounts{slots: make(map[int]int)}
-	err := pass(func(r telemetry.Record) error {
-		if !r.Failed {
-			first.add(e.slotOf(r.Time), r)
-		}
+	err := pass(func(t timeutil.Millis, lat float64) error {
+		first.add(e.slotOf(t), t, lat)
 		return nil
 	})
 	firstSp.End()
@@ -107,12 +104,9 @@ func (e *Estimator) EstimateTimeNormalizedTwoPass(pass func(fn func(telemetry.Re
 	open := make(map[int]*Columns) // by position in slots
 	var spare *Columns
 	buffered, maxBuffered := 0, 0
-	err = pass(func(r telemetry.Record) error {
-		if r.Failed {
-			return nil
-		}
-		slot := e.slotOf(r.Time)
-		second.add(slot, r)
+	err = pass(func(t timeutil.Millis, lat float64) error {
+		slot := e.slotOf(t)
+		second.add(slot, t, lat)
 		if second.slots[slot] > first.slots[slot] {
 			return errPassesDiffer
 		}
@@ -128,8 +122,8 @@ func (e *Estimator) EstimateTimeNormalizedTwoPass(pass func(fn func(telemetry.Re
 			}
 			open[i] = buf
 		}
-		buf.Times = append(buf.Times, r.Time)
-		buf.Lats = append(buf.Lats, r.LatencyMS)
+		buf.Times = append(buf.Times, t)
+		buf.Lats = append(buf.Lats, lat)
 		buf.Seqs = append(buf.Seqs, uint64(second.n))
 		buffered++
 		maxBuffered = max(maxBuffered, buffered)

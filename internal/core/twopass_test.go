@@ -11,11 +11,14 @@ import (
 	"autosens/internal/timeutil"
 )
 
-// passOver replays records, in order, on every pass.
-func passOver(records []telemetry.Record) func(func(telemetry.Record) error) error {
-	return func(fn func(telemetry.Record) error) error {
+// passOver replays records' usable rows, in order, on every pass.
+func passOver(records []telemetry.Record) func(func(timeutil.Millis, float64) error) error {
+	return func(fn func(timeutil.Millis, float64) error) error {
 		for _, r := range records {
-			if err := fn(r); err != nil {
+			if r.Failed {
+				continue
+			}
+			if err := fn(r.Time, r.LatencyMS); err != nil {
 				return err
 			}
 		}
@@ -152,7 +155,7 @@ func TestStreamingValidation(t *testing.T) {
 		t.Fatalf("only failed records: %v, want %v", err, want)
 	}
 	readErr := errors.New("read failed")
-	if _, err := e.EstimateTimeNormalizedTwoPass(func(func(telemetry.Record) error) error { return readErr }); !errors.Is(err, readErr) {
+	if _, err := e.EstimateTimeNormalizedTwoPass(func(func(timeutil.Millis, float64) error) error { return readErr }); !errors.Is(err, readErr) {
 		t.Fatalf("failing pass: %v", err)
 	}
 
@@ -168,7 +171,7 @@ func TestStreamingValidation(t *testing.T) {
 		"replaced": append([]telemetry.Record{extra}, records[:last]...),
 	} {
 		calls := 0
-		_, err := e.EstimateTimeNormalizedTwoPass(func(fn func(telemetry.Record) error) error {
+		_, err := e.EstimateTimeNormalizedTwoPass(func(fn func(timeutil.Millis, float64) error) error {
 			calls++
 			if calls == 1 {
 				return passOver(records)(fn)

@@ -9,66 +9,8 @@ import (
 	"autosens/internal/histogram"
 	"autosens/internal/parallel"
 	"autosens/internal/rng"
-	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
-
-// unbiasedSampler draws latency values for the unbiased distribution U per
-// Section 2.2: pick a uniformly random time in the window and adopt the
-// latency of the sample nearest in time; when several samples are equally
-// near (same timestamp, or an exact midpoint), pick one at random.
-type unbiasedSampler struct {
-	times     []timeutil.Millis
-	latencies []float64
-}
-
-// newUnbiasedSampler indexes time-sorted records. The records MUST already
-// be sorted by Time.
-func newUnbiasedSampler(sorted []telemetry.Record) *unbiasedSampler {
-	s := &unbiasedSampler{
-		times:     make([]timeutil.Millis, len(sorted)),
-		latencies: make([]float64, len(sorted)),
-	}
-	for i, r := range sorted {
-		s.times[i] = r.Time
-		s.latencies[i] = r.LatencyMS
-	}
-	return s
-}
-
-// draw picks one unbiased latency for a random time in [lo, hi).
-func (s *unbiasedSampler) draw(lo, hi timeutil.Millis, src *rng.Source) float64 {
-	t := lo + timeutil.Millis(src.Uint64n(uint64(hi-lo)))
-	return s.nearest(t, src)
-}
-
-// nearest returns the latency of the sample closest in time to t, breaking
-// ties uniformly at random.
-func (s *unbiasedSampler) nearest(t timeutil.Millis, src *rng.Source) float64 {
-	n := len(s.times)
-	idx := sort.Search(n, func(i int) bool { return s.times[i] >= t })
-	// Candidate on each side of the insertion point.
-	switch {
-	case idx == 0:
-		return s.pickRun(0, src)
-	case idx == n:
-		return s.pickRun(n-1, src)
-	}
-	dRight := s.times[idx] - t
-	dLeft := t - s.times[idx-1]
-	switch {
-	case dLeft < dRight:
-		return s.pickRun(idx-1, src)
-	case dRight < dLeft:
-		return s.pickRun(idx, src)
-	default:
-		// Exact midpoint: both sides are equally near.
-		if src.Bool(0.5) {
-			return s.pickRun(idx-1, src)
-		}
-		return s.pickRun(idx, src)
-	}
-}
 
 // Draw is one unbiased-sampling pick: the uniformly random instant chosen
 // and the latency of the telemetry sample nearest to it.
@@ -77,30 +19,38 @@ type Draw struct {
 	LatencyMS float64
 }
 
-// UnbiasedDraws exposes the unbiased-sampling procedure of Section 2.2 for
+// UnbiasedDraws exposes the unbiased sampling of Section 2.2 for
 // inspection (Figure 3(a) of the paper illustrates it): n uniformly random
-// instants over the records' time span, each paired with the latency of
-// the nearest sample. Failed records are excluded. The result is sorted by
-// draw time.
-func UnbiasedDraws(records []telemetry.Record, n int, seed uint64) ([]Draw, error) {
-	records = telemetry.Successful(records)
-	if len(records) == 0 {
-		return nil, errEmptyRecords
+// instants over the span of the time-sorted columns, each paired with the
+// latency of the nearest sample. The instants are drawn and swept as every
+// estimate's are (drawKeys, sweepNearest), so they are the draws the
+// unbiased distribution is built from. The result is sorted by draw time.
+func UnbiasedDraws(times []timeutil.Millis, lats []float64, n int, seed uint64) ([]Draw, error) {
+	if err := checkColumns(times, lats); err != nil {
+		return nil, err
 	}
 	if n <= 0 {
 		return nil, errNonPositiveDraws
 	}
-	telemetry.SortByTime(records)
-	s := newUnbiasedSampler(records)
-	src := rng.New(seed)
-	lo := records[0].Time
-	hi := records[len(records)-1].Time + 1
+	lo := times[0]
+	keys := make([]uint64, n)
+	auxSeed := drawKeys(rng.New(seed), uint64(times[len(times)-1]+1-lo), keys, nil, false)
 	out := make([]Draw, n)
-	for i := range out {
-		t := lo + timeutil.Millis(src.Uint64n(uint64(hi-lo)))
-		out[i] = Draw{At: t, LatencyMS: s.nearest(t, src)}
+	for k, key := range keys {
+		out[k].At = lo + timeutil.Millis(key)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].At < out[b].At })
+	sweepNearest(times, lo, keys, 0, allDraws, 0,
+		func(j0, k0 int, counts []uint64) {
+			for i, c := range counts {
+				for ; c > 0; c-- {
+					out[k0].LatencyMS = lats[j0+i]
+					k0++
+				}
+			}
+		},
+		func(rank, k, j int, t timeutil.Millis) {
+			out[k].LatencyMS = lats[pickAt(times, j, t, rng.Mix64(auxSeed+uint64(rank)))]
+		})
 	return out, nil
 }
 
@@ -130,12 +80,13 @@ func (sc *sweepScratch) buf(n int) (keys []uint64, tmp *[]uint64) {
 // histogram in hists. times/lats are the time-sorted sample instants and
 // their latencies (times MUST be ascending).
 //
-// Semantically it matches the per-draw path (uniform random instant, adopt
-// the nearest sample's latency, break ties uniformly at random) but batches
-// the work: all n instants are generated up front, sorted once, and merged
-// against the sorted sample times in a single linear sweep. That replaces n
-// binary searches with poor cache locality (O(n·log m) scattered probes)
-// with one primitive-slice sort plus an O(n + m) sequential pass.
+// Each draw is a uniform random instant that adopts the nearest sample's
+// latency, ties broken uniformly at random, and the work is batched: all n
+// instants are drawn up front (drawKeys), sorted once, and merged against
+// the sorted sample times in one linear pass (sweepNearest) — a radix sort
+// plus O(n + m) sequential work in place of n scattered binary searches.
+// That per-draw form lives on only in the tests, as the distributional
+// reference the sweep is checked against.
 //
 // Tie-break randomness is derived per draw from auxSeed and the draw's rank
 // with Mix64 rather than consumed from src in nearest-neighbour order, so
@@ -405,21 +356,4 @@ func (e *Estimator) sweepKeys(chunks int, times []timeutil.Millis, lats []float6
 	e.splitSweep(chunks, len(keys), u, nil, func(i1, i2 int, u *histogram.Histogram, _ *[]int32) {
 		sweepSortedKeys(times, lats, lo, keys[i1:i2], i1, auxSeed, u)
 	})
-}
-
-// pickRun returns a uniformly random latency among all samples sharing the
-// timestamp of index i.
-func (s *unbiasedSampler) pickRun(i int, src *rng.Source) float64 {
-	t := s.times[i]
-	lo, hi := i, i
-	for lo > 0 && s.times[lo-1] == t {
-		lo--
-	}
-	for hi+1 < len(s.times) && s.times[hi+1] == t {
-		hi++
-	}
-	if lo == hi {
-		return s.latencies[lo]
-	}
-	return s.latencies[lo+src.Intn(hi-lo+1)]
 }

@@ -45,7 +45,8 @@ func runFig1(ctx *Context, w io.Writer) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := est.Locality(recs)
+	times, lats := core.UsableColumns(recs)
+	rep, err := est.Locality(times, lats)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +59,7 @@ func runFig1(ctx *Context, w io.Writer) (*Outcome, error) {
 	fmt.Fprintf(w, "\nLocality is present: actual %.3f << shuffled %.3f; sorting collapses the ratio to %.2g.\n",
 		rep.Actual, rep.Shuffled, rep.Sorted)
 
-	corr, err := core.DensityLatencyCorrelation(recs, timeutil.MillisPerMinute)
+	corr, err := core.DensityLatencyCorrelation(times, lats, timeutil.MillisPerMinute)
 	if err == nil {
 		fmt.Fprintf(w, "Per-minute sample density vs mean latency correlation: %.3f\n", corr)
 	}
@@ -82,7 +83,8 @@ func runFig2(ctx *Context, w io.Writer) (*Outcome, error) {
 	if len(recs) == 0 {
 		return nil, errNoData
 	}
-	ts, err := core.ActivityLatencySeries(recs, 10*timeutil.MillisPerMinute)
+	times, lats := core.UsableColumns(recs)
+	ts, err := core.ActivityLatencySeries(times, lats, 10*timeutil.MillisPerMinute)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +106,7 @@ func runFig2(ctx *Context, w io.Writer) (*Outcome, error) {
 	if err := chart.Render(w, latSeries, cntSeries); err != nil {
 		return nil, err
 	}
-	corr, err := core.DensityLatencyCorrelation(recs, 10*timeutil.MillisPerMinute)
+	corr, err := core.DensityLatencyCorrelation(times, lats, 10*timeutil.MillisPerMinute)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +132,8 @@ func runFig3(ctx *Context, w io.Writer) (*Outcome, error) {
 	// random instants as the other.
 	excerpt := telemetry.ByTimeRange(recs, 10*timeutil.MillisPerHour, 10*timeutil.MillisPerHour+30*timeutil.MillisPerMinute)
 	if len(excerpt) >= 10 {
-		draws, err := core.UnbiasedDraws(excerpt, 40, ctx.Opts.Seed)
+		times, lats := core.UsableColumns(excerpt)
+		draws, err := core.UnbiasedDraws(times, lats, 40, ctx.Opts.Seed)
 		if err != nil {
 			return nil, err
 		}

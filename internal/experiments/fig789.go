@@ -36,6 +36,17 @@ func runFig7(ctx *Context, w io.Writer) (*Outcome, error) {
 		pipeline.NewPartition(recs).ByPeriod(telemetry.SelectMail))
 }
 
+// periodColumns is recs' usable rows, stably sorted by time, as the time,
+// latency and timezone-offset columns AlphaByPeriod reads.
+func periodColumns(recs []telemetry.Record) (times []timeutil.Millis, lats []float64, tzs []timeutil.Millis) {
+	recs = telemetry.Successful(recs)
+	telemetry.SortByTime(recs)
+	for _, r := range recs {
+		times, lats, tzs = append(times, r.Time), append(lats, r.LatencyMS), append(tzs, r.TZOffset)
+	}
+	return times, lats, tzs
+}
+
 func runFig8(ctx *Context, w io.Writer) (*Outcome, error) {
 	recs := ctx.FebruaryOrAll(ctx.BusinessAction(telemetry.SelectMail))
 	if len(recs) == 0 {
@@ -45,7 +56,8 @@ func runFig8(ctx *Context, w io.Writer) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof, err := est.AlphaByPeriod(recs, timeutil.Period8am2pm)
+	times, lats, tzs := periodColumns(recs)
+	prof, err := est.AlphaByPeriod(times, lats, tzs, timeutil.Period8am2pm)
 	if err != nil {
 		return nil, err
 	}

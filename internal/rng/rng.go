@@ -108,11 +108,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64n(uint64(n)))
 }
 
-// Int63 returns a uniform non-negative int64.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Uint64n returns a uniform integer in [0, n). It panics if n == 0.
 func (s *Source) Uint64n(n uint64) uint64 {
 	if n == 0 {

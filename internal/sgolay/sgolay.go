@@ -58,9 +58,6 @@ func NewDeriv(window, degree, deriv int) (*Filter, error) {
 // Window returns the filter's window length.
 func (f *Filter) Window() int { return f.window }
 
-// Degree returns the filter's polynomial degree.
-func (f *Filter) Degree() int { return f.degree }
-
 // Coefficients returns a copy of the interior convolution coefficients.
 func (f *Filter) Coefficients() []float64 {
 	out := make([]float64, len(f.coeff))

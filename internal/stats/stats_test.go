@@ -61,6 +61,37 @@ func TestQuantileMedian(t *testing.T) {
 	}
 }
 
+func TestQuantileSortedEdges(t *testing.T) {
+	cases := []struct {
+		name   string
+		sorted []float64
+		q      float64
+		want   float64
+	}{
+		{"single element q=0", []float64{3}, 0, 3},
+		{"single element q=0.5", []float64{3}, 0.5, 3},
+		{"single element q=1", []float64{3}, 1, 3},
+		{"q=0 takes min", []float64{1, 2, 3}, 0, 1},
+		{"q=1 takes max", []float64{1, 2, 3}, 1, 3},
+		{"exact position no interpolation", []float64{1, 2, 3}, 0.5, 2},
+		{"exact position on five", []float64{0, 1, 2, 3, 4}, 0.25, 1},
+		{"interpolated midpoint", []float64{1, 2}, 0.5, 1.5},
+		{"interpolated quarter", []float64{0, 4}, 0.25, 1},
+		{"interpolated between ranks", []float64{10, 20, 40}, 0.75, 30},
+	}
+	for _, tc := range cases {
+		if got, err := QuantileSorted(tc.sorted, tc.q); err != nil || math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: QuantileSorted(%v, %v) = %v, %v; want %v", tc.name, tc.sorted, tc.q, got, err, tc.want)
+		}
+	}
+	if _, err := QuantileSorted(nil, 0.5); err == nil {
+		t.Error("QuantileSorted of nothing accepted")
+	}
+	if _, err := QuantileSorted([]float64{1, 2}, 1.5); err == nil {
+		t.Error("QuantileSorted at q > 1 accepted")
+	}
+}
+
 func TestQuartiles(t *testing.T) {
 	q1, q2, q3, err := Quartiles([]float64{1, 2, 3, 4, 5})
 	if err != nil {
