@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-json bench-ingest-json bench-live bench-live-gate bench-watch bench-cluster bench-store bench-store-gate fuzz check fmt vet clean crash-test race-ingest race-live race-watch race-cluster race-store alert-quality coverage reference paper
+.PHONY: build test race bench bench-json bench-ingest-json bench-live bench-live-gate bench-watch bench-cluster bench-store bench-store-gate fuzz check fmt vet clean crash-test race-ingest race-live race-watch race-cluster race-store alert-quality coverage reference paper loc
 
 # Label recorded in BENCH_core.json for a bench-json run; override like
 #   make bench-json BENCH_LABEL="after: shared key plan"
@@ -70,6 +70,13 @@ paper:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/experiments -scale paper -seed 1 -outdir "$$tmp/results" > "$$tmp/stdout.txt" && \
 	diff -u results_paper.txt "$$tmp/stdout.txt" && diff -ru results "$$tmp/results"
+
+# loc prints the non-test Go lines of every package directory and their
+# total: the size figure CHANGES.md and ROADMAP.md quote.
+loc:
+	@$(GO) list -f '{{$$d := .Dir}}{{range .GoFiles}}{{$$d}}/{{.}} {{end}}' ./... | xargs wc -l | \
+		awk -v root="$(CURDIR)/" '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(root, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # crash-test runs the kill-and-recover acceptance test: build a real
 # sensd, stream beacons at it, SIGKILL it mid-write, recover the WAL and
