@@ -73,7 +73,7 @@ func startBenchNode(b *testing.B, dir string) *benchNode {
 	if err != nil {
 		b.Fatal(err)
 	}
-	engine := newEngine(b)
+	engine := newEngine(b, nil)
 	srv, err := collector.NewServer(collector.ServerConfig{
 		Sink:     w,
 		SinkName: "wal",
@@ -177,7 +177,7 @@ func reportP99(b *testing.B, samples []time.Duration) {
 // BENCH_live.json).
 func BenchmarkClusterQueryCached(b *testing.B) {
 	stream := genStream(41, 30000, 2*timeutil.MillisPerDay)
-	_, _, coord := newLocalCluster(b, 3, stream)
+	_, coord := newLocalCluster(b, 3, stream)
 	if _, err := coord.Query(live.AllSlices, live.ModePlain, false); err != nil {
 		b.Fatal(err)
 	}
@@ -212,9 +212,9 @@ func BenchmarkClusterQueryDirtyHTTP(b *testing.B) {
 	engines := make([]*live.Engine, 3)
 	srcs := make([]PartialSource, 3)
 	for i := range engines {
-		engines[i] = newEngine(b)
-		node := i
-		appendOwned(b, engines[i], stream, func(u uint64) bool { return u%3 == uint64(node) })
+		node := uint64(i)
+		engines[i] = newEngine(b, func(u uint64) bool { return u%3 == node })
+		appendStream(b, engines[i], stream)
 		mux := http.NewServeMux()
 		mux.Handle(api.PathPartials, engines[i].PartialsHandler())
 		ts := httptest.NewServer(mux)
@@ -238,9 +238,8 @@ func BenchmarkClusterQueryDirtyHTTP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := (i * chunk) % (len(extra) - chunk)
-		for n := range engines {
-			node := uint64(n)
-			engines[n].AppendOwned(extra[lo:lo+chunk], func(u uint64) bool { return u%3 == node })
+		for _, e := range engines {
+			e.Append(extra[lo : lo+chunk])
 		}
 		start := time.Now()
 		coord.Refresh(live.AllSlices)

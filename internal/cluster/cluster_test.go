@@ -41,27 +41,29 @@ func testOptions() core.Options {
 	return o
 }
 
-func newEngine(t testing.TB) *live.Engine {
+// newEngine builds an engine storing only the users owns accepts (nil
+// owns everything).
+func newEngine(t testing.TB, owns func(uint64) bool) *live.Engine {
 	t.Helper()
-	e, err := live.New(live.Config{Options: testOptions()})
+	e, err := live.New(live.Config{Options: testOptions(), Owns: owns})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
-// appendOwned feeds the full stream to an engine under an ownership
-// filter, in uneven batches as a collector writer loop would. Every node
-// sees the same stream, so each record's seq is its stream position on
-// every node — the cross-node byte-identity precondition.
-func appendOwned(t testing.TB, e *live.Engine, stream []telemetry.Record, owns func(uint64) bool) {
+// appendStream feeds the full stream to an engine, in uneven batches as a
+// collector writer loop would. Every node sees the same stream and keeps
+// its own users, so each record's seq is its stream position on every
+// node — the cross-node byte-identity precondition.
+func appendStream(t testing.TB, e *live.Engine, stream []telemetry.Record) {
 	t.Helper()
 	for lo := 0; lo < len(stream); {
 		hi := lo + 1 + int(stream[lo].UserID%700)
 		if hi > len(stream) {
 			hi = len(stream)
 		}
-		e.AppendOwned(stream[lo:hi], owns)
+		e.Append(stream[lo:hi])
 		lo = hi
 	}
 }
@@ -69,7 +71,7 @@ func appendOwned(t testing.TB, e *live.Engine, stream []telemetry.Record, owns f
 // newLocalCluster builds n engines partitioned by a fresh ring, feeds
 // them the stream, and returns a coordinator over them (background polls
 // disabled: tests drive freshness explicitly through Refresh).
-func newLocalCluster(t testing.TB, n int, stream []telemetry.Record) ([]*live.Engine, *Ring, *Coordinator) {
+func newLocalCluster(t testing.TB, n int, stream []telemetry.Record) ([]*live.Engine, *Coordinator) {
 	t.Helper()
 	nodes := make([]Node, n)
 	for i := range nodes {
@@ -82,9 +84,9 @@ func newLocalCluster(t testing.TB, n int, stream []telemetry.Record) ([]*live.En
 	engines := make([]*live.Engine, n)
 	srcs := make([]PartialSource, n)
 	for i := range engines {
-		engines[i] = newEngine(t)
+		engines[i] = newEngine(t, ring.Owns(i))
 		if stream != nil {
-			appendOwned(t, engines[i], stream, ring.Owns(i))
+			appendStream(t, engines[i], stream)
 		}
 		srcs[i] = LocalNode{Engine: engines[i]}
 	}
@@ -96,7 +98,7 @@ func newLocalCluster(t testing.TB, n int, stream []telemetry.Record) ([]*live.En
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engines, ring, coord
+	return engines, coord
 }
 
 var goldenKeys = []live.SliceKey{
@@ -128,9 +130,9 @@ func requireSameResult(t *testing.T, label string, want, got *live.Result) {
 // bootstrap bounds.
 func TestGoldenClusterMatchesSingleNode(t *testing.T) {
 	stream := genStream(1, 12000, 2*timeutil.MillisPerDay)
-	single := newEngine(t)
+	single := newEngine(t, nil)
 	single.Append(stream)
-	_, _, coord := newLocalCluster(t, 3, stream)
+	_, coord := newLocalCluster(t, 3, stream)
 
 	for _, key := range goldenKeys {
 		for _, mode := range []live.Mode{live.ModePlain, live.ModeNormalized} {
@@ -171,7 +173,7 @@ func TestGoldenClusterMatchesSingleNode(t *testing.T) {
 // batch estimator the autosens CLI runs — the end-to-end reference.
 func TestGoldenClusterMatchesBatch(t *testing.T) {
 	stream := genStream(2, 9000, 2*timeutil.MillisPerDay)
-	_, _, coord := newLocalCluster(t, 3, stream)
+	_, coord := newLocalCluster(t, 3, stream)
 	est, err := core.NewEstimator(testOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -224,9 +226,9 @@ func partialsServer(t testing.TB, e *live.Engine) *httptest.Server {
 func TestGoldenClusterOverHTTP(t *testing.T) {
 	stream := genStream(3, 8000, 2*timeutil.MillisPerDay)
 	grow := genStream(99, 1500, 2*timeutil.MillisPerDay)
-	single := newEngine(t)
+	single := newEngine(t, nil)
 	single.Append(stream)
-	engines, ring, _ := newLocalCluster(t, 3, stream)
+	engines, _ := newLocalCluster(t, 3, stream)
 
 	srcs := make([]PartialSource, len(engines))
 	for i, e := range engines {
@@ -270,8 +272,8 @@ func TestGoldenClusterOverHTTP(t *testing.T) {
 	// coordinator still serves the old version; after Refresh it must
 	// notice and recompute to the new reference bytes.
 	single.Append(grow)
-	for i, e := range engines {
-		appendOwned(t, e, grow, ring.Owns(i))
+	for _, e := range engines {
+		appendStream(t, e, grow)
 	}
 	stale, err := coord.Query(key, live.ModePlain, false)
 	if err != nil {
@@ -299,7 +301,7 @@ func TestGoldenClusterOverHTTP(t *testing.T) {
 // the shared /v1/curves handler: same JSON contract, same cache header.
 func TestCoordinatorServesCurvesHandler(t *testing.T) {
 	stream := genStream(4, 5000, timeutil.MillisPerDay)
-	_, _, coord := newLocalCluster(t, 2, stream)
+	_, coord := newLocalCluster(t, 2, stream)
 	srv := httptest.NewServer(live.NewCurvesHandler(coord))
 	defer srv.Close()
 
@@ -340,7 +342,7 @@ func TestCoordinatorServesCurvesHandler(t *testing.T) {
 // hit.
 func TestCoordinatorWindowedCacheBounded(t *testing.T) {
 	stream := genStream(7, 3000, timeutil.MillisPerDay)
-	_, _, coord := newLocalCluster(t, 3, stream)
+	_, coord := newLocalCluster(t, 3, stream)
 	key := live.AllSlices
 	pinned := live.Window{From: 1, To: 12 * timeutil.MillisPerHour}
 	if _, err := coord.QueryWindow(key, live.ModePlain, false, pinned); err != nil {

@@ -35,8 +35,8 @@ func writeWAL(t *testing.T, dir string, stream []telemetry.Record) {
 // TestHandoffSegments pins the membership-change data path: handed-off
 // segments land renumbered after the destination's own history, the
 // combined directory replays source-then... destination-then-source, and
-// a WarmOwned replay over it keeps exactly the records the new ring
-// assigns to the recovering node.
+// a Warm replay over it under the new ring's ownership predicate keeps
+// exactly the records that ring assigns to the recovering node.
 func TestHandoffSegments(t *testing.T) {
 	srcDir := filepath.Join(t.TempDir(), "src")
 	dstDir := filepath.Join(t.TempDir(), "dst")
@@ -104,8 +104,8 @@ func TestHandoffSegments(t *testing.T) {
 	// A recovering node warms from the combined directory under its
 	// ownership filter and holds exactly its owned records.
 	owns := func(u uint64) bool { return u%3 == 0 }
-	e := newEngine(t)
-	replayedN, err := e.WarmOwned(dstDir, owns)
+	e := newEngine(t, owns)
+	replayedN, err := e.Warm(dstDir)
 	if err != nil {
 		t.Fatal(err)
 	}

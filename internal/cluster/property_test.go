@@ -63,7 +63,7 @@ func TestMergePartitionInvariance(t *testing.T) {
 	}
 
 	for sname, stream := range streams {
-		single := newEngine(t)
+		single := newEngine(t, nil)
 		single.Append(stream)
 		want := map[live.SliceKey]*live.Result{}
 		for _, key := range keys {
@@ -78,11 +78,11 @@ func TestMergePartitionInvariance(t *testing.T) {
 			engines := make([]*live.Engine, p.nodes)
 			srcs := make([]PartialSource, p.nodes)
 			for i := range engines {
-				engines[i] = newEngine(t)
 				node := i
-				appendOwned(t, engines[i], stream, func(u uint64) bool {
+				engines[i] = newEngine(t, func(u uint64) bool {
 					return p.owner(u) == node
 				})
+				appendStream(t, engines[i], stream)
 				srcs[i] = LocalNode{Engine: engines[i]}
 			}
 			// Source order must not matter: (time, seq) is globally unique

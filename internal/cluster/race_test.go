@@ -49,7 +49,7 @@ func TestClusterConcurrentIngestQueryRestart(t *testing.T) {
 	srcs := make([]PartialSource, 3)
 	for i := range nodes {
 		nodes[i] = &swapSource{}
-		nodes[i].e.Store(newEngine(t))
+		nodes[i].e.Store(newEngine(t, ring.Owns(i)))
 		srcs[i] = nodes[i]
 	}
 	coord, err := NewCoordinator(CoordinatorConfig{
@@ -86,7 +86,7 @@ func TestClusterConcurrentIngestQueryRestart(t *testing.T) {
 				return
 			}
 			for i := range nodes {
-				nodes[i].e.Load().AppendOwned(stream[lo:hi], ring.Owns(i))
+				nodes[i].e.Load().Append(stream[lo:hi])
 			}
 			ingested.Store(int64(hi))
 			walMu.Unlock()
@@ -132,9 +132,9 @@ func TestClusterConcurrentIngestQueryRestart(t *testing.T) {
 	go func() {
 		defer writers.Done()
 		for r := 0; r < 3; r++ {
-			e := newEngine(t)
+			e := newEngine(t, ring.Owns(1))
 			walMu.Lock()
-			if _, err := e.WarmOwned(dir, ring.Owns(1)); err != nil {
+			if _, err := e.Warm(dir); err != nil {
 				walMu.Unlock()
 				t.Error(err)
 				return
@@ -154,13 +154,13 @@ func TestClusterConcurrentIngestQueryRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range nodes {
-		e := newEngine(t)
-		if _, err := e.WarmOwned(dir, ring.Owns(i)); err != nil {
+		e := newEngine(t, ring.Owns(i))
+		if _, err := e.Warm(dir); err != nil {
 			t.Fatal(err)
 		}
 		nodes[i].e.Store(e)
 	}
-	single := newEngine(t)
+	single := newEngine(t, nil)
 	if _, err := single.Warm(dir); err != nil {
 		t.Fatal(err)
 	}

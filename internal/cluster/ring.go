@@ -128,7 +128,7 @@ func (r *Ring) NodeFor(userID uint64) int {
 }
 
 // Owns returns the ownership predicate of one node, in the shape
-// live.Engine.WarmOwned and AppendOwned consume.
+// live.Config.Owns and store.Config.Owns take.
 func (r *Ring) Owns(node int) func(userID uint64) bool {
 	return func(userID uint64) bool { return r.NodeFor(userID) == node }
 }
