@@ -36,10 +36,10 @@ race-cluster:
 	$(GO) test -race -count=1 ./internal/cluster/
 
 # race-store is the focused race gate for the tiered storage path: the
-# cold-tier compactor/scanner plus the windowed live engine that merges
-# with it, under -race.
+# cold-tier compactor/scanner, the windowed live engine that merges with
+# it, and the composed node that wires and restarts both, under -race.
 race-store:
-	$(GO) test -race -count=1 ./internal/store/ ./internal/live/
+	$(GO) test -race -count=1 ./internal/store/ ./internal/live/ ./internal/node/
 
 # alert-quality runs the ground-truth precision/recall gate: owasim runs
 # with scheduled incident regimes, the watcher scores against the schedule,
