@@ -18,9 +18,9 @@ import (
 func init() { telemetry.CheckColumnBuild = checkColumnBuild }
 
 // checkColumnBuild requires pipeline.Load.TBIN, at one worker and at four,
-// to build from data the partition pipeline.NewPartition builds from the
-// streaming reader's records — every family's slices equal for every
-// action — or to fail with the streaming reader's error text.
+// to build from data the partition pipeline.NewPartition builds from want,
+// the records a reference decode of data gives — every family's slices
+// equal for every action — or to fail with wantErr's text.
 func checkColumnBuild(t testing.TB, data []byte, want []telemetry.Record, wantErr error) {
 	t.Helper()
 	ref := pipeline.NewPartition(want)
