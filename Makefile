@@ -98,9 +98,10 @@ bench-json:
 	mv BENCH_core.json.tmp BENCH_core.json
 
 # bench-ingest-json appends a labelled ingest data-plane benchmark run
-# (codecs, collector, WAL append, slicers) to BENCH_ingest.json.
+# (codecs, collector, WAL append, the batch load's TBIN partition build,
+# slicers) to BENCH_ingest.json.
 bench-ingest-json:
-	$(GO) test -bench='Decode|Encode|Ingest|WALAppend|UserMedians|AssignQuartiles|Slicers' \
+	$(GO) test -bench='Decode|Encode|Ingest|WALAppend|PartitionTBIN|UserMedians|AssignQuartiles|Slicers' \
 		-benchmem -run=^$$ ./internal/telemetry/ ./internal/collector/ ./internal/wal/ ./internal/pipeline/ | \
 		$(GO) run ./cmd/benchjson -label "$(BENCH_LABEL)" -prev BENCH_ingest.json > BENCH_ingest.json.tmp
 	mv BENCH_ingest.json.tmp BENCH_ingest.json

@@ -320,13 +320,22 @@ func (e *Engine) appendChunk(recs []telemetry.Record, owns func(uint64) bool) {
 // does to Append, so a cluster node recovering from a shared WAL stores
 // only its owned range, each record at the seq of its WAL position.
 // Returns the number of records replayed (including skipped ones).
+//
+// Records are appended appendChunk at a time, as a live batch would be:
+// each still reserves one seq, so seqs, ownership and skip counts are
+// those of appending them one by one.
 func (e *Engine) Warm(dir string) (int, error) {
 	n := 0
+	buf := make([]telemetry.Record, 0, appendChunk)
 	err := wal.Replay(nil, dir, func(r telemetry.Record) error {
-		e.Append([]telemetry.Record{r})
+		if buf = append(buf, r); len(buf) == appendChunk {
+			e.Append(buf)
+			buf = buf[:0]
+		}
 		n++
 		return nil
 	})
+	e.Append(buf)
 	if err != nil {
 		return n, fmt.Errorf("live: warm from %s: %w", dir, err)
 	}

@@ -123,17 +123,16 @@ func ParsePeriod(s string) (Period, error) {
 
 // PeriodOf returns the 6-hour period containing the local hour of t.
 func PeriodOf(t Millis, tzOffset Millis) Period {
-	h := HourOfDay(t, tzOffset)
-	switch {
-	case h >= 8 && h < 14:
-		return Period8am2pm
-	case h >= 14 && h < 20:
-		return Period2pm8pm
-	case h >= 20 || h < 2:
-		return Period8pm2am
-	default:
-		return Period2am8am
-	}
+	return hourPeriods[HourOfDay(t, tzOffset)]
+}
+
+// hourPeriods is the period of each local hour.
+var hourPeriods = [24]Period{
+	Period8pm2am, Period8pm2am, // 00–02
+	Period2am8am, Period2am8am, Period2am8am, Period2am8am, Period2am8am, Period2am8am, // 02–08
+	Period8am2pm, Period8am2pm, Period8am2pm, Period8am2pm, Period8am2pm, Period8am2pm, // 08–14
+	Period2pm8pm, Period2pm8pm, Period2pm8pm, Period2pm8pm, Period2pm8pm, Period2pm8pm, // 14–20
+	Period8pm2am, Period8pm2am, Period8pm2am, Period8pm2am, // 20–24
 }
 
 // DiurnalProfile gives a relative activity multiplier for each local hour of

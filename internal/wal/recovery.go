@@ -206,6 +206,10 @@ func replaySegment(fsys FS, dir, name string, fn func(telemetry.Record) error) e
 
 	frame := make([]byte, frameHdrLen)
 	var payload []byte
+	// One decoder serves every frame of the segment, reset onto each.
+	var src bytes.Reader
+	tr := telemetry.NewReader(nil, format)
+	defer tr.Close()
 	for {
 		if _, err := io.ReadFull(r, frame); err != nil {
 			return nil // clean EOF or torn tail
@@ -225,22 +229,20 @@ func replaySegment(fsys FS, dir, name string, fn func(telemetry.Record) error) e
 		if crc32.Checksum(payload, castagnoli) != sum {
 			return nil
 		}
-		tr := telemetry.NewReader(bytes.NewReader(payload), format)
+		src.Reset(payload)
+		tr.Reset(&src)
 		for {
 			rec, err := tr.Read()
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
-				tr.Close()
 				return fmt.Errorf("wal: segment %s: decode intact frame: %w", name, err)
 			}
 			if err := fn(rec); err != nil {
-				tr.Close()
 				return err
 			}
 		}
-		tr.Close()
 	}
 }
 
