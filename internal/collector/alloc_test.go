@@ -4,7 +4,9 @@ package collector
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"net/http"
 	"runtime"
 	"testing"
 
@@ -31,6 +33,41 @@ func TestTBINBeaconDecodeAllocsPinned(t *testing.T) {
 	allocs, perDecode := steadyAllocs(decode)
 	if allocs > 2 || perDecode > 1<<10 {
 		t.Fatalf("500-record TBIN beacon decode allocates %.0f times, %d bytes; want at most 2 and 1 KiB", allocs, perDecode)
+	}
+}
+
+// TestTBINMaxFrameBeaconDecodeBounded sends one frame as large as a beacon
+// body may be, declaring as many 12-byte records as fit in it, through the
+// pooled TBIN reader. The reader decodes a block's worth of records at a
+// time and stops at the batch's record cap, so past the payload itself a
+// request costs only a block's columns, not columns for every record the
+// frame declares.
+func TestTBINMaxFrameBeaconDecodeBounded(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	const header = len("TBN1") + 3 + 4 // magic, count and length varints
+	count := (DefaultMaxBatchBytes - header - 2) / 12
+	payload := []byte{1, 0} // a one-entry tz dictionary: offset 0
+	for range count {
+		payload = append(payload, 0, 0, 1, 0) // tag, time delta, user, tz index
+		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(1))
+	}
+	body := binary.AppendUvarint([]byte("TBN1"), uint64(count))
+	body = binary.AppendUvarint(body, uint64(len(payload)))
+	body = append(body, payload...)
+	if len(body) > DefaultMaxBatchBytes {
+		t.Fatalf("body of %d bytes exceeds %d", len(body), DefaultMaxBatchBytes)
+	}
+	dst := make([]telemetry.Record, 0, DefaultMaxBatchRecords)
+	in := bytes.NewReader(body)
+	decode := func() {
+		in.Reset(body)
+		if _, status, _, msg := srv.readBatchTBIN(in, dst[:0]); status != http.StatusRequestEntityTooLarge {
+			t.Fatalf("status %d %s, want 413", status, msg)
+		}
+	}
+	_, perDecode := steadyAllocs(decode)
+	if limit := uint64(len(body)) + 1<<20; perDecode > limit {
+		t.Fatalf("a %d-byte frame of %d records costs %d bytes to decode; want at most %d", len(body), count, perDecode, limit)
 	}
 }
 
