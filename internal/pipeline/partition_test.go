@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"autosens/internal/owasim"
@@ -313,9 +314,22 @@ func tbinRecords(b testing.TB, n int) ([]telemetry.Record, []byte) {
 
 // BenchmarkPartitionTBIN builds a partition of a 320 k-record TBIN file
 // the two ways: reading records with the streaming reader and partitioning
-// them, and straight from the bytes on the decode workers.
+// them, and straight from the bytes on the decode workers. The anonymized
+// row loads the same records with their user IDs pseudonymized, as the
+// paper's logs carry them: 64-bit hashes, whose varints take nine or ten
+// bytes where the 400 plain IDs take one or two.
 func BenchmarkPartitionTBIN(b *testing.B) {
 	recs, data := tbinRecords(b, 320_000)
+	anon := telemetry.NewAnonymizer([]byte("bench")).Records(slices.Clone(recs))
+	var buf bytes.Buffer
+	w := telemetry.NewWriter(&buf, telemetry.TBIN)
+	if err := w.WriteAll(anon); err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	anonData := buf.Bytes()
 	b.Run("records", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -330,8 +344,8 @@ func BenchmarkPartitionTBIN(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("bytes/workers=%d", workers), func(b *testing.B) {
+	load := func(name string, data []byte, workers int) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				p, _, err := Load{Workers: workers}.TBIN(data)
@@ -344,4 +358,8 @@ func BenchmarkPartitionTBIN(b *testing.B) {
 			}
 		})
 	}
+	for _, workers := range []int{1, 2} {
+		load(fmt.Sprintf("bytes/workers=%d", workers), data, workers)
+	}
+	load("bytes/anonymized/workers=1", anonData, 1)
 }
