@@ -99,6 +99,9 @@ func bandBytes(ci *CurveCI) []byte {
 // any shortcut that changes a single bound fails here.
 func TestNormalizedBandBytesGolden(t *testing.T) {
 	owaTimes, owaLats := owasimColumns(t, 3, 25, 25, 23)
+	// The shape of the batch CLI's -action SelectMail -ci: four days of
+	// 200 business and 200 consumer users, 40 replicates of 6 h blocks.
+	ciTimes, ciLats := owasimColumns(t, 4, 200, 200, 23)
 	tieTimes, tieLats := tieColumns(5, -1000, 48)
 	cases := []struct {
 		name      string
@@ -116,6 +119,12 @@ func TestNormalizedBandBytesGolden(t *testing.T) {
 			return o
 		}, 6 * timeutil.MillisPerHour, 10,
 			"a828f5336e538d6520ab5fc42724ab9b1901c398e02567da1af9ba40f0d8375c"},
+		{"owasim-ci", ciTimes, ciLats, func(w int) Options {
+			o := DefaultOptions()
+			o.Workers = w
+			return o
+		}, 6 * timeutil.MillisPerHour, 40,
+			"d1effcdb07e22052fb43f32c54bc907bcfe9fd94f53760f394985fa39f648afd"},
 		{"ties", tieTimes, tieLats, tieOptions, 6 * 64, 10,
 			"6801889f182ef5f9876214e2fbf148efe02d9febdbdaf65bcbfe11a8993b5604"},
 	}
