@@ -221,6 +221,28 @@ func BenchmarkEstimateCINormalized(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateCINormalizedOWA is the band of the batch CLI's -action
+// SelectMail -ci over four simulated days of 200 business and 200 consumer
+// users (about 144 k records): default options, 40 replicates of 6 h
+// blocks, on GOMAXPROCS workers.
+func BenchmarkEstimateCINormalizedOWA(b *testing.B) {
+	times, lats := owasimColumns(b, 4, 200, 200, 23)
+	e, err := NewEstimator(DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := DefaultCIOptions()
+	opts.TimeNormalized = true
+	req, s := bandRequest(opts), summaryOf(times, lats)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Finish(req, s, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func benchmarkEstimateCI(b *testing.B, workers int) {
 	benchmarkEstimateCIMode(b, workers, false)
 }

@@ -132,12 +132,16 @@ func TestEstimateCIBootstrapSpan(t *testing.T) {
 		}
 
 		// Normalized replicate slots, summed over the 4 replicates: 48
-		// hourly slots each, swept from the shared tables but for the edge
+		// hourly slots each, drawn from the shared tables but for the edge
 		// slots clipped to a replicate's window (one replicate's last block
 		// runs past its last retained hour, which is then full). The window
 		// starts 36 ms past an hour, so each of the 8 block positions holds 5
-		// whole hours, whose biased histograms are reused.
-		want := map[string]int{"table_slots": 185, "fallback_slots": 7, "biased_reused": 160}
+		// whole hours, whose biased histograms are reused. Those that are
+		// full (all but the 3 clipped last hours) are filled from the sweeps
+		// of 118 (rank, hour) pairs; the 28 hours across block edges sweep
+		// their tables themselves.
+		want := map[string]int{"table_slots": 28, "pair_slots": 157, "fallback_slots": 7, "biased_reused": 160,
+			"pairs_swept": 118, "pairs_tied": 0}
 		for name, n := range want {
 			v, ok := boot.Attr(name)
 			switch {
