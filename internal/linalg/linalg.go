@@ -268,17 +268,39 @@ func Inverse(a *Matrix) (*Matrix, error) {
 // Householder QR. A must have at least as many rows as columns and full
 // column rank.
 func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	if a.rows < a.cols {
-		return nil, ErrShape
-	}
 	if len(b) != a.rows {
 		return nil, ErrShape
 	}
-	m, n := a.rows, a.cols
-	r := a.Clone()
-	y := make([]float64, m)
-	copy(y, b)
+	qr, err := FactorQR(a)
+	if err != nil {
+		return nil, err
+	}
+	return qr.Solve(b)
+}
 
+// QR is the Householder QR factorization of a matrix with at least as many
+// rows as columns, kept to solve least-squares systems over the same matrix
+// for many right-hand sides: Solve applies the reflectors to b in the order
+// they were made, so the factorization done once and applied per call gives
+// the bits of factoring per call.
+type QR struct {
+	// r holds R on and above the diagonal and, below it, the tail of each
+	// column's reflector v = (v0[k], r[k+1..m-1, k]).
+	r    *Matrix
+	v0   []float64
+	beta []float64 // 2/(vᵀv)
+	skip []bool    // vᵀv was 0: column k reflects nothing
+}
+
+// FactorQR factors a by Householder reflections. a must have at least as
+// many rows as columns and full column rank.
+func FactorQR(a *Matrix) (*QR, error) {
+	if a.rows < a.cols {
+		return nil, ErrShape
+	}
+	m, n := a.rows, a.cols
+	qr := &QR{r: a.Clone(), v0: make([]float64, n), beta: make([]float64, n), skip: make([]bool, n)}
+	r := qr.r
 	for k := 0; k < n; k++ {
 		// Householder vector for column k.
 		var norm float64
@@ -296,6 +318,7 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 		// v = x - norm*e1, stored in column k below the diagonal.
 		v0 := r.At(k, k) - norm
 		r.Set(k, k, norm)
+		qr.v0[k] = v0
 		// beta = 2 / (v'v); v = (v0, r[k+1..m-1, k])
 		vtv := v0 * v0
 		for i := k + 1; i < m; i++ {
@@ -303,9 +326,11 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 			vtv += vi * vi
 		}
 		if vtv == 0 {
+			qr.skip[k] = true
 			continue
 		}
 		beta := 2 / vtv
+		qr.beta[k] = beta
 		// Apply reflector to remaining columns.
 		for j := k + 1; j < n; j++ {
 			dot := v0 * r.At(k, j)
@@ -318,12 +343,30 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 				r.Set(i, j, r.At(i, j)-f*r.At(i, k))
 			}
 		}
-		// Apply reflector to y.
+	}
+	return qr, nil
+}
+
+// Solve returns the x minimizing ‖A·x − b‖₂ for the factored A.
+func (qr *QR) Solve(b []float64) ([]float64, error) {
+	r := qr.r
+	m, n := r.rows, r.cols
+	if len(b) != m {
+		return nil, ErrShape
+	}
+	y := make([]float64, m)
+	copy(y, b)
+	for k := 0; k < n; k++ {
+		if qr.skip[k] {
+			continue
+		}
+		// Apply reflector k to y.
+		v0 := qr.v0[k]
 		dot := v0 * y[k]
 		for i := k + 1; i < m; i++ {
 			dot += r.At(i, k) * y[i]
 		}
-		f := beta * dot
+		f := qr.beta[k] * dot
 		y[k] -= f * v0
 		for i := k + 1; i < m; i++ {
 			y[i] -= f * r.At(i, k)
@@ -354,6 +397,12 @@ func PolyFit(xs, ys []float64, degree int) ([]float64, error) {
 	if degree < 0 || len(xs) < degree+1 {
 		return nil, ErrShape
 	}
+	return LeastSquares(Vandermonde(xs, degree), ys)
+}
+
+// Vandermonde returns the len(xs)×(degree+1) matrix of the powers x⁰..x^degree
+// of each x: PolyFit's least-squares system.
+func Vandermonde(xs []float64, degree int) *Matrix {
 	a := NewMatrix(len(xs), degree+1)
 	for i, x := range xs {
 		p := 1.0
@@ -362,7 +411,7 @@ func PolyFit(xs, ys []float64, degree int) ([]float64, error) {
 			p *= x
 		}
 	}
-	return LeastSquares(a, ys)
+	return a
 }
 
 // PolyEval evaluates the polynomial with coefficients c (lowest order first)

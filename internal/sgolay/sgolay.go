@@ -25,6 +25,10 @@ type Filter struct {
 	degree int
 	deriv  int
 	coeff  []float64 // center convolution coefficients, length=window
+	// edge is the factored least-squares system of a whole-window fit at
+	// offsets 0..window-1: PolyFit's, factored once, so the edge fits of
+	// every Apply give PolyFit's bits without refactoring it.
+	edge *linalg.QR
 }
 
 // New returns a smoothing filter (derivative order 0). Window must be odd,
@@ -52,7 +56,20 @@ func NewDeriv(window, degree, deriv int) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Filter{window: window, degree: degree, deriv: deriv, coeff: coeff}, nil
+	edge, err := linalg.FactorQR(linalg.Vandermonde(offsets(window), degree))
+	if err != nil {
+		return nil, err
+	}
+	return &Filter{window: window, degree: degree, deriv: deriv, coeff: coeff, edge: edge}, nil
+}
+
+// offsets returns 0, 1, …, n-1 as float64.
+func offsets(n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(i)
+	}
+	return xs
 }
 
 // Window returns the filter's window length.
@@ -121,13 +138,11 @@ func (f *Filter) Apply(ys []float64) ([]float64, error) {
 	}
 	out := make([]float64, n)
 	if n < f.window {
-		deg := f.degree
-		if deg > n-1 {
-			deg = n - 1
-		}
-		if err := f.fitSegment(ys, deg, out, 0, n); err != nil {
+		c, err := linalg.PolyFit(offsets(n), ys, min(f.degree, n-1))
+		if err != nil {
 			return nil, err
 		}
+		f.eval(c, out, 0, n)
 		return out, nil
 	}
 	m := f.window / 2
@@ -141,36 +156,28 @@ func (f *Filter) Apply(ys []float64) ([]float64, error) {
 		out[i] = s
 	}
 	// Leading edge: fit the first window once, evaluate at offsets 0..m-1.
-	if err := f.fitSegment(ys[:f.window], f.degree, out, 0, m); err != nil {
+	c, err := f.edge.Solve(ys[:f.window])
+	if err != nil {
 		return nil, err
 	}
+	f.eval(c, out[:m], 0, m)
 	// Trailing edge: fit the last window, evaluate at the final m offsets.
-	tail := make([]float64, m)
-	if err := f.fitSegment(ys[n-f.window:], f.degree, tail, f.window-m, f.window); err != nil {
+	if c, err = f.edge.Solve(ys[n-f.window:]); err != nil {
 		return nil, err
 	}
-	copy(out[n-m:], tail)
+	f.eval(c, out[n-m:], f.window-m, f.window)
 	return out, nil
 }
 
-// fitSegment fits one polynomial of degree deg to seg and writes the fitted
-// values (or derivative) for offsets [lo, hi) into dst[0:hi-lo].
-func (f *Filter) fitSegment(seg []float64, deg int, dst []float64, lo, hi int) error {
-	xs := make([]float64, len(seg))
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	c, err := linalg.PolyFit(xs, seg, deg)
-	if err != nil {
-		return err
-	}
+// eval writes the values (or derivative) of the fitted polynomial c at
+// offsets [lo, hi) into dst[0:hi-lo].
+func (f *Filter) eval(c []float64, dst []float64, lo, hi int) {
 	for d := 0; d < f.deriv; d++ {
 		c = differentiate(c)
 	}
 	for i := lo; i < hi; i++ {
 		dst[i-lo] = linalg.PolyEval(c, float64(i))
 	}
-	return nil
 }
 
 // differentiate returns the coefficients of the derivative polynomial.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"autosens/internal/linalg"
 	"autosens/internal/rng"
 )
 
@@ -258,6 +259,55 @@ func BenchmarkSmooth101x3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := f.Apply(ys); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestEdgesMatchPolyFit holds Apply's edge points, fitted from the
+// factorization New keeps, to the fit linalg.PolyFit makes of the same
+// window, bit for bit: on random series, at the paper's window and degree
+// and at small ones, smoothing and differentiating.
+func TestEdgesMatchPolyFit(t *testing.T) {
+	s := rng.New(7)
+	for _, c := range []struct{ window, degree, deriv int }{{101, 3, 0}, {101, 3, 1}, {7, 2, 0}, {5, 4, 2}} {
+		f, err := NewDeriv(c.window, c.degree, c.deriv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := c.window / 2
+		xs := make([]float64, c.window)
+		for i := range xs {
+			xs[i] = float64(i)
+		}
+		for trial := 0; trial < 20; trial++ {
+			ys := make([]float64, c.window+s.Intn(3*c.window))
+			for i := range ys {
+				ys[i] = s.LogNormal(0, 1) * math.Pow(10, float64(s.Intn(7)-3))
+			}
+			out, err := f.Apply(ys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := len(ys)
+			for _, edge := range []struct {
+				seg    []float64
+				lo, at int // first offset in the window, first index in out
+			}{{ys[:c.window], 0, 0}, {ys[n-c.window:], c.window - m, n - m}} {
+				coef, err := linalg.PolyFit(xs, edge.seg, c.degree)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d := 0; d < c.deriv; d++ {
+					coef = differentiate(coef)
+				}
+				for i := 0; i < m; i++ {
+					want := linalg.PolyEval(coef, float64(edge.lo+i))
+					if got := out[edge.at+i]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("window %d degree %d deriv %d, n=%d: out[%d] = %v, PolyFit gives %v",
+							c.window, c.degree, c.deriv, n, edge.at+i, got, want)
+					}
+				}
+			}
 		}
 	}
 }
