@@ -71,6 +71,41 @@ func TestTBINMaxFrameBeaconDecodeBounded(t *testing.T) {
 	}
 }
 
+// TestTBINLongDictionaryBeaconDecodeBounded sends one frame as large as a
+// beacon body may be, holding one record behind a tz dictionary of every
+// byte left: a dictionary longer than its block's record count is refused
+// before any entry is decoded, so the request costs at most its body and a
+// little more, and answers 400.
+func TestTBINLongDictionaryBeaconDecodeBounded(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	const header = len("TBN1") + 1 + 4 + 4 // magic, count, length and dictionary-length varints
+	record := []byte{0, 0, 1, 0}           // tag, time delta, user, tz index
+	record = binary.LittleEndian.AppendUint64(record, math.Float64bits(1))
+	dictLen := DefaultMaxBatchBytes - header - len(record)
+	payload := binary.AppendUvarint(nil, uint64(dictLen))
+	payload = append(payload, make([]byte, dictLen)...) // offset 0, dictLen times
+	payload = append(payload, record...)
+	body := binary.AppendUvarint([]byte("TBN1"), 1)
+	body = binary.AppendUvarint(body, uint64(len(payload)))
+	body = append(body, payload...)
+	if len(body) > DefaultMaxBatchBytes {
+		t.Fatalf("body of %d bytes exceeds %d", len(body), DefaultMaxBatchBytes)
+	}
+	dst := make([]telemetry.Record, 0, DefaultMaxBatchRecords)
+	in := bytes.NewReader(body)
+	decode := func() {
+		in.Reset(body)
+		if _, status, _, msg := srv.readBatchTBIN(in, dst[:0]); status != http.StatusBadRequest {
+			t.Fatalf("status %d %s, want 400", status, msg)
+		}
+	}
+	_, perDecode := steadyAllocs(decode)
+	if limit := uint64(len(body)) + 1<<20; perDecode > limit {
+		t.Fatalf("a %d-byte frame with a %d-entry dictionary costs %d bytes to decode; want at most %d",
+			len(body), dictLen, perDecode, limit)
+	}
+}
+
 // steadyAllocs returns f's allocations and bytes allocated per call, the
 // least of five measurements: the counters are process-wide, so a
 // goroutine an earlier test left winding down can only add to them.

@@ -384,8 +384,10 @@ func (c *TBINColumns) start(p []byte, count, block, first int) (tbinCursor, erro
 	c.truncate(0)
 	// Once the dictionary is read, the block counts as started.
 	cur := tbinCursor{p: p, count: count, block: block + 1, first: first}
+	// The dictionary holds the distinct offsets the block's records use, so
+	// it has no more entries than the block has records.
 	dictLen, pos := binary.Uvarint(p)
-	if pos <= 0 || dictLen > uint64(len(p)) {
+	if pos <= 0 || dictLen > uint64(len(p)) || dictLen > uint64(count) {
 		return cur, tbinErr(block, "bad tz dictionary length")
 	}
 	c.dict = c.dict[:0]

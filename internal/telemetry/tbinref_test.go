@@ -99,7 +99,7 @@ func (t *refTBINReader) nextBlock() error {
 	_, _ = io.ReadFull(t.r, t.payload) // in range: checked above
 	t.pos, t.prevTime = 0, 0
 	dictLen, ok := t.uvarint()
-	if !ok || dictLen > uint64(len(t.payload)) {
+	if !ok || dictLen > uint64(len(t.payload)) || dictLen > count {
 		return t.errf("bad tz dictionary length")
 	}
 	t.dict = t.dict[:0]
