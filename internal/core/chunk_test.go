@@ -266,8 +266,7 @@ func TestIncrementalChunkedSweeps(t *testing.T) {
 // sample_unbiased spans, and the serial fallback counted once per redraw.
 func TestKeyScheduleObservability(t *testing.T) {
 	splitSmall(t, 256)
-	old := metricsPtr.Load()
-	t.Cleanup(func() { metricsPtr.Store(old) })
+	isolateMetrics(t)
 	reg := obs.NewRegistry()
 	EnableMetrics(reg)
 	fallbacks := reg.Counter("autosens_core_key_stream_fallbacks_total", "")
