@@ -7,7 +7,6 @@
 package des
 
 import (
-	"container/heap"
 	"errors"
 
 	"autosens/internal/timeutil"
@@ -23,23 +22,62 @@ type item struct {
 	fn  Event
 }
 
+// before is the queue order: time, then scheduling sequence. seq is unique,
+// so the order is total and any correct heap fires the same sequence.
+func (a *item) before(b *item) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of items in (at, seq) order, stored by
+// value so scheduling an event allocates nothing once the slice has grown.
 type eventHeap []item
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(it item) {
+	q := append(*h, it)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !it.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = it
+	*h = q
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(item)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+// pop removes the earliest item; the heap must be non-empty.
+func (h *eventHeap) pop() item {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = item{} // drop the callback reference
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // Simulator owns the event queue and the clock.
@@ -70,7 +108,7 @@ func (s *Simulator) At(at timeutil.Millis, fn Event) error {
 	if at < s.now {
 		return ErrPast
 	}
-	heap.Push(&s.queue, item{at: at, seq: s.seq, fn: fn})
+	s.queue.push(item{at: at, seq: s.seq, fn: fn})
 	s.seq++
 	return nil
 }
@@ -91,11 +129,10 @@ func (s *Simulator) Run(horizon timeutil.Millis) int {
 	s.stopped = false
 	executed := 0
 	for len(s.queue) > 0 && !s.stopped {
-		next := s.queue[0]
-		if next.at >= horizon {
+		if s.queue[0].at >= horizon {
 			break
 		}
-		heap.Pop(&s.queue)
+		next := s.queue.pop()
 		s.now = next.at
 		next.fn(s.now)
 		executed++
