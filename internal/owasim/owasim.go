@@ -166,19 +166,23 @@ type Result struct {
 
 // userState is the per-user simulation state.
 type userState struct {
-	user       userpop.User
-	src        *rng.Source
-	perceived  float64         // EWMA of observed service condition factor
-	lastObs    timeutil.Millis // time of last accepted action
-	hasObs     bool
-	maxRate    float64 // candidate (thinning envelope) rate per ms
-	injectMS   float64 // A/B treatment delay added to every action
-	incidentIn []bool  // per-incident membership, precomputed
+	user      userpop.User
+	src       *rng.Source
+	perceived float64         // EWMA of observed service condition factor
+	lastObs   timeutil.Millis // time of last accepted action
+	hasObs    bool
+	maxRate   float64 // candidate (thinning envelope) rate per ms
+	accept    float64 // acceptBound: rate/maxRate ≤ diurnal·accept
+	injectMS  float64 // A/B treatment delay added to every action
+	// gamma is truth.Gamma for the user in each local period, before any
+	// scheduled preference shift.
+	gamma      [timeutil.NumPeriods]float64
+	incidentIn []bool // per-incident membership, precomputed
 }
 
 // incidentFactor is the combined scheduled-incident severity this user's
 // actions experience at time now.
-func (st *userState) incidentFactor(cfg Config, now timeutil.Millis) float64 {
+func (st *userState) incidentFactor(cfg *Config, now timeutil.Millis) float64 {
 	if cfg.Regimes == nil {
 		return 1
 	}
@@ -227,32 +231,40 @@ func RunTo(cfg Config, sink func(telemetry.Record) error, out *Result) error {
 
 	sim := des.New()
 	var sinkErr error
-	states := make([]*userState, len(users))
-	for i, u := range users {
-		st := &userState{
-			user: u,
-			src:  root.Split(0xa11ce00 + u.ID),
-			// Envelope: peak rate × diurnal max × sensitivity cap,
-			// converted to events per millisecond.
-			maxRate: u.RatePerHour * u.Diurnal.Max() * maxWeekend(u.WeekendFactor) * cfg.Truth.MaxEval / float64(timeutil.MillisPerHour),
-		}
-		if cfg.ABTest != nil && InTreatment(cfg.Seed, u.ID, cfg.ABTest.Fraction) {
-			st.injectMS = cfg.ABTest.AddMS
-		}
-		if cfg.Regimes != nil {
-			st.incidentIn = make([]bool, len(cfg.Regimes.LatencyIncidents))
-			for k, inc := range cfg.Regimes.LatencyIncidents {
-				st.incidentIn[k] = InIncident(cfg.Seed, k, u.ID, inc.UserFraction)
-			}
-		}
-		states[i] = st
+	for _, u := range users {
+		st := newUserState(&cfg, u, root.Split(0xa11ce00+u.ID))
 		first := timeutil.Millis(st.src.Exp(st.maxRate))
-		if err := sim.At(first, makeCandidate(sim, st, cfg, model, sink, &sinkErr)); err != nil {
+		if err := sim.At(first, makeCandidate(sim, st, &cfg, model, sink, &sinkErr)); err != nil {
 			return err
 		}
 	}
 	sim.Run(cfg.Horizon)
 	return sinkErr
+}
+
+// newUserState returns u's simulation state, drawing from src.
+func newUserState(cfg *Config, u userpop.User, src *rng.Source) *userState {
+	st := &userState{
+		user: u,
+		src:  src,
+		// Envelope: peak rate × diurnal max × sensitivity cap,
+		// converted to events per millisecond.
+		maxRate: u.RatePerHour * u.Diurnal.Max() * maxWeekend(u.WeekendFactor) * cfg.Truth.MaxEval / float64(timeutil.MillisPerHour),
+	}
+	st.accept = acceptBound(u, cfg.Truth.MaxEval, st.maxRate)
+	for p := range st.gamma {
+		st.gamma[p] = cfg.Truth.Gamma(u.Type, u.NetMult, timeutil.Period(p))
+	}
+	if cfg.ABTest != nil && InTreatment(cfg.Seed, u.ID, cfg.ABTest.Fraction) {
+		st.injectMS = cfg.ABTest.AddMS
+	}
+	if cfg.Regimes != nil {
+		st.incidentIn = make([]bool, len(cfg.Regimes.LatencyIncidents))
+		for k, inc := range cfg.Regimes.LatencyIncidents {
+			st.incidentIn[k] = InIncident(cfg.Seed, k, u.ID, inc.UserFraction)
+		}
+	}
+	return st
 }
 
 // maxWeekend returns the envelope contribution of the weekend factor: 1
@@ -264,13 +276,46 @@ func maxWeekend(f float64) float64 {
 	return 1
 }
 
+// acceptBound returns the per-user factor that, times the diurnal activity
+// step computes, bounds the thinning probability rate/maxRate step computes
+// from above, whatever the preference curves return:
+//
+//	accept = RatePerHour·MixTotal·MaxEval/H/maxRate · (1+1e-9)
+//
+// Every p_a is capped at MaxEval (a NaN p_a makes rate NaN, which rejects
+// either way), every mix weight is non-negative, and rounding to nearest is
+// monotone, so the computed intensity Σ mix_a·p_a is at most the same sum
+// computed with every p_a = MaxEval, which is at most MaxEval·Σ mix_a·(1+u)^4
+// (u = 2^-53, one rounding per product and per addition); the computed
+// MixTotal is at least Σ mix_a·(1-u)^3. The four operations from intensity
+// to rate/maxRate add (1+u)^4 above the exact quotient, and the six from the
+// user's fields to diurnal·accept (with the rounded 1+1e-9) take at most
+// (1-u)^7 below it. So the computed rate/maxRate is at most diurnal·accept ·
+// (1+u)^8/((1-u)^10·(1+1e-9)), and that factor is below 1 since
+// (1+u)^8/(1-u)^10 < 1+19u ≈ 1+2e-15. The argument holds while no product
+// is subnormal, true of any diurnal multiplier that is 0 or above 1e-280;
+// a zero multiplier makes both sides 0 and rejects.
+func acceptBound(u userpop.User, maxEval, maxRate float64) float64 {
+	return u.RatePerHour * u.MixTotal() * maxEval / float64(timeutil.MillisPerHour) / maxRate * (1 + 1e-9)
+}
+
+// onCandidate, when set (by tests only), is called for every candidate
+// instant the simulation handles.
+var onCandidate func(userID uint64, now timeutil.Millis)
+
 // makeCandidate returns the DES event handling one thinning candidate for
-// st, which re-schedules itself until the horizon.
-func makeCandidate(sim *des.Simulator, st *userState, cfg Config, model *latencymodel.Model, sink func(telemetry.Record) error, sinkErr *error) des.Event {
+// st, which re-schedules itself until the horizon. Once the sink refuses a
+// record the run stops: no user draws another candidate.
+func makeCandidate(sim *des.Simulator, st *userState, cfg *Config, model *latencymodel.Model, sink func(telemetry.Record) error, sinkErr *error) des.Event {
 	var fire des.Event
 	fire = func(now timeutil.Millis) {
-		if *sinkErr == nil {
-			step(now, st, cfg, model, sink, sinkErr)
+		if onCandidate != nil {
+			onCandidate(st.user.ID, now)
+		}
+		step(now, st, cfg, model, sink, sinkErr)
+		if *sinkErr != nil {
+			sim.Stop()
+			return
 		}
 		next := now + timeutil.Millis(st.src.Exp(st.maxRate)) + 1
 		if next < cfg.Horizon {
@@ -284,9 +329,22 @@ func makeCandidate(sim *des.Simulator, st *userState, cfg Config, model *latency
 
 // step processes one candidate instant for a user: thinning acceptance,
 // action-type choice, latency draw, record emission.
-func step(now timeutil.Millis, st *userState, cfg Config, model *latencymodel.Model, sink func(telemetry.Record) error, sinkErr *error) {
-	u := st.user
-	truth := cfg.Truth
+func step(now timeutil.Millis, st *userState, cfg *Config, model *latencymodel.Model, sink func(telemetry.Record) error, sinkErr *error) {
+	u := &st.user
+	truth := &cfg.Truth
+
+	diurnal := u.Diurnal.AtTime(now, u.TZOffset)
+	if timeutil.IsWeekend(now, u.TZOffset) {
+		diurnal *= u.WeekendFactor
+	}
+	// Thinning accepts when a uniform draw falls below rate/maxRate. Draw
+	// it first: at or above diurnal·accept, which bounds rate/maxRate
+	// (acceptBound), the candidate is rejected without evaluating the
+	// preference curves.
+	x := st.src.Float64()
+	if x >= diurnal*st.accept {
+		return
+	}
 
 	// The condition factor the user currently perceives. A scheduled
 	// incident is part of the service condition: it inflates the true
@@ -299,14 +357,9 @@ func step(now timeutil.Millis, st *userState, cfg Config, model *latencymodel.Mo
 		perceived = st.perceived
 	}
 
-	period := timeutil.PeriodOf(now, u.TZOffset)
-	gamma := truth.Gamma(u.Type, u.NetMult, period)
+	gamma := st.gamma[timeutil.PeriodOf(now, u.TZOffset)]
 	if cfg.Regimes != nil {
 		gamma *= cfg.Regimes.gammaScale(now)
-	}
-	diurnal := u.Diurnal.AtTime(now, u.TZOffset)
-	if timeutil.IsWeekend(now, u.TZOffset) {
-		diurnal *= u.WeekendFactor
 	}
 
 	// Per-action intensity under the planted preference.
@@ -323,7 +376,7 @@ func step(now timeutil.Millis, st *userState, cfg Config, model *latencymodel.Mo
 		intensity += w
 	}
 	rate := u.RatePerHour * diurnal * intensity / float64(timeutil.MillisPerHour)
-	if !st.src.Bool(rate / st.maxRate) {
+	if !(x < rate/st.maxRate) {
 		return
 	}
 

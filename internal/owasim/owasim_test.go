@@ -272,6 +272,39 @@ func TestSinkErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestSinkRefusalStopsRun checks that a refusal ends the run: no user's
+// candidate is handled after the candidate whose record the sink refused,
+// though the unrefused run goes on to handle many more.
+func TestSinkRefusalStopsRun(t *testing.T) {
+	candidates := 0
+	onCandidate = func(uint64, timeutil.Millis) { candidates++ }
+	defer func() { onCandidate = nil }()
+
+	if err := RunTo(smallConfig(), func(telemetry.Record) error { return nil }, nil); err != nil {
+		t.Fatal(err)
+	}
+	all := candidates
+
+	candidates = 0
+	records, atRefusal := 0, -1
+	err := RunTo(smallConfig(), func(telemetry.Record) error {
+		if records++; records == 1000 {
+			atRefusal = candidates
+			return errRefuse
+		}
+		return nil
+	}, nil)
+	if !errors.Is(err, errRefuse) {
+		t.Fatalf("RunTo = %v, want the sink's refusal", err)
+	}
+	if candidates != atRefusal {
+		t.Fatalf("%d candidates handled after the refusal at candidate %d", candidates-atRefusal, atRefusal)
+	}
+	if records != 1000 || 2*atRefusal > all {
+		t.Fatalf("refused at record %d, candidate %d of %d: want record 1000 early in the run", records, atRefusal, all)
+	}
+}
+
 func TestMonths(t *testing.T) {
 	day := timeutil.MillisPerDay
 	mk := func(tm timeutil.Millis) telemetry.Record {
