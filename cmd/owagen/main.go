@@ -1,5 +1,5 @@
 // Command owagen generates synthetic OWA telemetry with the planted
-// ground-truth latency sensitivity, writing JSONL or CSV logs that the
+// ground-truth latency sensitivity, writing JSONL, CSV or TBIN logs that the
 // autosens analyzer consumes.
 //
 // Example:
@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"autosens/internal/owasim"
@@ -18,29 +20,45 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+	case err != nil:
 		fmt.Fprintln(os.Stderr, "owagen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	days := flag.Int("days", 14, "observation window length in days (59 covers Jan+Feb)")
-	business := flag.Int("business", 100, "number of business users")
-	consumer := flag.Int("consumer", 100, "number of consumer users")
-	seed := flag.Uint64("seed", 1, "simulation seed (reruns are bit-identical)")
-	out := flag.String("out", "-", "output path, or - for stdout")
+// run is the whole command: it writes the log to stdout (or -out) and its
+// summary line and flag errors to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("owagen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	days := fs.Int("days", 14, "observation window length in days (59 covers Jan+Feb)")
+	business := fs.Int("business", 100, "number of business users")
+	consumer := fs.Int("consumer", 100, "number of consumer users")
+	seed := fs.Uint64("seed", 1, "simulation seed (reruns are bit-identical)")
+	out := fs.String("out", "-", "output path, or - for stdout")
 	format := telemetry.NewFormatFlag(telemetry.JSONL)
-	flag.Var(format, "format", "output format: "+format.Choices())
-	failures := flag.Float64("failures", 0.01, "fraction of actions that fail")
-	flag.Parse()
-
+	fs.Var(format, "format", "output format: "+format.Choices())
+	failures := fs.Float64("failures", 0.01, "fraction of actions that fail")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	if *days <= 0 {
 		return fmt.Errorf("days must be positive, got %d", *days)
 	}
-	f := format.Format()
+	cfg := owasim.DefaultConfig(timeutil.Millis(*days)*timeutil.MillisPerDay, *business, *consumer)
+	cfg.Seed = *seed
+	cfg.FailureRate = *failures
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 
-	dst := os.Stdout
+	dst := stdout
 	if *out != "-" {
 		file, err := os.Create(*out)
 		if err != nil {
@@ -49,18 +67,14 @@ func run() error {
 		defer file.Close()
 		dst = file
 	}
-	w := telemetry.NewWriter(dst, f)
-
-	cfg := owasim.DefaultConfig(timeutil.Millis(*days)*timeutil.MillisPerDay, *business, *consumer)
-	cfg.Seed = *seed
-	cfg.FailureRate = *failures
+	w := telemetry.NewWriter(dst, format.Format())
 	if err := owasim.RunTo(cfg, w.Write, nil); err != nil {
 		return err
 	}
 	if err := w.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "owagen: wrote %d records (%d days, %d users, seed %d)\n",
+	fmt.Fprintf(stderr, "owagen: wrote %d records (%d days, %d users, seed %d)\n",
 		w.Count(), *days, *business+*consumer, *seed)
 	return nil
 }
