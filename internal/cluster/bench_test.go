@@ -107,9 +107,8 @@ func startBenchNode(b *testing.B, dir string) *benchNode {
 // BenchmarkClusterIngest measures aggregate durable ingest throughput of
 // the full HTTP stack at 1 and 4 nodes. One op ships the same fixed
 // 8000-record workload; with N nodes the ring splits it into N placement
-// partitions shipped concurrently by per-node senders (what loadgen's
-// cluster mode does). The acceptance ratio is nodes=1 ns/op over nodes=4
-// ns/op.
+// partitions shipped concurrently by per-node senders. The acceptance
+// ratio is nodes=1 ns/op over nodes=4 ns/op.
 func BenchmarkClusterIngest(b *testing.B) {
 	for _, nodes := range []int{1, 4} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {

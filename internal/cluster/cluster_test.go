@@ -302,7 +302,7 @@ func TestGoldenClusterOverHTTP(t *testing.T) {
 func TestCoordinatorServesCurvesHandler(t *testing.T) {
 	stream := genStream(4, 5000, timeutil.MillisPerDay)
 	_, coord := newLocalCluster(t, 2, stream)
-	srv := httptest.NewServer(live.NewCurvesHandler(coord))
+	srv := httptest.NewServer(live.NewCurvesHandlerWith(coord, live.CurvesHandlerOptions{}))
 	defer srv.Close()
 
 	get := func() (*http.Response, []byte) {

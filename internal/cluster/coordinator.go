@@ -45,10 +45,10 @@ type CoordinatorConfig struct {
 
 // Coordinator answers curve queries over a cluster by scatter-gathering
 // per-node partials, k-way merging them, and finishing the curve exactly
-// once. It implements live.Querier (so live.NewCurvesHandler serves
-// /v1/curves over it) and the watch store surface (Options, SliceVersion,
-// SnapshotSlice — so a watcher's alert detection reads cluster-wide
-// slices).
+// once. It implements live.WindowQuerier (so live.NewCurvesHandlerWith
+// serves /v1/curves over it) and the watch store surface (Options,
+// SliceVersion, SnapshotSlice — so a watcher's alert detection reads
+// cluster-wide slices).
 //
 // # Caching
 //
@@ -254,7 +254,7 @@ func (c *Coordinator) SliceVersion(key live.SliceKey) uint64 {
 
 // Query answers one curve query over the cluster. Clean slices are an
 // in-process cache hit; dirty slices scatter-gather every node's partial,
-// k-way merge, and finish the curve once. Implements live.Querier.
+// k-way merge, and finish the curve once.
 func (c *Coordinator) Query(key live.SliceKey, mode live.Mode, ci bool) (*live.Result, error) {
 	return c.QueryWindow(key, mode, ci, live.Window{})
 }
@@ -363,5 +363,4 @@ func partialColumns(p *api.Partial) core.Columns {
 	return core.Columns{Times: p.Times, Lats: p.Lats, Seqs: p.Seqs}
 }
 
-var _ live.Querier = (*Coordinator)(nil)
 var _ live.WindowQuerier = (*Coordinator)(nil)

@@ -1,6 +1,6 @@
 // Package cluster scales sensd from one process to N: a consistent-hash
-// ring places every user on exactly one node, the collector client and
-// loadgen route beacons by that placement, and a scatter-gather
+// ring places every user on exactly one node, a Router of collector
+// clients routes beacons by that placement, and a scatter-gather
 // coordinator answers /v1/curves (and the slice reads behind /v1/alerts)
 // by fetching per-node mergeable partials from GET /v1/partials, k-way
 // merging them, and finishing the curve exactly once.

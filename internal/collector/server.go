@@ -171,7 +171,7 @@ type ServerConfig struct {
 	Live LiveSink
 	// CurvesHandler, when non-nil, is mounted at api.PathCurves. The
 	// collector stays decoupled from the query engine: the handler is
-	// injected, typically live.Engine.CurvesHandler().
+	// injected, typically from live.NewCurvesHandlerWith.
 	CurvesHandler http.Handler
 	// AlertsHandler, when non-nil, is mounted at api.PathAlerts — injected,
 	// typically watch.Watcher.AlertsHandler().

@@ -145,7 +145,6 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 type LU struct {
 	lu    *Matrix
 	pivot []int
-	sign  int
 }
 
 // Decompose computes the LU decomposition of the square matrix a.
@@ -159,7 +158,6 @@ func Decompose(a *Matrix) (*LU, error) {
 	for i := range pivot {
 		pivot[i] = i
 	}
-	sign := 1
 	for col := 0; col < n; col++ {
 		// Find pivot.
 		p := col
@@ -178,7 +176,6 @@ func Decompose(a *Matrix) (*LU, error) {
 				lu.data[p*n+j], lu.data[col*n+j] = lu.data[col*n+j], lu.data[p*n+j]
 			}
 			pivot[p], pivot[col] = pivot[col], pivot[p]
-			sign = -sign
 		}
 		inv := 1 / lu.At(col, col)
 		for r := col + 1; r < n; r++ {
@@ -189,7 +186,7 @@ func Decompose(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, pivot: pivot, sign: sign}, nil
+	return &LU{lu: lu, pivot: pivot}, nil
 }
 
 // Solve solves A·x = b for the decomposed A.
@@ -219,15 +216,6 @@ func (d *LU) Solve(b []float64) ([]float64, error) {
 		x[i] = (x[i] - s) / d.lu.At(i, i)
 	}
 	return x, nil
-}
-
-// Det returns the determinant of the decomposed matrix.
-func (d *LU) Det() float64 {
-	det := float64(d.sign)
-	for i := 0; i < d.lu.rows; i++ {
-		det *= d.lu.At(i, i)
-	}
-	return det
 }
 
 // Solve solves the square system a·x = b.

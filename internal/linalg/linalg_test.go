@@ -181,17 +181,6 @@ func TestSolveRandomRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDet(t *testing.T) {
-	a := FromRows([][]float64{{3, 8}, {4, 6}})
-	d, err := Decompose(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(d.Det(), -14, 1e-10) {
-		t.Fatalf("Det = %v, want -14", d.Det())
-	}
-}
-
 func TestInverse(t *testing.T) {
 	a := FromRows([][]float64{{4, 7}, {2, 6}})
 	inv, err := Inverse(a)

@@ -13,18 +13,12 @@ import (
 	"autosens/internal/timeutil"
 )
 
-// Querier answers curve queries: the live engine locally, or a cluster
-// coordinator that scatter-gathers per-node partials. Implementations
-// return ErrNoRecords (possibly wrapped) for empty slices.
-type Querier interface {
-	Query(key SliceKey, mode Mode, ci bool) (*Result, error)
-}
-
-// WindowQuerier additionally answers windowed queries. Both the engine
-// and the cluster coordinator implement it; handlers built over a plain
-// Querier reject window parameters.
+// WindowQuerier answers curve queries, unwindowed and windowed: the live
+// engine locally, or a cluster coordinator that scatter-gathers per-node
+// partials. Implementations return ErrNoRecords (possibly wrapped) for
+// empty slices.
 type WindowQuerier interface {
-	Querier
+	Query(key SliceKey, mode Mode, ci bool) (*Result, error)
 	QueryWindow(key SliceKey, mode Mode, ci bool, win Window) (*Result, error)
 }
 
@@ -148,34 +142,21 @@ func appendCurvesJSON(b []byte, r *api.CurvesResponse) []byte {
 	return append(b, "}\n"...)
 }
 
-// NewCurvesHandler serves GET /v1/curves per the v1 contract over any
-// Querier:
+// NewCurvesHandlerWith serves GET /v1/curves per the v1 contract over q:
 //
 //	GET /v1/curves?slice=action:SelectMail,period:8am-2pm&mode=normalized&ci=1
-//
-// slice defaults to "all", mode to "plain". The X-Autosens-Cache header
-// reports "hit" or "miss". Equivalent to NewCurvesHandlerWith with zero
-// options; a request without window parameters is answered byte-identically
-// either way.
-func NewCurvesHandler(q Querier) http.Handler {
-	return NewCurvesHandlerWith(q, CurvesHandlerOptions{})
-}
-
-// NewCurvesHandlerWith is NewCurvesHandler plus the windowed side of the
-// contract:
-//
 //	GET /v1/curves?slice=...&window=24h            → trailing 24h ending now
 //	GET /v1/curves?slice=...&window=24h&at=<RFC3339> → 24h ending at `at`
 //
-// window must be a positive Go duration and, when opts.Retention is set,
-// no longer than it (error code window_exceeds_retention); at without
-// window is invalid_window. The response echoes the effective half-open
-// [from, to) actually served — after clamping the lower bound to
-// opts.OldestRetained — in window_ms/window_from_ms/window_to_ms.
-// Requests with no window parameters never touch the windowed path and
-// stay byte-identical to pre-window builds.
-func NewCurvesHandlerWith(q Querier, opts CurvesHandlerOptions) http.Handler {
-	wq, _ := q.(WindowQuerier)
+// slice defaults to "all", mode to "plain". The X-Autosens-Cache header
+// reports "hit" or "miss". window must be a positive Go duration and, when
+// opts.Retention is set, no longer than it (error code
+// window_exceeds_retention); at without window is invalid_window. The
+// response echoes the effective half-open [from, to) actually served —
+// after clamping the lower bound to opts.OldestRetained — in
+// window_ms/window_from_ms/window_to_ms. Requests with no window
+// parameters never touch the windowed path.
+func NewCurvesHandlerWith(q WindowQuerier, opts CurvesHandlerOptions) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			api.WriteError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed,
@@ -207,17 +188,12 @@ func NewCurvesHandlerWith(q Querier, opts CurvesHandlerOptions) http.Handler {
 		if !ok {
 			return
 		}
-		if !win.IsZero() && wq == nil {
-			api.WriteError(w, http.StatusBadRequest, api.CodeInvalidWindow,
-				"this endpoint does not serve windowed queries", 0)
-			return
-		}
 
 		var res *Result
 		if win.IsZero() {
 			res, err = q.Query(key, mode, ci)
 		} else {
-			res, err = wq.QueryWindow(key, mode, ci, win)
+			res, err = q.QueryWindow(key, mode, ci, win)
 		}
 		if err != nil {
 			if errors.Is(err, ErrNoRecords) {
@@ -261,6 +237,3 @@ func NewCurvesHandlerWith(q Querier, opts CurvesHandlerOptions) http.Handler {
 		curvesBufPool.Put(buf)
 	})
 }
-
-// CurvesHandler serves GET /v1/curves from this engine.
-func (e *Engine) CurvesHandler() http.Handler { return NewCurvesHandler(e) }

@@ -320,7 +320,7 @@ func TestCurvesHandler(t *testing.T) {
 	stream := genStream(5, 6000, 2*timeutil.MillisPerDay)
 	e := newTestEngine(t)
 	e.Append(stream)
-	srv := httptest.NewServer(e.CurvesHandler())
+	srv := httptest.NewServer(NewCurvesHandlerWith(e, CurvesHandlerOptions{}))
 	defer srv.Close()
 
 	get := func(url string) (*http.Response, []byte) {
@@ -413,7 +413,7 @@ func TestCurvesHandlerRefusals(t *testing.T) {
 	stream = append(stream, rec(telemetry.SwitchFolder, 59*hour, 300))
 	e := newTestEngine(t)
 	e.Append(stream)
-	srv := httptest.NewServer(e.CurvesHandler())
+	srv := httptest.NewServer(NewCurvesHandlerWith(e, CurvesHandlerOptions{}))
 	defer srv.Close()
 	twoReps := Config{Options: testOptions(), CI: core.DefaultCIOptions()}
 	twoReps.CI.Resamples, twoReps.CI.Seed = 2, 8
@@ -422,7 +422,7 @@ func TestCurvesHandlerRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2.Append(stream)
-	srv2 := httptest.NewServer(e2.CurvesHandler())
+	srv2 := httptest.NewServer(NewCurvesHandlerWith(e2, CurvesHandlerOptions{}))
 	defer srv2.Close()
 	at := "&window=48h&at=" + time.UnixMilli(int64(60*hour)).UTC().Format(time.RFC3339)
 	at72 := "&window=72h&at=" + time.UnixMilli(int64(60*hour)).UTC().Format(time.RFC3339)

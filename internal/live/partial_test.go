@@ -161,7 +161,7 @@ func TestCurvesHandlerCachedAllocs(t *testing.T) {
 	stream := genStream(9, 30000, 2*timeutil.MillisPerDay)
 	e := newTestEngine(t)
 	e.Append(stream)
-	h := e.CurvesHandler()
+	h := NewCurvesHandlerWith(e, CurvesHandlerOptions{})
 	req := httptest.NewRequest(http.MethodGet, api.PathCurves+"?slice=all", nil)
 	w := &nullRW{h: http.Header{}}
 	h.ServeHTTP(w, req) // prime the cache and the pools

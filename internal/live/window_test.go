@@ -37,7 +37,7 @@ func TestCurvesHandlerWindowContract(t *testing.T) {
 	}
 	srv := httptest.NewServer(NewCurvesHandlerWith(e, opts))
 	defer srv.Close()
-	plain := httptest.NewServer(NewCurvesHandler(e))
+	plain := httptest.NewServer(NewCurvesHandlerWith(e, CurvesHandlerOptions{}))
 	defer plain.Close()
 
 	get := func(srvURL, query string) (*http.Response, []byte) {

@@ -136,26 +136,6 @@ func DefBytesBuckets() []float64 {
 	return []float64{256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304, 16777216}
 }
 
-// LinearBuckets returns n bounds start, start+width, ….
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
-// ExponentialBuckets returns n bounds start, start·factor, ….
-func ExponentialBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 type metricKind int
 
 const (

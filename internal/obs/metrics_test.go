@@ -272,14 +272,6 @@ func TestConcurrentRegistryAccess(t *testing.T) {
 }
 
 func TestBucketHelpers(t *testing.T) {
-	lin := LinearBuckets(10, 5, 4)
-	if lin[0] != 10 || lin[3] != 25 {
-		t.Fatalf("linear %v", lin)
-	}
-	exp := ExponentialBuckets(1, 10, 3)
-	if exp[0] != 1 || exp[2] != 100 {
-		t.Fatalf("exponential %v", exp)
-	}
 	for _, bs := range [][]float64{DefLatencyBuckets(), DefSizeBuckets()} {
 		for i := 1; i < len(bs); i++ {
 			if bs[i] <= bs[i-1] {

@@ -93,18 +93,6 @@ func InIncident(runSeed uint64, i int, userID uint64, fraction float64) bool {
 	return h < fraction
 }
 
-// latencyFactor returns the combined severity multiplier the user's
-// actions experience at time now (1 when no incident covers them).
-func (s *RegimeSchedule) latencyFactor(runSeed uint64, now timeutil.Millis, userID uint64) float64 {
-	f := 1.0
-	for i, inc := range s.LatencyIncidents {
-		if now >= inc.Start && now < inc.End && InIncident(runSeed, i, userID, inc.UserFraction) {
-			f *= inc.Severity
-		}
-	}
-	return f
-}
-
 // gammaScale returns the combined γ multiplier active at time now.
 func (s *RegimeSchedule) gammaScale(now timeutil.Millis) float64 {
 	f := 1.0

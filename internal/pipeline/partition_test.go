@@ -41,7 +41,12 @@ func legacyByQuartile(records []telemetry.Record, action telemetry.ActionType) (
 	if err != nil {
 		return nil, err
 	}
-	groups := telemetry.ByQuartile(telemetry.ByAction(records, action), assign)
+	var groups [telemetry.NumQuartiles][]telemetry.Record
+	for _, r := range telemetry.ByAction(records, action) {
+		if q, ok := assign[r.UserID]; ok {
+			groups[q] = append(groups[q], r)
+		}
+	}
 	out := make([]Slice, 0, telemetry.NumQuartiles)
 	for q, rs := range groups {
 		out = append(out, SliceOf(fmt.Sprintf("%s/%s", action, telemetry.Quartile(q)), rs))

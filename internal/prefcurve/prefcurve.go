@@ -93,13 +93,6 @@ func (c *PiecewiseLinear) Eval(ms float64) float64 {
 	return a.Value + frac*(b.Value-a.Value)
 }
 
-// Anchors returns a copy of the curve's control points (sorted by latency).
-func (c *PiecewiseLinear) Anchors() []Anchor {
-	out := make([]Anchor, len(c.anchors))
-	copy(out, c.anchors)
-	return out
-}
-
 // ExpDecay is a smooth declining curve
 //
 //	p(L) = Floor + (1 − Floor)·exp(−max(0, L−Knee)/Tau)

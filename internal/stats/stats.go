@@ -137,38 +137,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 	return sxy / math.Sqrt(sxx*syy), nil
 }
 
-// Spearman returns the Spearman rank correlation of xs and ys. Ties receive
-// their average rank.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns the 1-based ranks of xs with ties assigned average ranks.
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
 // Autocorrelation returns the lag-k sample autocorrelation of the series —
 // a complementary locality diagnostic to the MSD/MAD ratio.
 func Autocorrelation(xs []float64, lag int) (float64, error) {
@@ -275,32 +243,6 @@ func Locality(xs []float64, src *rng.Source) (LocalityReport, error) {
 	return rep, nil
 }
 
-// BootstrapCI returns a percentile bootstrap confidence interval for the
-// statistic stat over xs, using resamples resampling rounds at confidence
-// level conf (e.g. 0.95).
-func BootstrapCI(xs []float64, stat func([]float64) float64, resamples int, conf float64, src *rng.Source) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	if resamples <= 0 {
-		return 0, 0, errors.New("stats: non-positive resample count")
-	}
-	if conf <= 0 || conf >= 1 {
-		return 0, 0, errors.New("stats: confidence level out of (0,1)")
-	}
-	vals := make([]float64, resamples)
-	buf := make([]float64, len(xs))
-	for r := 0; r < resamples; r++ {
-		for i := range buf {
-			buf[i] = xs[src.Intn(len(xs))]
-		}
-		vals[r] = stat(buf)
-	}
-	sort.Float64s(vals)
-	alpha := (1 - conf) / 2
-	return quantileSorted(vals, alpha), quantileSorted(vals, 1-alpha), nil
-}
-
 // KSDistance returns the two-sample Kolmogorov–Smirnov statistic: the
 // maximum absolute difference between the empirical CDFs of a and b.
 func KSDistance(a, b []float64) (float64, error) {
@@ -331,29 +273,6 @@ func KSDistance(a, b []float64) (float64, error) {
 		}
 	}
 	return d, nil
-}
-
-// WeightedMean returns the mean of xs weighted by ws. Weights must be
-// non-negative with a positive sum.
-func WeightedMean(xs, ws []float64) (float64, error) {
-	if len(xs) != len(ws) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	var sw, swx float64
-	for i := range xs {
-		if ws[i] < 0 {
-			return 0, errors.New("stats: negative weight")
-		}
-		sw += ws[i]
-		swx += ws[i] * xs[i]
-	}
-	if sw == 0 {
-		return 0, errors.New("stats: zero total weight")
-	}
-	return swx / sw, nil
 }
 
 // MeanIgnoringNaN averages the finite values in xs, skipping NaN/Inf

@@ -143,26 +143,6 @@ func TestPearsonErrors(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	// Monotone but non-linear relation: Spearman = 1.
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 8, 27, 64, 125}
-	r, err := Spearman(xs, ys)
-	if err != nil || math.Abs(r-1) > 1e-12 {
-		t.Fatalf("Spearman = %v, %v", r, err)
-	}
-}
-
-func TestRanksWithTies(t *testing.T) {
-	r := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", r, want)
-		}
-	}
-}
-
 func TestAutocorrelation(t *testing.T) {
 	// AR(1) with coefficient rho has lag-1 autocorrelation ~rho.
 	s := rng.New(77)
@@ -320,41 +300,6 @@ func TestLocalityReportOrdering(t *testing.T) {
 	}
 }
 
-func TestBootstrapCICoversMean(t *testing.T) {
-	s := rng.New(7)
-	xs := make([]float64, 500)
-	for i := range xs {
-		xs[i] = s.Normal(10, 2)
-	}
-	lo, hi, err := BootstrapCI(xs, func(v []float64) float64 {
-		m, _ := Mean(v)
-		return m
-	}, 500, 0.95, s.Split(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo > 10 || hi < 10 {
-		t.Fatalf("95%% CI [%v, %v] does not cover 10", lo, hi)
-	}
-	if hi-lo > 1 {
-		t.Fatalf("CI [%v, %v] too wide", lo, hi)
-	}
-}
-
-func TestBootstrapCIValidation(t *testing.T) {
-	s := rng.New(8)
-	id := func(v []float64) float64 { return 0 }
-	if _, _, err := BootstrapCI(nil, id, 10, 0.9, s); err == nil {
-		t.Fatal("empty sample accepted")
-	}
-	if _, _, err := BootstrapCI([]float64{1}, id, 0, 0.9, s); err == nil {
-		t.Fatal("zero resamples accepted")
-	}
-	if _, _, err := BootstrapCI([]float64{1}, id, 10, 1.5, s); err == nil {
-		t.Fatal("conf > 1 accepted")
-	}
-}
-
 func TestKSDistanceIdentical(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	d, err := KSDistance(a, a)
@@ -385,19 +330,6 @@ func TestKSDistanceShifted(t *testing.T) {
 	// Theoretical KS distance between N(0,1) and N(0.5,1) ≈ 0.197.
 	if math.Abs(d-0.197) > 0.04 {
 		t.Fatalf("KS shifted = %v, want ~0.197", d)
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	m, err := WeightedMean([]float64{1, 10}, []float64{3, 1})
-	if err != nil || math.Abs(m-3.25) > 1e-12 {
-		t.Fatalf("WeightedMean = %v, %v", m, err)
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{-1}); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	if _, err := WeightedMean([]float64{1}, []float64{0}); err == nil {
-		t.Fatal("zero total weight accepted")
 	}
 }
 

@@ -1,24 +1,17 @@
 package telemetry
 
-import "fmt"
-
-// FormatFlag is a flag.Value for -format flags, deduplicating the parsing
-// that owagen, autosens, sensd and loadgen each hand-rolled. Register it
-// with flag.Var:
+// FormatFlag is a flag.Value for -format flags, the one parser owagen,
+// autosens and sensd share. Register it with flag.Var:
 //
 //	format := telemetry.NewFormatFlag(telemetry.JSONL)
 //	flag.Var(format, "format", "telemetry format: "+format.Choices())
-//
-// Allowed restricts the accepted formats (nil allows all); wire-protocol
-// flags pass {JSONL, TBIN} since CSV has no wire encoding.
 type FormatFlag struct {
-	f       Format
-	Allowed []Format
+	f Format
 }
 
 // NewFormatFlag returns a FormatFlag defaulting to def.
-func NewFormatFlag(def Format, allowed ...Format) *FormatFlag {
-	return &FormatFlag{f: def, Allowed: allowed}
+func NewFormatFlag(def Format) *FormatFlag {
+	return &FormatFlag{f: def}
 }
 
 // Format returns the selected format.
@@ -32,24 +25,11 @@ func (ff *FormatFlag) String() string {
 	return ff.f.String()
 }
 
-// Set implements flag.Value, accepting the ParseFormat names plus "json"
-// as an alias for jsonl (the wire encoding is a JSON array).
+// Set implements flag.Value, accepting the ParseFormat names.
 func (ff *FormatFlag) Set(s string) error {
 	f, err := ParseFormat(s)
 	if err != nil {
 		return err
-	}
-	if len(ff.Allowed) > 0 {
-		ok := false
-		for _, a := range ff.Allowed {
-			if f == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("telemetry: format %q not supported here (want %s)", s, ff.Choices())
-		}
 	}
 	ff.f = f
 	return nil
@@ -57,12 +37,8 @@ func (ff *FormatFlag) Set(s string) error {
 
 // Choices renders the accepted format names for flag usage strings.
 func (ff *FormatFlag) Choices() string {
-	formats := ff.Allowed
-	if len(formats) == 0 {
-		formats = []Format{JSONL, CSV, TBIN}
-	}
 	out := ""
-	for i, f := range formats {
+	for i, f := range []Format{JSONL, CSV, TBIN} {
 		if i > 0 {
 			out += ", "
 		}

@@ -418,17 +418,3 @@ func (m perUser) quartiles() ([]Quartile, [3]float64, error) {
 	}
 	return out, cuts, nil
 }
-
-// ByQuartile splits records by their user's quartile assignment. Records of
-// users missing from the map are dropped.
-func ByQuartile(rs []Record, assign map[uint64]Quartile) [NumQuartiles][]Record {
-	var out [NumQuartiles][]Record
-	for _, r := range rs {
-		q, ok := assign[r.UserID]
-		if !ok {
-			continue
-		}
-		out[q] = append(out[q], r)
-	}
-	return out
-}

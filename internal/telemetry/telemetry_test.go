@@ -173,19 +173,6 @@ func TestAssignQuartilesTooFewUsers(t *testing.T) {
 	}
 }
 
-func TestByQuartile(t *testing.T) {
-	rs := []Record{
-		rec(0, SelectMail, 1, 1),
-		rec(1, SelectMail, 2, 2),
-		rec(2, SelectMail, 3, 3), // not assigned
-	}
-	assign := map[uint64]Quartile{1: Q1, 2: Q4}
-	groups := ByQuartile(rs, assign)
-	if len(groups[Q1]) != 1 || len(groups[Q4]) != 1 || len(groups[Q2]) != 0 {
-		t.Fatalf("ByQuartile groups = %v", groups)
-	}
-}
-
 func TestQuartileString(t *testing.T) {
 	if Q1.String() != "Q1" || Q4.String() != "Q4" {
 		t.Fatal("quartile names wrong")

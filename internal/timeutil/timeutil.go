@@ -70,16 +70,6 @@ func IsWeekend(t Millis, tzOffset Millis) bool {
 	return d == 0 || d == 6
 }
 
-// HourSlot returns the absolute hour-slot index of t (no timezone shift);
-// these are the 1-hour slots of the paper's α estimation.
-func HourSlot(t Millis) int {
-	s := t / MillisPerHour
-	if t%MillisPerHour < 0 {
-		s--
-	}
-	return int(s)
-}
-
 // Period is one of the paper's four 6-hour local-time periods.
 type Period int
 

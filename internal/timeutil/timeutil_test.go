@@ -44,15 +44,6 @@ func TestDayIndex(t *testing.T) {
 	}
 }
 
-func TestHourSlot(t *testing.T) {
-	if HourSlot(0) != 0 || HourSlot(MillisPerHour) != 1 || HourSlot(MillisPerHour-1) != 0 {
-		t.Fatal("HourSlot basic cases failed")
-	}
-	if HourSlot(-1) != -1 {
-		t.Fatalf("HourSlot(-1) = %d, want -1", HourSlot(-1))
-	}
-}
-
 func TestPeriodOf(t *testing.T) {
 	cases := []struct {
 		hour int
