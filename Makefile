@@ -16,7 +16,7 @@ race:
 	$(GO) test -race ./...
 
 # race-ingest is the focused race gate for the durable ingest path
-# (mirrors the CI job): collector server/client + WAL under -race.
+# (mirrors the CI job): collector server + WAL under -race.
 race-ingest:
 	$(GO) test -race -count=1 ./internal/collector/... ./internal/wal/
 

@@ -96,7 +96,7 @@ func newFlags(fs *flag.FlagSet) *flags {
 	fs.StringVar(&c.AdminAddr, "admin-addr", "127.0.0.1:8788",
 		"admin listen address serving /metrics, /healthz and /debug/pprof/ (empty disables)")
 	fs.BoolVar(&c.Live, "live", false,
-		"keep an in-memory live query engine fed from acked beacons and serve GET /v1/curves")
+		"keep an in-memory live query engine fed from acked beacons and serve GET /v1/curves (requires -wal-dir)")
 	fs.IntVar(&c.Engine.Shards, "live-shards", live.DefaultShards, "live engine shard count")
 	fs.IntVar(&c.Engine.Workers, "live-workers", 0,
 		"live engine recompute parallelism (0 = GOMAXPROCS); results are bit-identical at any setting")

@@ -12,8 +12,10 @@ package examples
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -229,10 +231,10 @@ func Example_nonsticky() {
 }
 
 // Example_collector runs the network path in one process: a beacon
-// collection server sinking a TBIN log, one batching client shipping two
-// days of simulated beacons to it over HTTP, and the analysis of the
-// collected log through the CLI's TBIN load. One client posts its batches
-// in order, so the log, and the curve, are the same on every run.
+// collection server sinking a TBIN log, two days of simulated beacons
+// posted to it over HTTP, and the analysis of the collected log through
+// the CLI's TBIN load. One goroutine posts the batches in order, so the
+// log, and the curve, are the same on every run.
 func Example_collector() {
 	var sink bytes.Buffer
 	srv, err := collector.NewServer(collector.ServerConfig{
@@ -245,20 +247,39 @@ func Example_collector() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// No timed flushes: every batch is a full one, posted from Enqueue.
-	ccfg := collector.DefaultClientConfig("http://" + addr + "/v1/beacons")
-	ccfg.BatchSize = 400
-	ccfg.FlushInterval = 0
-	client, err := collector.NewClient(ccfg)
-	if err != nil {
-		log.Fatal(err)
+	url := "http://" + addr + "/v1/beacons"
+	// post ships one batch as a JSON array; the server acks it with 202
+	// once the sink has taken it.
+	post := func(batch []telemetry.Record) error {
+		body, err := json.Marshal(batch)
+		if err != nil {
+			return err
+		}
+		resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			return fmt.Errorf("POST %s: status %d", url, resp.StatusCode)
+		}
+		return nil
 	}
 	cfg := owasim.DefaultConfig(2*timeutil.MillisPerDay, 60, 60)
 	cfg.Seed = 5
-	if err := owasim.RunTo(cfg, client.Enqueue, nil); err != nil {
-		log.Fatal(err)
+	batch := make([]telemetry.Record, 0, 400)
+	err = owasim.RunTo(cfg, func(r telemetry.Record) error {
+		if batch = append(batch, r); len(batch) < cap(batch) {
+			return nil
+		}
+		err := post(batch)
+		batch = batch[:0]
+		return err
+	}, nil)
+	if err == nil && len(batch) > 0 {
+		err = post(batch)
 	}
-	if err := client.Close(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
 	// Shutdown waits for the sink writer and flushes the log.

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -31,7 +33,7 @@ import (
 const benchSyncDelay = 8 * time.Millisecond
 
 // benchIngestRecords is the fixed workload one benchmark op ships: 64
-// full client batches. Spread across users 1..8192 so the ring splits it
+// full 125-record batches. Spread across users 1..8192 so the ring splits it
 // close to uniformly.
 const (
 	benchIngestRecords = 64 * benchBatchSize
@@ -59,8 +61,8 @@ func benchStream(seed uint64, n int) []telemetry.Record {
 // latency includes the device stall — the property that makes the
 // throughput comparison meaningful.
 type benchNode struct {
-	srv    *collector.Server
-	client *collector.Client
+	srv *collector.Server
+	url string // the node's /v1/beacons endpoint
 }
 
 func startBenchNode(b *testing.B, dir string) *benchNode {
@@ -86,22 +88,39 @@ func startBenchNode(b *testing.B, dir string) *benchNode {
 	if err != nil {
 		b.Fatal(err)
 	}
-	client, err := collector.NewClient(collector.ClientConfig{
-		URL:       "http://" + addr + api.PathBeacons,
-		BatchSize: benchBatchSize,
-		Format:    telemetry.TBIN,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := &benchNode{srv: srv, client: client}
 	b.Cleanup(func() {
-		_ = client.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 	})
-	return n
+	return &benchNode{srv: srv, url: "http://" + addr + api.PathBeacons}
+}
+
+// ship encodes recs as benchBatchSize-record TBIN bodies and posts them
+// in order, each acked (202) before the next is sent.
+func (n *benchNode) ship(recs []telemetry.Record) error {
+	var buf bytes.Buffer
+	for lo := 0; lo < len(recs); lo += benchBatchSize {
+		hi := min(lo+benchBatchSize, len(recs))
+		buf.Reset()
+		w := telemetry.NewWriter(&buf, telemetry.TBIN)
+		if err := w.WriteAll(recs[lo:hi]); err != nil {
+			return err
+		}
+		if err := w.Close(); err != nil {
+			return err
+		}
+		resp, err := http.Post(n.url, collector.ContentTypeTBIN, &buf)
+		if err != nil {
+			return err
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			return fmt.Errorf("POST %s: status %d", n.url, resp.StatusCode)
+		}
+	}
+	return nil
 }
 
 // BenchmarkClusterIngest measures aggregate durable ingest throughput of
@@ -138,13 +157,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 					wg.Add(1)
 					go func(n int) {
 						defer wg.Done()
-						for _, r := range parts[n] {
-							if err := bn[n].client.Enqueue(r); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-						if err := bn[n].client.Flush(); err != nil {
+						if err := bn[n].ship(parts[n]); err != nil {
 							b.Error(err)
 						}
 					}(n)

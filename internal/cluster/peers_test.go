@@ -1,16 +1,6 @@
 package cluster
 
-import (
-	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"sync"
-	"testing"
-
-	"autosens/internal/collector/api"
-	"autosens/internal/telemetry"
-)
+import "testing"
 
 func TestParsePeers(t *testing.T) {
 	nodes, err := ParsePeers(" n1=http://a:1 , n2=http://b:2/ ")
@@ -28,82 +18,5 @@ func TestParsePeers(t *testing.T) {
 		if _, err := ParsePeers(bad); err == nil {
 			t.Fatalf("accepted %q", bad)
 		}
-	}
-}
-
-// TestRouterRoutesByPlacement stands up one counting HTTP collector stub
-// per node and checks every record reaches exactly the node the ring
-// assigns its user — the property ownership filters rely on instead of a
-// dedup protocol.
-func TestRouterRoutesByPlacement(t *testing.T) {
-	const nodes = 3
-	var mu sync.Mutex
-	got := make([]map[uint64]int, nodes)
-	peers := make([]Node, nodes)
-	for i := range peers {
-		got[i] = map[uint64]int{}
-		node := i
-		mux := http.NewServeMux()
-		mux.HandleFunc(api.PathBeacons, func(w http.ResponseWriter, r *http.Request) {
-			body, err := io.ReadAll(r.Body)
-			if err != nil {
-				t.Error(err)
-				w.WriteHeader(http.StatusBadRequest)
-				return
-			}
-			var recs []telemetry.Record
-			if err := json.Unmarshal(body, &recs); err != nil {
-				t.Errorf("decode beacon batch: %v", err)
-				w.WriteHeader(http.StatusBadRequest)
-				return
-			}
-			mu.Lock()
-			for _, rec := range recs {
-				got[node][rec.UserID]++
-			}
-			mu.Unlock()
-			w.WriteHeader(http.StatusAccepted)
-		})
-		ts := httptest.NewServer(mux)
-		defer ts.Close()
-		peers[i] = Node{ID: string(rune('a' + i)), URL: ts.URL}
-	}
-	ring, err := NewRing(peers, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	router, err := NewRouter(RouterConfig{Ring: ring})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := genStream(17, 2000, 1<<30)
-	want := 0
-	for _, r := range stream {
-		if r.Validate() != nil {
-			continue
-		}
-		want++
-		if err := router.Enqueue(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := router.Close(); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for n := range got {
-		for u, c := range got[n] {
-			if ring.NodeFor(u) != n {
-				t.Fatalf("user %d landed on node %d, owner is %d", u, n, ring.NodeFor(u))
-			}
-			total += c
-		}
-	}
-	if total != want {
-		t.Fatalf("nodes received %d records, router enqueued %d", total, want)
-	}
-	sent, dropped := router.Stats()
-	if int(sent) != want || dropped != 0 {
-		t.Fatalf("router stats sent=%d dropped=%d, want sent=%d dropped=0", sent, dropped, want)
 	}
 }

@@ -1,9 +1,9 @@
 // Package cluster scales sensd from one process to N: a consistent-hash
-// ring places every user on exactly one node, a Router of collector
-// clients routes beacons by that placement, and a scatter-gather
-// coordinator answers /v1/curves (and the slice reads behind /v1/alerts)
-// by fetching per-node mergeable partials from GET /v1/partials, k-way
-// merging them, and finishing the curve exactly once.
+// ring places every user on exactly one node, each node's engine keeps
+// only the users it owns, and a scatter-gather coordinator answers
+// /v1/curves (and the slice reads behind /v1/alerts) by fetching per-node
+// mergeable partials from GET /v1/partials, k-way merging them, and
+// finishing the curve exactly once.
 //
 // # Placement
 //
@@ -11,8 +11,8 @@
 // on the node owning the first point clockwise of the user's hash.
 // Virtual points make ownership stable under membership change: adding or
 // removing one node remaps only the keyspace adjacent to its own points
-// (~1/N of users), never shuffles the rest — which is what keeps WAL
-// segment handoff and owned-range replay proportional to the change.
+// (~1/N of users), never shuffles the rest — which is what keeps
+// owned-range replay proportional to the change.
 //
 // # Staleness invariant under distribution
 //

@@ -11,8 +11,6 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -382,223 +380,5 @@ func TestMetricsEndpointPrometheusFormat(t *testing.T) {
 	if infBucket["autosens_collector_batch_records"] != 2 {
 		t.Fatalf("batch_records histogram counted %v batches, want 2",
 			infBucket["autosens_collector_batch_records"])
-	}
-}
-
-func TestClientBatchingAndFlush(t *testing.T) {
-	srv, buf, ts := newTestServer(t)
-	cfg := DefaultClientConfig(ts.URL + "/v1/beacons")
-	cfg.BatchSize = 5
-	cfg.FlushInterval = 0
-	c, err := NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		if err := c.Enqueue(testRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sent, dropped := c.Stats()
-	if sent != 12 || dropped != 0 {
-		t.Fatalf("sent %d dropped %d", sent, dropped)
-	}
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := telemetry.NewReader(buf, telemetry.JSONL).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 12 {
-		t.Fatalf("sink has %d records", len(got))
-	}
-}
-
-func TestClientTimedFlush(t *testing.T) {
-	srv, _, ts := newTestServer(t)
-	cfg := DefaultClientConfig(ts.URL + "/v1/beacons")
-	cfg.BatchSize = 1000
-	cfg.FlushInterval = 30 * time.Millisecond
-	c, err := NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Enqueue(testRecord(1)); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, accepted, _, _ := srv.Stats(); accepted == 1 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("timed flush never delivered the record")
-}
-
-func TestClientRetriesTransientErrors(t *testing.T) {
-	var failures int32 = 2
-	var got int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if atomic.AddInt32(&failures, -1) >= 0 {
-			http.Error(w, "boom", http.StatusInternalServerError)
-			return
-		}
-		atomic.AddInt32(&got, 1)
-		w.WriteHeader(http.StatusAccepted)
-	}))
-	defer ts.Close()
-	cfg := DefaultClientConfig(ts.URL)
-	cfg.BatchSize = 1
-	cfg.FlushInterval = 0
-	cfg.RetryBackoff = time.Millisecond
-	c, err := NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Enqueue(testRecord(1)); err != nil {
-		t.Fatalf("enqueue/flush failed despite retries: %v", err)
-	}
-	if atomic.LoadInt32(&got) != 1 {
-		t.Fatal("batch never delivered")
-	}
-	flushes, retries := c.RetryStats()
-	if flushes != 1 || retries != 2 {
-		t.Fatalf("flushes %d retries %d, want 1 and 2", flushes, retries)
-	}
-	if got := c.Registry().Counter("autosens_client_retries_total", "").Value(); got != 2 {
-		t.Fatalf("retries_total = %d", got)
-	}
-	c.Close()
-}
-
-func TestClientGivesUpAfterMaxRetries(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "down", http.StatusInternalServerError)
-	}))
-	defer ts.Close()
-	cfg := DefaultClientConfig(ts.URL)
-	cfg.BatchSize = 1
-	cfg.FlushInterval = 0
-	cfg.MaxRetries = 1
-	cfg.RetryBackoff = time.Millisecond
-	c, err := NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Enqueue(testRecord(1)); err == nil {
-		t.Fatal("expected delivery failure")
-	}
-	_, dropped := c.Stats()
-	if dropped != 1 {
-		t.Fatalf("dropped = %d", dropped)
-	}
-	c.Close()
-}
-
-func TestClientDoesNotRetry4xx(t *testing.T) {
-	var calls int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		atomic.AddInt32(&calls, 1)
-		http.Error(w, "bad", http.StatusBadRequest)
-	}))
-	defer ts.Close()
-	cfg := DefaultClientConfig(ts.URL)
-	cfg.BatchSize = 1
-	cfg.FlushInterval = 0
-	cfg.RetryBackoff = time.Millisecond
-	c, err := NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Enqueue(testRecord(1)); err == nil {
-		t.Fatal("expected rejection")
-	}
-	if atomic.LoadInt32(&calls) != 1 {
-		t.Fatalf("4xx retried: %d calls", calls)
-	}
-	c.Close()
-}
-
-func TestClientValidatesConfigAndRecords(t *testing.T) {
-	if _, err := NewClient(ClientConfig{}); err == nil {
-		t.Fatal("empty config accepted")
-	}
-	if _, err := NewClient(ClientConfig{URL: "x", BatchSize: -1}); err == nil {
-		t.Fatal("negative batch accepted")
-	}
-	if _, err := NewClient(ClientConfig{URL: "x", RetryBudget: -time.Second}); err == nil {
-		t.Fatal("negative retry budget accepted")
-	}
-	// Zero values select defaults rather than erroring.
-	zc, err := NewClient(ClientConfig{URL: "http://127.0.0.1:1/none"})
-	if err != nil {
-		t.Fatalf("zero-value config rejected: %v", err)
-	}
-	zc.Close()
-	cfg := DefaultClientConfig("http://127.0.0.1:1/none")
-	cfg.FlushInterval = 0
-	c, err := NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Enqueue(telemetry.Record{LatencyMS: -1}); err == nil {
-		t.Fatal("invalid record accepted")
-	}
-	c.Close()
-}
-
-func TestClientEnqueueAfterClose(t *testing.T) {
-	cfg := DefaultClientConfig("http://127.0.0.1:1/none")
-	cfg.FlushInterval = 0
-	c, err := NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	if err := c.Enqueue(testRecord(1)); err == nil {
-		t.Fatal("enqueue after close accepted")
-	}
-	if err := c.Close(); err != nil {
-		t.Fatalf("double close: %v", err)
-	}
-}
-
-func TestConcurrentClients(t *testing.T) {
-	srv, _, ts := newTestServer(t)
-	const workers, each = 8, 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cfg := DefaultClientConfig(ts.URL + "/v1/beacons")
-			cfg.BatchSize = 50
-			cfg.FlushInterval = 0
-			c, err := NewClient(cfg)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for i := 0; i < each; i++ {
-				if err := c.Enqueue(testRecord(w*each + i)); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-			if err := c.Close(); err != nil {
-				t.Error(err)
-			}
-		}(w)
-	}
-	wg.Wait()
-	_, accepted, _, _ := srv.Stats()
-	if accepted != workers*each {
-		t.Fatalf("accepted %d, want %d", accepted, workers*each)
 	}
 }

@@ -9,9 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"autosens/internal/telemetry"
 )
@@ -109,95 +107,6 @@ func TestStreamingDecodeEdgeCases(t *testing.T) {
 				t.Fatalf("body %q: status %d, want %d", tc.body, resp.StatusCode, tc.status)
 			}
 		})
-	}
-}
-
-// TestClientEncodesOncePerFlushAcrossRetries pins the retry-path contract:
-// a flush that needs retransmissions still encodes its batch exactly once.
-func TestClientEncodesOncePerFlushAcrossRetries(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			http.Error(w, "transient", http.StatusInternalServerError)
-			return
-		}
-		w.WriteHeader(http.StatusAccepted)
-	}))
-	defer ts.Close()
-
-	cfg := DefaultClientConfig(ts.URL)
-	cfg.FlushInterval = 0
-	cfg.RetryBackoff = time.Millisecond
-	c, err := NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 5; i++ {
-		if err := c.Enqueue(testRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d posts, want 3 (2 failures + 1 success)", got)
-	}
-	flushes, retries := c.RetryStats()
-	if flushes != 1 || retries != 2 {
-		t.Fatalf("flushes=%d retries=%d, want 1/2", flushes, retries)
-	}
-	if got := c.m.encodes.Value(); got != 1 {
-		t.Fatalf("batch encoded %d times across the retrying flush, want exactly 1", got)
-	}
-	sent, dropped := c.Stats()
-	if sent != 5 || dropped != 0 {
-		t.Fatalf("sent=%d dropped=%d", sent, dropped)
-	}
-}
-
-// TestClientTBINWireFormat ships a batch over the binary wire format and
-// checks it lands in the sink identically to the JSON path.
-func TestClientTBINWireFormat(t *testing.T) {
-	srv, buf, ts := newTestServer(t)
-	cfg := DefaultClientConfig(ts.URL + "/v1/beacons")
-	cfg.FlushInterval = 0
-	cfg.Format = telemetry.TBIN
-	c, err := NewClient(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := []telemetry.Record{testRecord(1), testRecord(2), testRecord(3)}
-	for _, rec := range batch {
-		if err := c.Enqueue(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := telemetry.NewReader(buf, telemetry.JSONL).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(batch) {
-		t.Fatalf("sink has %d records, want %d", len(got), len(batch))
-	}
-	for i := range got {
-		if got[i] != batch[i] {
-			t.Fatalf("record %d mismatch: %+v != %+v", i, got[i], batch[i])
-		}
-	}
-}
-
-func TestClientRejectsCSVWireFormat(t *testing.T) {
-	cfg := DefaultClientConfig("http://localhost/v1/beacons")
-	cfg.Format = telemetry.CSV
-	if _, err := NewClient(cfg); err == nil {
-		t.Fatal("CSV wire format accepted")
 	}
 }
 

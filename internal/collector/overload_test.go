@@ -1,24 +1,25 @@
 package collector
 
 import (
+	"bytes"
 	"context"
-	"fmt"
+	"encoding/json"
 	"io"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"autosens/internal/telemetry"
 )
 
-// TestOverloadShedsButLosesNothing is the backpressure acceptance test:
-// a sink too slow for the offered load forces 429 shedding, and the
-// client-side retry/overflow machinery still delivers every record — to
-// the sink or, at worst, to the local overflow file. Nothing is dropped.
+// TestOverloadShedsButLosesNothing is the backpressure acceptance test at
+// the HTTP edge: a sink too slow for the offered load forces 429 shedding,
+// every 429 carries Retry-After, and senders that re-post shed batches get
+// every record into the sink exactly once.
 func TestOverloadShedsButLosesNothing(t *testing.T) {
 	sink := newGatedSink()
 	srv, err := NewServer(ServerConfig{
@@ -34,7 +35,7 @@ func TestOverloadShedsButLosesNothing(t *testing.T) {
 	defer ts.Close()
 
 	// Hold the sink shut until shedding has been observed, then open it so
-	// the retries can drain.
+	// the re-posts can drain.
 	go func() {
 		deadline := time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
@@ -46,80 +47,68 @@ func TestOverloadShedsButLosesNothing(t *testing.T) {
 		close(sink.gate)
 	}()
 
-	const senders, perSender = 4, 100
-	overflowDir := t.TempDir()
+	const senders, perSender, batchSize = 4, 100, 10
+	var shed, shedWithoutAdvice atomic.Int64
 	var wg sync.WaitGroup
-	clients := make([]*Client, senders)
 	for s := 0; s < senders; s++ {
-		cfg := DefaultClientConfig(ts.URL + "/v1/beacons")
-		cfg.BatchSize = 10
-		cfg.FlushInterval = 0
-		cfg.MaxRetries = 50
-		cfg.RetryBackoff = time.Millisecond
-		cfg.OverflowPath = filepath.Join(overflowDir, fmt.Sprintf("overflow-%d.jsonl", s))
-		c, err := NewClient(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clients[s] = c
 		wg.Add(1)
-		go func(s int, c *Client) {
+		go func(s int) {
 			defer wg.Done()
-			for i := 0; i < perSender; i++ {
-				if err := c.Enqueue(testRecord(s*perSender + i)); err != nil {
-					t.Errorf("sender %d: %v", s, err)
+			for lo := 0; lo < perSender; lo += batchSize {
+				batch := make([]telemetry.Record, batchSize)
+				for i := range batch {
+					batch[i] = testRecord(s*perSender + lo + i)
+				}
+				body, err := json.Marshal(batch)
+				if err != nil {
+					t.Error(err)
 					return
 				}
+				for {
+					resp, err := http.Post(ts.URL+"/v1/beacons", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Errorf("sender %d: %v", s, err)
+						return
+					}
+					_, _ = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode == http.StatusAccepted {
+						break
+					}
+					if resp.StatusCode != http.StatusTooManyRequests {
+						t.Errorf("sender %d: status %d", s, resp.StatusCode)
+						return
+					}
+					shed.Add(1)
+					if resp.Header.Get("Retry-After") == "" {
+						shedWithoutAdvice.Add(1)
+					}
+					time.Sleep(time.Millisecond)
+				}
 			}
-		}(s, clients[s])
+		}(s)
 	}
 	wg.Wait()
-	var sent, dropped, spilled uint64
-	for _, c := range clients {
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-		s, d := c.Stats()
-		sent += s
-		dropped += d
-		spilled += c.Spilled()
-	}
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, _, shed := srv.QueueStats(); shed == 0 {
+	if shed.Load() == 0 {
 		t.Fatal("overload never shed a batch; the test exercised nothing")
 	}
-	if dropped != 0 {
-		t.Fatalf("%d records dropped end-to-end", dropped)
+	if n := shedWithoutAdvice.Load(); n != 0 {
+		t.Fatalf("%d of %d 429 responses carried no Retry-After", n, shed.Load())
 	}
-	spilledOnDisk := 0
-	if spilled > 0 {
-		for s := 0; s < senders; s++ {
-			f, err := os.Open(filepath.Join(overflowDir, fmt.Sprintf("overflow-%d.jsonl", s)))
-			if os.IsNotExist(err) {
-				continue
-			}
-			if err != nil {
-				t.Fatalf("spill counted but overflow file unreadable: %v", err)
-			}
-			recs, err := telemetry.NewReader(f, telemetry.JSONL).ReadAll()
-			f.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			spilledOnDisk += len(recs)
-		}
-		if uint64(spilledOnDisk) != spilled {
-			t.Fatalf("overflow files hold %d records, spill counter says %d", spilledOnDisk, spilled)
+	seen := map[telemetry.Record]int{}
+	for _, r := range sink.records() {
+		seen[r]++
+	}
+	for i := 0; i < senders*perSender; i++ {
+		if n := seen[testRecord(i)]; n != 1 {
+			t.Fatalf("record %d reached the sink %d times, want exactly 1", i, n)
 		}
 	}
-	total := senders * perSender
-	if got := len(sink.records()) + spilledOnDisk; got != total {
-		t.Fatalf("sink %d + overflow %d != %d records offered", len(sink.records()), spilledOnDisk, total)
-	}
-	if sent+spilled != uint64(total) {
-		t.Fatalf("client accounting: sent %d + spilled %d != %d", sent, spilled, total)
+	if len(seen) != senders*perSender {
+		t.Fatalf("sink holds %d distinct records, want %d", len(seen), senders*perSender)
 	}
 }

@@ -9,10 +9,9 @@
 // writer goroutine, and acknowledges a batch only after the Sink has
 // accepted it — so a 202 means the data reached the durable layer, and a
 // full queue sheds load with 429 + Retry-After instead of growing without
-// bound. The Client batches records, retries transient failures with
-// jittered exponential backoff honoring the server's Retry-After advice,
-// and spills undeliverable batches to a local overflow file rather than
-// dropping them. Both ends are instrumented through an obs.Registry.
+// bound. A shed batch was never written, so its sender may post it again
+// once the advice has passed. The server is instrumented through an
+// obs.Registry.
 package collector
 
 import (

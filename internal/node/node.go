@@ -97,6 +97,10 @@ func New(cfg Config) (_ *Node, err error) {
 		return nil, errors.New("-cluster-peers requires -wal-dir")
 	case cfg.Peers == "" && cfg.NodeID != "":
 		return nil, errors.New("-node-id requires -cluster-peers")
+	case cfg.Live && cfg.WAL.Dir == "":
+		// The engine warms only from a WAL; over a file sink a restart
+		// would serve curves of the post-restart records alone.
+		return nil, errors.New("-live requires -wal-dir")
 	}
 	n := &Node{cfg: cfg, log: cfg.Logger, sinkDesc: cfg.Out}
 	if n.log == nil {
@@ -156,7 +160,7 @@ func New(cfg Config) (_ *Node, err error) {
 }
 
 // wireLive builds the engine and everything that reads it, and mounts
-// their handlers on srvCfg. w is nil for the single-file sink.
+// their handlers on srvCfg.
 func (n *Node) wireLive(srvCfg *collector.ServerConfig, w *wal.WAL, reg *obs.Registry) error {
 	cfg, ecfg := n.cfg, n.cfg.Engine
 	ecfg.Registry = reg
@@ -197,14 +201,12 @@ func (n *Node) wireLive(srvCfg *collector.ServerConfig, w *wal.WAL, reg *obs.Reg
 			"cutover_seq", n.cold.Cutover(), "retention", scfg.Retention,
 			"cache_bytes", scfg.CacheBytes)
 	}
-	if w != nil {
-		replayed, err := engine.Warm(cfg.WAL.Dir)
-		if err != nil {
-			return err
-		}
-		n.log.Info("live engine warmed", "records_replayed", replayed,
-			"records_stored", engine.Records(), "store_bytes", engine.StoreBytes())
+	replayed, err := engine.Warm(cfg.WAL.Dir)
+	if err != nil {
+		return err
 	}
+	n.log.Info("live engine warmed", "records_replayed", replayed,
+		"records_stored", engine.Records(), "store_bytes", engine.StoreBytes())
 	var curvesOpts live.CurvesHandlerOptions
 	if n.cold != nil {
 		engine.AttachCold(n.cold)

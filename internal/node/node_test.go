@@ -207,8 +207,6 @@ func TestConfigs(t *testing.T) {
 			c.WAL.Dir, c.Fsync, c.WAL.Format, c.WAL.SegmentMaxBytes = d+"/wal", "250ms", telemetry.TBIN, 4096
 		}, probe: beacon},
 		{name: "wal fsync off", set: func(c *Config, d string) { c.WAL.Dir, c.Fsync = d+"/wal", "off" }, probe: beacon},
-		{name: "live file sink", set: func(c *Config, _ string) { c.Live = true },
-			probe: probe{path: api.PathCurves + "?slice=all", want: http.StatusNotFound}},
 		{name: "live", set: func(c *Config, d string) { c.Live, c.WAL.Dir = true, d+"/wal" },
 			probe: probe{path: api.PathCurves + "?slice=bogus:x", want: http.StatusBadRequest}},
 		{name: "live shards workers prewarm", set: func(c *Config, d string) {
@@ -221,10 +219,10 @@ func TestConfigs(t *testing.T) {
 			c.Live, c.WAL.Dir, c.Cold.Dir, c.Cold.CacheBytes = true, d+"/wal", d+"/cold", 0
 		}, probe: probe{path: api.PathCurves + "?slice=all&window=bogus", want: http.StatusBadRequest}},
 		{name: "watch", set: func(c *Config, d string) {
-			c.Live, c.Watch, c.WatchSlices, c.Watcher.ArtifactsDir = true, true, "all; action:SelectMail", d+"/ops"
+			c.Live, c.WAL.Dir, c.Watch, c.WatchSlices, c.Watcher.ArtifactsDir = true, d+"/wal", true, "all; action:SelectMail", d+"/ops"
 		}, probe: probe{path: api.PathAlerts, want: http.StatusOK}},
-		{name: "watch tuned", set: func(c *Config, _ string) {
-			c.Live, c.Watch, c.Watcher.Interval, c.Watcher.Window = true, true, time.Second, 24*time.Hour
+		{name: "watch tuned", set: func(c *Config, d string) {
+			c.Live, c.WAL.Dir, c.Watch, c.Watcher.Interval, c.Watcher.Window = true, d+"/wal", true, time.Second, 24*time.Hour
 			c.Watcher.Drift = watch.DriftConfig{MinDelta: 0.1, Z: 3}
 			c.Watcher.Incident.Factor = 2
 		}, probe: probe{path: api.PathReport, want: http.StatusOK}},
@@ -248,6 +246,8 @@ func TestConfigs(t *testing.T) {
 			refuse: "-cluster-peers requires -wal-dir"},
 		{name: "node id without cluster", set: func(c *Config, _ string) { c.NodeID = "n1" },
 			refuse: "-node-id requires -cluster-peers"},
+		{name: "live file sink", set: func(c *Config, _ string) { c.Live = true },
+			refuse: "-live requires -wal-dir"},
 		{name: "node id not a peer", set: func(c *Config, d string) {
 			c.Live, c.WAL.Dir, c.Peers, c.NodeID = true, d+"/wal", "n1=http://x", "n9"
 		}, refuse: `-node-id "n9" is not in -cluster-peers`},
@@ -267,16 +267,18 @@ func TestConfigs(t *testing.T) {
 			refuse: "wal: SegmentMaxBytes 10 too small"},
 		{name: "wal csv", set: func(c *Config, d string) { c.WAL.Dir, c.WAL.Format = d+"/wal", telemetry.CSV },
 			refuse: "wal: unsupported payload format csv (want jsonl or tbin)"},
-		{name: "live shards", set: func(c *Config, _ string) { c.Live, c.Engine.Shards = true, -1 },
+		{name: "live shards", set: func(c *Config, d string) { c.Live, c.WAL.Dir, c.Engine.Shards = true, d+"/wal", -1 },
 			refuse: "live: negative shard count -1"},
-		{name: "live workers", set: func(c *Config, _ string) { c.Live, c.Engine.Workers = true, -1 },
+		{name: "live workers", set: func(c *Config, d string) { c.Live, c.WAL.Dir, c.Engine.Workers = true, d+"/wal", -1 },
 			refuse: "live: negative workers"},
 		{name: "queue depth negative", set: func(c *Config, _ string) { c.QueueDepth = -1 },
 			refuse: "collector: negative queue depth -1"},
-		{name: "watch slices", set: func(c *Config, _ string) { c.Live, c.Watch, c.WatchSlices = true, true, "bogus:x" },
-			refuse: `-watch-slices: live: unknown slice dimension "bogus"`},
-		{name: "watch interval", set: func(c *Config, _ string) { c.Live, c.Watch, c.Watcher.Interval = true, true, -time.Second },
-			refuse: "watch: negative interval"},
+		{name: "watch slices", set: func(c *Config, d string) {
+			c.Live, c.WAL.Dir, c.Watch, c.WatchSlices = true, d+"/wal", true, "bogus:x"
+		}, refuse: `-watch-slices: live: unknown slice dimension "bogus"`},
+		{name: "watch interval", set: func(c *Config, d string) {
+			c.Live, c.WAL.Dir, c.Watch, c.Watcher.Interval = true, d+"/wal", true, -time.Second
+		}, refuse: "watch: negative interval"},
 		{name: "out unopenable", set: func(c *Config, d string) { c.Out = d + "/missing/t.jsonl" },
 			refuse: "open DIR/missing/t.jsonl: no such file or directory"},
 		{name: "ingest address taken", set: func(c *Config, _ string) { c.Addr = busy.Addr().String() },

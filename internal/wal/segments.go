@@ -52,9 +52,6 @@ func SealedSegments(fsys FS, dir, active string) ([]string, error) {
 	return sealed, nil
 }
 
-// SegmentName returns the file name of segment i ("seg-%08d.wal").
-func SegmentName(i int) string { return segName(i) }
-
 // SegmentIndex parses the sequence number out of a segment file name,
 // reporting false for names that are not segments.
 func SegmentIndex(name string) (int, bool) { return segIndex(name) }
