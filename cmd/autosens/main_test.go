@@ -561,7 +561,9 @@ func TestRunBatchListGolden(t *testing.T) {
 
 // TestRunFilterCombosGolden pins -by runs whose row filters interact: a
 // filter inside a -by family, a family over one action with the others
-// left empty, and -quartile before -by quartile's own assignment.
+// left empty, -quartile before -by quartile's own assignment, and
+// -quartile before a family over one action, whose quartile partition holds
+// only that action's rows.
 func TestRunFilterCombosGolden(t *testing.T) {
 	tbinPath := filepath.Join(t.TempDir(), "t.tbin")
 	writeFile(t, tbinPath, telemetry.TBIN)
@@ -579,6 +581,8 @@ func TestRunFilterCombosGolden(t *testing.T) {
 			"7ec593888a8db596514d26f757b80a0e8bd98363dc93ad1485eda348622f44d6"},
 		{[]string{"-by", "action", "-action", "Search"},
 			"f44afa29fe67dd763ecb15286801a7253392245ee922b03b6ac71b1eefce5f55"},
+		{[]string{"-quartile", "Q1", "-by", "usertype"},
+			"a82767d84470d79a476c0cad164e6885d8cc202e77bbcccd4c20c96863fdc4e1"},
 	} {
 		for _, workers := range []string{"1", "8"} {
 			args := append([]string{"-in", tbinPath, "-format", "tbin", "-workers", workers}, c.argv...)

@@ -96,13 +96,40 @@ func bandBytes(ci *CurveCI) []byte {
 // TestNormalizedBandBytesGolden pins the time-normalized bootstrap band,
 // point curve and bounds alike, at several worker counts: the hashes were
 // recorded when every replicate reran the batch estimator from scratch, so
-// any shortcut that changes a single bound fails here.
+// any shortcut that changes a single bound fails here. The owasim-* cases
+// after ties were recorded before replicates were slotted from their block
+// picks: an empty block position, blocks on the slot grid, 5 h blocks (five
+// slots a block), 90 min blocks (which do not tile into slots) and a window
+// across Go's truncating t/dur at 0.
 func TestNormalizedBandBytesGolden(t *testing.T) {
 	owaTimes, owaLats := owasimColumns(t, 3, 25, 25, 23)
 	// The shape of the batch CLI's -action SelectMail -ci: four days of
 	// 200 business and 200 consumer users, 40 replicates of 6 h blocks.
 	ciTimes, ciLats := owasimColumns(t, 4, 200, 200, 23)
 	tieTimes, tieLats := tieColumns(5, -1000, 48)
+	const h = timeutil.MillisPerHour
+	// A 9 h gap, longer than a block, so one block position is empty.
+	var gapTimes []timeutil.Millis
+	var gapLats []float64
+	for i, tm := range owaTimes {
+		if tm-owaTimes[0] < 30*h || tm-owaTimes[0] >= 39*h {
+			gapTimes, gapLats = append(gapTimes, tm), append(gapLats, owaLats[i])
+		}
+	}
+	// The first record exactly on an hour, so blocks start on the slot grid
+	// and no slot straddles a block edge; and the window moved across 0.
+	onHour := make([]timeutil.Millis, len(owaTimes))
+	across0 := make([]timeutil.Millis, len(owaTimes))
+	for i, tm := range owaTimes {
+		onHour[i] = tm - owaTimes[0]%h + 2*h
+		across0[i] = tm - 30*h - 1234
+	}
+	owaOpts := func(w int) Options {
+		o := DefaultOptions()
+		o.MinSlotActions = 10
+		o.Workers = w
+		return o
+	}
 	cases := []struct {
 		name      string
 		times     []timeutil.Millis
@@ -127,6 +154,16 @@ func TestNormalizedBandBytesGolden(t *testing.T) {
 			"d1effcdb07e22052fb43f32c54bc907bcfe9fd94f53760f394985fa39f648afd"},
 		{"ties", tieTimes, tieLats, tieOptions, 6 * 64, 10,
 			"6801889f182ef5f9876214e2fbf148efe02d9febdbdaf65bcbfe11a8993b5604"},
+		{"owasim-gap", gapTimes, gapLats, owaOpts, 6 * h, 10,
+			"0ddffc9e10a13e8fdc50cb6f5dea4428eee0da1410a4c6ff263796707bd52ed5"},
+		{"owasim-on-hour", onHour, owaLats, owaOpts, 6 * h, 10,
+			"b325fec5f68308cde0322e9e1002d2362d9f9c08c26258dcb1d89639dba9e42f"},
+		{"owasim-5h", owaTimes, owaLats, owaOpts, 5 * h, 10,
+			"e07ee824bcc19118fd1d7fb34561de30a6af6d1da507eefd6b5fa2b05ec758bb"},
+		{"owasim-90min", owaTimes, owaLats, owaOpts, 90 * timeutil.MillisPerMinute, 10,
+			"74c37858653381ff22e0d958d46687d9a12056201f1505a82db9812ec372d2ac"},
+		{"owasim-across-0", across0, owaLats, owaOpts, 6 * h, 10,
+			"016c336c862db126baae248fc870b599355b3affd68dedb1090e29e29b694352"},
 	}
 	for _, c := range cases {
 		for _, w := range []int{1, 2, 8} {
