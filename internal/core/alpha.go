@@ -201,10 +201,7 @@ func (e *Estimator) cutSlots(dst []slotCut, times []timeutil.Millis) (cuts []slo
 	windowLo, windowHi := times[0], times[n-1]+1
 	cuts = dst[:0]
 	for i := 0; i < n; {
-		slot := e.slotOf(times[i])
-		// Times ascend and t/dur is monotone in t, so the slot's end is the
-		// first record mapping elsewhere.
-		j := i + sort.Search(n-i, func(k int) bool { return e.slotOf(times[i+k]) != slot })
+		slot, j := e.slotOf(times[i]), e.slotEnd(times, i)
 		if j-i >= e.opts.MinSlotActions {
 			lo, hi := e.slotBounds(slot, windowLo, windowHi)
 			cuts = append(cuts, slotCut{slot: slot, i: i, j: j, lo: lo, hi: hi})
@@ -213,6 +210,14 @@ func (e *Estimator) cutSlots(dst []slotCut, times []timeutil.Millis) (cuts []slo
 		i = j
 	}
 	return cuts, totalDur
+}
+
+// slotEnd is the end of the run of time-sorted records from i on that share
+// times[i]'s slot: times ascend and t/dur is monotone in t, so it is the
+// first record mapping elsewhere.
+func (e *Estimator) slotEnd(times []timeutil.Millis, i int) int {
+	slot := e.slotOf(times[i])
+	return i + sort.Search(len(times)-i, func(k int) bool { return e.slotOf(times[i+k]) != slot })
 }
 
 // retainSlot returns the state of a slot holding count of the records of

@@ -139,9 +139,11 @@ func TestEstimateCIBootstrapSpan(t *testing.T) {
 		// whole hours, whose biased histograms are reused. Those that are
 		// full (all but the 3 clipped last hours) are filled from the sweeps
 		// of 118 (rank, hour) pairs; the 28 hours across block edges sweep
-		// their tables themselves.
+		// their tables themselves, and the 15 of those that hold records of
+		// both picked blocks copy their rows. Every replicate is slotted
+		// from its block picks.
 		want := map[string]int{"table_slots": 28, "pair_slots": 157, "fallback_slots": 7, "biased_reused": 160,
-			"pairs_swept": 118, "pairs_tied": 0}
+			"pairs_swept": 118, "pairs_tied": 0, "slots_joined": 15, "replicates_resampled": 0}
 		for name, n := range want {
 			v, ok := boot.Attr(name)
 			switch {
