@@ -193,7 +193,7 @@ func run(args []string, stdout io.Writer) error {
 			return fmt.Errorf("unknown period %q", *period)
 		}
 	}
-	keep := pipeline.InSlice(key)
+	keep := key.Set()
 
 	opts := core.DefaultOptions()
 	opts.ReferenceMS = *ref
@@ -209,7 +209,7 @@ func run(args []string, stdout io.Writer) error {
 	if *stream {
 		curve, err := est.EstimateTimeNormalizedTwoPass(func(fn func(timeutil.Millis, float64) error) error {
 			return iterate(func(rec telemetry.Record) error {
-				if !keep(pipeline.RowOf(rec)) {
+				if c, _ := cell.Of(rec); !keep.Has(c, rec.Failed) {
 					return nil
 				}
 				return fn(rec.Time, rec.LatencyMS)
@@ -229,10 +229,10 @@ func run(args []string, stdout io.Writer) error {
 	load := pipeline.Load{Keep: keep, InputOrder: *by == "", Workers: *workers}
 	switch {
 	case *quartile != "":
-		load.Keep = func(r pipeline.Row) bool { return !r.Failed }
+		load.Keep = cell.All.Set()
 		load.InputOrder = true
 	case *by == "usertype" || *by == "segment" || *by == "period":
-		load.Store = func(r pipeline.Row) bool { return r.Cell.Action() == familyAction }
+		load.Store = cell.Key{Action: familyAction, UserType: -1, Period: -1}.Set()
 	}
 
 	// TBIN from a file or stdin is read whole and decoded block-parallel

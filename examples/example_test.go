@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 
+	"autosens/internal/cell"
 	"autosens/internal/collector"
 	"autosens/internal/core"
 	"autosens/internal/owasim"
@@ -178,7 +179,7 @@ func Example_conditioning() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	part, _ := pipeline.Load{Keep: func(r pipeline.Row) bool { return !r.Failed }}.Records(res.Records)
+	part, _ := pipeline.Load{Keep: cell.All.Set()}.Records(res.Records)
 	slices, err := part.ByQuartile(telemetry.SelectMail)
 	if err != nil {
 		log.Fatal(err)

@@ -95,6 +95,34 @@ func (k Key) String() string {
 	return strings.Join(terms, ",")
 }
 
+// Set is a set of records by their cell, flagged cells included, and by
+// whether they failed: the filter a batch load applies to what it reads.
+// The zero Set holds every record.
+type Set struct {
+	out       [4]uint64 // bit c: records of cell c are not in the set
+	outFailed bool      // failed records are not in the set
+}
+
+// SetOf is the set of the records whose cell in accepts, the failed ones
+// among them only when failed.
+func SetOf(in func(Cell) bool, failed bool) Set {
+	s := Set{outFailed: !failed}
+	for c := range 256 {
+		if !in(Cell(c)) {
+			s.out[c/64] |= 1 << (c % 64)
+		}
+	}
+	return s
+}
+
+// Set is the set of slice k's successful records.
+func (k Key) Set() Set { return SetOf(k.Matches, false) }
+
+// Has reports whether s holds a record of cell c that failed, or not.
+func (s Set) Has(c Cell, failed bool) bool {
+	return s.out[c/64]>>(c%64)&1 == 0 && !(failed && s.outFailed)
+}
+
 // NumKeys is the number of slices: each axis at one of its values or any.
 const NumKeys = (telemetry.NumActionTypes + 1) * (telemetry.NumUserTypes + 1) * (timeutil.NumPeriods + 1)
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"autosens/internal/cell"
+	"autosens/internal/rng"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
@@ -61,16 +62,32 @@ func requireFamiliesEqual(t *testing.T, what string, got, want *Partition) {
 	}
 }
 
+// fuzzSet draws a cell set from seed: every record, a slice key's set, or
+// a random mask over all 256 cell bytes, flagged ones included, with the
+// failed records in or out.
+func fuzzSet(seed uint64) cell.Set {
+	src := rng.New(seed)
+	switch seed % 4 {
+	case 0:
+		return cell.Set{}
+	case 1:
+		return cell.Keys()[src.Intn(cell.NumKeys)].Set()
+	}
+	mask := [4]uint64{src.Uint64(), src.Uint64(), src.Uint64(), src.Uint64()}
+	return cell.SetOf(func(c cell.Cell) bool { return mask[c/64]>>(c%64)&1 != 0 }, seed&4 != 0)
+}
+
 // FuzzPartitionMatchesRecords: every family a partition serves equals the
 // legacy record slicers' groups after core.UsableColumns (successful rows,
 // stably time-sorted), every row holds its record's cell byte, a Load.Keep
 // built from a slice key as the CLI builds it holds exactly the records the
-// key's per-axis filter takes, and a partition built from TBIN bytes on the
-// decode workers, with row filters or without, equals NewPartition over the
-// same records filtered the same way.
+// key's per-axis filter takes, and a partition loaded with keep and store
+// sets drawn from the seeds — from records, or from TBIN bytes on the
+// decode workers — counts and holds exactly the records the sets take,
+// equal to NewPartition over those records.
 func FuzzPartitionMatchesRecords(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{4, 0, 3, 1, 0, 0x05, 0xfc, 1, 9, 2, 1, 0x8e}, 20))
+	f.Add([]byte{}, uint64(0), uint64(0))
+	f.Add(bytes.Repeat([]byte{4, 0, 3, 1, 0, 0x05, 0xfc, 1, 9, 2, 1, 0x8e}, 20), uint64(1), uint64(6))
 	// A month holding only failed rows between two that hold successful
 	// ones, and users only in other actions.
 	var months []byte
@@ -81,8 +98,12 @@ func FuzzPartitionMatchesRecords(f *testing.F) {
 		}
 		months = append(months, 127, byte(i%2*2), byte(i), byte(i), byte(i%2), failed|byte(i%27))
 	}
-	f.Add(months)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add(months, uint64(2), uint64(5))
+	f.Add(months, uint64(7), uint64(3))
+	// One record, under a random keep mask whose bytes past the stored
+	// cells differ from the stored cells' bytes.
+	f.Add([]byte("X200000"), uint64(2), uint64(48))
+	f.Fuzz(func(t *testing.T, data []byte, keepSeed, storeSeed uint64) {
 		recs := fuzzRecords(data)
 		p := NewPartition(recs)
 		requireSlicesEqual(t, "action", p.ByActionType(), legacyByActionType(recs))
@@ -123,7 +144,7 @@ func FuzzPartitionMatchesRecords(f *testing.F) {
 					(key.UserType < 0 || r.UserType == key.UserType) &&
 					(key.Period < 0 || timeutil.PeriodOf(r.Time, r.TZOffset) == key.Period)
 			}
-			got, seen := Load{Keep: InSlice(key), InputOrder: true}.Records(recs)
+			got, seen := Load{Keep: key.Set(), InputOrder: true}.Records(recs)
 			held := telemetry.Filter(recs, in)
 			times, lats := got.Columns()
 			if seen.Kept != len(held) {
@@ -132,6 +153,31 @@ func FuzzPartitionMatchesRecords(f *testing.F) {
 			requireSlicesEqual(t, key.String(),
 				[]Slice{{Name: "slice", Times: times, Lats: lats, Rows: got.Len()}}, []Slice{SliceOf("slice", held)})
 		}
+
+		// Drawn sets, over records with out-of-range cells and failed ones.
+		keep, store := fuzzSet(keepSeed), fuzzSet(storeSeed)
+		takes := func(recs []telemetry.Record) (want Loaded, held []telemetry.Record) {
+			for _, r := range recs {
+				c, _ := cell.Of(r)
+				want.Records++
+				if !r.Failed {
+					want.Successful++
+				}
+				if keep.Has(c, r.Failed) {
+					want.Kept++
+					if store.Has(c, r.Failed) {
+						held = append(held, r)
+					}
+				}
+			}
+			return want, held
+		}
+		want, held := takes(recs)
+		got, seen := Load{Keep: keep, Store: store}.Records(recs)
+		if seen != want {
+			t.Fatalf("records: loaded %+v, want %+v", seen, want)
+		}
+		requireFamiliesEqual(t, "filtered records", got, NewPartition(held))
 
 		// TBIN carries valid records only.
 		valid := telemetry.Filter(recs, func(r telemetry.Record) bool { return r.Validate() == nil })
@@ -143,10 +189,7 @@ func FuzzPartitionMatchesRecords(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		keep := func(r Row) bool {
-			return r.Cell.UserType() == telemetry.Business || r.Cell.Period() == timeutil.Period8pm2am
-		}
-		store := func(r Row) bool { return r.Cell.Action() != telemetry.Search }
+		want, held = takes(valid)
 		for _, workers := range []int{1, 4} {
 			got, seen, err := Load{Workers: workers}.TBIN(buf.Bytes())
 			if err != nil {
@@ -157,11 +200,13 @@ func FuzzPartitionMatchesRecords(f *testing.F) {
 			}
 			requireFamiliesEqual(t, "tbin", got, NewPartition(valid))
 
-			got, _, err = Load{Keep: keep, Store: store, Workers: workers}.TBIN(buf.Bytes())
+			got, seen, err = Load{Keep: keep, Store: store, Workers: workers}.TBIN(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
-			held := telemetry.Filter(valid, func(r telemetry.Record) bool { return keep(RowOf(r)) && store(RowOf(r)) })
+			if seen != want {
+				t.Fatalf("workers=%d: TBIN loaded %+v, want %+v", workers, seen, want)
+			}
 			requireFamiliesEqual(t, "filtered tbin", got, NewPartition(held))
 
 			flat, _, err := Load{InputOrder: true, Workers: workers}.TBIN(buf.Bytes())

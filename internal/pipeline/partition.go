@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 
 	"autosens/internal/cell"
 	"autosens/internal/core"
@@ -56,48 +57,14 @@ const (
 	numBuckets = 2 * numRegions
 )
 
-// monthStarts are the cumulative month boundaries of the simulated year
-// (window starting January 1st), in Millis; month m spans
-// [monthStarts[m], monthStarts[m+1]). Mirrors owasim.Months.
-var monthStarts = func() [13]timeutil.Millis {
-	days := [12]timeutil.Millis{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}
-	var out [13]timeutil.Millis
-	for i, d := range days {
-		out[i+1] = out[i] + d*timeutil.MillisPerDay
-	}
-	return out
-}()
-
-// monthOf is t's 1-based month of the simulated year, 0 outside it.
+// monthOf is t's 1-based month of the simulated year, 0 outside it: the
+// window starts on January 1st of a common year, as owasim.Months has it,
+// and 1970 is one.
 func monthOf(t timeutil.Millis) int {
-	if t < 0 || t >= monthStarts[12] {
+	if t < 0 || t >= 365*timeutil.MillisPerDay {
 		return 0
 	}
-	m := 1
-	for t >= monthStarts[m] {
-		m++
-	}
-	return m
-}
-
-// Row is what a load's filters see of one record: its cell, which flags
-// an out-of-range action or user type, and whether it failed.
-type Row struct {
-	Cell   cell.Cell
-	Failed bool
-	action telemetry.ActionType // the raw action, kept for out-of-range ones
-}
-
-// RowOf classifies a record.
-func RowOf(r telemetry.Record) Row {
-	c, _ := cell.Of(r)
-	return Row{Cell: c, Failed: r.Failed, action: r.Action}
-}
-
-// InSlice is the Load.Keep that counts the successful records in key's
-// slice.
-func InSlice(key cell.Key) func(Row) bool {
-	return func(r Row) bool { return !r.Failed && key.Matches(r.Cell) }
+	return int(time.UnixMilli(int64(t)).UTC().Month())
 }
 
 func actionIndex(a telemetry.ActionType) int {
@@ -109,11 +76,12 @@ func actionIndex(a telemetry.ActionType) int {
 
 // Load says how a partition is built from an input's records.
 type Load struct {
-	// Keep selects the records that count; nil counts every record.
-	Keep func(Row) bool
-	// Store selects which counted records the partition holds; nil holds
-	// them all. The others only add to Loaded.Kept.
-	Store func(Row) bool
+	// Keep selects the records that count; the zero Set counts every
+	// record.
+	Keep cell.Set
+	// Store selects which counted records the partition holds; the zero
+	// Set holds them all. The others only add to Loaded.Kept.
+	Store cell.Set
 	// InputOrder holds every row in one region, in input order, instead of
 	// action-major: the layout whose Columns are one slice across actions.
 	InputOrder bool
@@ -129,28 +97,59 @@ type Loaded struct {
 	Kept       int // of those, accepted by Load.Keep
 }
 
-// admit counts a record's row into t and reports whether the partition
-// holds it, and in which bucket.
-func (l Load) admit(row Row, t *Loaded) (bucket int, held bool) {
+// What a load does with a record: counts it as read only (dropped), counts
+// it as kept but does not hold it (kept), or holds it (held); byPeriod
+// leaves it to the record's period.
+const (
+	dropped uint8 = iota
+	kept
+	held
+	byPeriod
+)
+
+// filter is a load's two sets resolved once into what the load does with a
+// record, by whether it failed and by its cell (byCell), or by its cell of
+// period 0 where the period changes nothing (byTag): a TBIN load derives
+// the period of a row it holds only.
+type filter struct{ byCell, byTag [2][256]uint8 }
+
+func (l Load) filter() *filter {
+	f := new(filter)
+	for failed := range 2 {
+		for c := range 256 {
+			cl, o := cell.Cell(c), dropped
+			if l.Keep.Has(cl, failed == 1) {
+				o = kept + uint8(b2i(l.Store.Has(cl, failed == 1)))
+			}
+			f.byCell[failed][c] = o
+			if c >= cell.NumCells {
+				continue // TBIN records' cells are all in range
+			}
+			// Period 0's cell of an action and user type seeds their entry.
+			if tag := &f.byTag[failed][cell.Make(cl.Action(), cl.UserType(), 0)]; cl.Period() == 0 {
+				*tag = o
+			} else if *tag != o {
+				*tag = byPeriod
+			}
+		}
+	}
+	return f
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// count counts into t a record the load does o with.
+func (t *Loaded) count(o uint8, failed bool) {
 	t.Records++
-	if !row.Failed {
-		t.Successful++
+	t.Successful += 1 - b2i(failed)
+	if o != dropped {
+		t.Kept++
 	}
-	if l.Keep != nil && !l.Keep(row) {
-		return 0, false
-	}
-	t.Kept++
-	if l.Store != nil && !l.Store(row) {
-		return 0, false
-	}
-	region := 0
-	if !l.InputOrder {
-		region = actionIndex(row.Cell.Action())
-	}
-	if row.Failed {
-		return 2*region + 1, true
-	}
-	return 2 * region, true
 }
 
 // builder is the one row builder behind every partition. Each chunk of
@@ -161,6 +160,7 @@ func (l Load) admit(row Row, t *Loaded) (bucket int, held bool) {
 // one bucket, closes the gaps in place.
 type builder struct {
 	l      Load
+	f      *filter
 	stage  *Partition // rows at their chunk's input position
 	bucket []uint8    // parallel to stage
 	chunks []chunk
@@ -174,7 +174,7 @@ type chunk struct {
 }
 
 func (l Load) builder(rows, chunks int) *builder {
-	b := &builder{l: l, stage: new(Partition), bucket: make([]uint8, rows), chunks: make([]chunk, chunks)}
+	b := &builder{l: l, f: l.filter(), stage: new(Partition), bucket: make([]uint8, rows), chunks: make([]chunk, chunks)}
 	b.stage.makeRows(rows)
 	return b
 }
@@ -186,23 +186,30 @@ func (p *Partition) makeRows(n int) {
 	p.class = make([]cell.Cell, n)
 }
 
-// add stages a row of chunk c if the load holds it. Only one-chunk builds
-// meet invalid actions (TBIN decoding validates every record), so the
-// invalid map is written by one goroutine, and a row in it is only moved
-// by the scatter below, never by closing gaps.
-func (b *builder) add(c *chunk, row Row, t timeutil.Millis, lat float64, user uint64) {
-	bk, ok := b.l.admit(row, &c.Loaded)
-	if !ok {
+// add counts a record of chunk c that the load does o with, and stages its
+// row if the load holds it; action is its raw action, kept for an
+// out-of-range one. Only one-chunk builds meet invalid actions (TBIN
+// decoding validates every record), so the invalid map is written by one
+// goroutine, and a row in it is only moved by the scatter below, never by
+// closing gaps.
+func (b *builder) add(c *chunk, o uint8, cl cell.Cell, failed bool, action telemetry.ActionType, t timeutil.Millis, lat float64, user uint64) {
+	c.count(o, failed)
+	if o != held {
 		return
 	}
+	region := 0
+	if !b.l.InputOrder {
+		region = actionIndex(cl.Action())
+	}
+	bk := 2*region + b2i(failed)
 	j := c.first + c.held
 	st := b.stage
-	st.times[j], st.lats[j], st.users[j], st.class[j] = t, lat, user, row.Cell
-	if actionIndex(row.Cell.Action()) == telemetry.NumActionTypes {
+	st.times[j], st.lats[j], st.users[j], st.class[j] = t, lat, user, cl
+	if actionIndex(cl.Action()) == telemetry.NumActionTypes {
 		if st.invalid == nil {
 			st.invalid = make(map[int]telemetry.ActionType)
 		}
-		st.invalid[j] = row.action
+		st.invalid[j] = action
 	}
 	b.bucket[j] = uint8(bk)
 	c.n[bk]++
@@ -280,7 +287,8 @@ func (l Load) Records(records []telemetry.Record) (*Partition, Loaded) {
 	b := l.builder(len(records), 1)
 	c := &b.chunks[0]
 	for _, r := range records {
-		b.add(c, RowOf(r), r.Time, r.LatencyMS, r.UserID)
+		cl, _ := cell.Of(r)
+		b.add(c, b.f.byCell[b2i(r.Failed)][cl], cl, r.Failed, r.Action, r.Time, r.LatencyMS, r.UserID)
 	}
 	return b.build()
 }
@@ -289,28 +297,32 @@ func (l Load) Records(records []telemetry.Record) (*Partition, Loaded) {
 // CSV, a WAL): iter calls its argument on every record. Only the records
 // the partition holds are kept until the build.
 func (l Load) Iterate(iter func(fn func(telemetry.Record) error) error) (*Partition, Loaded, error) {
-	var held []telemetry.Record
+	var rows []telemetry.Record
 	var seen Loaded
+	f := l.filter()
 	err := iter(func(r telemetry.Record) error {
-		if _, ok := l.admit(RowOf(r), &seen); ok {
-			held = append(held, r)
+		cl, _ := cell.Of(r)
+		o := f.byCell[b2i(r.Failed)][cl]
+		if seen.count(o, r.Failed); o == held {
+			rows = append(rows, r)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, Loaded{}, err
 	}
-	p, _ := Load{InputOrder: l.InputOrder, Workers: l.Workers}.Records(held)
+	p, _ := Load{InputOrder: l.InputOrder, Workers: l.Workers}.Records(rows)
 	return p, seen, nil
 }
 
 // TBIN builds a partition straight from a whole TBIN stream, with no
 // record slice in between: every block is a chunk, decoded into columns
-// and staged by one decode worker, which runs Keep and Store. Each row's
-// cell is its tag's action and user type and the period of its local
-// hour: RowOf's cell, as every TBIN record's action and user type are in
-// range. The error is what draining the streaming TBIN reader over the
-// same bytes returns first.
+// and staged by one decode worker, which applies Keep and Store. Each
+// row's cell is its tag's action and user type and the period of its local
+// hour: cell.Of's, as every TBIN record's action and user type are in
+// range. The period is derived only for a row the load may hold. The error
+// is what draining the streaming TBIN reader over the same bytes returns
+// first.
 func (l Load) TBIN(data []byte) (*Partition, Loaded, error) {
 	s := telemetry.SplitTBIN(data)
 	b := l.builder(s.Records(), s.Blocks())
@@ -318,9 +330,14 @@ func (l Load) TBIN(data []byte) (*Partition, Loaded, error) {
 		// Neighbouring blocks' chunks share cache lines: count in a local.
 		c := chunk{first: cols.First}
 		for i, t := range cols.Times {
-			a := cols.Action(i)
-			cl := cell.Make(a, cols.UserType(i), timeutil.PeriodOf(t, cols.TZOffset(i)))
-			b.add(&c, Row{Cell: cl, Failed: cols.Failed(i), action: a}, t, cols.Lats[i], cols.Users[i])
+			a, u, failed := cols.Action(i), cols.UserType(i), cols.Failed(i)
+			cl := cell.Make(a, u, 0)
+			o := b.f.byTag[b2i(failed)][cl]
+			if o >= held {
+				cl = cell.Make(a, u, timeutil.PeriodOf(t, cols.TZOffset(i)))
+				o = b.f.byCell[b2i(failed)][cl]
+			}
+			b.add(&c, o, cl, failed, a, t, cols.Lats[i], cols.Users[i])
 		}
 		b.chunks[k] = c
 	})
@@ -537,29 +554,23 @@ func (p *Partition) ByQuartile(action telemetry.ActionType) ([]Slice, error) {
 }
 
 // SelectQuartile returns a partition of the rows whose user falls in
-// quartile q and whose class keep accepts (nil accepts all), in this
-// partition's row order, laid out in input order or action-major.
-// Quartiles are assigned over this partition.
-func (p *Partition) SelectQuartile(q telemetry.Quartile, keep func(Row) bool, inputOrder bool) (*Partition, error) {
+// quartile q and that keep holds, in this partition's row order, laid out
+// in input order or action-major. Quartiles are assigned over this
+// partition.
+func (p *Partition) SelectQuartile(q telemetry.Quartile, keep cell.Set, inputOrder bool) (*Partition, error) {
 	if err := p.quartiles(); err != nil {
 		return nil, err
 	}
 	b := Load{Keep: keep, InputOrder: inputOrder, Workers: p.workers}.builder(p.Len(), 1)
 	c := &b.chunks[0]
-	for i := range p.times {
-		if int(p.quart[i]) == int(q) {
-			b.add(c, p.row(i), p.times[i], p.lats[i], p.users[i])
+	for bk := range numBuckets {
+		failed := bk%2 == 1
+		for i := p.bound[bk]; i < p.bound[bk+1]; i++ {
+			if int(p.quart[i]) == int(q) {
+				b.add(c, b.f.byCell[bk%2][p.class[i]], p.class[i], failed, p.invalid[i], p.times[i], p.lats[i], p.users[i])
+			}
 		}
 	}
 	sub, _ := b.build()
 	return sub, nil
-}
-
-// row reads row i back.
-func (p *Partition) row(i int) Row {
-	row := Row{Cell: p.class[i], action: p.invalid[i]}
-	for b := 1; b < numBuckets; b += 2 {
-		row.Failed = row.Failed || (p.bound[b] <= i && i < p.bound[b+1])
-	}
-	return row
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"autosens/internal/cell"
 	"autosens/internal/owasim"
 	"autosens/internal/rng"
 	"autosens/internal/telemetry"
@@ -322,7 +323,11 @@ func tbinRecords(b testing.TB, n int) ([]telemetry.Record, []byte) {
 // them, and straight from the bytes on the decode workers. The anonymized
 // row loads the same records with their user IDs pseudonymized, as the
 // paper's logs carry them: 64-bit hashes, whose varints take nine or ten
-// bytes where the 400 plain IDs take one or two.
+// bytes where the 400 plain IDs take one or two. The cli rows are the
+// autosens CLI's loads: every successful row action-major (-by action;
+// -by quartile holds the same rows in input order), every successful row
+// counted and one action's held (-by usertype and -by period), and one
+// slice's rows in input order (-action SelectMail -ci).
 func BenchmarkPartitionTBIN(b *testing.B) {
 	recs, data := tbinRecords(b, 320_000)
 	anon := telemetry.NewAnonymizer([]byte("bench")).Records(slices.Clone(recs))
@@ -349,22 +354,25 @@ func BenchmarkPartitionTBIN(b *testing.B) {
 			}
 		}
 	})
-	load := func(name string, data []byte, workers int) {
+	load := func(name string, data []byte, l Load) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				p, _, err := Load{Workers: workers}.TBIN(data)
-				if err != nil {
+				if _, _, err := l.TBIN(data); err != nil {
 					b.Fatal(err)
-				}
-				if p.Len() != len(recs) {
-					b.Fatalf("%d rows, want %d", p.Len(), len(recs))
 				}
 			}
 		})
 	}
 	for _, workers := range []int{1, 2} {
-		load(fmt.Sprintf("bytes/workers=%d", workers), data, workers)
+		load(fmt.Sprintf("bytes/workers=%d", workers), data, Load{Workers: workers})
 	}
-	load("bytes/anonymized/workers=1", anonData, 1)
+	load("bytes/anonymized/workers=1", anonData, Load{Workers: 1})
+	successful := cell.All.Set()
+	mail := cell.Key{Action: telemetry.SelectMail, UserType: -1, Period: -1}.Set()
+	for _, workers := range []int{1, 2} {
+		load(fmt.Sprintf("cli/by-action/workers=%d", workers), data, Load{Keep: successful, Workers: workers})
+		load(fmt.Sprintf("cli/by-usertype/workers=%d", workers), data, Load{Keep: successful, Store: mail, Workers: workers})
+		load(fmt.Sprintf("cli/slice/workers=%d", workers), data, Load{Keep: mail, InputOrder: true, Workers: workers})
+	}
 }

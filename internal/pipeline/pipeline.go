@@ -8,12 +8,13 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"runtime"
+	"math"
 	"sync"
 	"time"
 
 	"autosens/internal/core"
 	"autosens/internal/obs"
+	"autosens/internal/parallel"
 	"autosens/internal/telemetry"
 	"autosens/internal/timeutil"
 )
@@ -73,21 +74,9 @@ func Run(req Request) ([]Result, error) {
 	if len(req.Slices) == 0 {
 		return nil, errors.New("pipeline: no slices")
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(req.Slices) {
-		workers = len(req.Slices)
-	}
-	pool := req.Workers
-	if pool <= 0 {
-		pool = runtime.GOMAXPROCS(0)
-	}
+	pool := parallel.Workers(req.Workers, math.MaxInt)
+	workers := min(pool, len(req.Slices))
 	budget := pool / workers
-	if budget < 1 {
-		budget = 1
-	}
 	if req.Options.Workers <= 0 || req.Options.Workers > budget {
 		req.Options.Workers = budget
 	}
