@@ -91,8 +91,8 @@ func TestRingSpread(t *testing.T) {
 }
 
 // TestRingOwnsMatchesNodeFor pins the predicate the engines filter with
-// to the router's placement — disagreement between them silently drops
-// records.
+// to the ring's placement (NodeFor) — disagreement between them silently
+// drops records.
 func TestRingOwnsMatchesNodeFor(t *testing.T) {
 	r := mustRing(t, []string{"x", "y", "z"}, 16)
 	for u := uint64(1); u <= 2000; u++ {

@@ -116,11 +116,6 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("collector: %s: %s", e.Code, e.Message)
 }
 
-// Temporary reports whether retrying the same request can succeed.
-func (e *Error) Temporary() bool {
-	return e.Code == CodeQueueFull || e.Code == CodeSinkUnavailable
-}
-
 // ErrorResponse is the envelope every non-2xx /v1 response body uses.
 type ErrorResponse struct {
 	Err Error `json:"error"`
@@ -471,7 +466,7 @@ const maxErrorBody = 16 << 10
 // ReadError decodes the typed error from a non-2xx response. Bodies that
 // are not the v1 schema (a proxy's HTML 502, a plain-text error from an
 // old server) degrade to CodeBadRequest/CodeSinkUnavailable classified by
-// status, so callers can always rely on Code and Temporary.
+// status, so callers can always rely on Code.
 func ReadError(resp *http.Response) *Error {
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 	var er ErrorResponse

@@ -53,9 +53,6 @@ func TestReadErrorRoundTrip(t *testing.T) {
 	if e.RetryAfterMS != 500 {
 		t.Fatalf("retry advice %d ms, want 500", e.RetryAfterMS)
 	}
-	if !e.Temporary() {
-		t.Fatal("sink_unavailable not temporary")
-	}
 	if !strings.Contains(e.Error(), CodeSinkUnavailable) {
 		t.Fatalf("Error() = %q", e.Error())
 	}
@@ -66,17 +63,16 @@ func TestReadErrorRoundTrip(t *testing.T) {
 // with a usable Code.
 func TestReadErrorClassifiesForeignBodies(t *testing.T) {
 	cases := []struct {
-		status    int
-		header    string
-		code      string
-		temporary bool
-		adviceMS  int64
+		status   int
+		header   string
+		code     string
+		adviceMS int64
 	}{
-		{http.StatusTooManyRequests, "3", CodeQueueFull, true, 3000},
-		{http.StatusBadGateway, "", CodeSinkUnavailable, true, 0},
-		{http.StatusRequestEntityTooLarge, "", CodeTooLarge, false, 0},
-		{http.StatusBadRequest, "", CodeBadRequest, false, 0},
-		{http.StatusTooManyRequests, "soon", CodeQueueFull, true, 0}, // HTTP-date/garbage ignored
+		{http.StatusTooManyRequests, "3", CodeQueueFull, 3000},
+		{http.StatusBadGateway, "", CodeSinkUnavailable, 0},
+		{http.StatusRequestEntityTooLarge, "", CodeTooLarge, 0},
+		{http.StatusBadRequest, "", CodeBadRequest, 0},
+		{http.StatusTooManyRequests, "soon", CodeQueueFull, 0}, // HTTP-date/garbage ignored
 	}
 	for _, tc := range cases {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -92,9 +88,9 @@ func TestReadErrorClassifiesForeignBodies(t *testing.T) {
 		e := ReadError(resp)
 		resp.Body.Close()
 		ts.Close()
-		if e.Code != tc.code || e.Temporary() != tc.temporary || e.RetryAfterMS != tc.adviceMS {
-			t.Fatalf("status %d: decoded %+v, want code %s temporary %v advice %d",
-				tc.status, e, tc.code, tc.temporary, tc.adviceMS)
+		if e.Code != tc.code || e.RetryAfterMS != tc.adviceMS {
+			t.Fatalf("status %d: decoded %+v, want code %s advice %d",
+				tc.status, e, tc.code, tc.adviceMS)
 		}
 	}
 }
