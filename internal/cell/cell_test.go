@@ -111,3 +111,28 @@ func TestKeysAndCells(t *testing.T) {
 		}
 	}
 }
+
+// TestSetHolds pins what a Set holds over every byte a cell can take:
+// the zero Set everything, a key's set its matching cells' successful
+// records, and SetOf its predicate's cells, failed records as asked.
+func TestSetHolds(t *testing.T) {
+	odd := func(c Cell) bool { return c%2 == 1 }
+	for c := range 256 {
+		cl := Cell(c)
+		for _, failed := range []bool{false, true} {
+			if !(Set{}).Has(cl, failed) {
+				t.Fatalf("the zero Set drops cell %#x (failed %v)", c, failed)
+			}
+			for _, k := range Keys() {
+				if got, want := k.Set().Has(cl, failed), !failed && k.Matches(cl); got != want {
+					t.Fatalf("%v.Set().Has(%#x, %v) = %v, want %v", k, c, failed, got, want)
+				}
+			}
+			for _, withFailed := range []bool{false, true} {
+				if got, want := SetOf(odd, withFailed).Has(cl, failed), odd(cl) && (withFailed || !failed); got != want {
+					t.Fatalf("SetOf(odd, %v).Has(%#x, %v) = %v, want %v", withFailed, c, failed, got, want)
+				}
+			}
+		}
+	}
+}
